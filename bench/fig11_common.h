@@ -30,7 +30,8 @@ inline Fig11Workload MakeFig11Workload(int base_vessels, Duration duration) {
   std::vector<tracker::CriticalPoint> raw;
   for (const auto& t : w.data.tuples) tracker.Process(t, &raw);
   tracker.Finish(&raw);
-  w.criticals = compressor.Compress(std::move(raw), w.data.tuples.size());
+  compressor.Compress(&raw, w.data.tuples.size());
+  w.criticals = std::move(raw);
   return w;
 }
 

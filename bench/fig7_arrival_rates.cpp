@@ -45,7 +45,7 @@ void Main() {
         tracker.Process(data.tuples[i], &raw);
       }
       tracker.AdvanceTo(data.tuples[end - 1].tau, &raw);
-      compressor.Compress(std::move(raw), end - cursor);
+      compressor.Compress(&raw, end - cursor);
       const double dt = NowSeconds() - t0;
       total += dt;
       worst = std::max(worst, dt);

@@ -8,69 +8,14 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <new>
 
+#include "alloc_counter.h"
 #include "common/rng.h"
 #include "fig11_common.h"
 #include "rtec/engine.h"
 #include "rtec/interval.h"
 #include "rtec/timeline.h"
-
-// Heap-allocation counting: the arena/SoA work is judged not only on time but
-// on per-slide allocator traffic, so this binary replaces global operator
-// new/delete with counting wrappers. Sanitizer builds provide their own
-// operator new; keep the counters but report zero there (the interposition is
-// skipped, see kAllocCountingActive).
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define MARITIME_BENCH_COUNT_ALLOCS 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define MARITIME_BENCH_COUNT_ALLOCS 0
-#else
-#define MARITIME_BENCH_COUNT_ALLOCS 1
-#endif
-#else
-#define MARITIME_BENCH_COUNT_ALLOCS 1
-#endif
-
-namespace maritime::bench {
-std::atomic<uint64_t> g_heap_allocs{0};
-inline constexpr bool kAllocCountingActive = MARITIME_BENCH_COUNT_ALLOCS != 0;
-}  // namespace maritime::bench
-
-#if MARITIME_BENCH_COUNT_ALLOCS
-// The replaced operators pair new->malloc with delete->free by construction;
-// GCC's mismatched-new-delete heuristic cannot see that pairing.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void* operator new(std::size_t size) {
-  maritime::bench::g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  maritime::bench::g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::aligned_alloc(static_cast<std::size_t>(align), size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-#endif  // MARITIME_BENCH_COUNT_ALLOCS
 
 namespace maritime::rtec {
 namespace {

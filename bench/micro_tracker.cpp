@@ -1,17 +1,123 @@
 // Microbenchmarks (ablation): per-tuple cost of the mobility tracker,
 // validating the complexity claims of paper Section 3.1 — O(1) per incoming
 // tuple for instantaneous events and gaps, O(m) for long-lasting events —
-// by sweeping the history size m.
+// by sweeping the history size m. BM_ScanTaggedLines and BM_TrackerSlide
+// time the two ingest layers on a simulated feed and count their heap
+// allocations (tools/check_alloc_budget.py gates the counts).
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <string_view>
+
+#include "ais/scanner.h"
+#include "alloc_counter.h"
 #include "common/thread_pool.h"
+#include "sim/generator.h"
+#include "sim/nmea_feed.h"
 #include "sim/scenarios.h"
+#include "sim/world.h"
 #include "tracker/mobility_tracker.h"
 #include "tracker/sharded_tracker.h"
 
 namespace maritime::tracker {
 namespace {
+
+/// A simulated 300-vessel, 6 h feed: its position reports and the tagged
+/// NMEA lines encoding them (type 5 and two-sentence type 19 included).
+struct IngestFeed {
+  std::vector<stream::PositionTuple> tuples;
+  std::string text;
+  std::vector<std::string_view> lines;
+};
+
+const IngestFeed& SimulatedFeed() {
+  static const IngestFeed* feed = [] {
+    auto* f = new IngestFeed;
+    sim::World world = sim::BuildWorld(11);
+    sim::FleetConfig config;
+    config.vessels = 300;
+    config.duration = 6 * kHour;
+    config.seed = 12;
+    sim::FleetSimulator simulator(&world, config);
+    f->tuples = simulator.Generate();
+    sim::NmeaFeedOptions nmea;
+    nmea.seed = 13;
+    f->text = sim::EncodeTaggedNmeaFeed(f->tuples, simulator.fleet(), nmea);
+    const std::string_view text(f->text);
+    for (size_t start = 0; start < text.size();) {
+      size_t end = text.find('\n', start);
+      if (end == std::string_view::npos) end = text.size();
+      f->lines.push_back(text.substr(start, end - start));
+      start = end + 1;
+    }
+    return f;
+  }();
+  return *feed;
+}
+
+void BM_ScanTaggedLines(benchmark::State& state) {
+  // The Data Scanner over every line of the feed, draining the type 5
+  // reports every 4096 lines as a slide would.
+  const IngestFeed& feed = SimulatedFeed();
+  uint64_t allocs = 0;
+  uint64_t accepted = 0;
+  for (auto _ : state) {
+    ais::DataScanner scanner;
+    const uint64_t before = bench::HeapAllocs();
+    for (size_t i = 0; i < feed.lines.size(); ++i) {
+      const Result<stream::PositionTuple> r = scanner.FeedTagged(feed.lines[i]);
+      if (r.ok()) benchmark::DoNotOptimize(r.value());
+      if (i % 4096 == 4095) benchmark::DoNotOptimize(scanner.TakeStaticReports());
+    }
+    benchmark::DoNotOptimize(scanner.TakeStaticReports());
+    allocs += bench::HeapAllocs() - before;
+    accepted = scanner.stats().accepted;
+  }
+  const auto lines = static_cast<double>(feed.lines.size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(feed.lines.size()));
+  state.counters["accepted"] = static_cast<double>(accepted);
+  state.counters["allocs_per_line"] =
+      bench::kAllocCountingActive
+          ? static_cast<double>(allocs) /
+                (lines * static_cast<double>(state.iterations()))
+          : 0.0;
+}
+BENCHMARK(BM_ScanTaggedLines)->Unit(benchmark::kMillisecond);
+
+void BM_TrackerSlide(benchmark::State& state) {
+  // The feed's reports through a one-shard tracker in 5-minute slides, as
+  // the pipeline drives it (Process + AdvanceTo + Compress per slide).
+  const IngestFeed& feed = SimulatedFeed();
+  const std::vector<stream::PositionTuple>& tuples = feed.tuples;
+  uint64_t allocs = 0;
+  for (auto _ : state) {
+    ShardedMobilityTracker tracker(TrackerParams(), 1);
+    const uint64_t before = bench::HeapAllocs();
+    size_t begin = 0;
+    for (Timestamp q = tuples.front().tau + 5 * kMinute; begin < tuples.size();
+         q += 5 * kMinute) {
+      size_t end = begin;
+      while (end < tuples.size() && tuples[end].tau <= q) ++end;
+      benchmark::DoNotOptimize(tracker.ProcessSlide(
+          std::span<const stream::PositionTuple>(tuples.data() + begin,
+                                                 end - begin),
+          q));
+      begin = end;
+    }
+    allocs += bench::HeapAllocs() - before;
+  }
+  const auto n = static_cast<double>(tuples.size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(tuples.size()));
+  state.counters["allocs_per_tuple"] =
+      bench::kAllocCountingActive
+          ? static_cast<double>(allocs) /
+                (n * static_cast<double>(state.iterations()))
+          : 0.0;
+}
+BENCHMARK(BM_TrackerSlide)->Unit(benchmark::kMillisecond);
 
 std::vector<stream::PositionTuple> CruiseTuples(int n) {
   return sim::TraceBuilder(1, geo::GeoPoint{24.0, 37.0}, 0)

@@ -20,12 +20,38 @@ int SixbitFromChar(char c) {
 
 }  // namespace
 
-void BitWriter::WriteUnsigned(uint64_t value, int width) {
+void PayloadBits::Append(uint64_t value, int width) {
   MARITIME_DCHECK_MSG(width > 0 && width <= 64, "field width out of range");
-  for (int i = width - 1; i >= 0; --i) {
-    bits_.push_back(static_cast<uint8_t>((value >> i) & 1u));
+  if (width < 64) value &= (uint64_t{1} << width) - 1;
+  const size_t w = size_ / 64;
+  const int used = static_cast<int>(size_ % 64);
+  size_ += static_cast<size_t>(width);
+  if (w >= kWords) return;  // Past the inline bits: counted, not stored.
+  const int free = 64 - used;
+  if (width <= free) {
+    words_[w] |= value << (free - width);
+    return;
   }
-  bit_size_ += static_cast<size_t>(width);
+  const int spill = width - free;
+  words_[w] |= value >> spill;
+  if (w + 1 < kWords) words_[w + 1] |= value << (64 - spill);
+}
+
+void PayloadBits::Truncate(size_t n) {
+  if (n >= size_) return;
+  size_ = n;
+  size_t w = n / 64;
+  if (w >= kWords) return;
+  const int keep = static_cast<int>(n % 64);
+  if (keep != 0) {
+    words_[w] &= ~uint64_t{0} << (64 - keep);
+    ++w;
+  }
+  for (; w < kWords; ++w) words_[w] = 0;
+}
+
+void BitWriter::WriteUnsigned(uint64_t value, int width) {
+  bits_.Append(value, width);
 }
 
 void BitWriter::WriteSigned(int64_t value, int width) {
@@ -40,25 +66,6 @@ void BitWriter::WriteSixbitString(const std::string& s, int chars) {
   }
 }
 
-uint64_t BitReader::ReadUnsigned(int width) {
-  MARITIME_DCHECK_MSG(width > 0 && width <= 64, "field width out of range");
-  uint64_t v = 0;
-  for (int i = 0; i < width; ++i) {
-    uint8_t bit = 0;
-    if (pos_ < bits_.size()) {
-      bit = bits_[pos_];
-    } else {
-      overflow_ = true;
-    }
-    v = (v << 1) | bit;
-    ++pos_;
-  }
-  // Reads stay in range unless the overflow flag says otherwise — the
-  // contract the scanner relies on to flag truncated payloads.
-  MARITIME_DCHECK(overflow_ || pos_ <= bits_.size());
-  return v;
-}
-
 int64_t BitReader::ReadSigned(int width) {
   uint64_t v = ReadUnsigned(width);
   // Sign-extend from `width` bits.
@@ -69,18 +76,20 @@ int64_t BitReader::ReadSigned(int width) {
 }
 
 std::string BitReader::ReadSixbitString(int chars) {
-  constexpr char kAlphabet[] =
-      "@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_ !\"#$%&'()*+,-./0123456789:;<=>?";
-  std::string out;
-  out.reserve(static_cast<size_t>(chars));
+  const auto char_at = [this](int i) {
+    return kSixbitAlphabet[bits_.Extract(pos_ + 6 * static_cast<size_t>(i), 6)];
+  };
+  // Trailing '@' and spaces are padding: size the string to what precedes
+  // them, so short names stay within the small-string buffer.
+  size_t len = 0;
   for (int i = 0; i < chars; ++i) {
-    const uint64_t v = ReadUnsigned(6);
-    out.push_back(kAlphabet[v & 63u]);
+    const char c = char_at(i);
+    if (c != '@' && c != ' ') len = static_cast<size_t>(i) + 1;
   }
-  // Strip trailing padding ('@' and spaces).
-  while (!out.empty() && (out.back() == '@' || out.back() == ' ')) {
-    out.pop_back();
-  }
+  std::string out;
+  out.reserve(len);
+  for (size_t i = 0; i < len; ++i) out.push_back(char_at(static_cast<int>(i)));
+  Skip(6 * chars);
   return out;
 }
 

@@ -1,11 +1,58 @@
 #ifndef MARITIME_AIS_BIT_BUFFER_H_
 #define MARITIME_AIS_BIT_BUFFER_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace maritime::ais {
+
+/// A raw AIS payload, packed most-significant bit first into 64-bit words:
+/// bit i of the message is bit 63 - i % 64 of word i / 64. The first
+/// kInlineBits bits are stored inline, so decoding a sentence never touches
+/// the heap; the longest message handled (type 5) is 424 bits. A longer
+/// payload, which only a hostile or corrupt feed produces, keeps its true
+/// bit length in size() while its bits past kInlineBits are not stored and
+/// read as zero. The decoders never read that far, and they judge
+/// truncation against size(), so such a payload decodes exactly as if every
+/// bit were kept.
+class PayloadBits {
+ public:
+  static constexpr size_t kInlineBits = 1024;
+
+  /// True bit length (may exceed kInlineBits).
+  size_t size() const { return size_; }
+
+  /// Appends the `width` low bits of `value`, MSB first. 0 < width <= 64.
+  void Append(uint64_t value, int width);
+
+  /// Drops every bit at or past `n` (no-op when n >= size()).
+  void Truncate(size_t n);
+
+  /// The `width` bits starting at `pos`, as an unsigned value; bits at or
+  /// past size(), or past kInlineBits, read as zero. 0 < width <= 64.
+  uint64_t Extract(size_t pos, int width) const {
+    const size_t w = pos / 64;
+    const int shift = static_cast<int>(pos % 64);
+    // The 64 bits starting at `pos`, left-aligned; zero past the stored
+    // words.
+    uint64_t v = w < kWords ? words_[w] << shift : 0;
+    if (shift != 0 && w + 1 < kWords) v |= words_[w + 1] >> (64 - shift);
+    return width == 64 ? v : v >> (64 - width);
+  }
+
+  friend bool operator==(const PayloadBits& a, const PayloadBits& b) {
+    return a.size_ == b.size_ && a.words_ == b.words_;
+  }
+
+ private:
+  static constexpr size_t kWords = kInlineBits / 64;
+  // Invariant: stored bits at or past size_ are zero, so Extract needs no
+  // masking and operator== can compare whole words.
+  std::array<uint64_t, kWords> words_{};
+  size_t size_ = 0;
+};
 
 /// Append-only big-endian bit writer used to build AIS binary payloads.
 /// Bits are written most-significant first, matching ITU-R M.1371 field
@@ -24,27 +71,31 @@ class BitWriter {
   void WriteSixbitString(const std::string& s, int chars);
 
   /// Number of bits written so far.
-  size_t bit_size() const { return bit_size_; }
+  size_t bit_size() const { return bits_.size(); }
 
-  /// The raw bits, one per element (0/1). Cheap enough at AIS sizes and
-  /// keeps the codec trivially correct.
-  const std::vector<uint8_t>& bits() const { return bits_; }
+  /// The packed bits written so far.
+  const PayloadBits& bits() const { return bits_; }
 
  private:
-  std::vector<uint8_t> bits_;
-  size_t bit_size_ = 0;
+  PayloadBits bits_;
 };
 
-/// Big-endian bit reader over a bit vector produced by payload de-armoring.
-/// Reads past the end return zeros and set `overflow()` — AIS receivers must
-/// tolerate truncated payloads, and the scanner checks `overflow()` to flag
-/// corrupt messages.
+/// Big-endian bit reader over a de-armored payload. Reads past the end
+/// return zeros and set `overflow()` — AIS receivers must tolerate truncated
+/// payloads, and the scanner checks `overflow()` to flag corrupt messages.
 class BitReader {
  public:
-  explicit BitReader(const std::vector<uint8_t>& bits) : bits_(bits) {}
+  explicit BitReader(const PayloadBits& bits) : bits_(bits) {}
 
   /// Reads `width` bits as an unsigned value. Precondition: 0 < width <= 64.
-  uint64_t ReadUnsigned(int width);
+  uint64_t ReadUnsigned(int width) {
+    const uint64_t v = bits_.Extract(pos_, width);
+    pos_ += static_cast<size_t>(width);
+    // Bits past the end read as zero; the flag is the contract the scanner
+    // relies on to flag truncated payloads.
+    if (pos_ > bits_.size()) overflow_ = true;
+    return v;
+  }
 
   /// Reads `width` bits as a two's-complement signed value.
   int64_t ReadSigned(int width);
@@ -60,7 +111,7 @@ class BitReader {
   bool overflow() const { return overflow_; }
 
  private:
-  const std::vector<uint8_t>& bits_;
+  const PayloadBits& bits_;
   size_t pos_ = 0;
   bool overflow_ = false;
 };

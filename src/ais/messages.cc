@@ -105,7 +105,7 @@ bool PositionReport::HasPosition() const {
          lat_deg <= 90.0;
 }
 
-std::vector<uint8_t> EncodePositionReport(const PositionReport& r) {
+PayloadBits EncodePositionReport(const PositionReport& r) {
   BitWriter w;
   w.WriteUnsigned(static_cast<uint64_t>(r.type), 6);
   w.WriteUnsigned(0, 2);  // repeat indicator
@@ -148,7 +148,7 @@ std::vector<uint8_t> EncodePositionReport(const PositionReport& r) {
   return w.bits();
 }
 
-Result<PositionReport> DecodePositionReport(const std::vector<uint8_t>& bits) {
+Result<PositionReport> DecodePositionReport(const PayloadBits& bits) {
   if (bits.size() < 6) return Status::Corruption("payload shorter than 6 bits");
   BitReader rd(bits);
   const int type = static_cast<int>(rd.ReadUnsigned(6));
@@ -200,7 +200,7 @@ Result<PositionReport> DecodePositionReport(const std::vector<uint8_t>& bits) {
 
 namespace {
 
-std::vector<std::string> BitsToNmea(const std::vector<uint8_t>& bits,
+std::vector<std::string> BitsToNmea(const PayloadBits& bits,
                                     char channel, int sequence_id) {
   int fill = 0;
   const std::string payload = ArmorPayload(bits, &fill);
@@ -217,8 +217,8 @@ std::vector<std::string> BitsToNmea(const std::vector<uint8_t>& bits,
     s.fragment_index = i + 1;
     s.sequence_id = total > 1 ? (sequence_id % 10) : -1;
     s.channel = channel;
-    s.payload = payload.substr(static_cast<size_t>(i) * kMaxPayloadChars,
-                               kMaxPayloadChars);
+    s.payload = std::string_view(payload).substr(
+        static_cast<size_t>(i) * kMaxPayloadChars, kMaxPayloadChars);
     s.fill_bits = (i + 1 == total) ? fill : 0;
     out.push_back(FormatSentence(s));
   }
@@ -232,13 +232,13 @@ std::vector<std::string> EncodeToNmea(const PositionReport& report,
   return BitsToNmea(EncodePositionReport(report), channel, sequence_id);
 }
 
-int PeekMessageType(const std::vector<uint8_t>& bits) {
+int PeekMessageType(const PayloadBits& bits) {
   if (bits.size() < 6) return -1;
   BitReader rd(bits);
   return static_cast<int>(rd.ReadUnsigned(6));
 }
 
-std::vector<uint8_t> EncodeStaticVoyageData(const StaticVoyageData& d) {
+PayloadBits EncodeStaticVoyageData(const StaticVoyageData& d) {
   BitWriter w;
   w.WriteUnsigned(5, 6);
   w.WriteUnsigned(0, 2);  // repeat indicator
@@ -267,8 +267,7 @@ std::vector<uint8_t> EncodeStaticVoyageData(const StaticVoyageData& d) {
   return w.bits();
 }
 
-Result<StaticVoyageData> DecodeStaticVoyageData(
-    const std::vector<uint8_t>& bits) {
+Result<StaticVoyageData> DecodeStaticVoyageData(const PayloadBits& bits) {
   if (bits.size() < 6) return Status::Corruption("payload shorter than 6 bits");
   BitReader rd(bits);
   const int type = static_cast<int>(rd.ReadUnsigned(6));

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "ais/bit_buffer.h"
 #include "common/result.h"
 
 namespace maritime::ais {
@@ -66,12 +67,12 @@ struct PositionReport {
 
 /// Encodes `report` into the raw AIS bit layout of its message type.
 /// Out-of-range fields are clamped to the representable range.
-std::vector<uint8_t> EncodePositionReport(const PositionReport& report);
+PayloadBits EncodePositionReport(const PositionReport& report);
 
 /// Decodes a raw AIS payload. Fails with kCorruption on truncated payloads
 /// and kUnimplemented on unsupported message types (the Data Scanner counts
 /// and skips those).
-Result<PositionReport> DecodePositionReport(const std::vector<uint8_t>& bits);
+Result<PositionReport> DecodePositionReport(const PayloadBits& bits);
 
 /// Convenience: encodes `report` into one or more complete AIVDM sentences
 /// (type 19 spans two sentences at 312 bits).
@@ -101,12 +102,11 @@ struct StaticVoyageData {
 };
 
 /// Encodes a type 5 message into its 424-bit payload.
-std::vector<uint8_t> EncodeStaticVoyageData(const StaticVoyageData& data);
+PayloadBits EncodeStaticVoyageData(const StaticVoyageData& data);
 
 /// Decodes a type 5 payload. Fails with kCorruption on truncation and
 /// kInvalidArgument when the payload is not a type 5 message.
-Result<StaticVoyageData> DecodeStaticVoyageData(
-    const std::vector<uint8_t>& bits);
+Result<StaticVoyageData> DecodeStaticVoyageData(const PayloadBits& bits);
 
 /// Encodes a type 5 message into complete AIVDM sentences (three fragments
 /// at the 28-character payload limit).
@@ -115,7 +115,7 @@ std::vector<std::string> EncodeStaticToNmea(const StaticVoyageData& data,
                                             int sequence_id = 0);
 
 /// Reads the message type from the first six payload bits (-1 if too short).
-int PeekMessageType(const std::vector<uint8_t>& bits);
+int PeekMessageType(const PayloadBits& bits);
 
 }  // namespace maritime::ais
 

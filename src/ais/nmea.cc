@@ -15,7 +15,7 @@ std::string NmeaChecksum(std::string_view body) {
 }
 
 std::string FormatSentence(const NmeaSentence& s) {
-  std::string body = s.talker;
+  std::string body(s.talker);
   body += ',';
   body += std::to_string(s.fragment_count);
   body += ',';
@@ -41,25 +41,44 @@ Result<NmeaSentence> ParseSentence(std::string_view line) {
     return Status::Corruption("missing or malformed checksum");
   }
   const std::string_view body = line.substr(1, star - 1);
-  const std::string_view checksum = line.substr(star + 1, 2);
-  // Case-insensitive compare: receivers in the wild emit lowercase hex
-  // (`*3f`), which is just as valid as the uppercase we generate.
-  const std::string expected = NmeaChecksum(body);
+  // One branch-free pass over the body: the XOR checksum, the number of
+  // commas, and the offsets of the first six (comma_at[min(k, 6)] is
+  // rewritten at every character until the k-th comma settles it).
+  unsigned char sum = 0;
+  size_t commas = 0;
+  size_t comma_at[7] = {};
+  for (size_t i = 0; i < body.size(); ++i) {
+    const char c = body[i];
+    sum ^= static_cast<unsigned char>(c);
+    comma_at[commas < 6 ? commas : 6] = i;
+    commas += c == ',' ? 1 : 0;
+  }
+  // Case-insensitive compare against NmeaChecksum's uppercase hex: receivers
+  // in the wild emit lowercase hex (`*3f`), which is just as valid.
+  constexpr char kHex[] = "0123456789ABCDEF";
   const auto upper = [](char c) {
     return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
   };
-  if (upper(checksum[0]) != expected[0] || upper(checksum[1]) != expected[1]) {
+  if (upper(line[star + 1]) != kHex[sum >> 4] ||
+      upper(line[star + 2]) != kHex[sum & 15]) {
     return Status::Corruption("checksum mismatch");
   }
-  const auto fields = SplitString(body, ',');
-  if (fields.size() != 7) {
+  if (commas != 6) {
     return Status::Corruption(
-        StrPrintf("expected 7 fields, got %zu", fields.size()));
+        StrPrintf("expected 7 fields, got %zu", commas + 1));
   }
+  std::string_view fields[7];
+  size_t start = 0;
+  for (size_t k = 0; k < 6; ++k) {
+    fields[k] = body.substr(start, comma_at[k] - start);
+    start = comma_at[k] + 1;
+  }
+  fields[6] = body.substr(start);
   NmeaSentence s;
-  s.talker = std::string(fields[0]);
+  s.talker = fields[0];
   if (s.talker != "AIVDM" && s.talker != "AIVDO") {
-    return Status::Corruption("unknown talker '" + s.talker + "'");
+    return Status::Corruption("unknown talker '" + std::string(s.talker) +
+                              "'");
   }
   auto parse_int = [](std::string_view f, int fallback) {
     if (f.empty()) return fallback;
@@ -78,15 +97,15 @@ Result<NmeaSentence> ParseSentence(std::string_view line) {
   s.fragment_index = parse_int(fields[2], 0);
   s.sequence_id = parse_int(fields[3], -1);
   s.channel = fields[4].empty() ? '\0' : fields[4][0];
-  s.payload = std::string(fields[5]);
+  s.payload = fields[5];
   s.fill_bits = parse_int(fields[6], -1);
   if (s.fragment_count < 1 || s.fragment_index < 1 ||
       s.fragment_index > s.fragment_count) {
     return Status::Corruption("inconsistent fragment numbering");
   }
   // The NMEA fragment-count field is a single digit, so 9 bounds any valid
-  // sentence. Without this cap a hostile count (e.g. 999999) makes the
-  // FragmentAssembler pre-size its fragment table to match.
+  // sentence. Without this cap a hostile count (e.g. 999999) would outgrow
+  // the FragmentAssembler's per-group fragment table.
   if (s.fragment_count > kMaxFragments) {
     return Status::Corruption(
         StrPrintf("fragment count %d exceeds NMEA limit of %d",
@@ -101,6 +120,45 @@ Result<NmeaSentence> ParseSentence(std::string_view line) {
   return s;
 }
 
+FragmentAssembler::Group& FragmentAssembler::FindOrOpen(int sequence_id,
+                                                        char channel) {
+  Group* free_slot = nullptr;
+  for (Group& g : groups_) {
+    if (!g.in_use) {
+      if (free_slot == nullptr) free_slot = &g;
+    } else if (g.sequence_id == sequence_id && g.channel == channel) {
+      return g;
+    }
+  }
+  if (free_slot == nullptr) free_slot = &groups_.emplace_back();
+  free_slot->in_use = true;
+  free_slot->sequence_id = sequence_id;
+  free_slot->channel = channel;
+  ++pending_;
+  return *free_slot;
+}
+
+void FragmentAssembler::Reset(Group& g) {
+  for (int i = 0; i < g.fragment_count; ++i) {
+    g.fragments[static_cast<size_t>(i)].clear();
+  }
+  g.fragment_count = 0;
+  g.received = 0;
+  g.fill_bits = 0;
+}
+
+void FragmentAssembler::Release(Group& g) {
+  Reset(g);
+  g.in_use = false;
+  --pending_;
+}
+
+void FragmentAssembler::Clear() {
+  for (Group& g : groups_) {
+    if (g.in_use) Release(g);
+  }
+}
+
 Result<FragmentAssembler::Assembled> FragmentAssembler::Add(
     const NmeaSentence& s) {
   ++add_seq_;
@@ -108,64 +166,73 @@ Result<FragmentAssembler::Assembled> FragmentAssembler::Add(
   if (s.fragment_count == 1) {
     return Assembled{s.payload, s.fill_bits};
   }
-  const auto key = std::make_pair(s.sequence_id, s.channel);
-  auto& group = pending_[key];
+  Group& group = FindOrOpen(s.sequence_id, s.channel);
   group.last_add_seq = add_seq_;
-  // Re-run eviction after a possible insert so the cap holds; the group
-  // just touched carries the newest sequence number and is never the
-  // eviction victim (map erase leaves other references valid).
+  // Re-run eviction after a possible open so the cap holds; the group just
+  // touched carries the newest sequence number and is never the victim.
   EvictStale();
-  if (s.fragment_index == 1 && !group.fragments.empty() &&
-      !group.fragments[0].empty()) {
-    // A second first-fragment means a reused sequence id: the stale partial
-    // group restarts. (A first fragment merely arriving after a later one
-    // is legal out-of-order delivery and joins the existing group.)
-    const uint64_t seq = group.last_add_seq;
-    group = Pending{};
-    group.last_add_seq = seq;
+  if (s.fragment_index == 1 && group.fragment_count != 0) {
+    if (!group.fragments[0].empty()) {
+      // A second first-fragment means a reused sequence id: the stale
+      // partial group restarts.
+      Reset(group);
+    } else if (add_seq_ - group.sized_add_seq >
+               static_cast<uint64_t>(kMaxFragments)) {
+      // The held later fragments waited longer than any one message's
+      // fragments take to arrive: they are orphans of a lost first fragment.
+      // (A first fragment arriving right after a later one is legal
+      // out-of-order delivery and joins the group.)
+      ++evicted_groups_;
+      Reset(group);
+    }
   }
-  if (group.fragments.empty()) {
-    group.fragments.resize(static_cast<size_t>(s.fragment_count));
+  if (group.fragment_count == 0) {
+    group.fragment_count = s.fragment_count;
+    group.sized_add_seq = add_seq_;
   }
-  if (static_cast<int>(group.fragments.size()) != s.fragment_count) {
-    pending_.erase(key);
+  if (group.fragment_count != s.fragment_count) {
+    Release(group);
     return Status::Corruption("fragment count changed within group");
   }
-  auto& slot = group.fragments[static_cast<size_t>(s.fragment_index - 1)];
+  std::string& slot = group.fragments[static_cast<size_t>(s.fragment_index - 1)];
   if (!slot.empty()) {
-    pending_.erase(key);
+    Release(group);
     return Status::Corruption("duplicate fragment index within group");
   }
-  slot = s.payload;
+  slot.assign(s.payload);
   ++group.received;
   if (s.fragment_index == s.fragment_count) group.fill_bits = s.fill_bits;
   if (group.received < s.fragment_count) {
     return Status::NotFound("awaiting more fragments");
   }
-  Assembled out;
-  for (const auto& f : group.fragments) out.payload += f;
-  out.fill_bits = group.fill_bits;
-  pending_.erase(key);
-  return out;
+  assembled_.clear();
+  for (int i = 0; i < group.fragment_count; ++i) {
+    assembled_ += group.fragments[static_cast<size_t>(i)];
+  }
+  const int fill_bits = group.fill_bits;
+  Release(group);
+  return Assembled{assembled_, fill_bits};
 }
 
 void FragmentAssembler::EvictStale() {
+  if (pending_ == 0) return;
   // Age out groups whose missing fragments are evidently lost; without this
   // the pending buffer grows without bound on a lossy feed.
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (add_seq_ - it->second.last_add_seq > options_.max_group_age_adds) {
-      it = pending_.erase(it);
+  for (Group& g : groups_) {
+    if (g.in_use && add_seq_ - g.last_add_seq > options_.max_group_age_adds) {
+      Release(g);
       ++evicted_groups_;
-    } else {
-      ++it;
     }
   }
-  while (pending_.size() > options_.max_pending_groups) {
-    auto oldest = pending_.begin();
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      if (it->second.last_add_seq < oldest->second.last_add_seq) oldest = it;
+  while (pending_ > options_.max_pending_groups) {
+    Group* oldest = nullptr;
+    for (Group& g : groups_) {
+      if (g.in_use &&
+          (oldest == nullptr || g.last_add_seq < oldest->last_add_seq)) {
+        oldest = &g;
+      }
     }
-    pending_.erase(oldest);
+    Release(*oldest);
     ++evicted_groups_;
   }
 }

@@ -1,8 +1,10 @@
 #ifndef MARITIME_AIS_NMEA_H_
 #define MARITIME_AIS_NMEA_H_
 
-#include <map>
+#include <array>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -16,13 +18,14 @@ inline constexpr int kMaxFragments = 9;
 
 /// One parsed NMEA 0183 AIVDM/AIVDO sentence:
 /// `!AIVDM,<total>,<num>,<seq>,<chan>,<payload>,<fill>*<checksum>`
+/// The text fields view the parsed line, which must outlive the sentence.
 struct NmeaSentence {
-  std::string talker = "AIVDM";  ///< "AIVDM" (received) or "AIVDO" (own ship).
+  std::string_view talker = "AIVDM";  ///< "AIVDM" (received) or "AIVDO".
   int fragment_count = 1;        ///< Total fragments of the message.
   int fragment_index = 1;        ///< 1-based index of this fragment.
   int sequence_id = -1;          ///< Multi-fragment group id; -1 when absent.
   char channel = 'A';            ///< Radio channel ('A'/'B'); '\0' when absent.
-  std::string payload;           ///< Armored 6-bit payload.
+  std::string_view payload;      ///< Armored 6-bit payload.
   int fill_bits = 0;             ///< Pad bits in the final payload character.
 };
 
@@ -34,17 +37,25 @@ std::string NmeaChecksum(std::string_view body);
 /// Renders the sentence with a correct checksum.
 std::string FormatSentence(const NmeaSentence& s);
 
-/// Parses and validates one sentence line. Fails with kCorruption on framing
-/// or checksum errors (the paper's Data Scanner discards such messages).
+/// Parses and validates one sentence line without copying it: the result's
+/// text fields view `line`. Fails with kCorruption on framing or checksum
+/// errors (the paper's Data Scanner discards such messages).
 Result<NmeaSentence> ParseSentence(std::string_view line);
 
 /// Reassembles multi-fragment AIVDM messages. Feed sentences in arrival
 /// order; when a message is complete, returns the concatenated armored
 /// payload plus the final fragment's fill bits.
+///
+/// Only fragments of multi-part messages are copied, into group slots and
+/// an output buffer that keep their capacity when reused, so steady-state
+/// reassembly does not allocate. A single-fragment sentence passes through
+/// as a view of its own payload.
 class FragmentAssembler {
  public:
   struct Assembled {
-    std::string payload;
+    /// The sentence's own payload, or the assembler's output buffer; valid
+    /// until the next Add or Clear.
+    std::string_view payload;
     int fill_bits = 0;
   };
 
@@ -67,33 +78,49 @@ class FragmentAssembler {
   /// Returns a value when `s` completes a message (single-fragment sentences
   /// complete immediately); kNotFound-status when more fragments are pending;
   /// kCorruption when the fragment is inconsistent with its group.
+  ///
+  /// A first fragment restarts its group when the group already holds a
+  /// first fragment (a reused sequence id), or when the group's later
+  /// fragments have waited for more than kMaxFragments Adds: their own first
+  /// fragment was lost, and joining them to a new message would corrupt it.
+  /// That orphan counts as an evicted group.
   Result<Assembled> Add(const NmeaSentence& s);
 
   /// Number of partially assembled groups currently buffered.
-  size_t pending_groups() const { return pending_.size(); }
+  size_t pending_groups() const { return pending_; }
 
   /// Incomplete groups evicted so far (lost-fragment indicator; exposed so
   /// operators can monitor feed quality).
   uint64_t evicted_groups() const { return evicted_groups_; }
 
   /// Drops partial groups (e.g. between replayed streams).
-  void Clear() { pending_.clear(); }
+  void Clear();
 
  private:
-  struct Pending {
-    std::vector<std::string> fragments;
+  // One pending group. Slots are recycled rather than erased, so fragment
+  // strings keep their capacity.
+  struct Group {
+    bool in_use = false;
+    int sequence_id = -1;  ///< Key, with the channel: ids are reused.
+    char channel = '\0';
+    int fragment_count = 0;  ///< 0 until the first fragment sizes the group.
     int received = 0;
     int fill_bits = 0;
-    uint64_t last_add_seq = 0;  ///< Value of add_seq_ when last touched.
+    uint64_t last_add_seq = 0;   ///< add_seq_ when last touched.
+    uint64_t sized_add_seq = 0;  ///< add_seq_ when the first fragment landed.
+    std::array<std::string, kMaxFragments> fragments;  ///< "" = missing.
   };
+  Group& FindOrOpen(int sequence_id, char channel);
+  void Reset(Group& g);
+  void Release(Group& g);
   void EvictStale();
 
   Options options_;
   uint64_t add_seq_ = 0;
   uint64_t evicted_groups_ = 0;
-  // Key: sequence id + channel (sequence ids are reused over time; a stale
-  // group is overwritten when a new first fragment arrives).
-  std::map<std::pair<int, char>, Pending> pending_;
+  size_t pending_ = 0;  ///< Groups in use.
+  std::vector<Group> groups_;
+  std::string assembled_;  ///< Payload of the last completed group.
 };
 
 }  // namespace maritime::ais

@@ -25,8 +25,8 @@ Result<stream::PositionTuple> DataScanner::FeedLine(std::string_view line,
     }
     return assembled.status();
   }
-  Result<std::vector<uint8_t>> bits = DearmorPayload(
-      assembled.value().payload, assembled.value().fill_bits);
+  Result<PayloadBits> bits = DearmorPayload(assembled.value().payload,
+                                            assembled.value().fill_bits);
   if (!bits.ok()) {
     ++stats_.payload_errors;
     return bits.status();
@@ -54,7 +54,7 @@ Result<stream::PositionTuple> DataScanner::FeedLine(std::string_view line,
     ++stats_.invalid_position;
     return Status::Corruption("position not available or out of range");
   }
-  last_report_ = report.value();
+  last_report_ = std::move(report).value();
   ++stats_.accepted;
   stream::PositionTuple tuple;
   tuple.mmsi = last_report_.mmsi;

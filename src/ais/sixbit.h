@@ -3,8 +3,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
+#include <string_view>
 
+#include "ais/bit_buffer.h"
 #include "common/result.h"
 
 namespace maritime::ais {
@@ -14,14 +15,14 @@ namespace maritime::ais {
 /// v+48 for v < 40, else v+56 — ITU-R M.1371 / NMEA convention).
 
 /// Converts raw bits into an armored payload string plus the number of fill
-/// bits (0–5) appended to complete the final character.
-std::string ArmorPayload(const std::vector<uint8_t>& bits, int* fill_bits);
+/// bits (0–5) appended to complete the final character. Only the stored
+/// bits are armored (precondition: bits.size() <= PayloadBits::kInlineBits).
+std::string ArmorPayload(const PayloadBits& bits, int* fill_bits);
 
-/// Converts an armored payload string back into bits, dropping `fill_bits`
-/// trailing pad bits. Fails on characters outside the armoring alphabet or
-/// fill_bits outside [0, 5].
-Result<std::vector<uint8_t>> DearmorPayload(const std::string& payload,
-                                            int fill_bits);
+/// Converts an armored payload string back into packed bits, dropping
+/// `fill_bits` trailing pad bits. Fails on characters outside the armoring
+/// alphabet or fill_bits outside [0, 5].
+Result<PayloadBits> DearmorPayload(std::string_view payload, int fill_bits);
 
 /// Maps a 6-bit value (0–63) to its armored ASCII character.
 char ArmorChar(uint8_t value);

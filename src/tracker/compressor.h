@@ -33,10 +33,11 @@ struct CompressionStats {
 /// the velocity history needed to judge off-course positions.)
 class Compressor {
  public:
-  /// Coalesces and sorts one batch of critical points. `raw_count` is the
-  /// number of raw positions the batch was derived from (for statistics).
-  std::vector<CriticalPoint> Compress(std::vector<CriticalPoint> batch,
-                                      uint64_t raw_count);
+  /// Coalesces and sorts one batch of critical points in place, so a caller
+  /// that reuses the batch vector across slides keeps its capacity.
+  /// `raw_count` is the number of raw positions the batch was derived from
+  /// (for statistics).
+  void Compress(std::vector<CriticalPoint>* batch, uint64_t raw_count);
 
   const CompressionStats& stats() const { return stats_; }
   void ResetStats() { stats_ = CompressionStats{}; }

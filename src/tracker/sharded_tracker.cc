@@ -64,10 +64,10 @@ std::vector<CriticalPoint> ShardedMobilityTracker::ProcessSlide(
     // Drain this shard's ring inbox on the shard's own task: the scatter
     // happens ring-by-ring in parallel instead of serially on the caller.
     s.ring->DrainInto(&s.inbox);
-    std::vector<CriticalPoint> raw;
-    for (const auto& tuple : s.inbox) s.tracker.Process(tuple, &raw);
-    s.tracker.AdvanceTo(query_time, &raw);
-    s.slide_out = s.compressor.Compress(std::move(raw), s.inbox.size());
+    s.slide_out.clear();
+    s.tracker.ProcessBatch(s.inbox, &s.slide_out);
+    s.tracker.AdvanceTo(query_time, &s.slide_out);
+    s.compressor.Compress(&s.slide_out, s.inbox.size());
     const double seconds = NowSeconds() - t0;
     if (per_shard != nullptr) {
       ShardSlideStats& st = (*per_shard)[i];
@@ -97,18 +97,18 @@ std::vector<CriticalPoint> ShardedMobilityTracker::ProcessSlide(
   }
 
   // Merge barrier: per-shard outputs are already in stream order; a single
-  // sort over the concatenation yields the canonical sequence.
+  // sort over the concatenation yields the canonical sequence. The result
+  // is a copy, so the shard buffers keep their capacity.
   if (n == 1) {
     MARITIME_DCHECK(StrictlyStreamOrdered(shards_[0].slide_out));
-    return std::move(shards_[0].slide_out);
+    return shards_[0].slide_out;
   }
   std::vector<CriticalPoint> merged;
   size_t total = 0;
   for (const Shard& s : shards_) total += s.slide_out.size();
   merged.reserve(total);
-  for (Shard& s : shards_) {
+  for (const Shard& s : shards_) {
     merged.insert(merged.end(), s.slide_out.begin(), s.slide_out.end());
-    s.slide_out.clear();
   }
   std::sort(merged.begin(), merged.end(), StreamOrder);
   MARITIME_DCHECK(StrictlyStreamOrdered(merged));
@@ -137,7 +137,7 @@ void ShardedMobilityTracker::Finish(std::vector<CriticalPoint>* out) {
     // flushing so end-of-stream never silently drops ring contents.
     s.inbox.clear();
     if (s.ring->DrainInto(&s.inbox) > 0) {
-      for (const auto& tuple : s.inbox) s.tracker.Process(tuple, &tail);
+      s.tracker.ProcessBatch(s.inbox, &tail);
       s.inbox.clear();
     }
     s.tracker.Finish(&tail);

@@ -136,8 +136,10 @@ class ShardedMobilityTracker {
     /// Lock-free inbox filled by Ingest, drained by the shard's slide task
     /// (the pool barrier orders the hand-off between slides).
     std::unique_ptr<common::SpscQueue<stream::PositionTuple>> ring;
+    // Per-slide buffers, cleared but never shrunk, so a steady slide does
+    // not allocate for them.
     std::vector<stream::PositionTuple> inbox;  ///< Drained slide batch.
-    std::vector<CriticalPoint> slide_out;      ///< Compressed slide output.
+    std::vector<CriticalPoint> slide_out;  ///< Raw, then compressed, output.
   };
 
   common::ThreadPool* pool_;

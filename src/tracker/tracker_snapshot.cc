@@ -13,7 +13,8 @@
 namespace maritime::tracker {
 namespace {
 
-constexpr uint8_t kTrackerFormatVersion = 1;
+// v2: per-vessel rings plus stop aggregates (DESIGN.md §9); v1 still reads.
+constexpr uint8_t kTrackerFormatVersion = 2;
 constexpr uint8_t kCompressorFormatVersion = 1;
 constexpr uint8_t kShardedFormatVersion = 1;
 
@@ -21,14 +22,17 @@ constexpr uint8_t kShardedFormatVersion = 1;
 
 void MobilityTracker::SaveTo(snapshot::Writer& w) const {
   w.U8(kTrackerFormatVersion);
-  std::vector<stream::Mmsi> keys;
-  keys.reserve(vessels_.size());
-  for (const auto& [mmsi, vs] : vessels_) keys.push_back(mmsi);
-  std::sort(keys.begin(), keys.end());
-  w.U64(keys.size());
-  for (const stream::Mmsi mmsi : keys) {
-    w.U32(mmsi);
-    vessels_.at(mmsi).SaveTo(w);
+  std::vector<const VesselState*> sorted;
+  sorted.reserve(vessels_.size());
+  for (const VesselState& vs : vessels_) sorted.push_back(&vs);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const VesselState* a, const VesselState* b) {
+              return a->mmsi < b->mmsi;
+            });
+  w.U64(sorted.size());
+  for (const VesselState* vs : sorted) {
+    w.U32(vs->mmsi);
+    vs->SaveTo(w);
   }
   w.U64(stats_.processed);
   w.U64(stats_.accepted);
@@ -39,8 +43,16 @@ void MobilityTracker::SaveTo(snapshot::Writer& w) const {
 }
 
 Status MobilityTracker::RestoreFrom(snapshot::Reader& r) {
-  vessels_.clear();
-  stats_ = TrackerStats{};
+  const auto clear = [this] {
+    vessels_.clear();
+    slot_of_.clear();
+    stats_ = TrackerStats{};
+  };
+  const auto fail = [&clear](Status s) {
+    clear();
+    return s;
+  };
+  clear();
   uint8_t version = 0;
   if (!r.U8(&version)) return snapshot::CorruptionIn("mobility tracker");
   if (version > kTrackerFormatVersion) {
@@ -52,27 +64,19 @@ Status MobilityTracker::RestoreFrom(snapshot::Reader& r) {
   }
   for (uint64_t i = 0; i < n; ++i) {
     stream::Mmsi mmsi = 0;
-    if (!r.U32(&mmsi)) {
-      vessels_.clear();
-      return snapshot::CorruptionIn("mobility tracker");
+    if (!r.U32(&mmsi)) return fail(snapshot::CorruptionIn("mobility tracker"));
+    if (slot_of_.count(mmsi) != 0) {
+      return fail(snapshot::CorruptionIn("mobility tracker (duplicate MMSI)"));
     }
-    VesselState vs;
-    if (const Status s = vs.RestoreFrom(r); !s.ok()) {
-      vessels_.clear();
-      return s;
-    }
-    vessels_[mmsi] = std::move(vs);
+    VesselState& vs = vessels_[SlotFor(mmsi)];
+    if (const Status s = vs.RestoreFrom(r, version); !s.ok()) return fail(s);
   }
   const bool ok = r.U64(&stats_.processed) && r.U64(&stats_.accepted) &&
                   r.U64(&stats_.stale_discarded) &&
                   r.U64(&stats_.outliers_discarded) &&
                   r.U64(&stats_.outlier_resets) &&
                   r.U64(&stats_.critical_points);
-  if (!ok) {
-    vessels_.clear();
-    stats_ = TrackerStats{};
-    return snapshot::CorruptionIn("mobility tracker");
-  }
+  if (!ok) return fail(snapshot::CorruptionIn("mobility tracker"));
   return Status::OK();
 }
 

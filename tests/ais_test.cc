@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "ais/bit_buffer.h"
 #include "ais/messages.h"
@@ -85,17 +87,15 @@ TEST(SixbitTest, DearmorInvertsArmor) {
 TEST(SixbitTest, PayloadRoundTripAllFillSizes) {
   Rng rng(5);
   for (int len = 1; len <= 24; ++len) {
-    std::vector<uint8_t> bits;
-    for (int i = 0; i < len; ++i) {
-      bits.push_back(static_cast<uint8_t>(rng.NextBelow(2)));
-    }
+    BitWriter w;
+    for (int i = 0; i < len; ++i) w.WriteUnsigned(rng.NextBelow(2), 1);
     int fill = -1;
-    const std::string payload = ArmorPayload(bits, &fill);
+    const std::string payload = ArmorPayload(w.bits(), &fill);
     EXPECT_GE(fill, 0);
     EXPECT_LE(fill, 5);
     const auto back = DearmorPayload(payload, fill);
     ASSERT_TRUE(back.ok()) << back.status();
-    EXPECT_EQ(back.value(), bits) << "length " << len;
+    EXPECT_TRUE(back.value() == w.bits()) << "length " << len;
   }
 }
 
@@ -276,7 +276,8 @@ TEST(FragmentAssemblerTest, ThreeFragmentsFullyReversed) {
   f.sequence_id = 2;
   for (const int idx : {3, 2, 1}) {
     f.fragment_index = idx;
-    f.payload = std::string(1, static_cast<char>('0' + idx));
+    const std::string payload(1, static_cast<char>('0' + idx));
+    f.payload = payload;
     const auto r = fa.Add(f);
     if (idx == 1) {
       ASSERT_TRUE(r.ok()) << r.status();
@@ -352,6 +353,63 @@ TEST(FragmentAssemblerTest, CompletionIsNotDisturbedByEviction) {
   ASSERT_TRUE(done.ok()) << done.status();
   EXPECT_EQ(done.value().payload, "HEADTAIL");
   EXPECT_EQ(fa.evicted_groups(), 0u);
+}
+
+TEST(FragmentAssemblerTest, OrphanedFragmentStartsFreshGroup) {
+  // A later fragment whose first fragment was lost must not be joined to
+  // the next message that reuses its sequence id: that message's own first
+  // fragment, arriving more than kMaxFragments sentences later, restarts the
+  // group, and the orphan counts as evicted.
+  FragmentAssembler fa;
+  NmeaSentence orphan;
+  orphan.fragment_count = 2;
+  orphan.fragment_index = 2;
+  orphan.sequence_id = 4;
+  orphan.payload = "OLD2";
+  EXPECT_FALSE(fa.Add(orphan).ok());
+  NmeaSentence single;
+  single.payload = "X";
+  for (int i = 0; i < kMaxFragments; ++i) EXPECT_TRUE(fa.Add(single).ok());
+  NmeaSentence first = orphan;
+  first.fragment_index = 1;
+  first.payload = "NEW1";
+  const auto r1 = fa.Add(first);
+  EXPECT_FALSE(r1.ok());
+  EXPECT_EQ(r1.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(fa.evicted_groups(), 1u);
+  NmeaSentence second = orphan;
+  second.payload = "NEW2";
+  const auto r2 = fa.Add(second);
+  ASSERT_TRUE(r2.ok()) << r2.status();
+  EXPECT_EQ(r2.value().payload, "NEW1NEW2");
+  EXPECT_EQ(fa.pending_groups(), 0u);
+}
+
+TEST(FragmentAssemblerTest, AdjacentOutOfOrderPairStillAssembles) {
+  // 2 then 1, back to back, and with unrelated traffic in between that
+  // stays within kMaxFragments sentences: legal reordering, not an orphan.
+  for (const int gap : {0, kMaxFragments - 1}) {
+    FragmentAssembler fa;
+    NmeaSentence f2;
+    f2.fragment_count = 2;
+    f2.fragment_index = 2;
+    f2.sequence_id = 6;
+    f2.payload = "BBB";
+    f2.fill_bits = 4;
+    EXPECT_FALSE(fa.Add(f2).ok());
+    NmeaSentence single;
+    single.payload = "X";
+    for (int i = 0; i < gap; ++i) EXPECT_TRUE(fa.Add(single).ok());
+    NmeaSentence f1 = f2;
+    f1.fragment_index = 1;
+    f1.payload = "AAAA";
+    f1.fill_bits = 0;
+    const auto r = fa.Add(f1);
+    ASSERT_TRUE(r.ok()) << "gap " << gap << ": " << r.status();
+    EXPECT_EQ(r.value().payload, "AAAABBB");
+    EXPECT_EQ(r.value().fill_bits, 4);
+    EXPECT_EQ(fa.evicted_groups(), 0u);
+  }
 }
 
 PositionReport MakeReport(MessageType type) {
@@ -439,7 +497,7 @@ TEST(MessageTest, NegativeCoordinatesRoundTrip) {
 TEST(MessageTest, DecodeRejectsTruncatedPayload) {
   auto bits = EncodePositionReport(
       MakeReport(MessageType::kPositionReportScheduled));
-  bits.resize(100);
+  bits.Truncate(100);
   const auto out = DecodePositionReport(bits);
   EXPECT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kCorruption);
@@ -553,6 +611,133 @@ TEST(ScannerTest, ScanTaggedLogFiltersNoise) {
   EXPECT_EQ(tuples[1].tau, 200);
 }
 
+// --- Edge behaviour of the decoder, as a table ------------------------------
+
+// The ScannerStats counter a fresh scanner moved for one line; "" when none
+// or several did.
+std::string CounterMoved(const std::string& line) {
+  DataScanner scanner;
+  (void)scanner.FeedLine(line, 0);
+  const ScannerStats& s = scanner.stats();
+  const std::pair<const char*, uint64_t> counters[] = {
+      {"framing_errors", s.framing_errors},
+      {"fragment_pending", s.fragment_pending},
+      {"fragment_errors", s.fragment_errors},
+      {"payload_errors", s.payload_errors},
+      {"unsupported_type", s.unsupported_type},
+      {"invalid_position", s.invalid_position},
+      {"static_reports", s.static_reports},
+      {"accepted", s.accepted}};
+  std::string moved;
+  for (const auto& [name, value] : counters) {
+    if (value == 0) continue;
+    if (!moved.empty() || value != 1) return "";
+    moved = name;
+  }
+  return moved;
+}
+
+std::string SingleSentence(const std::string& payload, int fill_bits) {
+  const std::string body =
+      "AIVDM,1,1,,A," + payload + "," + std::to_string(fill_bits);
+  return "!" + body + "*" + NmeaChecksum(body);
+}
+
+std::string Lowercase(std::string s) {
+  for (char& c : s) c = static_cast<char>(std::tolower(c));
+  return s;
+}
+
+struct EdgeCase {
+  int type;
+  size_t bits_needed;  ///< Shortest payload the decoder accepts.
+  const char* success;  ///< Counter a long-enough payload lands in.
+};
+
+// Each type's full payload, truncated to every length and declared with
+// every fill-bit value, lands in `success` exactly when 6 * chars - fill
+// reaches `bits_needed`, and in payload_errors otherwise (fill bits beyond
+// the payload included). These are the byte-per-bit decoder's outcomes.
+constexpr EdgeCase kEdgeCases[] = {
+    {1, 168, "accepted"},  {2, 168, "accepted"},
+    {3, 168, "accepted"},  {5, 424, "static_reports"},
+    {18, 168, "accepted"}, {19, 312, "accepted"},
+};
+
+std::string ArmoredMessage(int type) {
+  int fill = 0;
+  if (type == 5) {
+    StaticVoyageData d;
+    d.mmsi = 237001234;
+    d.ship_name = "TABLE VESSEL";
+    d.destination = "PIRAEUS";
+    d.ship_type = 70;
+    d.draught_m = 7.5;
+    return ArmorPayload(EncodeStaticVoyageData(d), &fill);
+  }
+  PositionReport r = MakeReport(static_cast<MessageType>(type));
+  r.ship_name = "TABLE VESSEL";
+  return ArmorPayload(EncodePositionReport(r), &fill);
+}
+
+TEST(ScannerEdgeTableTest, TruncationAndFillBitsLandInOneCounter) {
+  for (const EdgeCase& c : kEdgeCases) {
+    const std::string full = ArmoredMessage(c.type);
+    for (size_t chars = 0; chars <= full.size(); ++chars) {
+      for (int fill = 0; fill <= 5; ++fill) {
+        const bool long_enough =
+            6 * chars >= c.bits_needed + static_cast<size_t>(fill);
+        EXPECT_EQ(CounterMoved(SingleSentence(full.substr(0, chars), fill)),
+                  long_enough ? c.success : "payload_errors")
+            << "type " << c.type << ", " << chars << " chars, fill " << fill;
+      }
+    }
+  }
+}
+
+TEST(ScannerEdgeTableTest, LowercaseChecksumsAndLongPayloads) {
+  for (const EdgeCase& c : kEdgeCases) {
+    const std::string full = ArmoredMessage(c.type);
+    const int fill = static_cast<int>((6 - c.bits_needed % 6) % 6);
+    const std::string line = SingleSentence(full, fill);
+    const std::string lower =
+        line.substr(0, line.size() - 2) + Lowercase(line.substr(line.size() - 2));
+    EXPECT_EQ(CounterMoved(lower), c.success) << "type " << c.type;
+    std::string wrong = lower;
+    wrong.back() = wrong.back() == 'a' ? 'b' : 'a';
+    EXPECT_EQ(CounterMoved(wrong), "framing_errors") << "type " << c.type;
+
+    // Past PayloadBits::kInlineBits only the length is kept, which is all
+    // the decoders look at there.
+    std::string padded = full;
+    while (padded.size() * 6 <= PayloadBits::kInlineBits + 64) padded += '0';
+    EXPECT_EQ(CounterMoved(SingleSentence(padded, 0)), c.success)
+        << "type " << c.type;
+    EXPECT_EQ(CounterMoved(SingleSentence(padded, 5)), c.success)
+        << "type " << c.type;
+    EXPECT_EQ(CounterMoved(SingleSentence(padded + "~", 0)), "payload_errors")
+        << "type " << c.type;
+  }
+}
+
+TEST(BitBufferTest, PackedBitsPastTheInlineWordsKeepTheirLength) {
+  PayloadBits bits;
+  for (size_t i = 0; i < PayloadBits::kInlineBits / 60 + 2; ++i) {
+    bits.Append(0xFFFFFFFFFFFFFFFull, 60);
+  }
+  ASSERT_GT(bits.size(), PayloadBits::kInlineBits);
+  BitReader reader(bits);
+  reader.Skip(static_cast<int>(PayloadBits::kInlineBits) - 4);
+  // The last stored bits, then unstored ones that read as zero without
+  // overflowing: they are within size().
+  EXPECT_EQ(reader.ReadUnsigned(8), 0xF0u);
+  EXPECT_FALSE(reader.overflow());
+  bits.Truncate(70);
+  EXPECT_EQ(bits.size(), 70u);
+  EXPECT_EQ(bits.Extract(60, 10), 0x3FFu);
+  EXPECT_EQ(bits.Extract(64, 16), 0xFC00u);  // Zero past the end.
+}
+
 // --- Regression tests for defects surfaced by the fuzzers / UBSan ---------
 
 TEST(NmeaRegressionTest, HugeFragmentCountIsRejected) {
@@ -585,11 +770,12 @@ TEST(NmeaRegressionTest, MaxFragmentsBoundaryStillAssembles) {
   Result<FragmentAssembler::Assembled> last =
       Status::NotFound("no fragment yet");
   for (int i = 1; i <= kMaxFragments; ++i) {
+    const std::string payload(4, static_cast<char>('0' + i));
     NmeaSentence s;
     s.fragment_count = kMaxFragments;
     s.fragment_index = i;
     s.sequence_id = 5;
-    s.payload = std::string(4, static_cast<char>('0' + i));
+    s.payload = payload;
     s.fill_bits = i == kMaxFragments ? 2 : 0;
     last = assembler.Add(s);
     if (i < kMaxFragments) {
@@ -629,8 +815,8 @@ TEST(SixbitRegressionTest, TruncatedMultipartPayloadSetsOverflowNotCrash) {
   r.mmsi = 237001000;
   r.lon_deg = 23.6;
   r.lat_deg = 37.9;
-  std::vector<uint8_t> bits = EncodePositionReport(r);
-  bits.resize(bits.size() / 2);
+  PayloadBits bits = EncodePositionReport(r);
+  bits.Truncate(bits.size() / 2);
   const auto decoded = DecodePositionReport(bits);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);

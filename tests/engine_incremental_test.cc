@@ -510,7 +510,8 @@ MaritimeWorkload MakeWorkload(int vessels, Duration duration, uint64_t seed) {
   std::vector<tracker::CriticalPoint> raw;
   for (const auto& t : tuples) tracker.Process(t, &raw);
   tracker.Finish(&raw);
-  w.criticals = compressor.Compress(std::move(raw), tuples.size());
+  compressor.Compress(&raw, tuples.size());
+  w.criticals = std::move(raw);
   return w;
 }
 

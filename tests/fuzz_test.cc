@@ -131,11 +131,10 @@ TEST(CsvFuzzTest, RandomDocumentsNeverCrash) {
 TEST(PayloadFuzzTest, RandomBitsThroughDecoders) {
   Rng rng(31341);
   for (int i = 0; i < 3000; ++i) {
-    std::vector<uint8_t> bits;
+    ais::BitWriter w;
     const size_t n = rng.NextBelow(500);
-    for (size_t j = 0; j < n; ++j) {
-      bits.push_back(static_cast<uint8_t>(rng.NextBelow(2)));
-    }
+    for (size_t j = 0; j < n; ++j) w.WriteUnsigned(rng.NextBelow(2), 1);
+    const ais::PayloadBits& bits = w.bits();
     const auto pos = ais::DecodePositionReport(bits);
     if (pos.ok()) {
       // Structurally valid decodes may still carry sentinel coordinates;

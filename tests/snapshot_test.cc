@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "snapshot/codec.h"
 #include "snapshot/snapshot.h"
 #include "stream/replayer.h"
+#include "stream/snapshot_io.h"
 #include "tracker/sharded_tracker.h"
 
 namespace maritime {
@@ -387,6 +390,191 @@ TEST(TrackerSnapshotTest, ShardCountMismatchIsInvalidArgument) {
   tracker::ShardedMobilityTracker b(params, 3);
   snapshot::Reader r(w.bytes());
   EXPECT_EQ(b.RestoreFrom(r).code(), StatusCode::kInvalidArgument);
+}
+
+// A 30 s report track of legs (bearing, speed, reports); a zero-speed leg
+// jitters within 3 m of where it starts, so its reports are pause samples.
+struct Leg {
+  double bearing_deg;
+  double knots;
+  int reports;
+};
+
+std::vector<stream::PositionTuple> Voyage(stream::Mmsi mmsi,
+                                          geo::GeoPoint start,
+                                          std::initializer_list<Leg> legs) {
+  std::vector<stream::PositionTuple> out;
+  geo::GeoPoint pos = start;
+  Timestamp tau = 0;
+  for (const Leg& leg : legs) {
+    const geo::GeoPoint anchor = pos;
+    for (int i = 0; i < leg.reports; ++i) {
+      out.push_back({mmsi, pos, tau});
+      tau += 30;
+      pos = leg.knots > 0.0
+                ? geo::DestinationPoint(pos, leg.bearing_deg,
+                                        leg.knots * geo::kKnotsToMps * 30.0)
+                : geo::DestinationPoint(anchor, 37.0 * (i + 1), 3.0);
+    }
+  }
+  return out;
+}
+
+// Writes one vessel of a tracker section in format v1, where the velocity
+// history was speed/heading pairs and the stop and slow-motion samples were
+// whole position tuples. The v1 tracker's buffers are derived from the
+// reports by the tracker's rules for these simple tracks (every report
+// accepted, one motion class per vessel); the scalar fields are taken from
+// `ref`, a tracker that processed the same reports.
+void WriteV1Vessel(const std::vector<stream::PositionTuple>& reports,
+                   const tracker::VesselState& ref, size_t m,
+                   snapshot::Writer& w) {
+  std::vector<geo::Velocity> v;
+  for (size_t i = 1; i < reports.size(); ++i) {
+    v.push_back(geo::VelocityBetween(reports[i - 1].pos, reports[i - 1].tau,
+                                     reports[i].pos, reports[i].tau));
+  }
+  const auto all = [&v](auto pred) {
+    return std::all_of(v.begin(), v.end(), pred);
+  };
+  const bool pause = all([](const geo::Velocity& x) {
+    return x.speed_knots < 1.0;
+  });
+  const bool moving = all([](const geo::Velocity& x) {
+    return x.speed_knots >= 1.0;
+  });
+  const bool slow = moving && all([](const geo::Velocity& x) {
+    return x.speed_knots <= 4.0;
+  });
+  const auto last_m = [m](auto items) {
+    if (items.size() > m) items.erase(items.begin(), items.end() - m);
+    return items;
+  };
+  std::vector<double> diffs;
+  for (size_t i = 1; moving && i < v.size(); ++i) {
+    diffs.push_back(
+        geo::BearingDifferenceDeg(v[i - 1].heading_deg, v[i].heading_deg));
+  }
+  const std::vector<stream::PositionTuple> samples(reports.begin() + 1,
+                                                   reports.end());
+  const std::vector<stream::PositionTuple> none;
+
+  w.U32(ref.mmsi);
+  w.Bool(ref.has_last);
+  stream::SavePositionTuple(ref.last, w);
+  w.Bool(ref.has_velocity);
+  geo::SaveVelocity(ref.v_prev, w);
+  const std::vector<geo::Velocity> velocities = last_m(v);
+  w.U64(velocities.size());
+  for (const geo::Velocity& x : velocities) geo::SaveVelocity(x, w);
+  diffs = last_m(diffs);
+  w.U64(diffs.size());
+  for (const double d : diffs) w.F64(d);
+  const std::vector<stream::PositionTuple>& stop = pause ? samples : none;
+  w.U64(stop.size());
+  for (const auto& p : stop) stream::SavePositionTuple(p, w);
+  w.Bool(ref.stop_active);
+  w.I64(ref.stop_start_tau);
+  const std::vector<stream::PositionTuple> slow_samples =
+      last_m(slow ? samples : none);
+  w.U64(slow_samples.size());
+  for (const auto& p : slow_samples) stream::SavePositionTuple(p, w);
+  w.Bool(ref.slow_active);
+  w.I64(ref.slow_start_tau);
+  geo::SaveGeoPoint(ref.slow_anchor, w);
+  w.Bool(ref.gap_open);
+  w.I64(ref.gap_start_tau);
+  w.I32(ref.consecutive_outliers);
+  w.U64(ref.accepted_count);
+  w.F64(ref.odometer_m);
+}
+
+TEST(TrackerSnapshotTest, HandBuiltV1SectionRestoresIntoV2State) {
+  const tracker::TrackerParams params;
+  const auto m = static_cast<size_t>(params.history_size);
+  // Anchored (an active stop of more than m samples at the cut), cruising,
+  // and slow (fewer than m slow samples: the episode starts after the cut),
+  // each with its reports before the cut.
+  const std::vector<std::vector<stream::PositionTuple>> voyages = {
+      Voyage(100, {24.0, 37.0}, {{0.0, 0.0, 40}, {120.0, 9.0, 20}}),
+      Voyage(200, {24.2, 37.1}, {{45.0, 12.0, 30}, {90.0, 12.0, 30}}),
+      Voyage(300, {24.4, 37.2}, {{200.0, 2.5, 60}})};
+  const int cut[] = {15, 15, 8};
+  std::vector<stream::PositionTuple> prefix, suffix;
+  for (size_t i = 0; i < voyages.size(); ++i) {
+    const auto& v = voyages[i];
+    prefix.insert(prefix.end(), v.begin(), v.begin() + cut[i]);
+    suffix.insert(suffix.end(), v.begin() + cut[i], v.end());
+  }
+  std::sort(prefix.begin(), prefix.end(), stream::StreamOrder);
+  std::sort(suffix.begin(), suffix.end(), stream::StreamOrder);
+
+  tracker::MobilityTracker ref(params);
+  std::vector<tracker::CriticalPoint> ignored;
+  for (const auto& t : prefix) ref.Process(t, &ignored);
+
+  snapshot::Writer v1;
+  v1.U8(1);
+  v1.U64(voyages.size());
+  for (size_t i = 0; i < voyages.size(); ++i) {
+    const auto& v = voyages[i];
+    const std::vector<stream::PositionTuple> reports(v.begin(),
+                                                     v.begin() + cut[i]);
+    const tracker::VesselState* state = ref.FindVessel(v.front().mmsi);
+    ASSERT_NE(state, nullptr);
+    WriteV1Vessel(reports, *state, m, v1);
+  }
+  const tracker::TrackerStats& stats = ref.stats();
+  for (const uint64_t c :
+       {stats.processed, stats.accepted, stats.stale_discarded,
+        stats.outliers_discarded, stats.outlier_resets, stats.critical_points}) {
+    v1.U64(c);
+  }
+  ASSERT_TRUE(ref.FindVessel(100)->stop_active);
+  ASSERT_GT(ref.FindVessel(100)->stop_count, m);
+  ASSERT_FALSE(ref.FindVessel(300)->slow_active);
+  ASSERT_GT(ref.FindVessel(300)->slow_samples.size(), 0u);
+
+  tracker::MobilityTracker restored(params);
+  snapshot::Reader r(v1.bytes());
+  const Status s = restored.RestoreFrom(r);
+  ASSERT_TRUE(s.ok()) << s;
+  EXPECT_TRUE(r.AtEnd());
+  // The v1 buffers became exactly the reference's rings and aggregates.
+  snapshot::Writer a, b;
+  ref.SaveTo(a);
+  restored.SaveTo(b);
+  EXPECT_EQ(a.bytes(), b.bytes());
+
+  // And both emit identical critical points from there on: the restored
+  // stop closes at the centroid of all its samples, the slow-motion episode
+  // starts from restored and new samples alike.
+  std::vector<tracker::CriticalPoint> ca, cb;
+  for (const auto& t : suffix) {
+    ref.Process(t, &ca);
+    restored.Process(t, &cb);
+  }
+  ref.Finish(&ca);
+  restored.Finish(&cb);
+  const auto has = [&ca](uint32_t flag) {
+    return std::any_of(ca.begin(), ca.end(), [flag](const auto& cp) {
+      return (cp.flags & flag) != 0;
+    });
+  };
+  EXPECT_TRUE(has(tracker::kStopEnd));
+  EXPECT_TRUE(has(tracker::kSlowMotionStart));
+  EXPECT_TRUE(has(tracker::kTurn));
+  ASSERT_EQ(ca.size(), cb.size());
+  for (size_t i = 0; i < ca.size(); ++i) {
+    EXPECT_EQ(ca[i].mmsi, cb[i].mmsi) << i;
+    EXPECT_EQ(ca[i].tau, cb[i].tau) << i;
+    EXPECT_EQ(ca[i].flags, cb[i].flags) << i;
+    EXPECT_EQ(ca[i].pos.lon, cb[i].pos.lon) << i;
+    EXPECT_EQ(ca[i].pos.lat, cb[i].pos.lat) << i;
+    EXPECT_EQ(ca[i].speed_knots, cb[i].speed_knots) << i;
+    EXPECT_EQ(ca[i].heading_deg, cb[i].heading_deg) << i;
+    EXPECT_EQ(ca[i].duration, cb[i].duration) << i;
+  }
 }
 
 // --- spatial facts, live index ---------------------------------------------

@@ -59,7 +59,7 @@ TEST(StaticVoyageTest, DecodeRejectsWrongType) {
 
 TEST(StaticVoyageTest, DecodeRejectsTruncated) {
   auto bits = ais::EncodeStaticVoyageData(SampleStatic());
-  bits.resize(300);
+  bits.Truncate(300);
   const auto out = ais::DecodeStaticVoyageData(bits);
   EXPECT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kCorruption);

@@ -1,18 +1,27 @@
 #!/usr/bin/env python3
-"""Gate on micro_rtec's per-slide heap-allocation counters.
+"""Gate on the microbenchmarks' heap-allocation counters.
 
-Reads a google-benchmark JSON report containing the BM_CERecognitionWindow
-benchmarks (arg 0 = naive engine, arg 1 = incremental, arg 2 = auto) and
-fails when the `allocs_per_slide` counter exceeds the committed budget. The budgets hold
-generous headroom over the measured values (~61 naive / ~107 incremental —
-the ~20 allocs over the pre-scoped ~86 are the dependency projector's
-steady-state footprint) but sit an order of magnitude below the pre-arena
-baseline (884.8 / 897.7), so a regression that reintroduces per-slide heap
-churn trips the gate while scheduler noise does not. Allocation counting is a
+Reads google-benchmark JSON reports and fails when a gated counter exceeds
+its committed budget:
+
+- micro_rtec's BM_CERecognitionWindow benchmarks (arg 0 = naive engine,
+  arg 1 = incremental, arg 2 = auto) and BM_SkewedFleetRecognition report
+  `allocs_per_slide`. The budgets hold generous headroom over the measured
+  values (~61 naive / ~107 incremental — the ~20 allocs over the
+  pre-scoped ~86 are the dependency projector's steady-state footprint) but
+  sit an order of magnitude below the pre-arena baseline (884.8 / 897.7).
+- micro_tracker's BM_ScanTaggedLines reports `allocs_per_line` for the Data
+  Scanner (~0.23 measured: type 5 strings and fragment statuses; 7.3 before
+  the packed-bit decoder) and BM_TrackerSlide reports `allocs_per_tuple`
+  for the sharded tracker (~0.03 measured, almost all of it the per-vessel
+  rings of newly seen vessels; 1.07 before the flat vessel state).
+
+A regression that reintroduces per-slide, per-line or per-tuple heap churn
+trips the gate while scheduler noise does not: allocation counting is a
 deterministic operator-new interposition, not a timing, so the check is
 stable on shared CI runners.
 
-Usage: check_alloc_budget.py BENCHMARK_JSON
+Usage: check_alloc_budget.py BENCHMARK_JSON [BENCHMARK_JSON ...]
 Exit status: 0 ok (or counters disabled, e.g. sanitizer builds), 1 over
 budget, 2 usage/parse error.
 """
@@ -20,41 +29,45 @@ budget, 2 usage/parse error.
 import json
 import sys
 
-# name substring -> max allocs_per_slide
+# name substring -> (counter, max value)
 BUDGETS = {
-    "BM_CERecognitionWindow/0": 150.0,  # naive engine
-    "BM_CERecognitionWindow/1": 200.0,  # incremental engine
+    "BM_CERecognitionWindow/0": ("allocs_per_slide", 150.0),  # naive engine
+    "BM_CERecognitionWindow/1": ("allocs_per_slide", 200.0),  # incremental
     # auto resolves to incremental at this window shape (omega = 6 beta);
     # adaptive full-regen slides stay on the same arena, so same budget.
-    "BM_CERecognitionWindow/2": 200.0,
+    "BM_CERecognitionWindow/2": ("allocs_per_slide", 200.0),
     # Skewed fleet (601 vessels, steady-state slides only): ~56 allocs/slide
     # measured on both axes. Keeping steady slides O(changes) rather than
     # O(fleet) is the point of the scoped-dirty work, so the budget is
     # deliberately far below fleet size: one stray per-vessel allocation
     # (a capturing callback, a cleared-not-reused scratch map) costs ~600
     # allocs/slide here and trips the gate at once.
-    "BM_SkewedFleetRecognition/0": 300.0,  # fleet-wide regen floor
-    "BM_SkewedFleetRecognition/1": 300.0,  # dependency-scoped propagation
+    "BM_SkewedFleetRecognition/0": ("allocs_per_slide", 300.0),
+    "BM_SkewedFleetRecognition/1": ("allocs_per_slide", 300.0),
+    # Ingest: one stray allocation per line or per tuple is 1.0 and trips
+    # these at once.
+    "BM_ScanTaggedLines": ("allocs_per_line", 0.5),
+    "BM_TrackerSlide": ("allocs_per_tuple", 0.1),
 }
 
 
 def main(argv):
-    if len(argv) != 2:
+    if len(argv) < 2:
         print(__doc__, file=sys.stderr)
         return 2
-    try:
-        with open(argv[1]) as f:
-            report = json.load(f)
-    except (OSError, ValueError) as e:
-        print(f"cannot read benchmark json: {e}", file=sys.stderr)
-        return 2
-
     seen = {}
-    for b in report.get("benchmarks", []):
-        name = b.get("name", "")
-        for key in BUDGETS:
-            if key in name and "allocs_per_slide" in b:
-                seen[key] = float(b["allocs_per_slide"])
+    for path in argv[1:]:
+        try:
+            with open(path) as f:
+                report = json.load(f)
+        except (OSError, ValueError) as e:
+            print(f"cannot read benchmark json {path}: {e}", file=sys.stderr)
+            return 2
+        for b in report.get("benchmarks", []):
+            name = b.get("name", "")
+            for key, (counter, _) in BUDGETS.items():
+                if key in name and counter in b:
+                    seen[key] = float(b[counter])
 
     missing = sorted(set(BUDGETS) - set(seen))
     if missing:
@@ -64,15 +77,14 @@ def main(argv):
 
     if all(v == 0.0 for v in seen.values()):
         # Interposition disabled (sanitizer build): nothing to gate on.
-        print("allocs_per_slide counters are zero; counting disabled, skipping")
+        print("allocation counters are zero; counting disabled, skipping")
         return 0
 
     status = 0
-    for key, budget in sorted(BUDGETS.items()):
+    for key, (counter, budget) in sorted(BUDGETS.items()):
         value = seen[key]
         verdict = "ok" if value <= budget else "OVER BUDGET"
-        print(f"{key}: allocs_per_slide={value:.1f} budget={budget:.0f} "
-              f"[{verdict}]")
+        print(f"{key}: {counter}={value:.3g} budget={budget:g} [{verdict}]")
         if value > budget:
             status = 1
     return status
