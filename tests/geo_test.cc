@@ -193,17 +193,19 @@ TEST(VelocityTest, ZeroDisplacementHasZeroSpeed) {
 }
 
 TEST(VelocityTest, MeanOfOpposedVelocitiesCancels) {
-  const Velocity vs[] = {Velocity{10.0, 0.0}, Velocity{10.0, 180.0}};
-  const Velocity m = MeanVelocity(vs, 2);
-  EXPECT_NEAR(m.speed_knots, 0.0, 1e-9);
+  const VelocityComponents a = Velocity{10.0, 0.0}.components();
+  const VelocityComponents b = Velocity{10.0, 180.0}.components();
+  const VelocityComponents m =
+      MeanComponents(a.east_mps + b.east_mps, a.north_mps + b.north_mps, 2);
+  EXPECT_NEAR(SpeedKnots(m), 0.0, 1e-9);
 }
 
 TEST(VelocityTest, DeviationCapturesHeadingChange) {
   // Same speed, opposite heading: deviation is 2x the speed.
-  EXPECT_NEAR(
-      VelocityDeviationKnots(Velocity{10.0, 0.0}, Velocity{10.0, 180.0}),
-      20.0, 1e-9);
-  EXPECT_NEAR(VelocityDeviationKnots(Velocity{10.0, 90.0},
+  EXPECT_NEAR(VelocityDeviationKnots(Velocity{10.0, 0.0}.components(),
+                                     Velocity{10.0, 180.0}),
+              20.0, 1e-9);
+  EXPECT_NEAR(VelocityDeviationKnots(Velocity{10.0, 90.0}.components(),
                                      Velocity{10.0, 90.0}),
               0.0, 1e-9);
 }
