@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
               std::string(1, '\x00') +
                   maritime::snapshot::EncodeSnapshotFile(w.bytes()));
     WriteSeed(snapshot_dir, snapshot_seeds++,
-              std::string(1, '\x07') + w.bytes());
+              std::string(1, '\x07').append(w.bytes()));
 
     maritime::tracker::ShardedMobilityTracker tracker(
         maritime::tracker::TrackerParams{}, 2);
@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
     maritime::snapshot::Writer tw;
     tracker.SaveTo(tw);
     WriteSeed(snapshot_dir, snapshot_seeds++,
-              std::string(1, '\x03') + tw.bytes());
+              std::string(1, '\x03').append(tw.bytes()));
   }
   {
     maritime::surveillance::SpatialFactTable facts;
@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
     maritime::snapshot::Writer w;
     facts.SaveTo(w);
     WriteSeed(snapshot_dir, snapshot_seeds++,
-              std::string(1, '\x01') + w.bytes());
+              std::string(1, '\x01').append(w.bytes()));
   }
   {
     maritime::surveillance::LiveVesselIndex index(0.1);
@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
     maritime::snapshot::Writer w;
     index.SaveTo(w);
     WriteSeed(snapshot_dir, snapshot_seeds++,
-              std::string(1, '\x02') + w.bytes());
+              std::string(1, '\x02').append(w.bytes()));
   }
   {
     // Archival path with a little staged + reconstructed traffic.
@@ -211,12 +211,12 @@ int main(int argc, char** argv) {
     maritime::snapshot::Writer w;
     archiver.SaveTo(w);
     WriteSeed(snapshot_dir, snapshot_seeds++,
-              std::string(1, '\x05') + w.bytes());
+              std::string(1, '\x05').append(w.bytes()));
 
     maritime::snapshot::Writer sw;
     archiver.store().SaveTo(sw);
     WriteSeed(snapshot_dir, snapshot_seeds++,
-              std::string(1, '\x04') + sw.bytes());
+              std::string(1, '\x04').append(sw.bytes()));
   }
   {
     // The tiny on/off/active schema fuzz_snapshot restores against.
@@ -251,7 +251,7 @@ int main(int argc, char** argv) {
     maritime::snapshot::Writer w;
     engine.SaveTo(w);
     WriteSeed(snapshot_dir, snapshot_seeds++,
-              std::string(1, '\x06') + w.bytes());
+              std::string(1, '\x06').append(w.bytes()));
   }
 
   std::printf("corpus: %d scanner, %d sixbit, %d csv, %d spatial, "

@@ -67,10 +67,11 @@ void SurveillancePipeline::RunStaging(StagedSlide* slide) {
   slide->tracking_seconds = NowSeconds() - t0;
   slide->staged_feed = recognizer_->Stage(
       std::span<const tracker::CriticalPoint>(slide->criticals));
-  {
-    std::lock_guard<std::mutex> lock(slide->mu);
-    slide->ready = true;
-  }
+  // Notify under the lock: once `ready` is visible, CommitNextSlide may
+  // destroy the slide, its condition variable included, so the notify must
+  // finish before the waiter can reacquire `mu`.
+  std::lock_guard<std::mutex> lock(slide->mu);
+  slide->ready = true;
   slide->cv.notify_all();
 }
 

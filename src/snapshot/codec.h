@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,7 +26,7 @@ uint32_t Crc32(std::string_view bytes);
 /// bytes a component wrote (catching format skew between writer and reader).
 class Writer {
  public:
-  void U8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
+  void U8(uint8_t v) { AppendRaw(&v, sizeof(v)); }
   void Bool(bool v) { U8(v ? 1 : 0); }
   void U32(uint32_t v) { AppendRaw(&v, sizeof(v)); }
   void U64(uint64_t v) { AppendRaw(&v, sizeof(v)); }
@@ -36,7 +37,8 @@ class Writer {
   /// Length-prefixed string (u64 byte count + raw bytes).
   void Str(std::string_view s) {
     U64(s.size());
-    buf_.append(s.data(), s.size());
+    // An empty view may carry a null data(), which memcpy must not see.
+    if (!s.empty()) AppendRaw(s.data(), s.size());
   }
 
   /// Opens a framed section; returns a handle for EndSection.
@@ -45,16 +47,23 @@ class Writer {
   /// its byte length. Sections nest like parentheses.
   void EndSection(size_t handle);
 
-  size_t size() const { return buf_.size(); }
-  const std::string& bytes() const { return buf_; }
-  std::string Take() { return std::move(buf_); }
+  size_t size() const { return size_; }
+  /// The bytes written so far; valid until the next write.
+  std::string_view bytes() const { return {buf_.get(), size_}; }
 
  private:
+  // Inlined so the per-field appends of a multi-megabyte save compile to a
+  // bounds check and a fixed-size copy; growth (doubling) is out of line.
   void AppendRaw(const void* p, size_t n) {
-    buf_.append(reinterpret_cast<const char*>(p), n);
+    if (capacity_ - size_ < n) Grow(n);
+    std::memcpy(buf_.get() + size_, p, n);
+    size_ += n;
   }
+  void Grow(size_t n);
 
-  std::string buf_;
+  std::unique_ptr<char[]> buf_;
+  size_t size_ = 0;
+  size_t capacity_ = 0;
 };
 
 /// Bounds-checked little-endian decoder. Every read returns false (and

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <initializer_list>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "maritime/live_index.h"
@@ -149,6 +152,52 @@ TEST(SnapshotCodecTest, SectionUnderconsumptionDetected) {
   EXPECT_FALSE(r.EndSection(end)) << "reader left bytes unconsumed";
 }
 
+// --- checksum ---------------------------------------------------------------
+
+// Bit-at-a-time CRC-32 (IEEE 802.3, reflected 0xEDB88320), written without
+// tables so it shares no code with the sliced kernel under test.
+uint32_t BitwiseCrc32(std::string_view bytes) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (const char ch : bytes) {
+    c ^= static_cast<uint8_t>(ch);
+    for (int k = 0; k < 8; ++k) {
+      c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::string PseudoRandomBytes(size_t n, uint64_t seed) {
+  std::string out(n, '\0');
+  uint64_t x = seed;
+  for (char& ch : out) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    ch = static_cast<char>(x >> 56);
+  }
+  return out;
+}
+
+TEST(SnapshotCrcTest, KnownAnswers) {
+  EXPECT_EQ(snapshot::Crc32(""), 0x00000000u);
+  EXPECT_EQ(snapshot::Crc32("123456789"), 0xCBF43926u);
+}
+
+TEST(SnapshotCrcTest, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  const std::string buf = PseudoRandomBytes(316, 1);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const std::string_view v = std::string_view(buf).substr(offset, len);
+      ASSERT_EQ(snapshot::Crc32(v), BitwiseCrc32(v))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(SnapshotCrcTest, MatchesBitwiseReferenceOnOneMebibyte) {
+  const std::string buf = PseudoRandomBytes(size_t{1} << 20, 2);
+  EXPECT_EQ(snapshot::Crc32(buf), BitwiseCrc32(buf));
+}
+
 // --- file container ---------------------------------------------------------
 
 TEST(SnapshotFileTest, RoundTrip) {
@@ -193,6 +242,69 @@ TEST(SnapshotFileTest, TrailingBytesAreCorruption) {
   const Result<std::string_view> decoded = snapshot::DecodeSnapshotFile(file);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+}
+
+// A container written by the std::string-backed Writer and the bytewise
+// CRC-32 kernel this format shipped with: every later build must reproduce
+// it byte for byte and accept it.
+TEST(SnapshotFileTest, GoldenContainerBytes) {
+  snapshot::Writer w;
+  const size_t section = w.BeginSection(0x444C4F47u, 3);  // "GOLD"
+  w.U8(0xAB);
+  w.Bool(true);
+  w.U32(0xDEADBEEFu);
+  w.U64(0x0123456789ABCDEFull);
+  w.I32(-42);
+  w.I64(INT64_MIN);
+  w.F64(3.25);
+  w.Str(std::string_view("a tail\x00\x7f\x80\xff", 10));
+  w.EndSection(section);
+  const std::string_view golden(
+      "\x4d\x53\x4e\x50\x01\x00\x00\x00\x41\x00\x00\x00\x00\x00\x00\x00"
+      "\x5a\xa1\x86\x65\x47\x4f\x4c\x44\x03\x34\x00\x00\x00\x00\x00\x00"
+      "\x00\xab\x01\xef\xbe\xad\xde\xef\xcd\xab\x89\x67\x45\x23\x01\xd6"
+      "\xff\xff\xff\x00\x00\x00\x00\x00\x00\x00\x80\x00\x00\x00\x00\x00"
+      "\x00\x0a\x40\x0a\x00\x00\x00\x00\x00\x00\x00\x61\x20\x74\x61\x69"
+      "\x6c\x00\x7f\x80\xff",
+      85);
+  EXPECT_EQ(snapshot::EncodeSnapshotFile(w.bytes()), golden);
+  const Result<std::string_view> decoded = snapshot::DecodeSnapshotFile(golden);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded.value(), w.bytes());
+}
+
+TEST(SnapshotFileTest, DiskFileIsTheEncodedImage) {
+  const std::string payload = PseudoRandomBytes(1000, 3);
+  const std::string path = ::testing::TempDir() + "/container.msnp";
+  ASSERT_TRUE(snapshot::WriteSnapshotFile(path, payload).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string on_disk((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(on_disk, snapshot::EncodeSnapshotFile(payload));
+  const Result<std::string> read = snapshot::ReadSnapshotFile(path);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read.value(), payload);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotFileTest, ReadRejectsShortAndMissingFiles) {
+  const std::string image = snapshot::EncodeSnapshotFile("payload payload");
+  const std::string path = ::testing::TempDir() + "/short.msnp";
+  for (const size_t len : {size_t{0}, size_t{7}, snapshot::kFileHeaderSize,
+                           image.size() - 1}) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(image.data(), static_cast<std::streamsize>(len));
+    }
+    const Result<std::string> read = snapshot::ReadSnapshotFile(path);
+    ASSERT_FALSE(read.ok()) << "length " << len;
+    EXPECT_EQ(read.status().code(), StatusCode::kCorruption)
+        << "length " << len;
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(snapshot::ReadSnapshotFile(path).status().code(),
+            StatusCode::kIoError);
+  EXPECT_FALSE(snapshot::ReadSnapshotFile(::testing::TempDir()).ok());
 }
 
 // --- engine -----------------------------------------------------------------
@@ -605,7 +717,7 @@ TEST(SpatialFactTableSnapshotTest, UnsortedAreasAreCorruption) {
   snapshot::Writer w;
   a.SaveTo(w);
   // The two areas of the single group are the last 8 bytes; swap them.
-  std::string bytes = w.bytes();
+  std::string bytes(w.bytes());
   ASSERT_GE(bytes.size(), 8u);
   std::swap(bytes[bytes.size() - 8], bytes[bytes.size() - 4]);
   SpatialFactTable b;
@@ -845,7 +957,7 @@ TEST(PipelineSnapshotTest, TruncatedPayloadNeverCrashes) {
   }
   snapshot::Writer w;
   a.SaveTo(w);
-  const std::string& bytes = w.bytes();
+  const std::string_view bytes = w.bytes();
   // Stride through truncation lengths (full sweep is quadratic in payload
   // size); every prefix must produce a Status, never a crash.
   for (size_t len = 0; len < bytes.size(); len += 97) {
