@@ -199,11 +199,18 @@ BENCHMARK(BM_DirtyMapMark)
 /// full-regeneration escalation on dirty-heavy slides). The
 /// incremental/naive items_per_second ratio is the recognition-throughput
 /// speedup; the `hit_rate` counter reports incremental cache reuse.
-void BM_CERecognitionWindow(benchmark::State& state) {
+/// The fig-11a ME stream shared by the windowed-recognition benches: 100
+/// base vessels over 12 h.
+const bench::Fig11Workload& Fig11Stream() {
   static const bench::Fig11Workload* workload = [] {
     return new bench::Fig11Workload(
         bench::MakeFig11Workload(/*base_vessels=*/100, /*duration=*/12 * kHour));
   }();
+  return *workload;
+}
+
+void BM_CERecognitionWindow(benchmark::State& state) {
+  const bench::Fig11Workload* workload = &Fig11Stream();
   const int engine_axis = static_cast<int>(state.range(0));
   const bool incremental = engine_axis == 1;
   const bench::Fig11Workload& w = *workload;
@@ -370,6 +377,76 @@ BENCHMARK(BM_SkewedFleetRecognition)
     ->Arg(1)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
+
+/// The long-window regime (the e2e `long_window` window shape: ω = 9 h,
+/// β = 1 min, precomputed spatial facts) over the fig-11a ME stream on the
+/// incremental engine. Each slide changes a minute of a nine-hour window, so
+/// most keys are clean and take the O(1) fast-forward; what a slide costs
+/// beyond that is the input merge and the dirty keys (DESIGN.md §7). Manual
+/// time: only steady-state slides (window full, q > ω) are timed, as in
+/// BM_SkewedFleetRecognition. Reports µs and heap allocations per steady
+/// slide, and the share of key evaluations that were fast-forwarded.
+void BM_LongWindowRecognition(benchmark::State& state) {
+  const bench::Fig11Workload& w = Fig11Stream();
+  const stream::WindowSpec window{9 * kHour, kMinute};
+  size_t queries = 0;
+  double steady_total = 0.0;
+  uint64_t recognize_allocs = 0;
+  uint64_t fast_forwards = 0;
+  uint64_t evals = 0;
+  for (auto _ : state) {
+    surveillance::RecognizerConfig cfg;
+    cfg.window = window;
+    cfg.ce.use_spatial_facts = true;
+    cfg.incremental = true;
+    surveillance::CERecognizer rec(&w.data.world.knowledge, cfg);
+    size_t cursor = 0;
+    size_t recognized = 0;
+    double steady_seconds = 0.0;
+    for (Timestamp q = window.slide; q <= w.horizon; q += window.slide) {
+      while (cursor < w.criticals.size() && w.criticals[cursor].tau <= q) {
+        rec.Feed(w.criticals[cursor]);
+        ++cursor;
+      }
+      const bool steady = q > window.range;
+      const uint64_t allocs_before =
+          bench::g_heap_allocs.load(std::memory_order_relaxed);
+      const auto t0 = std::chrono::steady_clock::now();
+      const RecognitionResult r = rec.Recognize(q);
+      if (steady) {
+        steady_seconds +=
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+                .count();
+        recognize_allocs +=
+            bench::g_heap_allocs.load(std::memory_order_relaxed) -
+            allocs_before;
+        ++queries;
+      }
+      recognized += r.events.size() + r.fluents.size();
+    }
+    state.SetIterationTime(steady_seconds);
+    steady_total += steady_seconds;
+    benchmark::DoNotOptimize(recognized);
+    for (const DefRegenStats& st : rec.engine().def_regen_stats()) {
+      fast_forwards += st.fast_forwards;
+      evals += st.evals;
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(queries));
+  state.counters["us_per_slide"] =
+      queries > 0 ? 1e6 * steady_total / static_cast<double>(queries) : 0.0;
+  state.counters["allocs_per_slide"] =
+      bench::kAllocCountingActive && queries > 0
+          ? static_cast<double>(recognize_allocs) / static_cast<double>(queries)
+          : 0.0;
+  state.counters["fast_forward_share"] =
+      evals > 0 ? static_cast<double>(fast_forwards) /
+                      static_cast<double>(evals)
+                : 0.0;
+}
+BENCHMARK(BM_LongWindowRecognition)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 /// Pipelined slide execution end to end: the full surveillance pipeline
 /// (tracking -> staged spatial facts -> recognition, archival off) over the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "common/arena.h"
 
@@ -233,18 +234,17 @@ class MARITIME_ARENA_SCOPED CloseCountMemo {
   common::ArenaVector<Entry> low_speed_;
 };
 
-/// Domain helper: subjects of the given marker events in the window.
+/// Domain helper: subjects of either marker event in the window, sorted and
+/// unique (the union of the two subject indexes, so the engine skips its
+/// domain sort).
 std::vector<rtec::Term> SubjectsOf(const rtec::EvalContext& ctx,
-                                   std::initializer_list<rtec::EventId> ids) {
-  size_t total = 0;
-  for (const rtec::EventId id : ids) total += ctx.Events(id).size();
+                                   rtec::EventId a, rtec::EventId b) {
+  const std::vector<rtec::Term>& sa = ctx.Subjects(a);
+  const std::vector<rtec::Term>& sb = ctx.Subjects(b);
   std::vector<rtec::Term> out;
-  out.reserve(total);
-  for (const rtec::EventId id : ids) {
-    for (const rtec::EventInstance& e : ctx.Events(id)) {
-      out.push_back(e.subject);
-    }
-  }
+  out.reserve(sa.size() + sb.size());
+  std::set_union(sa.begin(), sa.end(), sb.begin(), sb.end(),
+                 std::back_inserter(out));
   return out;
 }
 
@@ -267,21 +267,21 @@ void RegisterInputDurativeMe(rtec::Engine& engine, rtec::FluentId fluent,
   rtec::SimpleFluentSpec spec;
   spec.fluent = fluent;
   spec.domain = [start_marker, end_marker](const rtec::EvalContext& ctx) {
-    return SubjectsOf(ctx, {start_marker, end_marker});
+    return SubjectsOf(ctx, start_marker, end_marker);
   };
+  // The key's own markers come from the subject index, and only those the
+  // regeneration region needs: O(own markers), not O(window).
   spec.rules = [start_marker, end_marker](
                    const rtec::EvalContext& ctx, rtec::Term key,
                    rtec::PointVec* initiated,
                    rtec::PointVec* terminated) {
-    for (const rtec::EventInstance& e : ctx.Events(start_marker)) {
-      if (e.subject == key && ctx.NeedsEval(e.t)) {
-        initiated->push_back({rtec::kTrue, e.t});
-      }
+    for (const rtec::EventInstance& e :
+         ctx.NeedsEvalSuffix(ctx.EventsOf(start_marker, key))) {
+      initiated->push_back({rtec::kTrue, e.t});
     }
-    for (const rtec::EventInstance& e : ctx.Events(end_marker)) {
-      if (e.subject == key && ctx.NeedsEval(e.t)) {
-        terminated->push_back({rtec::kTrue, e.t});
-      }
+    for (const rtec::EventInstance& e :
+         ctx.NeedsEvalSuffix(ctx.EventsOf(end_marker, key))) {
+      terminated->push_back({rtec::kTrue, e.t});
     }
   };
   spec.output = false;
@@ -369,18 +369,20 @@ void RegisterMaritimeCes(rtec::Engine& engine, const MaritimeSchema& schema,
                        rtec::PointVec* terminated) {
       const int32_t area = key.id;
       CloseCountMemo memo(env, ctx, area, initiated->get_allocator().arena());
-      for (const rtec::Term& v : ctx.FluentKeys(env.schema.stopped)) {
-        const rtec::FluentTimeline& tl = ctx.Timeline(env.schema.stopped, v);
-        for (const Timestamp t : tl.StartsFor(rtec::kTrue)) {
-          if (!ctx.NeedsEval(t)) continue;
+      const auto& vessels = ctx.FluentKeys(env.schema.stopped);
+      const auto& timelines = ctx.FluentTimelines(env.schema.stopped);
+      for (size_t i = 0; i < vessels.size(); ++i) {
+        const rtec::Term v = vessels[i];
+        const rtec::FluentTimeline& tl = *timelines[i];
+        for (const Timestamp t :
+             ctx.NeedsEvalSuffix(tl.StartsFor(rtec::kTrue))) {
           if (env.IsClose(ctx, v, area, t) &&
               memo.CountStoppedClose(t) >=
                   env.options.suspicious_min_vessels) {
             initiated->push_back({rtec::kTrue, t});
           }
         }
-        for (const Timestamp t : tl.EndsFor(rtec::kTrue)) {
-          if (!ctx.NeedsEval(t)) continue;
+        for (const Timestamp t : ctx.NeedsEvalSuffix(tl.EndsFor(rtec::kTrue))) {
           if (env.IsClose(ctx, v, area, t) &&
               memo.CountStoppedClose(t) <
                   env.options.suspicious_min_vessels) {
@@ -410,20 +412,23 @@ void RegisterMaritimeCes(rtec::Engine& engine, const MaritimeSchema& schema,
                        rtec::PointVec* terminated) {
       const int32_t area = key.id;
       CloseCountMemo memo(env, ctx, area, initiated->get_allocator().arena());
+      const auto& stopped_vessels = ctx.FluentKeys(env.schema.stopped);
+      const auto& stopped_timelines =
+          ctx.FluentTimelines(env.schema.stopped);
       // Initiation (a): a fishing vessel stops close to the area.
-      for (const rtec::Term& v : ctx.FluentKeys(env.schema.stopped)) {
+      for (size_t i = 0; i < stopped_vessels.size(); ++i) {
+        const rtec::Term v = stopped_vessels[i];
         if (!env.kb->IsFishing(MmsiOf(v))) continue;
-        const rtec::FluentTimeline& tl = ctx.Timeline(env.schema.stopped, v);
-        for (const Timestamp t : tl.StartsFor(rtec::kTrue)) {
-          if (!ctx.NeedsEval(t)) continue;
+        for (const Timestamp t : ctx.NeedsEvalSuffix(
+                 stopped_timelines[i]->StartsFor(rtec::kTrue))) {
           if (env.IsClose(ctx, v, area, t)) {
             initiated->push_back({rtec::kTrue, t});
           }
         }
       }
       // Initiation (b): a fishing vessel moves "too" slowly close to it.
-      for (const rtec::EventInstance& e : ctx.Events(env.schema.slow_motion)) {
-        if (!ctx.NeedsEval(e.t)) continue;
+      for (const rtec::EventInstance& e :
+           ctx.NeedsEvalSuffix(ctx.Events(env.schema.slow_motion))) {
         if (!env.kb->IsFishing(MmsiOf(e.subject))) continue;
         if (env.IsClose(ctx, e.subject, area, e.t)) {
           initiated->push_back({rtec::kTrue, e.t});
@@ -433,26 +438,25 @@ void RegisterMaritimeCes(rtec::Engine& engine, const MaritimeSchema& schema,
       // vessel's stop or slow-motion episode ends and no fishing vessel
       // remains engaged close to the area (the paper describes these
       // conditions but omits the rules to save space).
-      const auto try_terminate = [&](rtec::Term v, Timestamp t) {
-        if (!ctx.NeedsEval(t)) return;
-        if (!env.kb->IsFishing(MmsiOf(v))) return;
-        if (env.IsClose(ctx, v, area, t) &&
-            memo.CountFishingEngaged(t) == 0) {
-          terminated->push_back({rtec::kTrue, t});
+      const auto try_terminate = [&](rtec::FluentId fluent) {
+        const auto& vessels = ctx.FluentKeys(fluent);
+        const auto& timelines = ctx.FluentTimelines(fluent);
+        for (size_t i = 0; i < vessels.size(); ++i) {
+          const auto ends =
+              ctx.NeedsEvalSuffix(timelines[i]->EndsFor(rtec::kTrue));
+          if (ends.empty() || !env.kb->IsFishing(MmsiOf(vessels[i]))) {
+            continue;
+          }
+          for (const Timestamp t : ends) {
+            if (env.IsClose(ctx, vessels[i], area, t) &&
+                memo.CountFishingEngaged(t) == 0) {
+              terminated->push_back({rtec::kTrue, t});
+            }
+          }
         }
       };
-      for (const rtec::Term& v : ctx.FluentKeys(env.schema.stopped)) {
-        for (const Timestamp t :
-             ctx.Timeline(env.schema.stopped, v).EndsFor(rtec::kTrue)) {
-          try_terminate(v, t);
-        }
-      }
-      for (const rtec::Term& v : ctx.FluentKeys(env.schema.low_speed)) {
-        for (const Timestamp t :
-             ctx.Timeline(env.schema.low_speed, v).EndsFor(rtec::kTrue)) {
-          try_terminate(v, t);
-        }
-      }
+      try_terminate(env.schema.stopped);
+      try_terminate(env.schema.low_speed);
     };
     spec.output = true;
     spec.deps = rtec::DependencySpec{
@@ -467,8 +471,8 @@ void RegisterMaritimeCes(rtec::Engine& engine, const MaritimeSchema& schema,
     spec.event = schema.illegal_shipping;
     spec.compute = [env](const rtec::EvalContext& ctx,
                          std::vector<rtec::EventInstance>* out) {
-      for (const rtec::EventInstance& e : ctx.Events(env.schema.gap)) {
-        if (!ctx.NeedsEval(e.t)) continue;
+      for (const rtec::EventInstance& e :
+           ctx.NeedsEvalSuffix(ctx.Events(env.schema.gap))) {
         for (const int32_t area :
              env.AreasClose(ctx, e.subject, e.t, AreaKind::kProtected)) {
           out->push_back(
@@ -492,7 +496,7 @@ void RegisterMaritimeCes(rtec::Engine& engine, const MaritimeSchema& schema,
     const auto stop_start = schema.stop_start;
     const auto stop_end = schema.stop_end;
     spec.domain = [stop_start, stop_end](const rtec::EvalContext& ctx) {
-      return SubjectsOf(ctx, {stop_start, stop_end});
+      return SubjectsOf(ctx, stop_start, stop_end);
     };
     spec.rules = [env](const rtec::EvalContext& ctx, rtec::Term key,
                        rtec::PointVec* initiated,
@@ -523,8 +527,7 @@ void RegisterMaritimeCes(rtec::Engine& engine, const MaritimeSchema& schema,
     spec.compute = [env](const rtec::EvalContext& ctx,
                          std::vector<rtec::EventInstance>* out) {
       for (const rtec::EventInstance& e :
-           ctx.Events(env.schema.slow_motion)) {
-        if (!ctx.NeedsEval(e.t)) continue;
+           ctx.NeedsEvalSuffix(ctx.Events(env.schema.slow_motion))) {
         for (const int32_t area :
              env.AreasClose(ctx, e.subject, e.t, AreaKind::kShallow)) {
           if (env.kb->IsShallowFor(area, MmsiOf(e.subject))) {

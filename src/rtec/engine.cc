@@ -14,6 +14,52 @@ bool EventOrder(const EventInstance& a, const EventInstance& b) {
   return a.object < b.object;
 }
 
+/// Min-heap order of the coord purge schedule (earliest time on top).
+bool PurgeLater(const std::pair<Timestamp, Term>& a,
+                const std::pair<Timestamp, Term>& b) {
+  if (a.first != b.first) return a.first > b.first;
+  return b.second < a.second;
+}
+
+/// Order of the subject index: by subject, then as EventOrder.
+bool SubjectOrder(const EventInstance& a, const EventInstance& b) {
+  if (a.subject != b.subject) return a.subject < b.subject;
+  if (a.t != b.t) return a.t < b.t;
+  return a.object < b.object;
+}
+
+/// Merges the sorted run `run` (which must not alias `v`) into `v`, whose
+/// first `prefix` elements are sorted, leaving v == sorted(v[0, prefix) +
+/// run). Backward merge: only the prefix elements later than the run's
+/// first one move, so a run that lands at the end costs O(run). Stable:
+/// prefix elements precede equal run elements.
+template <typename T, typename Less>
+void MergeSortedRun(std::vector<T>* v, size_t prefix, std::span<const T> run,
+                    Less less) {
+  v->resize(prefix + run.size());
+  size_t i = prefix;
+  size_t j = run.size();
+  size_t out = v->size();
+  while (j > 0) {
+    if (i > 0 && less(run[j - 1], (*v)[i - 1])) {
+      (*v)[--out] = (*v)[--i];
+    } else {
+      (*v)[--out] = run[--j];
+    }
+  }
+}
+
+/// The distinct subjects of a SubjectOrder-sorted list, ascending.
+void DistinctSubjects(const std::vector<EventInstance>& by_subject,
+                      std::vector<Term>* subjects) {
+  subjects->clear();
+  for (const EventInstance& e : by_subject) {
+    if (subjects->empty() || subjects->back() != e.subject) {
+      subjects->push_back(e.subject);
+    }
+  }
+}
+
 /// Copies the in-window suffix of `src` into `out` (arena-backed during
 /// evaluation): the cache-hit path's prune-while-copying.
 void CopyInWindowPoints(std::span<const ValuedPoint> src,
@@ -104,6 +150,21 @@ MARITIME_ARENA_ESCAPE_OK FluentTimeline BuildStaticTimeline(
   return timeline;
 }
 
+/// Serial triage record of one simple-fluent key: its cache entry, its
+/// regeneration region, and whether it takes the clean fast-forward (then it
+/// never joins the evaluation fan-out). Region telemetry rides along to the
+/// commit loop.
+struct KeyTriage {
+  CachedEvidence* entry = nullptr;
+  // Escape is sound: points into the heap-backed committed timeline map.
+  MARITIME_ARENA_ESCAPE_OK FluentTimeline* timeline = nullptr;
+  std::optional<Value> carried;  ///< Boundary value carried into the window.
+  Timestamp region_from = kTimestampNever;  ///< kTimestampNever = clean.
+  bool fast = false;
+  bool narrowed = false;
+  bool fleet_floor = false;
+};
+
 /// Per-key result of one (possibly parallel) simple-fluent evaluation; kept
 /// aside so the commit — cache writes, result rows, dirty marks — happens in
 /// deterministic key order after the layer barrier. All containers bump the
@@ -112,16 +173,7 @@ struct MARITIME_ARENA_SCOPED SimpleOutcome {
   FluentEvidence evidence;
   FluentTimeline timeline;
   bool hit = false;
-  /// Clean fast-forward: the cached evidence and committed timeline are
-  /// already exact for this window up to the two window clamps (see the
-  /// commit loop); the evidence/timeline fields above are left unfilled.
-  bool fast = false;
   std::optional<Timestamp> change_at;
-  // Regen-region telemetry, carried back to the serial commit loop (region
-  // computation runs on pool workers, so counters cannot be bumped there).
-  bool narrowed = false;
-  bool fleet_floor = false;
-  Timestamp region_from = kTimestampNever;  ///< kTimestampNever = clean.
 
   explicit SimpleOutcome(common::Arena* arena)
       : evidence(arena), timeline(arena) {}
@@ -147,8 +199,22 @@ const std::vector<EventInstance>& EvalContext::Events(EventId e) const {
   return engine_->EventsOf(e);
 }
 
+const std::vector<Term>& EvalContext::Subjects(EventId e) const {
+  return engine_->SubjectsOf(e);
+}
+
+std::span<const EventInstance> EvalContext::EventsOf(EventId e,
+                                                     Term subject) const {
+  return engine_->EventsOf(e, subject);
+}
+
 const std::vector<Term>& EvalContext::FluentKeys(FluentId f) const {
   return engine_->fluent_keys_[static_cast<size_t>(f)];
+}
+
+const std::vector<const FluentTimeline*>& EvalContext::FluentTimelines(
+    FluentId f) const {
+  return engine_->fluent_timelines_[static_cast<size_t>(f)];
 }
 
 const FluentTimeline& EvalContext::Timeline(FluentId f, Term key) const {
@@ -198,6 +264,7 @@ FluentId Engine::DeclareFluent(std::string name) {
   fluent_names_.push_back(std::move(name));
   timelines_.emplace_back();
   fluent_keys_.emplace_back();
+  fluent_timelines_.emplace_back();
   changed_fluents_.emplace_back();
   edge_fluents_.emplace_back();
   return id;
@@ -232,8 +299,13 @@ void Engine::AddDerivedEvent(DerivedEventSpec spec) {
 
 void Engine::AssertEvent(EventId e, Term subject, Timestamp t, Term object) {
   assert(e >= 0 && static_cast<size_t>(e) < event_names_.size());
-  input_events_[static_cast<size_t>(e)].push_back(
-      EventInstance{subject, object, t});
+  EventStore& store = input_events_[static_cast<size_t>(e)];
+  const EventInstance inst{subject, object, t};
+  const bool in_order =
+      store.sorted == store.by_time.size() &&
+      (store.by_time.empty() || !EventOrder(inst, store.by_time.back()));
+  store.by_time.push_back(inst);
+  if (in_order) store.sorted = store.by_time.size();
   input_dirty_ = true;
   if (options_.incremental) {
     dirty_events_[static_cast<size_t>(e)].Mark(subject, t);
@@ -241,7 +313,15 @@ void Engine::AssertEvent(EventId e, Term subject, Timestamp t, Term object) {
 }
 
 void Engine::AssertCoord(Term vessel, Timestamp t, geo::GeoPoint pos) {
-  coords_[vessel].emplace_back(t, pos);
+  CoordHistory& h = coords_[vessel];
+  const bool was_sorted = h.sorted == h.fixes.size();
+  const bool in_order =
+      was_sorted && (h.fixes.empty() || t >= h.fixes.back().first);
+  if (was_sorted && !in_order) coords_unsorted_.push_back(vessel);
+  h.fixes.emplace_back(t, pos);
+  if (in_order) h.sorted = h.fixes.size();
+  coord_purge_.emplace_back(t, vessel);
+  std::push_heap(coord_purge_.begin(), coord_purge_.end(), PurgeLater);
   coords_dirty_ = true;
   if (options_.incremental) {
     dirty_coords_.Mark(vessel, t);
@@ -249,12 +329,33 @@ void Engine::AssertCoord(Term vessel, Timestamp t, geo::GeoPoint pos) {
 }
 
 void Engine::PurgeBefore(Timestamp inclusive_cutoff) {
-  for (auto& store : input_events_) {
-    store.erase(std::remove_if(store.begin(), store.end(),
-                               [&](const EventInstance& i) {
-                                 return i.t <= inclusive_cutoff;
-                               }),
-                store.end());
+  // Stores are sorted (Recognize sorts pending input first), so the purged
+  // occurrences are a prefix of `by_time` and, per subject, a prefix of that
+  // subject's run in the index.
+  for (EventStore& store : input_events_) {
+    MARITIME_DCHECK_MSG(store.indexed == store.by_time.size(),
+                        "input store purged before its pending run merged");
+    const auto keep_from = std::partition_point(
+        store.by_time.begin(), store.by_time.end(),
+        [&](const EventInstance& i) { return i.t <= inclusive_cutoff; });
+    const size_t purged =
+        static_cast<size_t>(keep_from - store.by_time.begin());
+    if (purged == 0) continue;
+    store.by_time.erase(store.by_time.begin(), keep_from);
+    store.sorted -= purged;
+    store.indexed -= purged;
+    // One compaction pass over the index, collecting the subjects that
+    // keep an occurrence on the way.
+    store.subjects.clear();
+    auto out = store.by_subject.begin();
+    for (const EventInstance& i : store.by_subject) {
+      if (i.t <= inclusive_cutoff) continue;
+      if (store.subjects.empty() || store.subjects.back() != i.subject) {
+        store.subjects.push_back(i.subject);
+      }
+      *out++ = i;
+    }
+    store.by_subject.erase(out, store.by_subject.end());
   }
   // Last-known-position inertia: retain the latest fix at or before the
   // cutoff as the vessel's boundary position (the coordinate analogue of the
@@ -264,37 +365,96 @@ void Engine::PurgeBefore(Timestamp inclusive_cutoff) {
   // cached incremental evaluations, and a moored vessel that emits no
   // critical point for longer than the window keeps a position (which is how
   // the maritime surveillance rules expect `close` to behave). Memory cost:
-  // one retained fix per vessel ever seen. Requires `vec` sorted by time
-  // (Recognize sorts pending input before purging).
-  for (auto& [vessel, vec] : coords_) {
+  // one retained fix per vessel ever seen. Requires sorted histories
+  // (Recognize sorts pending input before purging). Only vessels with a fix
+  // at or before the cutoff that was not yet past an earlier cutoff can hold
+  // more than one fix there; the schedule yields exactly those.
+  while (!coord_purge_.empty() &&
+         coord_purge_.front().first <= inclusive_cutoff) {
+    const Term vessel = coord_purge_.front().second;
+    std::pop_heap(coord_purge_.begin(), coord_purge_.end(), PurgeLater);
+    coord_purge_.pop_back();
+    CoordHistory& h = coords_.find(vessel)->second;
+    auto& vec = h.fixes;
     const auto keep_from = std::partition_point(
         vec.begin(), vec.end(),
         [&](const auto& p) { return p.first <= inclusive_cutoff; });
     if (keep_from - vec.begin() > 1) {
+      const size_t erased = static_cast<size_t>(keep_from - vec.begin()) - 1;
       vec.erase(vec.begin(), keep_from - 1);
+      h.sorted -= erased;
     }
   }
 }
 
+void Engine::DeriveInputOrder(EventStore* store) {
+  auto& events = store->by_time;
+  store->sorted = static_cast<size_t>(
+      std::is_sorted_until(events.begin(), events.end(), EventOrder) -
+      events.begin());
+  store->indexed = 0;
+  store->by_subject.clear();
+  store->subjects.clear();
+}
+
+void Engine::RebuildCoordPurge() {
+  std::make_heap(coord_purge_.begin(), coord_purge_.end(), PurgeLater);
+}
+
 void Engine::SortPendingInput() {
-  if (input_dirty_) {
-    for (auto& store : input_events_) {
-      std::sort(store.begin(), store.end(), EventOrder);
+  for (EventStore& store : input_events_) {
+    if (store.indexed == store.by_time.size()) continue;
+    // The pending run: everything asserted since the last merge. Sort a
+    // copy, merge it back behind the sorted prefix, then into the index.
+    const size_t prefix = store.indexed;
+    merge_scratch_.assign(
+        store.by_time.begin() + static_cast<ptrdiff_t>(prefix),
+        store.by_time.end());
+    if (store.sorted < store.by_time.size()) {
+      std::sort(merge_scratch_.begin(), merge_scratch_.end(), EventOrder);
+      MergeSortedRun(&store.by_time, prefix,
+                     std::span<const EventInstance>(merge_scratch_),
+                     EventOrder);
     }
-    input_dirty_ = false;
+    std::sort(merge_scratch_.begin(), merge_scratch_.end(), SubjectOrder);
+    MergeSortedRun(&store.by_subject, store.by_subject.size(),
+                   std::span<const EventInstance>(merge_scratch_),
+                   SubjectOrder);
+    // The run's subjects merged into the subject list.
+    DistinctSubjects(merge_scratch_, &subject_scratch_);
+    MergeSortedRun(&store.subjects, store.subjects.size(),
+                   std::span<const Term>(subject_scratch_),
+                   [](const Term& a, const Term& b) { return a < b; });
+    store.subjects.erase(
+        std::unique(store.subjects.begin(), store.subjects.end()),
+        store.subjects.end());
+    store.sorted = store.indexed = store.by_time.size();
   }
-  if (coords_dirty_) {
-    for (auto& [vessel, vec] : coords_) {
-      std::sort(vec.begin(), vec.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
+  input_dirty_ = false;
+  // Out-of-order coords: insert each tail fix after every fix of equal or
+  // earlier time (upper_bound), in arrival order — a stable insertion sort
+  // of the tail into the prefix, touching only these vessels.
+  for (const Term& vessel : coords_unsorted_) {
+    CoordHistory& h = coords_.find(vessel)->second;
+    auto& vec = h.fixes;
+    for (size_t i = h.sorted; i < vec.size(); ++i) {
+      const auto fix = vec[i];
+      const auto end = vec.begin() + static_cast<ptrdiff_t>(i);
+      const auto at = std::upper_bound(
+          vec.begin(), end, fix.first,
+          [](Timestamp t, const auto& p) { return t < p.first; });
+      std::move_backward(at, end, end + 1);
+      *at = fix;
     }
-    coords_dirty_ = false;
+    h.sorted = vec.size();
   }
+  coords_unsorted_.clear();
+  coords_dirty_ = false;
 }
 
 size_t Engine::buffered_events() const {
   size_t n = 0;
-  for (const auto& store : input_events_) n += store.size();
+  for (const EventStore& store : input_events_) n += store.by_time.size();
   return n;
 }
 
@@ -320,7 +480,26 @@ const std::vector<EventInstance>& Engine::EventsOf(EventId e) const {
   // computed).
   const auto& derived = derived_events_[static_cast<size_t>(e)];
   if (!derived.empty()) return derived;
-  return input_events_[static_cast<size_t>(e)];
+  return input_events_[static_cast<size_t>(e)].by_time;
+}
+
+const std::vector<Term>& Engine::SubjectsOf(EventId e) const {
+  assert(e >= 0 && static_cast<size_t>(e) < event_names_.size());
+  return input_events_[static_cast<size_t>(e)].subjects;
+}
+
+std::span<const EventInstance> Engine::EventsOf(EventId e,
+                                                Term subject) const {
+  assert(e >= 0 && static_cast<size_t>(e) < event_names_.size());
+  const auto& index = input_events_[static_cast<size_t>(e)].by_subject;
+  const auto [lo, hi] = std::equal_range(
+      index.begin(), index.end(), EventInstance{subject, Term::None(), 0},
+      [](const EventInstance& a, const EventInstance& b) {
+        return a.subject < b.subject;
+      });
+  return std::span<const EventInstance>(index).subspan(
+      static_cast<size_t>(lo - index.begin()),
+      static_cast<size_t>(hi - lo));
 }
 
 const FluentTimeline& Engine::TimelineOf(FluentId f, Term key) const {
@@ -336,8 +515,8 @@ std::vector<Term> Engine::KeysOf(FluentId f) const {
 std::optional<geo::GeoPoint> Engine::CoordOf(Term vessel, Timestamp t) const {
   const auto it = coords_.find(vessel);
   if (it == coords_.end()) return std::nullopt;
-  const auto& vec = it->second;
-  // Last entry with time <= t.
+  const auto& vec = it->second.fixes;
+  // Last entry with time <= t (of equal-time fixes, the one asserted last).
   auto pos = std::partition_point(
       vec.begin(), vec.end(), [t](const auto& p) { return p.first <= t; });
   if (pos == vec.begin()) return std::nullopt;
@@ -349,7 +528,7 @@ void Engine::ForEachCoordCovering(
     const std::function<void(Timestamp, const geo::GeoPoint&)>& fn) const {
   const auto it = coords_.find(vessel);
   if (it == coords_.end()) return;
-  const auto& vec = it->second;
+  const auto& vec = it->second.fixes;
   // First entry with time > `from`, then step back once so the fix CoordAt
   // would return throughout [from, next fix) is included. Requires `vec`
   // sorted by time (Recognize sorts pending input before evaluation starts).
@@ -380,11 +559,37 @@ Engine::FluentKeyMap::iterator Engine::RecycleTimeline(
 }
 
 MARITIME_COMMIT_BOUNDARY void Engine::RebuildKeyMemo(size_t fidx) {
+  auto& pairs = memo_scratch_;
+  pairs.clear();
+  pairs.reserve(timelines_[fidx].size());
+  for (const auto& [k, timeline] : timelines_[fidx]) {
+    pairs.emplace_back(k, &timeline);
+  }
+  std::sort(pairs.begin(), pairs.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   auto& memo = fluent_keys_[fidx];
+  auto& tls = fluent_timelines_[fidx];
   memo.clear();
-  memo.reserve(timelines_[fidx].size());
-  for (const auto& [k, timeline] : timelines_[fidx]) memo.push_back(k);
-  std::sort(memo.begin(), memo.end());
+  tls.clear();
+  memo.reserve(pairs.size());
+  tls.reserve(pairs.size());
+  for (const auto& [k, timeline] : pairs) {
+    memo.push_back(k);
+    tls.push_back(timeline);
+  }
+}
+
+void Engine::RelinkSimpleCache(size_t fidx, SimpleDefCache* cache) {
+  cache->entries.clear();
+  cache->timelines.clear();
+  for (const Term& key : cache->keys) {
+    const auto ev_it = cache->evidence.find(key);
+    cache->entries.push_back(
+        ev_it == cache->evidence.end() ? nullptr : &ev_it->second);
+    const auto tl_it = timelines_[fidx].find(key);
+    cache->timelines.push_back(
+        tl_it == timelines_[fidx].end() ? nullptr : &tl_it->second);
+  }
 }
 
 void Engine::ForEachKey(
@@ -406,18 +611,38 @@ std::vector<Term> Engine::EvalKeys(
     const std::function<std::vector<Term>(const EvalContext&)>& domain,
     const EvalContext& ctx, const FluentId fluent, bool have_boundary) const {
   std::vector<Term> keys = domain(ctx);
-  if (have_boundary && fluent >= 0) {
-    // Inertia: keys whose value persists from before this window must be
-    // evaluated even without fresh evidence.
-    const auto& carried = boundary_.values[static_cast<size_t>(fluent)];
-    keys.reserve(keys.size() + carried.size());
-    for (const auto& [key, value] : carried) {
-      keys.push_back(key);
-    }
+  // Domains built from sorted sources (the subject index, the area table
+  // in id order) arrive sorted and unique; only the others pay the sort.
+  const bool sorted_unique =
+      std::adjacent_find(keys.begin(), keys.end(),
+                         [](const Term& a, const Term& b) {
+                           return !(a < b);
+                         }) == keys.end();
+  if (!sorted_unique) {
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  return keys;
+  if (!have_boundary || fluent < 0) return keys;
+  // Inertia: keys whose value persists from before this window must be
+  // evaluated even without fresh evidence. The carried record is sorted by
+  // key, so merge it in (a set union) instead of appending and re-sorting.
+  const auto& carried = boundary_.values[static_cast<size_t>(fluent)];
+  if (carried.empty()) return keys;
+  std::vector<Term> merged;
+  merged.reserve(keys.size() + carried.size());
+  auto k = keys.begin();
+  auto c = carried.begin();
+  while (k != keys.end() || c != carried.end()) {
+    Term next;
+    if (c == carried.end() || (k != keys.end() && *k < c->first)) {
+      next = *k++;
+    } else {
+      if (k != keys.end() && *k == c->first) ++k;
+      next = (c++)->first;
+    }
+    if (merged.empty() || merged.back() != next) merged.push_back(next);
+  }
+  return merged;
 }
 
 /// Builds the dependency-scoped dirty view of one cross-key definition
@@ -598,64 +823,98 @@ void Engine::EvaluateSimpleIncremental(const SimpleFluentSpec& spec,
           ? ComputeScopedDirty(*spec.deps, /*cross_key=*/false, ctx)
           : nullptr;
 
+  // Triage phase, serial: each key's cache entry and regeneration region.
+  // A clean key takes the fast-forward when its carried value is unchanged,
+  // no cached point fell out at the left window edge, and no cached point
+  // sits exactly on the previous query time (the one case where sliding the
+  // right edge materializes a new interval): a rebuild would then reproduce
+  // the committed evidence and timeline verbatim up to two window clamps,
+  // which the commit loop patches in place. Every cached point lies at or
+  // before the query time that committed it (fresh points beyond q are
+  // dropped below, reused ones are older still), so with query times
+  // advancing, "no point at prev_query_" is exactly max_t < prev_query_ and
+  // the test is O(1) (DESIGN.md §7). Only the other keys fan out.
+  common::Arena* caller_arena = &arenas_[0];
+  common::ArenaVector<KeyTriage> triage{
+      common::ArenaAllocator<KeyTriage>(caller_arena)};
+  triage.resize(keys.size());
+  common::ArenaVector<uint32_t> slow{
+      common::ArenaAllocator<uint32_t>(caller_arena)};
+  const bool can_fast = have_boundary && prev_query_ != kInvalidTimestamp &&
+                        prev_query_ <= q;
+  // Keys, the previous key set and the carried record are all sorted, so
+  // one merge walk finds each key's entry, slot and carried value.
+  const bool same_keys = keys == cache.keys;
+  const std::vector<std::pair<Term, Value>>* carried =
+      have_boundary ? &boundary_.values[fidx] : nullptr;
+  size_t old_i = 0;
+  size_t carried_i = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    KeyTriage& t = triage[i];
+    if (same_keys) {
+      t.entry = cache.entries[i];
+      t.timeline = cache.timelines[i];
+    } else {
+      while (old_i < cache.keys.size() && cache.keys[old_i] < keys[i]) ++old_i;
+      if (old_i < cache.keys.size() && cache.keys[old_i] == keys[i]) {
+        t.entry = cache.entries[old_i];
+        t.timeline = cache.timelines[old_i];
+      } else {
+        const auto entry_it = cache.evidence.find(keys[i]);
+        t.entry =
+            entry_it == cache.evidence.end() ? nullptr : &entry_it->second;
+        const auto tl_it = timelines_[fidx].find(keys[i]);
+        t.timeline =
+            tl_it == timelines_[fidx].end() ? nullptr : &tl_it->second;
+      }
+    }
+    if (carried != nullptr) {
+      while (carried_i < carried->size() &&
+             (*carried)[carried_i].first < keys[i]) {
+        ++carried_i;
+      }
+      if (carried_i < carried->size() &&
+          (*carried)[carried_i].first == keys[i]) {
+        t.carried = (*carried)[carried_i].second;
+      }
+    }
+    t.region_from = wstart;
+    if (t.entry != nullptr && !dirty_all_ && spec.deps.has_value()) {
+      RegionStats rstats;
+      t.region_from = DirtyRegionFor(*spec.deps, keys[i], /*cross_key=*/false,
+                                     wstart, scoped, &rstats)
+                          .from;
+      t.narrowed = rstats.narrowed;
+      t.fleet_floor = rstats.fleet_floor;
+    }
+    t.fast = can_fast && t.entry != nullptr &&
+             t.region_from == kTimestampNever && t.entry->min_t > wstart &&
+             t.entry->max_t < prev_query_ &&
+             t.entry->carried_value == t.carried;
+    if (!t.fast) slow.push_back(static_cast<uint32_t>(i));
+  }
+
   // Evaluation phase: engine state is read-only, each index writes only its
   // own outcome slot, so keys can fan out over the pool. Every temporary
   // (evidence points, timelines, sweep scratch) bumps the evaluating slot's
   // arena; optional slots let each outcome be constructed in place with its
   // arena (assignment would keep the slot's default heap allocator).
   common::ArenaVector<std::optional<SimpleOutcome>> outcomes{
-      common::ArenaAllocator<std::optional<SimpleOutcome>>(&arenas_[0])};
-  outcomes.resize(keys.size());
-  ForEachKey(keys.size(), [&](size_t i, common::Arena* arena) {
-    const Term key = keys[i];
-    SimpleOutcome& out = outcomes[i].emplace(arena);
-    const auto entry_it = cache.evidence.find(key);
-    const CachedEvidence* entry =
-        entry_it == cache.evidence.end() ? nullptr : &entry_it->second;
-    RegenRegion region{wstart};
-    if (entry != nullptr && !dirty_all_ && spec.deps.has_value()) {
-      RegionStats rstats;
-      region = DirtyRegionFor(*spec.deps, key, /*cross_key=*/false, wstart,
-                              scoped, &rstats);
-      out.narrowed = rstats.narrowed;
-      out.fleet_floor = rstats.fleet_floor;
-    }
-    out.region_from = region.from;
-    if (entry != nullptr && region.clean()) {
+      common::ArenaAllocator<std::optional<SimpleOutcome>>(caller_arena)};
+  outcomes.resize(slow.size());
+  ForEachKey(slow.size(), [&](size_t j, common::Arena* arena) {
+    const Term key = keys[slow[j]];
+    const KeyTriage& t = triage[slow[j]];
+    SimpleOutcome& out = outcomes[j].emplace(arena);
+    const CachedEvidence* entry = t.entry;
+    if (entry != nullptr && t.region_from == kTimestampNever) {
       out.hit = true;
-      // Clean fast-forward: when the carried value is unchanged, no cached
-      // point fell out at the left window edge, and no cached point sits
-      // exactly on the previous query time (the one case where sliding the
-      // right edge materializes a new interval), a rebuild would reproduce
-      // the committed evidence and timeline verbatim up to two window clamps.
-      // Skip the rebuild; the commit loop patches the clamps in place. This
-      // is what makes an idle key's steady-state slide cost O(1) instead of
-      // O(evidence + timeline).
-      if (have_boundary && prev_query_ != kInvalidTimestamp &&
-          prev_query_ <= q &&
-          entry->carried_value == boundary_.CarriedValue(fidx, key)) {
-        bool edge_stable = true;
-        // Cached points need not be time-sorted (cross-key rules emit per
-        // dependency, not per time), so scan; the list is short and empty
-        // for long-idle keys.
-        for (const ValuedPoint& p : entry->points) {
-          if (p.t <= wstart || p.t == prev_query_) {
-            edge_stable = false;
-            break;
-          }
-        }
-        if (edge_stable) {
-          out.fast = true;
-          out.evidence.carried_value = entry->carried_value;
-          return;
-        }
-      }
       CopyInWindowPoints(entry->initiations(), wstart,
                          &out.evidence.initiations);
       CopyInWindowPoints(entry->terminations(), wstart,
                          &out.evidence.terminations);
     } else {
-      const EvalContext rctx = ctx.WithRegenRegion(region.from);
+      const EvalContext rctx = ctx.WithRegenRegion(t.region_from);
       PointVec fresh_init{common::ArenaAllocator<ValuedPoint>(arena)};
       PointVec fresh_term{common::ArenaAllocator<ValuedPoint>(arena)};
       spec.rules(rctx, key, &fresh_init, &fresh_term);
@@ -678,9 +937,9 @@ void Engine::EvaluateSimpleIncremental(const SimpleFluentSpec& spec,
       fresh_term.erase(
           std::remove_if(fresh_term.begin(), fresh_term.end(), beyond_q),
           fresh_term.end());
-      MergeCachedPointsInto(old_init, fresh_init, wstart, region.from,
+      MergeCachedPointsInto(old_init, fresh_init, wstart, t.region_from,
                             &out.evidence.initiations);
-      MergeCachedPointsInto(old_term, fresh_term, wstart, region.from,
+      MergeCachedPointsInto(old_term, fresh_term, wstart, t.region_from,
                             &out.evidence.terminations);
       const auto init_diff =
           EarliestPointDiff(old_init, out.evidence.initiations, wstart, arena);
@@ -694,9 +953,7 @@ void Engine::EvaluateSimpleIncremental(const SimpleFluentSpec& spec,
         out.change_at = term_diff;
       }
     }
-    if (have_boundary) {
-      out.evidence.carried_value = boundary_.CarriedValue(fidx, key);
-    }
+    out.evidence.carried_value = t.carried;
     ComputeSimpleFluentInto(out.evidence.initiations, out.evidence.terminations,
                             out.evidence.carried_value, wstart, q, arena,
                             &out.timeline);
@@ -716,38 +973,37 @@ void Engine::EvaluateSimpleIncremental(const SimpleFluentSpec& spec,
   // last slide, no key can have left (the eviction scan is vacuous) and the
   // key memo only goes stale if a previously-empty key gained its first
   // timeline slot (visible as map growth).
-  const bool same_keys = keys == cache.keys;
   const size_t timelines_before = timelines_[fidx].size();
+  cache.entries.resize(keys.size());
+  cache.timelines.resize(keys.size());
+  size_t next_slow = 0;
   for (size_t i = 0; i < keys.size(); ++i) {
-    SimpleOutcome& out = *outcomes[i];
-    if (out.hit) {
-      ++cache_stats_.hits;
-    } else {
-      ++cache_stats_.misses;
-    }
+    const KeyTriage& t = triage[i];
     ++dstats.evals;
-    if (out.region_from != kTimestampNever) {
-      dstats.regen_span_sum += static_cast<uint64_t>(q - out.region_from);
+    if (t.region_from != kTimestampNever) {
+      dstats.regen_span_sum += static_cast<uint64_t>(q - t.region_from);
     }
-    if (out.narrowed) {
+    if (t.narrowed) {
       ++dstats.spans_narrowed;
       ++cache_stats_.spans_narrowed;
     }
-    if (out.fleet_floor) {
+    if (t.fleet_floor) {
       ++dstats.fleet_floor_hits;
       ++cache_stats_.fleet_floor_hits;
     }
-    if (out.fast) {
+    if (t.fast) {
       // Clean fast-forward: the cached evidence is byte-identical to what a
       // rebuild would produce, and the committed timeline differs only in
       // the two window clamps — patch them in place, emit output rows from
       // the patched slot, and leave the cache entry untouched. No change
       // mark, no edge mark (the gates exclude evidence on the query edge).
-      auto& tl_map = timelines_[fidx];
-      const auto tl_it = tl_map.find(keys[i]);
-      if (tl_it != tl_map.end()) {
-        FluentTimeline& tl = tl_it->second;
-        tl.FastForwardWindow(out.evidence.carried_value, wstart, q);
+      ++cache_stats_.hits;
+      ++dstats.fast_forwards;
+      cache.entries[i] = t.entry;
+      cache.timelines[i] = t.timeline;
+      if (t.timeline != nullptr) {
+        FluentTimeline& tl = *t.timeline;
+        tl.FastForwardWindow(t.entry->carried_value, wstart, q);
         if (spec.output) {
           for (const auto& slice : tl.slices) {
             const IntervalSpan span = tl.IntervalsAt(slice);
@@ -760,6 +1016,12 @@ void Engine::EvaluateSimpleIncremental(const SimpleFluentSpec& spec,
         }
       }
       continue;
+    }
+    SimpleOutcome& out = *outcomes[next_slow++];
+    if (out.hit) {
+      ++cache_stats_.hits;
+    } else {
+      ++cache_stats_.misses;
     }
     if (out.change_at.has_value()) {
       changed_fluents_[fidx].Mark(keys[i], *out.change_at);
@@ -778,8 +1040,8 @@ void Engine::EvaluateSimpleIncremental(const SimpleFluentSpec& spec,
         }
       }
     }
-    auto ev_it = cache.evidence.find(keys[i]);
-    if (ev_it == cache.evidence.end()) {
+    if (t.entry == nullptr) {
+      SimpleDefCache::EvidenceMap::iterator ev_it;
       if (!evidence_pool_.empty()) {
         // Recycle an evicted node together with its point-buffer capacity.
         SimpleDefCache::EvidenceMap::node_type nh =
@@ -790,8 +1052,11 @@ void Engine::EvaluateSimpleIncremental(const SimpleFluentSpec& spec,
       } else {
         ev_it = cache.evidence.try_emplace(keys[i]).first;
       }
+      cache.entries[i] = &ev_it->second;
+    } else {
+      cache.entries[i] = t.entry;
     }
-    CachedEvidence& slot = ev_it->second;
+    CachedEvidence& slot = *cache.entries[i];
     slot.points.clear();
     const size_t need =
         out.evidence.initiations.size() + out.evidence.terminations.size();
@@ -806,17 +1071,17 @@ void Engine::EvaluateSimpleIncremental(const SimpleFluentSpec& spec,
                        out.evidence.terminations.end());
     slot.init_count = static_cast<uint32_t>(out.evidence.initiations.size());
     slot.carried_value = out.evidence.carried_value;
-    // As in the naive commit: no slot for a key with no content this window.
+    slot.IndexPoints();
+    // As in the naive commit: no slot for a key with no content this window;
+    // an existing slot is overwritten so the key reads as empty downstream.
+    FluentTimeline* tl = t.timeline;
     const bool has_content =
         !out.timeline.slices.empty() || out.timeline.open_value.has_value();
-    if (has_content) {
-      TimelineSlot(fidx, keys[i]).CopyFrom(out.timeline);
-    } else {
-      auto& tl_map = timelines_[fidx];
-      const auto tl_it = tl_map.find(keys[i]);
-      if (tl_it != tl_map.end()) tl_it->second.CopyFrom(out.timeline);
-    }
+    if (tl == nullptr && has_content) tl = &TimelineSlot(fidx, keys[i]);
+    if (tl != nullptr) tl->CopyFrom(out.timeline);
+    cache.timelines[i] = tl;
   }
+  MARITIME_DCHECK(next_slow == outcomes.size());
 
   // Keys that left the evaluated set: under the dependency contract their
   // timelines were already empty, so dropping them cannot affect downstream
@@ -1276,19 +1541,16 @@ MARITIME_COMMIT_BOUNDARY RecognitionResult Engine::Recognize(Timestamp q) {
     if (simple == nullptr) continue;
     const size_t fidx = static_cast<size_t>(simple->fluent);
     auto& vec = boundary_.values[fidx];
-    for (const auto& [key, timeline] : timelines_[fidx]) {
-      std::optional<Value> v;
-      if (next_wstart >= q) {
-        v = timeline.open_value;
-      } else {
-        v = timeline.ValueRightOf(next_wstart);
-      }
-      if (v.has_value()) vec.emplace_back(key, *v);
+    // The key memo is current after the definition's commit and sorted by
+    // key, the order CarriedValue and the snapshot writer need.
+    const auto& keys = fluent_keys_[fidx];
+    const auto& tls = fluent_timelines_[fidx];
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const std::optional<Value> v = next_wstart >= q
+                                         ? tls[i]->open_value
+                                         : tls[i]->ValueRightOf(next_wstart);
+      if (v.has_value()) vec.emplace_back(keys[i], *v);
     }
-    // The timeline map iterates in hash order; CarriedValue and the snapshot
-    // writer need key order.
-    std::sort(vec.begin(), vec.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
   }
 
   if (options_.incremental) {
@@ -1314,6 +1576,19 @@ MARITIME_COMMIT_BOUNDARY RecognitionResult Engine::Recognize(Timestamp q) {
           MARITIME_DCHECK_MSG(
               std::binary_search(cache.keys.begin(), cache.keys.end(), k),
               "cached simple-fluent key not live");
+        }
+        const auto& tl_map = timelines_[static_cast<size_t>(
+            std::get<SimpleFluentSpec>(definitions_[di]).fluent)];
+        for (size_t i = 0; i < cache.keys.size(); ++i) {
+          const auto ev_it = cache.evidence.find(cache.keys[i]);
+          const auto tl_it = tl_map.find(cache.keys[i]);
+          MARITIME_DCHECK_MSG(
+              cache.entries[i] == (ev_it == cache.evidence.end()
+                                       ? nullptr
+                                       : &ev_it->second) &&
+                  cache.timelines[i] ==
+                      (tl_it == tl_map.end() ? nullptr : &tl_it->second),
+              "simple-fluent cache pointers out of sync with its maps");
         }
       } else if (const auto* st = std::get_if<StaticFluentSpec>(
                      &definitions_[di])) {

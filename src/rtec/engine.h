@@ -40,10 +40,27 @@ class EvalContext {
   /// All occurrences of `e` in the window, sorted by time.
   const std::vector<EventInstance>& Events(EventId e) const;
 
+  /// Distinct subjects of the input event `e` in the window, sorted
+  /// ascending (the subject index; derived events are not indexed).
+  const std::vector<Term>& Subjects(EventId e) const;
+
+  /// Occurrences of the input event `e` with subject `subject` in the
+  /// window, sorted by time: exactly the elements of Events(e) with that
+  /// subject, in the same order, without scanning the other subjects'.
+  std::span<const EventInstance> EventsOf(EventId e, Term subject) const;
+
   /// Keys (ground terms) for which `f` was evaluated at this query time,
   /// sorted ascending. The reference stays valid for the duration of the
   /// rule invocation.
   const std::vector<Term>& FluentKeys(FluentId f) const;
+
+  /// Committed timelines of `f`, parallel to FluentKeys(f) (same length and
+  /// order): rules sweeping every key of a fluent read them without a map
+  /// lookup per key. Valid for the duration of the rule invocation.
+  // Escape is sound: the pointers alias the engine's committed heap-backed
+  // timeline map, not slide-arena scratch.
+  MARITIME_ARENA_ESCAPE_OK const std::vector<const FluentTimeline*>&
+  FluentTimelines(FluentId f) const;
 
   /// Timeline of `f` on `key`; empty timeline when not evaluated.
   // Escape is sound: the reference aliases the engine's committed heap-backed
@@ -87,6 +104,25 @@ class EvalContext {
   /// Under full (non-incremental) evaluation NeedsEval is true everywhere
   /// in the window.
   bool NeedsEval(Timestamp t) const { return t >= regen_from_; }
+
+  /// The suffix of a time-sorted occurrence list whose times satisfy
+  /// NeedsEval: rules that scan a whole event stream visit only the
+  /// occurrences they may have to regenerate.
+  std::span<const EventInstance> NeedsEvalSuffix(
+      std::span<const EventInstance> events) const {
+    const auto from = std::partition_point(
+        events.begin(), events.end(),
+        [this](const EventInstance& e) { return !NeedsEval(e.t); });
+    return events.subspan(static_cast<size_t>(from - events.begin()));
+  }
+  /// The same for a sorted list of time-points (a timeline's starts/ends).
+  std::span<const Timestamp> NeedsEvalSuffix(
+      std::span<const Timestamp> times) const {
+    const auto from = std::partition_point(
+        times.begin(), times.end(),
+        [this](Timestamp t) { return !NeedsEval(t); });
+    return times.subspan(static_cast<size_t>(from - times.begin()));
+  }
 
   /// Application knowledge (e.g. the maritime KnowledgeBase). Not owned.
   const void* user_data() const { return user_data_; }
@@ -360,6 +396,10 @@ struct DefRegenStats {
   uint64_t regen_span_sum = 0;   ///< Sum of regenerated span widths (q-from).
   uint64_t spans_narrowed = 0;   ///< Scoped start beat the fleet floor.
   uint64_t fleet_floor_hits = 0; ///< Fell back to the fleet-wide floor.
+  /// Clean keys that took the O(1) fast-forward (simple fluents only):
+  /// cache hits whose committed timeline was patched in place, without
+  /// joining the evaluation fan-out.
+  uint64_t fast_forwards = 0;
 
   /// Average width of the regenerated window suffix per key evaluation
   /// (clean keys count as width 0).
@@ -378,6 +418,21 @@ struct CachedEvidence {
   PointVec points;          ///< Initiations, then terminations.
   uint32_t init_count = 0;  ///< Boundary between the two lists.
   std::optional<Value> carried_value;
+  /// Earliest and latest point time (kTimestampNever / kInvalidTimestamp
+  /// when there are no points). Derived from `points` by IndexPoints at
+  /// every commit and restore, never serialized; they make the clean
+  /// fast-forward test O(1) instead of a scan over the points.
+  Timestamp min_t = kTimestampNever;
+  Timestamp max_t = kInvalidTimestamp;
+
+  void IndexPoints() {
+    min_t = kTimestampNever;
+    max_t = kInvalidTimestamp;
+    for (const ValuedPoint& p : points) {
+      min_t = std::min(min_t, p.t);
+      max_t = std::max(max_t, p.t);
+    }
+  }
 
   std::span<const ValuedPoint> initiations() const {
     return std::span<const ValuedPoint>(points).first(init_count);
@@ -545,6 +600,10 @@ class Engine {
 
   // --- introspection (valid during and after a Recognize call) --------------
   const std::vector<EventInstance>& EventsOf(EventId e) const;
+  /// Subject index of the input event `e` (see EvalContext::Subjects); like
+  /// the rest of this section, current once a Recognize call has started.
+  const std::vector<Term>& SubjectsOf(EventId e) const;
+  std::span<const EventInstance> EventsOf(EventId e, Term subject) const;
   // Escape is sound: aliases the committed heap-backed timeline map.
   MARITIME_ARENA_ESCAPE_OK const FluentTimeline& TimelineOf(FluentId f,
                                                             Term key) const;
@@ -610,6 +669,14 @@ class Engine {
     using EvidenceMap = std::unordered_map<Term, CachedEvidence, TermHash>;
     EvidenceMap evidence;
     std::vector<Term> keys;  ///< Sorted key set of the previous evaluation.
+    /// Parallel to `keys`: each key's cache entry and committed timeline
+    /// slot (nullptr when the key has no slot). Derived — rewritten at every
+    /// commit, rebuilt on restore, never serialized — so the per-slide key
+    /// walk needs no map lookups. Map nodes are stable, so the pointers stay
+    /// valid until their key is evicted.
+    std::vector<CachedEvidence*> entries;
+    // Escape is sound: points into the heap-backed committed timeline map.
+    MARITIME_ARENA_ESCAPE_OK std::vector<FluentTimeline*> timelines;
   };
   struct StaticDefCache {
     std::unordered_map<Term, std::map<Value, IntervalList>, TermHash> raw;
@@ -652,7 +719,19 @@ class Engine {
   };
 
   void PurgeBefore(Timestamp inclusive_cutoff);
+  /// Brings every input store into order: sorts the events asserted since
+  /// the last call and merges them into the sorted prefix (and the subject
+  /// index), and re-sorts only the vessels whose coord history went out of
+  /// order.
   void SortPendingInput();
+  struct EventStore;
+  /// Derives a restored store's ordering bookkeeping: the sorted prefix is
+  /// the longest sorted prefix of the stored order, and the whole store is
+  /// the pending run, so the next Recognize sorts and indexes it with the
+  /// same merge that takes in new input.
+  static void DeriveInputOrder(EventStore* store);
+  /// Heap-orders coord_purge_ after RestoreFrom refilled it.
+  void RebuildCoordPurge();
 
   RegenRegion DirtyRegionFor(const DependencySpec& deps, Term key,
                              bool cross_key, Timestamp wstart,
@@ -701,8 +780,12 @@ class Engine {
                   const std::function<void(size_t, common::Arena*)>& body)
       const;
 
-  /// Refreshes fluent_keys_[fidx] from the timeline map after a definition
-  /// commit.
+  /// Rebuilds a simple-fluent cache's parallel entry/slot pointers from its
+  /// maps (after RestoreFrom).
+  void RelinkSimpleCache(size_t fidx, SimpleDefCache* cache);
+
+  /// Refreshes fluent_keys_[fidx] and fluent_timelines_[fidx] from the
+  /// timeline map after a definition commit.
   void RebuildKeyMemo(size_t fidx);
 
   /// Committed-timeline slot for (fidx, key), recycling a pooled node (with
@@ -729,27 +812,71 @@ class Engine {
       std::variant<SimpleFluentSpec, StaticFluentSpec, DerivedEventSpec>;
   std::vector<AnySpec> definitions_;
 
-  // Input event store: per event id, kept sorted by time (lazily).
-  std::vector<std::vector<EventInstance>> input_events_;
+  // Input event store of one event id. `by_time` is sorted by EventOrder
+  // (time, subject, object) up to `sorted`; AssertEvent appends, extending
+  // the sorted prefix while occurrences arrive in order. `by_time[indexed,
+  // end)` is the input asserted since the last SortPendingInput, which
+  // sorts only that run and merges it into the prefix and into the subject
+  // index. The subject index — `by_subject` (the same occurrences sorted by
+  // subject, then time) and `subjects` — is derived state: maintained at
+  // merge and purge, never serialized, rebuilt by the first Recognize after
+  // RestoreFrom (which leaves the whole store pending).
+  // Invariant between slides: indexed <= sorted <= by_time.size().
+  struct EventStore {
+    std::vector<EventInstance> by_time;
+    size_t sorted = 0;
+    size_t indexed = 0;
+    std::vector<EventInstance> by_subject;
+    std::vector<Term> subjects;  ///< Distinct subjects, ascending.
+  };
+  std::vector<EventStore> input_events_;
+  // Input asserted since the last Recognize. Ordering work is tracked per
+  // store above; this flag is kept (and serialized) for the snapshot format.
   bool input_dirty_ = false;
+  // Merge scratch of SortPendingInput; member lifetime keeps the capacity.
+  std::vector<EventInstance> merge_scratch_;
+  std::vector<Term> subject_scratch_;
 
   // Derived event instances of the current recognition step (incremental:
   // kept across steps and refreshed at each derived definition's commit).
   std::vector<std::vector<EventInstance>> derived_events_;
 
-  // coord fluent: per vessel, (t, pos) sorted by t.
-  std::unordered_map<Term, std::vector<std::pair<Timestamp, geo::GeoPoint>>,
-                     TermHash>
-      coords_;
+  // coord fluent: per vessel, (t, pos) sorted by t, fixes of equal t in
+  // arrival order (CoordOf returns the one asserted last). `fixes[0,
+  // sorted)` is in that order; a fix earlier than the last one lists the
+  // vessel in coords_unsorted_, and SortPendingInput inserts the vessel's
+  // tail into place (a stable insertion, so equal-t order is arrival order
+  // however the fixes were batched).
+  struct CoordHistory {
+    std::vector<std::pair<Timestamp, geo::GeoPoint>> fixes;
+    size_t sorted = 0;
+  };
+  std::unordered_map<Term, CoordHistory, TermHash> coords_;
+  std::vector<Term> coords_unsorted_;
+  // Purge schedule: a min-heap of (time, vessel), one entry per fix not yet
+  // past a purge cutoff. PurgeBefore pops the entries at or before the
+  // cutoff and trims only those vessels — the ones with a fix leaving the
+  // window — instead of visiting every vessel ever seen. Derived state,
+  // rebuilt by RestoreFrom.
+  std::vector<std::pair<Timestamp, Term>> coord_purge_;
+  // Coords asserted since the last Recognize (serialized, as input_dirty_).
   bool coords_dirty_ = false;
 
   // Computed timelines of the current recognition step.
   // Escape is sound: map values are default-constructed FluentTimelines
   // (heap-backed); the commit phase copies arena scratch into them by value.
   MARITIME_ARENA_ESCAPE_OK std::vector<FluentKeyMap> timelines_;
-  // Sorted key set per fluent, mirroring timelines_; rebuilt at each
-  // definition commit so FluentKeys() is O(1) instead of a sort per call.
+  // Sorted key set per fluent, mirroring timelines_, and the timeline of
+  // each key in the same order; rebuilt when a commit changes the map's key
+  // set so FluentKeys()/FluentTimelines() are O(1) instead of a sort per
+  // call. Map nodes are stable, so the pointers live as long as the memo.
   std::vector<std::vector<Term>> fluent_keys_;
+  // Escape is sound: points into the heap-backed committed timeline map.
+  MARITIME_ARENA_ESCAPE_OK
+  std::vector<std::vector<const FluentTimeline*>> fluent_timelines_;
+  // Sort scratch of RebuildKeyMemo; member lifetime keeps its capacity.
+  MARITIME_ARENA_ESCAPE_OK
+  std::vector<std::pair<Term, const FluentTimeline*>> memo_scratch_;
 
   // --- incremental-engine dirty state --------------------------------------
   // Accumulated between Recognize calls by AssertEvent/AssertCoord; cleared

@@ -214,6 +214,7 @@ bool LoadEvidence(snapshot::Reader& r, CachedEvidence* ev) {
   ev->points.insert(ev->points.end(), terminations.begin(),
                     terminations.end());
   if (has_carried) ev->carried_value = carried;
+  ev->IndexPoints();
   return true;
 }
 
@@ -280,9 +281,9 @@ MARITIME_OUTPUT_PATH void Engine::SaveTo(snapshot::Writer& w) const {
   }
 
   // --- input stores --------------------------------------------------------
-  for (const auto& store : input_events_) {
-    w.U64(store.size());
-    for (const EventInstance& e : store) SaveEventInstance(e, w);
+  for (const EventStore& store : input_events_) {
+    w.U64(store.by_time.size());
+    for (const EventInstance& e : store.by_time) SaveEventInstance(e, w);
   }
   w.Bool(input_dirty_);
   for (const auto& store : derived_events_) {
@@ -292,7 +293,7 @@ MARITIME_OUTPUT_PATH void Engine::SaveTo(snapshot::Writer& w) const {
   w.U64(coords_.size());
   for (const Term& vessel : SortedTermKeys(coords_)) {
     SaveTerm(vessel, w);
-    const auto& vec = coords_.at(vessel);
+    const auto& vec = coords_.at(vessel).fixes;
     w.U64(vec.size());
     for (const auto& [t, pos] : vec) {
       w.I64(t);
@@ -465,17 +466,23 @@ Status Engine::RestoreFrom(snapshot::Reader& r) {
   }
 
   // --- input stores --------------------------------------------------------
-  for (auto& store : input_events_) {
+  // The ordering bookkeeping and the subject index are derived, not stored:
+  // the sorted prefix is whatever prefix of the stored order is sorted (a
+  // snapshot taken with input pending keeps its unsorted tail), and the next
+  // Recognize sorts the rest and builds the index.
+  for (EventStore& store : input_events_) {
     if (!r.Count(&n, 2 * 2 * sizeof(int32_t) + sizeof(int64_t))) {
       return snapshot::CorruptionIn(kWhat);
     }
-    store.clear();
-    store.reserve(n);
+    auto& events = store.by_time;
+    events.clear();
+    events.reserve(n);
     for (uint64_t i = 0; i < n; ++i) {
       EventInstance e;
       if (!LoadEventInstance(r, &e)) return snapshot::CorruptionIn(kWhat);
-      store.push_back(e);
+      events.push_back(e);
     }
+    DeriveInputOrder(&store);
   }
   if (!r.Bool(&input_dirty_)) return snapshot::CorruptionIn(kWhat);
   for (auto& store : derived_events_) {
@@ -491,6 +498,8 @@ Status Engine::RestoreFrom(snapshot::Reader& r) {
     }
   }
   coords_.clear();
+  coords_unsorted_.clear();
+  coord_purge_.clear();
   if (!r.Count(&n, 2 * sizeof(int32_t) + sizeof(uint64_t))) {
     return snapshot::CorruptionIn(kWhat);
   }
@@ -501,7 +510,8 @@ Status Engine::RestoreFrom(snapshot::Reader& r) {
         !r.Count(&m, sizeof(int64_t) + 2 * sizeof(double))) {
       return snapshot::CorruptionIn(kWhat);
     }
-    auto& vec = coords_[vessel];
+    CoordHistory& h = coords_[vessel];
+    auto& vec = h.fixes;
     vec.reserve(m);
     for (uint64_t j = 0; j < m; ++j) {
       Timestamp t = 0;
@@ -510,9 +520,20 @@ Status Engine::RestoreFrom(snapshot::Reader& r) {
         return snapshot::CorruptionIn(kWhat);
       }
       vec.emplace_back(t, pos);
+      coord_purge_.emplace_back(t, vessel);
     }
+    // As for events: the sorted prefix is derived; an unsorted tail is
+    // inserted into place at the next Recognize.
+    h.sorted = static_cast<size_t>(
+        std::is_sorted_until(vec.begin(), vec.end(),
+                             [](const auto& a, const auto& b) {
+                               return a.first < b.first;
+                             }) -
+        vec.begin());
+    if (h.sorted < vec.size()) coords_unsorted_.push_back(vessel);
   }
   if (!r.Bool(&coords_dirty_)) return snapshot::CorruptionIn(kWhat);
+  RebuildCoordPurge();
 
   // --- committed timelines -------------------------------------------------
   for (size_t fidx = 0; fidx < timelines_.size(); ++fidx) {
@@ -657,6 +678,14 @@ Status Engine::RestoreFrom(snapshot::Reader& r) {
   }
   cache_stats_.spans_narrowed = static_cast<size_t>(spans_narrowed);
   cache_stats_.fleet_floor_hits = static_cast<size_t>(fleet_floor_hits);
+
+  // Derived per-cache pointers into the maps just rebuilt.
+  for (size_t di = 0; di < definitions_.size(); ++di) {
+    if (const auto* spec = std::get_if<SimpleFluentSpec>(&definitions_[di])) {
+      RelinkSimpleCache(static_cast<size_t>(spec->fluent),
+                        &std::get<SimpleDefCache>(def_caches_[di]));
+    }
+  }
 
   // Per-slide scratch state is reset, exactly as a finished Recognize leaves
   // it (changed_* are recomputed from the edge records at the next step).
