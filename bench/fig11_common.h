@@ -72,7 +72,8 @@ inline Fig11Row RunFig11Config(const Fig11Workload& w, Duration range,
   // Reproduce the paper's exact CE set (the adrift extension is vessel-keyed
   // and would skew counts between the 1- and 2-processor settings).
   cfg.ce.enable_adrift = false;
-  cfg.incremental = incremental;
+  cfg.engine = incremental ? surveillance::EngineMode::kIncremental
+                           : surveillance::EngineMode::kNaive;
   surveillance::PartitionedRecognizer rec(w.data.world.knowledge, cfg,
                                           processors);
   Fig11Row row{0.0, 0,   range, processors, incremental, 0.0,
@@ -178,36 +179,29 @@ inline std::vector<tracker::CriticalPoint> MakeSkewedFleetCriticals(
 
 struct SkewRow {
   int idle_vessels = 0;
-  bool scoped = false;  ///< RecognizerConfig::scoped_dirty.
   double avg_recognition_seconds = 0.0;
   size_t queries = 0;
   double cache_hit_rate = 0.0;
   uint64_t spans_narrowed = 0;
   uint64_t fleet_floor_hits = 0;
-  double speedup_vs_floor = 0.0;  ///< scoped row only.
 };
 
-/// One skewed-fleet run on a single incremental recognizer, with scoping on
-/// or off (everything else identical; output is bit-identical either way —
-/// engine_scoped_dirty_test asserts it). Only steady-state slides (window
-/// already full) are timed: the cold fill evaluates every key from scratch
-/// in both modes, so including it would dilute the incremental per-slide
-/// comparison the axis exists to measure.
+/// One skewed-fleet run on a single incremental recognizer. Only
+/// steady-state slides (window already full) are timed: the cold fill
+/// evaluates every key from scratch, so including it would dilute the
+/// incremental per-slide cost the axis exists to measure.
 inline SkewRow RunSkewedConfig(const sim::World& world,
                                const std::vector<tracker::CriticalPoint>& cps,
                                stream::WindowSpec window, Duration horizon,
-                               bool spatial_facts, int idle_vessels,
-                               bool scoped) {
+                               bool spatial_facts, int idle_vessels) {
   surveillance::RecognizerConfig cfg;
   cfg.window = window;
   cfg.ce.use_spatial_facts = spatial_facts;
   cfg.ce.enable_adrift = false;
-  cfg.incremental = true;
-  cfg.scoped_dirty = scoped;
+  cfg.engine = surveillance::EngineMode::kIncremental;
   surveillance::CERecognizer rec(&world.knowledge, cfg);
   SkewRow row;
   row.idle_vessels = idle_vessels;
-  row.scoped = scoped;
   size_t cursor = 0;
   for (Timestamp q = window.slide; q <= horizon; q += window.slide) {
     size_t end = cursor;
@@ -237,9 +231,8 @@ inline SkewRow RunSkewedConfig(const sim::World& world,
   return row;
 }
 
-/// The skewed-fleet before/after pair: incremental with the fleet-wide regen
-/// floor (scoped off) vs dependency-scoped propagation (scoped on), printed
-/// and returned for the JSON artifact.
+/// The skewed-fleet row (dependency-scoped dirty propagation), printed and
+/// returned for the JSON artifact.
 inline std::vector<SkewRow> RunSkewedFleet(bool spatial_facts,
                                            int idle_vessels = 600) {
   const sim::World world = sim::BuildWorld(1234);
@@ -249,128 +242,93 @@ inline std::vector<SkewRow> RunSkewedFleet(bool spatial_facts,
   const stream::WindowSpec window{6 * kHour, 15 * kMinute};
   std::printf("skewed fleet (1 active vessel, %d idle), omega=6h "
               "beta=15min, incremental engine:\n", idle_vessels);
-  std::printf("  %-14s %-16s %-9s %-15s %-17s %-8s\n", "dirty scoping",
-              "avg time/query", "hit rate", "spans narrowed", "fleet floor hits",
-              "speedup");
-  std::vector<SkewRow> rows;
-  for (const bool scoped : {false, true}) {
-    SkewRow r = RunSkewedConfig(world, cps, window, horizon, spatial_facts,
-                                idle_vessels, scoped);
-    if (scoped && !rows.empty() && r.avg_recognition_seconds > 0.0) {
-      r.speedup_vs_floor =
-          rows.front().avg_recognition_seconds / r.avg_recognition_seconds;
-    }
-    std::printf("  %-14s %12.3f ms %7.1f%% %-15llu %-17llu",
-                scoped ? "scoped" : "fleet-floor",
-                r.avg_recognition_seconds * 1e3, r.cache_hit_rate * 100.0,
-                static_cast<unsigned long long>(r.spans_narrowed),
-                static_cast<unsigned long long>(r.fleet_floor_hits));
-    if (scoped) {
-      std::printf(" %6.2fx\n", r.speedup_vs_floor);
-    } else {
-      std::printf(" %-8s\n", "-");
-    }
-    rows.push_back(r);
-  }
-  std::printf("\n");
-  return rows;
+  std::printf("  %-16s %-9s %-15s %-17s\n", "avg time/query", "hit rate",
+              "spans narrowed", "fleet floor hits");
+  const SkewRow r = RunSkewedConfig(world, cps, window, horizon, spatial_facts,
+                                    idle_vessels);
+  std::printf("  %12.3f ms %7.1f%% %-15llu %-17llu\n\n",
+              r.avg_recognition_seconds * 1e3, r.cache_hit_rate * 100.0,
+              static_cast<unsigned long long>(r.spans_narrowed),
+              static_cast<unsigned long long>(r.fleet_floor_hits));
+  return {r};
 }
 
-/// One end-to-end pipelined run: the whole surveillance pipeline (tracking
-/// -> staging -> recognition -> no archival) over the raw position stream,
-/// on a private pool of `processors` workers, optionally pinned to cores.
+/// One end-to-end run: the whole surveillance pipeline (tracking ->
+/// recognition -> no archival) over the raw position stream, on a private
+/// pool of `processors` workers.
 struct PipelineRow {
   int processors = 1;      ///< Pool workers (the caller thread is extra).
-  bool affinity = false;   ///< Workers pinned to cores (Linux only).
-  int pinned = 0;          ///< Workers actually pinned.
-  int depth = 1;           ///< PipelineConfig::pipeline_depth.
   double seconds = 0.0;    ///< End-to-end wall time for the full replay.
   size_t slides = 0;
   size_t tuples = 0;
   double tracking_seconds = 0.0;     ///< Sum of per-slide tracking time.
   double recognition_seconds = 0.0;  ///< Sum of per-slide recognition time.
   uint64_t steals = 0;               ///< Cross-worker task steals.
-  double speedup_vs_serial = 0.0;    ///< vs {1 worker, no pin, depth 1}.
+  double speedup_vs_serial = 0.0;    ///< vs 1 worker.
 };
 
-/// End-to-end pipelined execution over the fig-11 workload's raw position
-/// stream (ω=6h, β=1h, 2 partitions, incremental recognition): sweeps
-/// pipeline depth x pool size x core affinity. Depth 1 is strict serial
-/// slide execution; depth d >= 2 overlaps slide k's recognition with slide
-/// k+1's tracking on the pool's tracker lane. Output is bit-identical at
-/// every point of the sweep (asserted by pipeline_pipelined_test); only the
-/// wall clock moves.
+/// End-to-end execution over the fig-11 workload's raw position stream
+/// (ω=6h, β=1h, 2 partitions, incremental recognition): sweeps the pool
+/// size, with as many tracker shards as workers. Output is bit-identical at
+/// every point of the sweep (shard and partition counts are differentially
+/// tested); only the wall clock moves.
 inline std::vector<PipelineRow> RunPipelineSweep(const Fig11Workload& w,
                                                  bool spatial_facts) {
   std::vector<PipelineRow> rows;
   double serial_seconds = 0.0;
-  std::printf("end-to-end pipelined execution (raw stream -> tracking -> "
+  std::printf("end-to-end execution (raw stream -> tracking -> "
               "recognition), omega=6h beta=1h:\n");
-  std::printf("  %-11s %-9s %-7s %-12s %-11s %-11s %-8s %-8s\n", "processors",
-              "affinity", "depth", "wall time", "tracking", "recognition",
-              "steals", "speedup");
+  std::printf("  %-11s %-12s %-11s %-11s %-8s %-8s\n", "processors",
+              "wall time", "tracking", "recognition", "steals", "speedup");
   for (const int processors : {1, 2, 4}) {
-    for (const bool affinity : {false, true}) {
-      for (const int depth : {1, 2, 3}) {
-        common::ThreadPool pool(processors, affinity);
-        surveillance::PipelineConfig cfg;
-        cfg.window = stream::WindowSpec{6 * kHour, kHour};
-        cfg.ce.use_spatial_facts = spatial_facts;
-        cfg.ce.enable_adrift = false;
-        cfg.partitions = 2;
-        cfg.tracker_shards = processors;
-        cfg.archive = false;  // online path only; archival is fig10's axis
-        cfg.incremental_recognition = true;
-        cfg.pipeline_depth = depth;
-        cfg.pool = &pool;
+    common::ThreadPool pool(processors);
+    surveillance::PipelineConfig cfg;
+    cfg.window = stream::WindowSpec{6 * kHour, kHour};
+    cfg.ce.use_spatial_facts = spatial_facts;
+    cfg.ce.enable_adrift = false;
+    cfg.partitions = 2;
+    cfg.tracker_shards = processors;
+    cfg.archive = false;  // online path only; archival is fig10's axis
+    cfg.recognition_engine = surveillance::EngineMode::kIncremental;
+    cfg.pool = &pool;
 
-        PipelineRow row;
-        row.processors = processors;
-        row.affinity = affinity;
-        row.pinned = pool.pinned_count();
-        row.depth = depth;
-        row.tuples = w.data.tuples.size();
-        stream::StreamReplayer replayer(w.data.tuples);
-        surveillance::SurveillancePipeline pipeline(&w.data.world.knowledge,
-                                                    cfg);
-        const double t0 = NowSeconds();
-        pipeline.Run(replayer, [&](const surveillance::SlideReport& r) {
-          ++row.slides;
-          row.tracking_seconds += r.tracking_seconds;
-          row.recognition_seconds += r.recognition_seconds;
-        });
-        row.seconds = NowSeconds() - t0;
-        row.steals = pool.steal_count();
-        if (processors == 1 && !affinity && depth == 1) {
-          serial_seconds = row.seconds;
-        }
-        if (serial_seconds > 0.0 && row.seconds > 0.0) {
-          row.speedup_vs_serial = serial_seconds / row.seconds;
-        }
-        std::printf("  %-11d %-9s %-7d %9.1f ms %8.1f ms %8.1f ms %-8llu "
-                    "%6.2fx\n",
-                    row.processors, row.affinity ? "on" : "off", row.depth,
-                    row.seconds * 1e3, row.tracking_seconds * 1e3,
-                    row.recognition_seconds * 1e3,
-                    static_cast<unsigned long long>(row.steals),
-                    row.speedup_vs_serial);
-        rows.push_back(row);
-      }
+    PipelineRow row;
+    row.processors = processors;
+    row.tuples = w.data.tuples.size();
+    stream::StreamReplayer replayer(w.data.tuples);
+    surveillance::SurveillancePipeline pipeline(&w.data.world.knowledge, cfg);
+    const double t0 = NowSeconds();
+    pipeline.Run(replayer, [&](const surveillance::SlideReport& r) {
+      ++row.slides;
+      row.tracking_seconds += r.tracking_seconds;
+      row.recognition_seconds += r.recognition_seconds;
+    });
+    row.seconds = NowSeconds() - t0;
+    row.steals = pool.steal_count();
+    if (processors == 1) serial_seconds = row.seconds;
+    if (serial_seconds > 0.0 && row.seconds > 0.0) {
+      row.speedup_vs_serial = serial_seconds / row.seconds;
     }
+    std::printf("  %-11d %9.1f ms %8.1f ms %8.1f ms %-8llu %6.2fx\n",
+                row.processors, row.seconds * 1e3, row.tracking_seconds * 1e3,
+                row.recognition_seconds * 1e3,
+                static_cast<unsigned long long>(row.steals),
+                row.speedup_vs_serial);
+    rows.push_back(row);
   }
   std::printf("\n");
   return rows;
 }
 
 /// How RunFig11 drives the experiment; defaults reproduce the paper figure
-/// with both engine variants, sweep the pipelined execution axes, and
-/// record the perf trajectory in BENCH_rtec.json.
+/// with both engine variants, sweep the end-to-end pool size, and record
+/// the perf trajectory in BENCH_rtec.json.
 struct Fig11Options {
   bool run_naive = true;
   bool run_incremental = true;
   bool pipeline_sweep = true;
-  /// Run the skewed-fleet before/after pair (fleet-floor vs dependency-
-  /// scoped dirty propagation) and record it as the JSON `skew_rows` axis.
+  /// Run the skewed-fleet row (dependency-scoped dirty propagation) and
+  /// record it as the JSON `skew_rows` axis.
   bool skewed_fleet = true;
   std::vector<double> fleet_scales = {1.0};
   std::string json_path;  ///< Empty disables the JSON artifact.
@@ -415,13 +373,11 @@ inline void WriteFig11Json(const std::string& path, const char* bench_name,
     const PipelineRow& r = pipeline_rows[i];
     std::fprintf(
         f,
-        "    {\"processors\": %d, \"affinity\": %s, \"pinned\": %d, "
-        "\"pipeline_depth\": %d, \"wall_seconds\": %.4f, \"slides\": %zu, "
+        "    {\"processors\": %d, \"wall_seconds\": %.4f, \"slides\": %zu, "
         "\"tuples\": %zu, \"tracking_seconds\": %.4f, "
         "\"recognition_seconds\": %.4f, \"steals\": %llu, "
         "\"speedup_vs_serial\": %.3f}%s\n",
-        r.processors, r.affinity ? "true" : "false", r.pinned, r.depth,
-        r.seconds, r.slides, r.tuples, r.tracking_seconds,
+        r.processors, r.seconds, r.slides, r.tuples, r.tracking_seconds,
         r.recognition_seconds, static_cast<unsigned long long>(r.steals),
         r.speedup_vs_serial, i + 1 < pipeline_rows.size() ? "," : "");
   }
@@ -430,15 +386,13 @@ inline void WriteFig11Json(const std::string& path, const char* bench_name,
     const SkewRow& r = skew_rows[i];
     std::fprintf(
         f,
-        "    {\"idle_vessels\": %d, \"dirty_scoping\": \"%s\", "
-        "\"avg_ms_per_query\": %.4f, \"queries\": %zu, "
-        "\"cache_hit_rate\": %.4f, \"spans_narrowed\": %llu, "
-        "\"fleet_floor_hits\": %llu, \"speedup_vs_floor\": %.3f}%s\n",
-        r.idle_vessels, r.scoped ? "scoped" : "fleet-floor",
-        r.avg_recognition_seconds * 1e3, r.queries, r.cache_hit_rate,
-        static_cast<unsigned long long>(r.spans_narrowed),
+        "    {\"idle_vessels\": %d, \"avg_ms_per_query\": %.4f, "
+        "\"queries\": %zu, \"cache_hit_rate\": %.4f, "
+        "\"spans_narrowed\": %llu, \"fleet_floor_hits\": %llu}%s\n",
+        r.idle_vessels, r.avg_recognition_seconds * 1e3, r.queries,
+        r.cache_hit_rate, static_cast<unsigned long long>(r.spans_narrowed),
         static_cast<unsigned long long>(r.fleet_floor_hits),
-        r.speedup_vs_floor, i + 1 < skew_rows.size() ? "," : "");
+        i + 1 < skew_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -492,8 +446,8 @@ inline void RunFig11(bool spatial_facts, const Fig11Options& opts = {}) {
       }
     }
     std::printf("\n");
-    // The pipelined end-to-end sweep only at the base scale: its axis is
-    // execution structure (depth x pool x affinity), not input volume.
+    // The end-to-end sweep only at the base scale: its axis is the pool
+    // size, not input volume.
     if (opts.pipeline_sweep && scale == opts.fleet_scales.front()) {
       pipeline_rows = RunPipelineSweep(w, spatial_facts);
     }

@@ -4,10 +4,8 @@
 // on-demand spatial reasoning. The input stream is therefore substantially
 // larger (MEs + SFs), yet recognition is faster.
 //
-// The pipelined end-to-end sweep (pipeline depth x pool size x affinity) is
-// most interesting in this mode: the spatial-fact precomputation is exactly
-// the work StageSlide moves onto the pool's tracker lane, off the commit
-// path.
+// The end-to-end pool-size sweep runs in this mode too, with the
+// spatial-fact precomputation on the feed path.
 //
 // Flags (all optional; argument-free reproduces the figure):
 //   --engine=naive|incremental|both   restrict the engine axis (default both)

@@ -1,7 +1,8 @@
 // Microbenchmarks (ablation): the RTEC substrate — interval algebra and the
 // maximal-interval sweep — whose cost underlies every recognition query —
 // plus end-to-end windowed CE recognition under the naive vs incremental
-// engine (the `engine` axis: arg 0 = naive, 1 = incremental). Supports the
+// engine (the `engine` axis: arg 0 = naive, 1 = incremental, 2 = auto).
+// Supports the
 // design choices of flat sorted interval lists and dirty-key caching
 // (DESIGN.md).
 
@@ -211,8 +212,10 @@ const bench::Fig11Workload& Fig11Stream() {
 
 void BM_CERecognitionWindow(benchmark::State& state) {
   const bench::Fig11Workload* workload = &Fig11Stream();
-  const int engine_axis = static_cast<int>(state.range(0));
-  const bool incremental = engine_axis == 1;
+  const surveillance::EngineMode engine_axis[] = {
+      surveillance::EngineMode::kNaive, surveillance::EngineMode::kIncremental,
+      surveillance::EngineMode::kAuto};
+  const surveillance::EngineMode mode = engine_axis[state.range(0)];
   const bench::Fig11Workload& w = *workload;
   double hits = 0.0;
   double lookups = 0.0;
@@ -229,8 +232,7 @@ void BM_CERecognitionWindow(benchmark::State& state) {
     surveillance::RecognizerConfig cfg;
     cfg.window = stream::WindowSpec{6 * kHour, kHour};
     cfg.ce.enable_adrift = false;
-    cfg.incremental = incremental;
-    if (engine_axis == 2) cfg.engine = surveillance::EngineMode::kAuto;
+    cfg.engine = mode;
     surveillance::CERecognizer rec(&w.data.world.knowledge, cfg);
     size_t cursor = 0;
     size_t recognized = 0;
@@ -294,15 +296,11 @@ BENCHMARK(BM_CERecognitionWindow)
 /// The skewed-fleet regime (first-class bench axis of the dependency-scoped
 /// dirty propagation work, DESIGN.md §14): one vessel cycles stop /
 /// slow-motion / gap episodes inside one area while 600 parked vessels stay
-/// silent, ω=6h β=15min, incremental engine. Arg: 0 = fleet-wide regen floor
-/// (scoped_dirty off — one active vessel dirties every area-keyed definition
-/// from its earliest change), 1 = dependency-scoped propagation (only the
-/// touched areas regenerate, each from its own dirty time). CE output is
-/// bit-identical across the axis (engine_scoped_dirty_test); the 1-vs-0
-/// time ratio is the skew speedup, mirrored in BENCH_rtec.json `skew_rows`.
-/// Manual time: only steady-state slides (window already full) are timed —
-/// the cold fill evaluates every key from scratch in both modes and would
-/// dilute the incremental per-slide comparison.
+/// silent, ω=6h β=15min, incremental engine: only the touched areas
+/// regenerate, each from its own dirty time. Mirrored in BENCH_rtec.json
+/// `skew_rows`. Manual time: only steady-state slides (window already full)
+/// are timed — the cold fill evaluates every key from scratch and would
+/// dilute the incremental per-slide cost.
 void BM_SkewedFleetRecognition(benchmark::State& state) {
   struct Workload {
     sim::World world;
@@ -315,7 +313,6 @@ void BM_SkewedFleetRecognition(benchmark::State& state) {
                                         /*horizon=*/24 * kHour);
     return w;
   }();
-  const bool scoped = state.range(0) == 1;
   const stream::WindowSpec window{6 * kHour, 15 * kMinute};
   double hits = 0.0;
   double lookups = 0.0;
@@ -327,8 +324,7 @@ void BM_SkewedFleetRecognition(benchmark::State& state) {
     surveillance::RecognizerConfig cfg;
     cfg.window = window;
     cfg.ce.enable_adrift = false;
-    cfg.incremental = true;
-    cfg.scoped_dirty = scoped;
+    cfg.engine = surveillance::EngineMode::kIncremental;
     surveillance::CERecognizer rec(&workload->world.knowledge, cfg);
     size_t cursor = 0;
     size_t recognized = 0;
@@ -373,8 +369,6 @@ void BM_SkewedFleetRecognition(benchmark::State& state) {
           : 0.0;
 }
 BENCHMARK(BM_SkewedFleetRecognition)
-    ->Arg(0)
-    ->Arg(1)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -398,7 +392,7 @@ void BM_LongWindowRecognition(benchmark::State& state) {
     surveillance::RecognizerConfig cfg;
     cfg.window = window;
     cfg.ce.use_spatial_facts = true;
-    cfg.incremental = true;
+    cfg.engine = surveillance::EngineMode::kIncremental;
     surveillance::CERecognizer rec(&w.data.world.knowledge, cfg);
     size_t cursor = 0;
     size_t recognized = 0;
@@ -447,50 +441,6 @@ void BM_LongWindowRecognition(benchmark::State& state) {
 BENCHMARK(BM_LongWindowRecognition)
     ->UseManualTime()
     ->Unit(benchmark::kMicrosecond);
-
-/// Pipelined slide execution end to end: the full surveillance pipeline
-/// (tracking -> staged spatial facts -> recognition, archival off) over the
-/// fig-11a raw position stream on a private work-stealing pool.
-/// Args: {pipeline_depth, pool workers}. Depth 1 = strict serial slide
-/// execution; depth d >= 2 overlaps slide k's recognition with slide k+1's
-/// tracking on the pool's tracker lane. Output is bit-identical across the
-/// whole axis (pipeline_pipelined_test); this measures only the wall clock.
-void BM_PipelinedSlideExecution(benchmark::State& state) {
-  static const bench::Fig11Workload* workload = [] {
-    return new bench::Fig11Workload(
-        bench::MakeFig11Workload(/*base_vessels=*/100, /*duration=*/12 * kHour));
-  }();
-  const bench::Fig11Workload& w = *workload;
-  const int depth = static_cast<int>(state.range(0));
-  const int workers = static_cast<int>(state.range(1));
-  common::ThreadPool pool(workers);
-  size_t slides = 0;
-  for (auto _ : state) {
-    surveillance::PipelineConfig cfg;
-    cfg.window = stream::WindowSpec{6 * kHour, kHour};
-    cfg.ce.enable_adrift = false;
-    cfg.partitions = 2;
-    cfg.tracker_shards = workers;
-    cfg.archive = false;
-    cfg.incremental_recognition = true;
-    cfg.pipeline_depth = depth;
-    cfg.pool = &pool;
-    stream::StreamReplayer replayer(w.data.tuples);
-    surveillance::SurveillancePipeline pipeline(&w.data.world.knowledge, cfg);
-    pipeline.Run(replayer,
-                 [&](const surveillance::SlideReport&) { ++slides; });
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(slides));
-  state.counters["steals"] = static_cast<double>(pool.steal_count());
-  state.counters["pinned"] = static_cast<double>(pool.pinned_count());
-}
-BENCHMARK(BM_PipelinedSlideExecution)
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({1, 4})
-    ->Args({2, 4})
-    ->Args({3, 4})
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace maritime::rtec

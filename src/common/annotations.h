@@ -3,13 +3,9 @@
 
 /// Annotation vocabulary of the project-specific static-analysis pass
 /// (`tools/lint/maritime_lint.py`, DESIGN.md §12). The macros expand to
-/// `[[clang::annotate("maritime::<tag>")]]` under Clang — visible to the
-/// libclang frontend of maritime-lint — and to nothing elsewhere; the
-/// portable textual frontend keys off the macro names themselves, so an
-/// annotated tree analyzes identically under either frontend.
+/// nothing; the linter keys off the macro names themselves.
 ///
-/// Placement grammar (enforced by convention, relied upon by the textual
-/// frontend):
+/// Placement grammar (enforced by convention, relied upon by the linter):
 ///   - class/struct:  `class MARITIME_ARENA_SCOPED Arena { ... };`
 ///   - alias:         `using PointVec MARITIME_ARENA_SCOPED = ...;`
 ///   - function:      `MARITIME_ARENA_ESCAPE_OK FluentTimeline Compute(...);`
@@ -22,12 +18,6 @@
 /// (or `allow-next-line(<rule>)` on the preceding line, or
 /// `allow-file(<rule>)` once near the top of a file).
 
-#if defined(__clang__) && !defined(SWIG)
-#define MARITIME_ANNOTATE(tag) [[clang::annotate(tag)]]
-#else
-#define MARITIME_ANNOTATE(tag)
-#endif
-
 /// Marks a type whose instances may be backed by a slide-scoped
 /// `common::Arena`: views, allocators, and containers whose storage is
 /// invalidated wholesale at `Arena::Reset()`. The arena-escape rule flags any
@@ -35,14 +25,14 @@
 /// arena-scoped type, unless the escape is certified with
 /// `MARITIME_ARENA_ESCAPE_OK`. Alias types whose definition mentions an
 /// arena-scoped type are arena-scoped transitively (no annotation needed).
-#define MARITIME_ARENA_SCOPED MARITIME_ANNOTATE("maritime::arena_scoped")
+#define MARITIME_ARENA_SCOPED
 
 /// Certifies one deliberate escape of an arena-scoped type: a member that is
 /// provably heap-backed (default-constructed allocator) or a function whose
 /// returned value/reference is committed heap state produced by the
 /// copy-out-at-commit rule (DESIGN.md §10). Every use must be accompanied by
 /// a comment saying why the backing is not arena memory.
-#define MARITIME_ARENA_ESCAPE_OK MARITIME_ANNOTATE("maritime::arena_escape_ok")
+#define MARITIME_ARENA_ESCAPE_OK
 
 /// Marks a function that commits per-slide scratch into long-lived state
 /// (the engine's definition-commit helpers, `Recognize` itself). Inside such
@@ -50,12 +40,12 @@
 /// containers whose visitation order could leak into committed state, unless
 /// the iteration result is sorted before escaping (a `std::sort` later in the
 /// same body) or the site carries an `allow(determinism)` with a reason.
-#define MARITIME_COMMIT_BOUNDARY MARITIME_ANNOTATE("maritime::commit_boundary")
+#define MARITIME_COMMIT_BOUNDARY
 
 /// Marks a function that serializes state to an external medium (snapshot
 /// writers, bench JSON emitters): byte-for-byte determinism is part of the
 /// format contract (DESIGN.md §9), so the determinism rule applies exactly as
 /// for MARITIME_COMMIT_BOUNDARY.
-#define MARITIME_OUTPUT_PATH MARITIME_ANNOTATE("maritime::output_path")
+#define MARITIME_OUTPUT_PATH
 
 #endif  // MARITIME_COMMON_ANNOTATIONS_H_

@@ -3,16 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <utility>
 
 #include "common/check.h"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace maritime::common {
 namespace {
@@ -33,20 +27,8 @@ struct ForState {
   std::condition_variable cv;
 };
 
-void DrainIndices(ForState& state, const std::function<void(size_t)>& body) {
-  while (true) {
-    const size_t i = state.next.fetch_add(1);
-    if (i >= state.n) break;
-    body(i);
-    if (state.done.fetch_add(1) + 1 == state.n) {
-      std::lock_guard<std::mutex> lock(state.mu);
-      state.cv.notify_all();
-    }
-  }
-}
-
-void DrainIndicesSlot(ForState& state, size_t slot,
-                      const std::function<void(size_t, size_t)>& body) {
+void DrainIndices(ForState& state, size_t slot,
+                  const std::function<void(size_t, size_t)>& body) {
   while (true) {
     const size_t i = state.next.fetch_add(1);
     if (i >= state.n) break;
@@ -67,41 +49,12 @@ int SharedPoolWorkers() {
     width = static_cast<int>(std::thread::hardware_concurrency());
   }
   if (width <= 0) width = 2;
-  return width - 1;  // The ParallelFor caller supplies the last lane.
-}
-
-bool SharedPoolAffinity() {
-  const char* env = std::getenv("MARITIME_AFFINITY");
-  if (env == nullptr || env[0] == '\0') return false;
-  return std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0 &&
-         std::strcmp(env, "false") != 0;
-}
-
-/// Pins worker i to core i mod hardware cores. Returns how many pins took;
-/// on platforms without pthread affinity this is a no-op returning 0.
-int PinWorkersToCores(std::vector<std::thread>& workers) {
-#if defined(__linux__)
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  int pinned = 0;
-  for (size_t i = 0; i < workers.size(); ++i) {
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(static_cast<int>(i % cores), &set);
-    if (pthread_setaffinity_np(workers[i].native_handle(), sizeof(set),
-                               &set) == 0) {
-      ++pinned;
-    }
-  }
-  return pinned;
-#else
-  (void)workers;
-  return 0;
-#endif
+  return width - 1;  // The ParallelFor caller supplies the last thread.
 }
 
 }  // namespace
 
-ThreadPool::ThreadPool(int workers, bool pin_to_cores) {
+ThreadPool::ThreadPool(int workers) {
   const size_t count = static_cast<size_t>(workers > 0 ? workers : 0);
   queues_.reserve(count);
   for (size_t i = 0; i < count; ++i) {
@@ -111,26 +64,9 @@ ThreadPool::ThreadPool(int workers, bool pin_to_cores) {
   for (size_t i = 0; i < count; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
-  if (pin_to_cores) pinned_count_ = PinWorkersToCores(workers_);
 }
 
 ThreadPool::~ThreadPool() { Stop(); }
-
-std::pair<size_t, size_t> ThreadPool::LaneSpan(Lane lane) const {
-  const size_t w = queues_.size();
-  if (w <= 1 || lane == Lane::kAny) return {0, w};
-  const size_t split = (w + 1) / 2;
-  if (lane == Lane::kTracker) return {0, split};
-  return {split, w};
-}
-
-size_t ThreadPool::TargetFor(Lane lane) {
-  const auto [first, last] = LaneSpan(lane);
-  MARITIME_DCHECK(last > first);
-  const uint64_t tick = cursor_[static_cast<size_t>(lane)].fetch_add(
-      1, std::memory_order_relaxed);
-  return first + static_cast<size_t>(tick % (last - first));
-}
 
 void ThreadPool::Stop() {
   stop_.store(true, std::memory_order_release);
@@ -207,13 +143,10 @@ void ThreadPool::WorkerLoop(size_t self) {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  Submit(Lane::kAny, std::move(task));
-}
-
-void ThreadPool::Submit(Lane lane, std::function<void()> task) {
   MARITIME_DCHECK(task != nullptr);
   if (!queues_.empty()) {
-    WorkerQueue& target = *queues_[TargetFor(lane)];
+    const uint64_t tick = cursor_.fetch_add(1, std::memory_order_relaxed);
+    WorkerQueue& target = *queues_[static_cast<size_t>(tick % queues_.size())];
     bool queued = false;
     {
       std::lock_guard<std::mutex> lock(target.mu);
@@ -242,35 +175,10 @@ void ThreadPool::Submit(Lane lane, std::function<void()> task) {
 
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& body) {
-  ParallelFor(Lane::kAny, n, body);
-}
-
-void ThreadPool::ParallelFor(Lane lane, size_t n,
-                             const std::function<void(size_t)>& body) {
-  if (n == 0) return;
-  if (n == 1 || workers_.empty()) {
-    for (size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  auto state = std::make_shared<ForState>(n);
-  const size_t helpers = std::min(n - 1, workers_.size());
-  for (size_t h = 0; h < helpers; ++h) {
-    // `body` is captured by reference: every index is claimed before the
-    // call returns, so any task outliving the call exits immediately from
-    // DrainIndices without dereferencing it.
-    Submit(lane, [state, &body] { DrainIndices(*state, body); });
-  }
-  DrainIndices(*state, body);
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&] { return state->done.load() == n; });
+  ParallelFor(n, [&body](size_t i, size_t) { body(i); });
 }
 
 void ThreadPool::ParallelFor(size_t n,
-                             const std::function<void(size_t, size_t)>& body) {
-  ParallelFor(Lane::kAny, n, body);
-}
-
-void ThreadPool::ParallelFor(Lane lane, size_t n,
                              const std::function<void(size_t, size_t)>& body) {
   if (n == 0) return;
   if (n == 1 || workers_.empty()) {
@@ -280,17 +188,20 @@ void ThreadPool::ParallelFor(Lane lane, size_t n,
   auto state = std::make_shared<ForState>(n);
   const size_t helpers = std::min(n - 1, workers_.size());
   for (size_t h = 0; h < helpers; ++h) {
-    // Slot h + 1 belongs to exactly this task closure; a closure runs on one
-    // thread, so the slot is never bumped concurrently. Slot 0 is the caller.
-    Submit(lane, [state, &body, h] { DrainIndicesSlot(*state, h + 1, body); });
+    // `body` is captured by reference: every index is claimed before the
+    // call returns, so any task outliving the call exits immediately from
+    // DrainIndices without dereferencing it. Slot h + 1 belongs to exactly
+    // this task closure; a closure runs on one thread, so the slot is never
+    // bumped concurrently. Slot 0 is the caller.
+    Submit([state, &body, h] { DrainIndices(*state, h + 1, body); });
   }
-  DrainIndicesSlot(*state, 0, body);
+  DrainIndices(*state, 0, body);
   std::unique_lock<std::mutex> lock(state->mu);
   state->cv.wait(lock, [&] { return state->done.load() == n; });
 }
 
 ThreadPool& ThreadPool::Shared() {
-  static ThreadPool pool(SharedPoolWorkers(), SharedPoolAffinity());
+  static ThreadPool pool(SharedPoolWorkers());
   return pool;
 }
 

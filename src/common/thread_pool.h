@@ -1,7 +1,6 @@
 #ifndef MARITIME_COMMON_THREAD_POOL_H_
 #define MARITIME_COMMON_THREAD_POOL_H_
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -11,19 +10,11 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/thread_annotations.h"
 
 namespace maritime::common {
-
-/// Scheduling hint naming the pipeline stage a task belongs to. Lanes map to
-/// contiguous worker ranges (tracker = lower half, recognizer = upper half),
-/// which — combined with core pinning — keeps each stage's working set on the
-/// cores that own its memory. A lane is a *push preference*, not a fence:
-/// idle workers steal across lanes, so a lane can never strand work.
-enum class Lane { kAny = 0, kTracker = 1, kRecognizer = 2 };
 
 /// A fixed-size pool of worker threads shared by every parallel stage of the
 /// pipeline (mobility-tracker shards, CE-recognition partitions). Creating
@@ -32,12 +23,11 @@ enum class Lane { kAny = 0, kTracker = 1, kRecognizer = 2 };
 /// reused for the lifetime of the process.
 ///
 /// Scheduling is work-stealing: each worker owns a deque, tasks are pushed to
-/// the deque of the lane-preferred worker (round-robin within the lane), a
-/// worker pops its own deque FIFO and steals from the back of a victim's
-/// deque when its own is empty. The single-global-queue design this replaces
-/// made every Submit contend on one mutex; per-worker deques shrink the
-/// critical sections to one queue each, and stealing restores balance when
-/// per-task cost is uneven.
+/// the deques round-robin, a worker pops its own deque FIFO and steals from
+/// the back of a victim's deque when its own is empty. The single-global-queue
+/// design this replaces made every Submit contend on one mutex; per-worker
+/// deques shrink the critical sections to one queue each, and stealing
+/// restores balance when per-task cost is uneven.
 ///
 /// The calling thread always participates in `ParallelFor`, so a pool with
 /// zero workers is a valid (fully serial) configuration and the pool can
@@ -45,13 +35,8 @@ enum class Lane { kAny = 0, kTracker = 1, kRecognizer = 2 };
 class ThreadPool {
  public:
   /// Spawns `workers` background threads (>= 0). Total parallelism of a
-  /// `ParallelFor` is `workers + 1` because the caller joins in. When
-  /// `pin_to_cores` is true, worker i is pinned to core i mod hardware
-  /// cores (`pthread_setaffinity_np`; silently a no-op on platforms without
-  /// it) — because lanes are contiguous worker ranges, this places the
-  /// tracker lane on the low cores and the recognizer lane on the high
-  /// cores. The caller's thread is never pinned.
-  explicit ThreadPool(int workers, bool pin_to_cores = false);
+  /// `ParallelFor` is `workers + 1` because the caller joins in.
+  explicit ThreadPool(int workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -59,43 +44,29 @@ class ThreadPool {
 
   int worker_count() const { return static_cast<int>(workers_.size()); }
 
-  /// Number of workers successfully pinned to a core (0 unless the pool was
-  /// built with `pin_to_cores` on a platform that supports affinity).
-  int pinned_count() const { return pinned_count_; }
-
   /// Cumulative count of cross-queue steals; observability only.
   uint64_t steal_count() const {
     return steals_.load(std::memory_order_relaxed);
   }
 
-  /// Worker-index range [first, second) that `lane` prefers. With zero or
-  /// one worker every lane collapses to the whole pool.
-  std::pair<size_t, size_t> LaneSpan(Lane lane) const;
-
   /// Runs `body(i)` for every i in [0, n) across the workers plus the
   /// calling thread; returns once all n indices have completed. Indices are
   /// claimed dynamically, so uneven per-index cost balances itself.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
-  void ParallelFor(Lane lane, size_t n,
-                   const std::function<void(size_t)>& body);
 
   /// Like ParallelFor, but `body(i, slot)` additionally receives a dense
   /// execution-slot id in [0, worker_count() + 1): the caller drains as slot
   /// 0 and the k-th helper task as slot k + 1. A slot is bound to its helper
   /// closure — not to a worker thread — so it runs on at most one thread at
-  /// a time even when the closure is stolen across lanes, and callers may
-  /// index per-slot scratch (e.g. one arena per slot) without
-  /// synchronization.
+  /// a time even when the closure is stolen, and callers may index per-slot
+  /// scratch (e.g. one arena per slot) without synchronization.
   void ParallelFor(size_t n, const std::function<void(size_t, size_t)>& body);
-  void ParallelFor(Lane lane, size_t n,
-                   const std::function<void(size_t, size_t)>& body);
 
   /// Enqueues one fire-and-forget task. Used for work whose completion is
   /// observed through some other channel; `ParallelFor` is the right API for
   /// join-style fan-out. After `Stop()` the task runs inline on the calling
   /// thread instead of being enqueued (no task is ever silently dropped).
   void Submit(std::function<void()> task);
-  void Submit(Lane lane, std::function<void()> task);
 
   /// Drains the queues and joins the workers. Idempotent and safe to call
   /// from several threads concurrently (the destructor calls it too); every
@@ -106,7 +77,7 @@ class ThreadPool {
   /// The process-wide shared pool. Sized to the hardware concurrency minus
   /// one (caller participation restores full width); the MARITIME_THREADS
   /// environment variable overrides the total width, which benches use to
-  /// sweep a threads axis, and MARITIME_AFFINITY=1 turns on core pinning.
+  /// sweep a threads axis.
   static ThreadPool& Shared();
 
  private:
@@ -121,7 +92,6 @@ class ThreadPool {
   /// Pops from the own queue, then scans the others for a steal. Returns an
   /// empty function when every queue is empty.
   std::function<void()> TryPop(size_t self);
-  size_t TargetFor(Lane lane);
 
   /// Queue i belongs to worker i; unique_ptr keeps the mutexes pinned while
   /// the vector is built.
@@ -134,8 +104,8 @@ class ThreadPool {
   /// race to a thief just re-checks and sleeps again.
   std::atomic<size_t> pending_{0};
   std::atomic<uint64_t> steals_{0};
-  /// Round-robin push cursor per lane (indexed by static_cast<int>(Lane)).
-  std::array<std::atomic<uint64_t>, 3> cursor_{};
+  /// Round-robin push cursor over the worker queues.
+  std::atomic<uint64_t> cursor_{0};
   // wake_mu_ guards no data — queue state lives behind each WorkerQueue::mu
   // and the flags are atomic; the mutex only sequences the sleep/notify
   // handshake so a wakeup cannot be missed between check and wait.
@@ -145,7 +115,6 @@ class ThreadPool {
   /// Serializes the join phase of concurrent Stop()/destructor calls.
   std::mutex join_mu_;
   bool joined_ MARITIME_GUARDED_BY(join_mu_) = false;
-  int pinned_count_ = 0;
 };
 
 }  // namespace maritime::common

@@ -1,7 +1,6 @@
 #include "maritime/knowledge.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace maritime::surveillance {
 
@@ -23,13 +22,6 @@ geo::SpatialIndex::Cache& TlsSpatialCache() {
 std::vector<int32_t>& TlsIdScratch() {
   static thread_local std::vector<int32_t> ids;
   return ids;
-}
-
-bool FiniteVertices(const geo::Polygon& poly) {
-  for (const geo::GeoPoint& v : poly.vertices()) {
-    if (!std::isfinite(v.lon) || !std::isfinite(v.lat)) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -70,8 +62,6 @@ std::string_view SpatialEngineName(SpatialEngine engine) {
   switch (engine) {
     case SpatialEngine::kBrute:
       return "brute";
-    case SpatialEngine::kGrid:
-      return "grid";
     case SpatialEngine::kTiered:
       return "tiered";
   }
@@ -81,39 +71,14 @@ std::string_view SpatialEngineName(SpatialEngine engine) {
 KnowledgeBase::KnowledgeBase(double close_threshold_m, SpatialOptions spatial)
     : close_threshold_m_(close_threshold_m),
       spatial_options_(spatial),
-      grid_(spatial.grid_cell_deg),
       spatial_(close_threshold_m,
                geo::SpatialIndex::Options{.cell_deg = spatial.tiered_cell_deg}) {
 }
 
 void KnowledgeBase::AddArea(AreaInfo area) {
   area_index_[area.id] = areas_.size();
-  switch (spatial_options_.engine) {
-    case SpatialEngine::kBrute:
-      break;
-    case SpatialEngine::kGrid: {
-      if (!FiniteVertices(area.polygon)) {
-        grid_unindexed_.push_back(area.id);
-        break;
-      }
-      // The margins must cover the close threshold everywhere on the
-      // expanded bbox: latitude degrees have fixed metric length, but
-      // longitude degrees shrink by cos(lat), so the longitude margin is
-      // derived from the worst-case |latitude| of the threshold-expanded
-      // band rather than a fixed mid-latitude constant.
-      const geo::BoundingBox& box = area.polygon.bbox();
-      const double lat_margin = geo::CloseLatMarginDeg(close_threshold_m_);
-      const double band_lat = std::min(
-          90.0,
-          std::max(std::abs(box.min_lat), std::abs(box.max_lat)) + lat_margin);
-      const double lon_margin =
-          geo::CloseLonMarginDeg(close_threshold_m_, band_lat);
-      grid_.Insert(area.id, area.polygon, lon_margin, lat_margin);
-      break;
-    }
-    case SpatialEngine::kTiered:
-      spatial_.Insert(area.id, area.polygon);
-      break;
+  if (spatial_options_.engine == SpatialEngine::kTiered) {
+    spatial_.Insert(area.id, area.polygon);
   }
   areas_.push_back(std::move(area));
 }
@@ -170,25 +135,14 @@ std::vector<int32_t> KnowledgeBase::AreasCloseTo(const geo::GeoPoint& p) const {
 void KnowledgeBase::AreasCloseTo(const geo::GeoPoint& p,
                                  std::vector<int32_t>* out) const {
   out->clear();
-  switch (spatial_options_.engine) {
-    case SpatialEngine::kBrute:
-      for (const AreaInfo& area : areas_) {
-        if (area.polygon.DistanceMeters(p) < close_threshold_m_) {
-          out->push_back(area.id);
-        }
-      }
-      break;
-    case SpatialEngine::kGrid:
-      for (const int32_t id : grid_.Candidates(p)) {
-        if (Close(p, id)) out->push_back(id);
-      }
-      for (const int32_t id : grid_unindexed_) {
-        if (Close(p, id)) out->push_back(id);
-      }
-      break;
-    case SpatialEngine::kTiered:
-      spatial_.AreasCloseTo(p, out, &TlsSpatialCache());
-      return;  // Already sorted by the index.
+  if (spatial_options_.engine == SpatialEngine::kTiered) {
+    spatial_.AreasCloseTo(p, out, &TlsSpatialCache());  // Sorted by the index.
+    return;
+  }
+  for (const AreaInfo& area : areas_) {
+    if (area.polygon.DistanceMeters(p) < close_threshold_m_) {
+      out->push_back(area.id);
+    }
   }
   std::sort(out->begin(), out->end());
 }
@@ -196,33 +150,18 @@ void KnowledgeBase::AreasCloseTo(const geo::GeoPoint& p,
 std::vector<int32_t> KnowledgeBase::AreasCloseTo(const geo::GeoPoint& p,
                                                  AreaKind kind) const {
   std::vector<int32_t> out;
-  switch (spatial_options_.engine) {
-    case SpatialEngine::kBrute:
-      for (const AreaInfo& area : areas_) {
-        if (area.kind == kind &&
-            area.polygon.DistanceMeters(p) < close_threshold_m_) {
-          out.push_back(area.id);
-        }
-      }
-      break;
-    case SpatialEngine::kGrid: {
-      const auto check = [&](int32_t id) {
-        const AreaInfo* area = FindArea(id);
-        if (area != nullptr && area->kind == kind && Close(p, id)) {
-          out.push_back(id);
-        }
-      };
-      for (const int32_t id : grid_.Candidates(p)) check(id);
-      for (const int32_t id : grid_unindexed_) check(id);
-      break;
-    }
-    case SpatialEngine::kTiered: {
-      spatial_.AreasCloseTo(p, &out, &TlsSpatialCache());
-      std::erase_if(out, [&](int32_t id) {
-        const AreaInfo* area = FindArea(id);
-        return area == nullptr || area->kind != kind;
-      });
-      return out;
+  if (spatial_options_.engine == SpatialEngine::kTiered) {
+    spatial_.AreasCloseTo(p, &out, &TlsSpatialCache());
+    std::erase_if(out, [&](int32_t id) {
+      const AreaInfo* area = FindArea(id);
+      return area == nullptr || area->kind != kind;
+    });
+    return out;
+  }
+  for (const AreaInfo& area : areas_) {
+    if (area.kind == kind &&
+        area.polygon.DistanceMeters(p) < close_threshold_m_) {
+      out.push_back(area.id);
     }
   }
   std::sort(out.begin(), out.end());
@@ -231,36 +170,19 @@ std::vector<int32_t> KnowledgeBase::AreasCloseTo(const geo::GeoPoint& p,
 
 bool KnowledgeBase::AnyAreaCloseTo(const geo::GeoPoint& p,
                                    AreaKind kind) const {
-  switch (spatial_options_.engine) {
-    case SpatialEngine::kBrute:
-      for (const AreaInfo& area : areas_) {
-        if (area.kind == kind &&
-            area.polygon.DistanceMeters(p) < close_threshold_m_) {
-          return true;
-        }
-      }
-      return false;
-    case SpatialEngine::kGrid: {
-      const auto check = [&](int32_t id) {
-        const AreaInfo* area = FindArea(id);
-        return area != nullptr && area->kind == kind && Close(p, id);
-      };
-      for (const int32_t id : grid_.Candidates(p)) {
-        if (check(id)) return true;
-      }
-      for (const int32_t id : grid_unindexed_) {
-        if (check(id)) return true;
-      }
-      return false;
+  if (spatial_options_.engine == SpatialEngine::kTiered) {
+    std::vector<int32_t>& close = TlsIdScratch();
+    spatial_.AreasCloseTo(p, &close, &TlsSpatialCache());
+    for (const int32_t id : close) {
+      const AreaInfo* area = FindArea(id);
+      if (area != nullptr && area->kind == kind) return true;
     }
-    case SpatialEngine::kTiered: {
-      std::vector<int32_t>& close = TlsIdScratch();
-      spatial_.AreasCloseTo(p, &close, &TlsSpatialCache());
-      for (const int32_t id : close) {
-        const AreaInfo* area = FindArea(id);
-        if (area != nullptr && area->kind == kind) return true;
-      }
-      return false;
+    return false;
+  }
+  for (const AreaInfo& area : areas_) {
+    if (area.kind == kind &&
+        area.polygon.DistanceMeters(p) < close_threshold_m_) {
+      return true;
     }
   }
   return false;
@@ -306,44 +228,25 @@ bool KnowledgeBase::IsShallowFor(int32_t area_id, stream::Mmsi mmsi) const {
 }
 
 const AreaInfo* KnowledgeBase::PortContaining(const geo::GeoPoint& p) const {
-  // All engines return the lowest-id containing port so trip segmentation is
-  // deterministic even when port polygons overlap.
-  switch (spatial_options_.engine) {
-    case SpatialEngine::kBrute: {
-      const AreaInfo* best = nullptr;
-      for (const AreaInfo& area : areas_) {
-        if (area.kind == AreaKind::kPort && area.polygon.Contains(p) &&
-            (best == nullptr || area.id < best->id)) {
-          best = &area;
-        }
-      }
-      return best;
+  // Both engines return the lowest-id containing port so trip segmentation
+  // is deterministic even when port polygons overlap.
+  if (spatial_options_.engine == SpatialEngine::kTiered) {
+    std::vector<int32_t>& inside = TlsIdScratch();
+    spatial_.AreasContaining(p, &inside, &TlsSpatialCache());
+    for (const int32_t id : inside) {  // Sorted ascending: first port wins.
+      const AreaInfo* area = FindArea(id);
+      if (area != nullptr && area->kind == AreaKind::kPort) return area;
     }
-    case SpatialEngine::kGrid: {
-      const AreaInfo* best = nullptr;
-      const auto check = [&](int32_t id) {
-        const AreaInfo* area = FindArea(id);
-        if (area != nullptr && area->kind == AreaKind::kPort &&
-            area->polygon.Contains(p) &&
-            (best == nullptr || area->id < best->id)) {
-          best = area;
-        }
-      };
-      for (const int32_t id : grid_.Candidates(p)) check(id);
-      for (const int32_t id : grid_unindexed_) check(id);
-      return best;
-    }
-    case SpatialEngine::kTiered: {
-      std::vector<int32_t>& inside = TlsIdScratch();
-      spatial_.AreasContaining(p, &inside, &TlsSpatialCache());
-      for (const int32_t id : inside) {  // Sorted ascending: first port wins.
-        const AreaInfo* area = FindArea(id);
-        if (area != nullptr && area->kind == AreaKind::kPort) return area;
-      }
-      return nullptr;
+    return nullptr;
+  }
+  const AreaInfo* best = nullptr;
+  for (const AreaInfo& area : areas_) {
+    if (area.kind == AreaKind::kPort && area.polygon.Contains(p) &&
+        (best == nullptr || area.id < best->id)) {
+      best = &area;
     }
   }
-  return nullptr;
+  return best;
 }
 
 KnowledgeBase KnowledgeBase::Restricted(

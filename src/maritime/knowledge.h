@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "geo/grid_index.h"
 #include "geo/polygon.h"
 #include "geo/spatial_index.h"
 #include "stream/position.h"
@@ -63,12 +62,11 @@ struct VesselInfo {
   bool fishing_gear = false;  ///< Registered fishing vessel.
 };
 
-/// Which acceleration structure answers the spatial predicates. All three
-/// engines return bit-identical results in a deterministic order (ids
-/// sorted ascending); they differ only in speed.
+/// Which structure answers the spatial predicates. Both engines return
+/// bit-identical results in a deterministic order (ids sorted ascending);
+/// they differ only in speed.
 enum class SpatialEngine : uint8_t {
   kBrute,   ///< Full scan over every area (the differential-test oracle).
-  kGrid,    ///< Uniform grid of candidate ids; exact re-check per candidate.
   kTiered,  ///< Two-tier SpatialIndex: label lookups + edge buckets.
 };
 
@@ -78,7 +76,6 @@ std::string_view SpatialEngineName(SpatialEngine engine);
 struct SpatialOptions {
   SpatialEngine engine = SpatialEngine::kTiered;
   double tiered_cell_deg = 0.02;  ///< SpatialIndex cell size (~2.2 km).
-  double grid_cell_deg = 0.25;    ///< Legacy grid cell size (~25 km).
 };
 
 /// The static geographical and vessel knowledge the CE recognition module
@@ -166,11 +163,7 @@ class KnowledgeBase {
   std::vector<AreaInfo> areas_;
   std::unordered_map<int32_t, size_t> area_index_;
   std::unordered_map<stream::Mmsi, VesselInfo> vessels_;
-  geo::GridIndex grid_;        ///< Populated under SpatialEngine::kGrid.
   geo::SpatialIndex spatial_;  ///< Populated under SpatialEngine::kTiered.
-  /// Areas the grid cannot enumerate cells for (non-finite vertices); the
-  /// grid engine scans these on every query so it stays exact.
-  std::vector<int32_t> grid_unindexed_;
 };
 
 }  // namespace maritime::surveillance

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "common/check.h"
 #include "common/thread_pool.h"
 
 namespace maritime::surveillance {
@@ -27,7 +26,6 @@ SurveillancePipeline::SurveillancePipeline(const KnowledgeBase* kb,
   RecognizerConfig rc;
   rc.window = config_.window;
   rc.ce = config_.ce;
-  rc.incremental = config_.incremental_recognition;
   rc.engine = config_.recognition_engine;
   rc.parallel_keys = config_.parallel_recognition_keys;
   recognizer_ = std::make_unique<PartitionedRecognizer>(
@@ -37,105 +35,36 @@ SurveillancePipeline::SurveillancePipeline(const KnowledgeBase* kb,
   }
 }
 
-SurveillancePipeline::~SurveillancePipeline() {
-  // Only the most recently staged slide can still have its task running
-  // (staging is sequential); wait so the task cannot touch freed members.
-  if (!staged_.empty()) WaitStaged(staged_.back().get());
-}
-
 SlideReport SurveillancePipeline::RunSlide(
     Timestamp q, std::span<const stream::PositionTuple> batch) {
-  // A caller mixing RunSlide with StageSlide must not reorder slides past
-  // the ones already in flight.
-  DrainStagedSlides();
-  StageSlide(q, batch);
-  return CommitNextSlide();
-}
+  SlideReport report;
+  report.query_time = q;
+  report.raw_positions = batch.size();
 
-void SurveillancePipeline::RunStaging(StagedSlide* slide) {
   // --- online tracking: fresh positions -> trajectory events ---------------
   // Sharded by MMSI; tuples are routed into per-shard lock-free ring
   // inboxes, then each shard tracks, gap-detects, and compresses its
-  // vessels concurrently (tracker lane) and the outputs merge in stream
-  // order. The spatial facts each critical point will feed the recognizer
-  // are precomputed here too: AreasCloseToAll is pure and exact, so moving
-  // it off the commit path changes no output.
+  // vessels concurrently on the pool and the outputs merge in stream order.
   const double t0 = NowSeconds();
-  slide->criticals = tracker_.ProcessSlide(
-      std::span<const stream::PositionTuple>(slide->batch), slide->q,
-      &slide->shard_stats);
-  slide->tracking_seconds = NowSeconds() - t0;
-  slide->staged_feed = recognizer_->Stage(
-      std::span<const tracker::CriticalPoint>(slide->criticals));
-  // Notify under the lock: once `ready` is visible, CommitNextSlide may
-  // destroy the slide, its condition variable included, so the notify must
-  // finish before the waiter can reacquire `mu`.
-  std::lock_guard<std::mutex> lock(slide->mu);
-  slide->ready = true;
-  slide->cv.notify_all();
-}
+  const std::vector<tracker::CriticalPoint> criticals =
+      tracker_.ProcessSlide(batch, q, &report.shard_stats);
+  report.tracking_seconds = NowSeconds() - t0;
+  report.critical_points = criticals.size();
 
-void SurveillancePipeline::WaitStaged(StagedSlide* slide) {
-  std::unique_lock<std::mutex> lock(slide->mu);
-  slide->cv.wait(lock, [slide]() MARITIME_REQUIRES(slide->mu) {
-    return slide->ready;
-  });
-}
-
-void SurveillancePipeline::StageSlide(
-    Timestamp q, std::span<const stream::PositionTuple> batch) {
-  auto slide = std::make_unique<StagedSlide>();
-  slide->q = q;
-  slide->batch.assign(batch.begin(), batch.end());
-  StagedSlide* raw = slide.get();
-  // The tracker is stateful and its ring inboxes are single-producer, so
-  // staging tasks never overlap each other — only the commit phase of
-  // *earlier* slides, which touches the recognizer and archiver instead.
-  if (!staged_.empty()) WaitStaged(staged_.back().get());
-  staged_.push_back(std::move(slide));
-  if (config_.pipeline_depth > 1 && pool_->worker_count() > 0) {
-    pool_->Submit(common::Lane::kTracker, [this, raw] { RunStaging(raw); });
-  } else {
-    RunStaging(raw);
-  }
-}
-
-SlideReport SurveillancePipeline::CommitNextSlide() {
-  MARITIME_DCHECK(!staged_.empty());
-  std::unique_ptr<StagedSlide> slide = std::move(staged_.front());
-  staged_.pop_front();
-  WaitStaged(slide.get());
-
-  SlideReport report;
-  report.query_time = slide->q;
-  report.raw_positions = slide->batch.size();
-  report.tracking_seconds = slide->tracking_seconds;
-  report.shard_stats = std::move(slide->shard_stats);
-  report.critical_points = slide->criticals.size();
-
-  // --- commit barrier: every shared-state mutation, in slide order ----------
-  recognizer_->Feed(std::move(slide->staged_feed));
-  for (const auto& cp : slide->criticals) {
-    window_criticals_.push_back(cp);
-    all_criticals_.push_back(cp);
-  }
+  recognizer_->Feed(std::span<const tracker::CriticalPoint>(criticals));
+  window_criticals_.insert(window_criticals_.end(), criticals.begin(),
+                           criticals.end());
+  all_criticals_.insert(all_criticals_.end(), criticals.begin(),
+                        criticals.end());
 
   const double t1 = NowSeconds();
-  report.recognition = recognizer_->Recognize(slide->q);
+  report.recognition = recognizer_->Recognize(q);
   report.recognition_seconds = NowSeconds() - t1;
-  last_query_ = slide->q;
+  last_query_ = q;
 
   // --- offline archival of evicted ("delta") critical points ----------------
-  ArchiveEvicted(slide->q);
+  ArchiveEvicted(q);
   return report;
-}
-
-void SurveillancePipeline::DrainStagedSlides(
-    const std::function<void(const SlideReport&)>& on_slide) {
-  while (!staged_.empty()) {
-    const SlideReport report = CommitNextSlide();
-    if (on_slide) on_slide(report);
-  }
 }
 
 void SurveillancePipeline::ArchiveEvicted(Timestamp q) {
@@ -153,23 +82,12 @@ void SurveillancePipeline::ArchiveEvicted(Timestamp q) {
 void SurveillancePipeline::DriveLoop(
     stream::StreamReplayer& replayer, stream::QueryTimeSequence& queries,
     Timestamp last, const std::function<void(const SlideReport&)>& on_slide) {
-  // Pipelined replay: stage the new slide first, then commit once the
-  // pipeline holds `depth` slides — with depth 2 the caller recognizes
-  // slide k while the pool tracks slide k+1. Depth 1 degenerates to
-  // stage-then-commit, i.e. strict serial execution.
-  const size_t depth =
-      static_cast<size_t>(std::max(1, config_.pipeline_depth));
   while (true) {
     const Timestamp q = queries.Fire();
-    const auto batch = replayer.NextBatch(q);
-    StageSlide(q, batch);
-    while (staged_.size() >= depth) {
-      const SlideReport report = CommitNextSlide();
-      if (on_slide) on_slide(report);
-    }
+    const SlideReport report = RunSlide(q, replayer.NextBatch(q));
+    if (on_slide) on_slide(report);
     if (q >= last) break;
   }
-  DrainStagedSlides(on_slide);
   const SlideReport flush = Finish();
   if (on_slide && !flush.recognition.empty()) on_slide(flush);
 }
@@ -184,11 +102,6 @@ void SurveillancePipeline::Run(
 }
 
 SlideReport SurveillancePipeline::Finish() {
-  // Slides staged ahead must land before the tail flush; their reports are
-  // observable through DrainStagedSlides, which replay drivers call first —
-  // a direct Finish still commits them (state effects included) so nothing
-  // is lost, only the intermediate reports go unobserved.
-  DrainStagedSlides();
   SlideReport report;
   report.final_flush = true;
 

@@ -1,18 +1,15 @@
 #ifndef MARITIME_MARITIME_PIPELINE_H_
 #define MARITIME_MARITIME_PIPELINE_H_
 
-#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "maritime/knowledge.h"
 #include "maritime/recognizer.h"
@@ -40,27 +37,16 @@ struct PipelineConfig {
   /// Enable the offline archival path (staging → reconstruction → loading
   /// into the trajectory store).
   bool archive = true;
-  /// Incremental RTEC evaluation (dirty-key caching across slides); results
-  /// are bit-identical to full recomputation.
-  bool incremental_recognition = false;
-  /// Engine selection override (kFromFlag = honor incremental_recognition;
-  /// kAuto picks per window shape and observed dirty fraction). Passed
-  /// through to RecognizerConfig::engine.
-  EngineMode recognition_engine = EngineMode::kFromFlag;
+  /// RTEC engine selection (kAuto picks per window shape and observed dirty
+  /// fraction); passed through to RecognizerConfig::engine. Every mode
+  /// yields bit-identical CEs.
+  EngineMode recognition_engine = EngineMode::kNaive;
   /// Fan the keys of one definition layer out over the shared thread pool
   /// (incremental engine only).
   bool parallel_recognition_keys = false;
-  /// Phase-pipelined slide execution: with depth d >= 2, up to d - 1 slides
-  /// are staged ahead — their tracker shards run and their spatial facts
-  /// precompute on the pool's tracker lane while the caller recognizes an
-  /// earlier slide. Depth 1 is strict serial execution. Output (reports,
-  /// CEs, snapshots) is bit-identical at any depth: every shared-state
-  /// mutation happens at the commit barrier, in slide order, on the caller.
-  int pipeline_depth = 1;
-  /// Thread pool for tracker shards, partition recognition, and staged
-  /// slides. nullptr (default) uses the process-wide shared pool; benches
-  /// inject local pools to sweep worker counts and core pinning in one
-  /// process. Must outlive the pipeline.
+  /// Thread pool for tracker shards and partition recognition. nullptr
+  /// (default) uses the process-wide shared pool; benches inject local pools
+  /// to sweep worker counts in one process. Must outlive the pipeline.
   common::ThreadPool* pool = nullptr;
 };
 
@@ -92,6 +78,8 @@ struct SnapshotManifest {
   int32_t partitions = 0;
   int32_t tracker_shards = 0;
   bool archive = false;
+  /// The engine mode partition 0 resolved to (descriptive: the engine
+  /// section itself rejects a restore under a different mode).
   bool incremental_recognition = false;
   uint64_t window_critical_points = 0;  ///< Awaiting archival.
   uint64_t archived_trips = 0;          ///< In the trajectory store.
@@ -114,41 +102,12 @@ class SurveillancePipeline {
  public:
   /// `kb` must outlive the pipeline.
   SurveillancePipeline(const KnowledgeBase* kb, PipelineConfig config);
-  /// Waits for any staging task still in flight (it captures this object);
-  /// staged-but-uncommitted slides are discarded, not committed.
-  ~SurveillancePipeline();
 
   /// Processes the fresh positions of the slide ending at query time `q`
-  /// (their tau must be <= q), then recognizes CEs at `q`. Commits any
-  /// slides still staged ahead first, so interleaving RunSlide with
-  /// StageSlide keeps slide order.
+  /// (their tau must be <= q): tracks them, feeds the critical points to the
+  /// recognizer, recognizes CEs at `q`, and archives what left the window.
   SlideReport RunSlide(Timestamp q,
                        std::span<const stream::PositionTuple> batch);
-
-  // --- pipelined execution -------------------------------------------------
-  /// Stages the slide ending at `q`: copies the batch and runs tracking plus
-  /// spatial-fact staging asynchronously on the pool's tracker lane (inline
-  /// when pipeline_depth <= 1 or the pool has no workers). Staging is
-  /// strictly sequential across slides — the tracker is stateful — so this
-  /// waits for the previous staged slide's tracking before dispatching.
-  /// Call CommitNextSlide() to turn the oldest staged slide into a report.
-  void StageSlide(Timestamp q, std::span<const stream::PositionTuple> batch);
-
-  /// Commits the oldest staged slide (blocking until its staging task is
-  /// done): feeds the recognizer, recognizes, and archives on the calling
-  /// thread, in slide order — the commit barrier that makes pipelined
-  /// output bit-identical to serial. Precondition: staged_slide_count() > 0.
-  SlideReport CommitNextSlide();
-
-  /// Slides staged but not yet committed.
-  size_t staged_slide_count() const { return staged_.size(); }
-
-  /// Commits every staged slide, invoking `on_slide` per report. A no-op
-  /// when nothing is staged. Snapshots (SaveTo / SaveSnapshot) may only be
-  /// taken at this barrier — with slides in flight the tracker state is
-  /// ahead of the recognizer's.
-  void DrainStagedSlides(
-      const std::function<void(const SlideReport&)>& on_slide = nullptr);
 
   /// Replays an entire recorded stream, sliding the window in step with the
   /// reported timestamps; invokes `on_slide` (if set) after every slide and
@@ -191,8 +150,9 @@ class SurveillancePipeline {
   void SaveTo(snapshot::Writer& w) const;
   /// Restores into a pipeline built with the same KnowledgeBase and an
   /// equivalent PipelineConfig (window, partitions, tracker shards, archive
-  /// and incremental flags are verified — InvalidArgument on mismatch;
-  /// malformed input yields Corruption and newer formats Unimplemented).
+  /// flag and each engine's resolved mode are verified — InvalidArgument on
+  /// mismatch; malformed input yields Corruption and newer formats
+  /// Unimplemented).
   Status RestoreFrom(snapshot::Reader& r);
 
   /// Writes the state to `path` as a checksummed snapshot file.
@@ -210,31 +170,9 @@ class SurveillancePipeline {
                   nullptr);
 
  private:
-  /// One staged-but-uncommitted slide. The staging task (pool) fills the
-  /// outputs and flips `ready`; the commit barrier (caller) consumes them.
-  /// The mu/cv handshake is the happens-before edge between the two.
-  struct StagedSlide {
-    Timestamp q = kInvalidTimestamp;
-    std::vector<stream::PositionTuple> batch;  ///< Owned copy of the input.
-    // --- staging outputs, written by the staging task ---
-    std::vector<tracker::CriticalPoint> criticals;
-    PartitionedRecognizer::StagedFeed staged_feed;
-    std::vector<tracker::ShardSlideStats> shard_stats;
-    double tracking_seconds = 0.0;
-    // --- completion handshake ---
-    std::mutex mu;
-    std::condition_variable cv;
-    bool ready MARITIME_GUARDED_BY(mu) = false;
-  };
-
   void ArchiveEvicted(Timestamp q);
-  /// Runs one staged slide's tracking + staging phase (on the pool or
-  /// inline) and signals completion.
-  void RunStaging(StagedSlide* slide);
-  /// Blocks until `slide`'s staging task has finished.
-  static void WaitStaged(StagedSlide* slide);
-  /// The shared replay loop of Run and Resume: fire query times, stage each
-  /// batch, commit once the pipeline is full, drain, flush.
+  /// Runs RunSlide for every query time up to `last`, then the end-of-stream
+  /// flush: the shared replay loop of Run and Resume.
   void DriveLoop(stream::StreamReplayer& replayer,
                  stream::QueryTimeSequence& queries, Timestamp last,
                  const std::function<void(const SlideReport&)>& on_slide);
@@ -249,10 +187,6 @@ class SurveillancePipeline {
   /// Critical points not yet evicted from the window (awaiting archival).
   std::deque<tracker::CriticalPoint> window_criticals_;
   std::vector<tracker::CriticalPoint> all_criticals_;
-  /// Slides staged ahead, oldest first. Mutated only by the owner thread;
-  /// the elements' staging outputs are handed over via each slide's
-  /// ready-flag handshake.
-  std::deque<std::unique_ptr<StagedSlide>> staged_;
 };
 
 }  // namespace maritime::surveillance

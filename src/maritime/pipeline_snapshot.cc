@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "maritime/pipeline.h"
 #include "snapshot/codec.h"
 #include "snapshot/snapshot.h"
@@ -83,18 +82,16 @@ Result<SnapshotManifest> ReadSnapshotManifest(std::string_view payload) {
 }
 
 void SurveillancePipeline::SaveTo(snapshot::Writer& w) const {
-  // Snapshots are only meaningful at the commit barrier: with slides staged
-  // ahead the tracker already holds slide k+1's state while the recognizer
-  // is still at slide k. Callers drain via DrainStagedSlides() first.
-  MARITIME_DCHECK_MSG(staged_.empty(),
-                      "pipeline snapshot taken with slides staged ahead");
   SnapshotManifest m;
   m.last_query = last_query_;
   m.window = config_.window;
   m.partitions = config_.partitions;
   m.tracker_shards = config_.tracker_shards;
   m.archive = config_.archive;
-  m.incremental_recognition = config_.incremental_recognition;
+  // The mode the engines resolved to (every partition resolves the same
+  // config the same way), not the requested one: kAuto may mean either.
+  m.incremental_recognition =
+      recognizer_->partition(0).engine().options().incremental;
   m.window_critical_points = window_criticals_.size();
   m.archived_trips = archiver_ ? archiver_->store().trip_count() : 0;
   const PartitionedRecognizer::RecognizeTotals totals = recognizer_->totals();
@@ -138,10 +135,6 @@ Status SurveillancePipeline::RestoreFrom(snapshot::Reader& r) {
   }
   if (m.archive != config_.archive) {
     return Status::InvalidArgument("snapshot: pipeline archive flag mismatch");
-  }
-  if (m.incremental_recognition != config_.incremental_recognition) {
-    return Status::InvalidArgument(
-        "snapshot: pipeline recognition mode mismatch");
   }
 
   uint8_t version = 0;
@@ -235,9 +228,8 @@ void SurveillancePipeline::Resume(
   replayer.Reset();
   replayer.NextBatch(last_query_);
   if (last_query_ < last) {
-    // The shared drive loop pipelines the remaining slides exactly as Run
-    // would have (PipelineConfig::pipeline_depth applies to resumed replays
-    // too); the commit barrier keeps the resumed output bit-identical.
+    // The shared drive loop runs the remaining slides exactly as Run would
+    // have.
     stream::QueryTimeSequence queries(config_.window, last_query_);
     DriveLoop(replayer, queries, last, on_slide);
     return;

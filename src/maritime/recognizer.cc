@@ -10,27 +10,22 @@ namespace maritime::surveillance {
 CERecognizer::CERecognizer(const KnowledgeBase* kb, RecognizerConfig config)
     : kb_(kb), config_(config) {
   assert(kb_ != nullptr);
+  rtec::EngineOptions opts;
   switch (config_.engine) {
-    case EngineMode::kFromFlag:
-      break;
     case EngineMode::kNaive:
-      config_.incremental = false;
       break;
     case EngineMode::kIncremental:
-      config_.incremental = true;
+      opts.incremental = true;
       break;
     case EngineMode::kAuto:
       // Suffix reuse only pays when the window outlives the slide; at
       // ω close to β every slide dirties (almost) the whole window.
-      config_.incremental = config_.window.range >= 3 * config_.window.slide;
+      opts.incremental = config_.window.range >= 3 * config_.window.slide;
       break;
   }
-  rtec::EngineOptions opts;
-  opts.incremental = config_.incremental;
   opts.adaptive_full_regen = config_.engine == EngineMode::kAuto;
   opts.pool = config_.parallel_keys ? &common::ThreadPool::Shared() : nullptr;
   opts.min_parallel_keys = config_.min_parallel_keys;
-  opts.scoped_dirty = config_.scoped_dirty;
   engine_ = std::make_unique<rtec::Engine>(config_.window, kb_, opts);
   schema_ = MaritimeSchema::Declare(*engine_);
   RegisterMaritimeCes(*engine_, schema_, kb_,
@@ -68,33 +63,6 @@ void CERecognizer::Feed(std::span<const tracker::CriticalPoint> cps) {
     feed_stats_.me_events += FeedCriticalPoint(*engine_, schema_, cps[i]);
     feed_stats_.spatial_facts += close[i].size();
     facts_.AddFactGroup(cps[i].mmsi, cps[i].tau, std::move(close[i]));
-  }
-}
-
-CERecognizer::StagedPoints CERecognizer::Stage(
-    std::span<const tracker::CriticalPoint> cps) const {
-  StagedPoints staged;
-  staged.cps.assign(cps.begin(), cps.end());
-  if (config_.ce.use_spatial_facts) {
-    std::vector<geo::GeoPoint> pts;
-    pts.reserve(cps.size());
-    for (const tracker::CriticalPoint& cp : cps) pts.push_back(cp.pos);
-    staged.close = kb_->AreasCloseToAll(pts);
-  }
-  return staged;
-}
-
-void CERecognizer::Feed(StagedPoints&& staged) {
-  const bool spatial = config_.ce.use_spatial_facts;
-  assert(!spatial || staged.close.size() == staged.cps.size());
-  for (size_t i = 0; i < staged.cps.size(); ++i) {
-    ++feed_stats_.critical_points;
-    feed_stats_.me_events += FeedCriticalPoint(*engine_, schema_, staged.cps[i]);
-    if (spatial) {
-      feed_stats_.spatial_facts += staged.close[i].size();
-      facts_.AddFactGroup(staged.cps[i].mmsi, staged.cps[i].tau,
-                          std::move(staged.close[i]));
-    }
   }
 }
 
@@ -185,44 +153,12 @@ void PartitionedRecognizer::Feed(std::span<const tracker::CriticalPoint> cps) {
   }
 }
 
-PartitionedRecognizer::StagedFeed PartitionedRecognizer::Stage(
-    std::span<const tracker::CriticalPoint> cps) const {
-  StagedFeed staged;
-  staged.parts.resize(parts_.size());
-  if (parts_.size() == 1) {
-    staged.parts[0] = parts_[0].rec->Stage(cps);
-    return staged;
-  }
-  std::vector<std::vector<tracker::CriticalPoint>> buckets(parts_.size());
-  for (const tracker::CriticalPoint& cp : cps) {
-    buckets[PartitionFor(cp.pos)].push_back(cp);
-  }
-  for (size_t i = 0; i < parts_.size(); ++i) {
-    if (!buckets[i].empty()) {
-      staged.parts[i] = parts_[i].rec->Stage(
-          std::span<const tracker::CriticalPoint>(buckets[i]));
-    }
-  }
-  return staged;
-}
-
-void PartitionedRecognizer::Feed(StagedFeed&& staged) {
-  assert(staged.parts.size() == parts_.size());
-  for (size_t i = 0; i < parts_.size(); ++i) {
-    if (!staged.parts[i].cps.empty()) {
-      parts_[i].rec->Feed(std::move(staged.parts[i]));
-    }
-  }
-}
-
 std::vector<rtec::RecognitionResult> PartitionedRecognizer::Recognize(
     Timestamp q) {
   std::vector<rtec::RecognitionResult> results(parts_.size());
   // One task per partition on the long-lived shared pool; spawning fresh
   // std::threads every slide used to dominate recognition at small slides.
-  // Recognizer lane: see Engine::ForEachKey.
-  pool_->ParallelFor(common::Lane::kRecognizer, parts_.size(),
-                     [this, q, &results](size_t i) {
+  pool_->ParallelFor(parts_.size(), [this, q, &results](size_t i) {
     results[i] = parts_[i].rec->Recognize(q);
     std::lock_guard<std::mutex> lock(totals_mu_);
     totals_.recognized_items += results[i].RecognizedCount();

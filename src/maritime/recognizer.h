@@ -21,9 +21,6 @@ namespace maritime::surveillance {
 /// Evaluation-engine selection for RecognizerConfig::engine. Every mode
 /// produces bit-identical CE output; they differ only in cost.
 enum class EngineMode {
-  /// Honor the legacy `incremental` flag (default; keeps old call sites and
-  /// serialized configs meaning what they always meant).
-  kFromFlag = 0,
   kNaive,
   kIncremental,
   /// Decide from the window shape at construction — incremental pays only
@@ -39,24 +36,17 @@ enum class EngineMode {
 struct RecognizerConfig {
   stream::WindowSpec window{kHour, kHour};  ///< RTEC working memory ω / slide.
   CeOptions ce;
-  /// Incremental RTEC evaluation: cache per-(definition, key) evidence
-  /// across window slides and re-run rules only for dirty window regions.
-  /// Results are bit-identical to the naive engine.
-  bool incremental = false;
-  /// Engine selection; anything but kFromFlag overrides `incremental`. The
+  /// Engine selection. Incremental RTEC evaluation caches per-(definition,
+  /// key) evidence across window slides and re-runs rules only for dirty
+  /// window regions; results are bit-identical to the naive engine. The
   /// choice is resolved deterministically at construction (it depends only
   /// on this config), so snapshot save/restore pairs agree on the mode.
-  EngineMode engine = EngineMode::kFromFlag;
+  EngineMode engine = EngineMode::kNaive;
   /// Evaluate the keys of one definition layer in parallel on the shared
   /// thread pool (incremental engine only; merge order is deterministic).
   bool parallel_keys = false;
   /// Layers smaller than this stay serial when parallel_keys is set.
   size_t min_parallel_keys = 8;
-  /// Dependency-scoped dirty propagation for the area-keyed CE definitions
-  /// (incremental engine only; see rtec::EngineOptions::scoped_dirty). On by
-  /// default; turning it off restores the fleet-wide regen floor — output is
-  /// bit-identical either way.
-  bool scoped_dirty = true;
 };
 
 /// The Complex Event Recognition module of Figure 1: wraps an RTEC engine
@@ -78,25 +68,6 @@ class CERecognizer {
   /// Figure 11(b) mode the spatial facts for the whole run are computed by
   /// one KnowledgeBase::AreasCloseToAll call sharing a locality cache.
   void Feed(std::span<const tracker::CriticalPoint> cps);
-
-  /// One slide's precomputed input: the critical points plus the spatial
-  /// facts the batched Feed would compute for them (empty outside the
-  /// spatial-facts mode). Produced by Stage(), consumed by Feed(&&).
-  struct StagedPoints {
-    std::vector<tracker::CriticalPoint> cps;
-    std::vector<std::vector<int32_t>> close;  ///< Parallel to `cps`.
-  };
-
-  /// Pure staging half of the batched Feed: computes the spatial facts but
-  /// mutates nothing, so the pipelined driver may run it on a pool thread
-  /// while a *previous* slide's Recognize runs on this recognizer (the
-  /// KnowledgeBase locality cache is thread-local; engine and fact table
-  /// are untouched).
-  StagedPoints Stage(std::span<const tracker::CriticalPoint> cps) const;
-
-  /// Commit half: identical observable effect to Feed(span) on the staged
-  /// points. Must run on the owner thread (the commit barrier).
-  void Feed(StagedPoints&& staged);
 
   /// Runs recognition at query time `q`.
   rtec::RecognitionResult Recognize(Timestamp q);
@@ -150,21 +121,6 @@ class PartitionedRecognizer {
   /// Routes a run of critical points (order preserved per partition) and
   /// feeds every partition its slice through the batched overload.
   void Feed(std::span<const tracker::CriticalPoint> cps);
-
-  /// One slide's precomputed input across all partitions (routing plus each
-  /// partition's staged spatial facts).
-  struct StagedFeed {
-    std::vector<CERecognizer::StagedPoints> parts;  ///< One per partition.
-  };
-
-  /// Pure staging half of Feed(span): routes and precomputes without
-  /// mutating any partition; safe on a pool thread concurrent with a
-  /// previous slide's Recognize (see CERecognizer::Stage).
-  StagedFeed Stage(std::span<const tracker::CriticalPoint> cps) const;
-
-  /// Commit half: identical observable effect to Feed(span) on the staged
-  /// points. Owner thread only.
-  void Feed(StagedFeed&& staged);
 
   /// Recognizes on all partitions in parallel; returns one result per
   /// partition.

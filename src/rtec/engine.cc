@@ -597,11 +597,8 @@ void Engine::ForEachKey(
   common::ThreadPool* pool = options_.pool;
   if (pool != nullptr && pool->worker_count() > 0 &&
       n >= options_.min_parallel_keys) {
-    // Recognizer lane: eval slots prefer the workers (and, when pinned, the
-    // cores) the tracker lane is not using, so a pipelined slide's tracking
-    // and recognition phases do not thrash each other's caches.
-    pool->ParallelFor(common::Lane::kRecognizer, n,
-                      [&](size_t i, size_t slot) { body(i, &arenas_[slot]); });
+    pool->ParallelFor(
+        n, [&](size_t i, size_t slot) { body(i, &arenas_[slot]); });
   } else {
     for (size_t i = 0; i < n; ++i) body(i, &arenas_[0]);
   }
@@ -655,7 +652,7 @@ std::vector<Term> Engine::EvalKeys(
 MARITIME_COMMIT_BOUNDARY const Engine::ScopedDirty* Engine::ComputeScopedDirty(
     const DependencySpec& deps, bool cross_key, const EvalContext& ctx) {
   const bool cross = cross_key || deps.cross_key;
-  if (!cross || !options_.scoped_dirty || !deps.project) return nullptr;
+  if (!cross || !deps.project) return nullptr;
   ScopedDirty& s = scoped_scratch_;
   s.Reset();
   s.active = true;

@@ -340,13 +340,6 @@ struct EngineOptions {
   /// mode only.
   bool adaptive_full_regen = false;
   double full_regen_dirty_fraction = 0.75;
-  /// Dependency-scoped dirty propagation (DESIGN.md §14): cross-key
-  /// definitions that declare a DependencySpec::project function get
-  /// per-(definition, output-key) regen regions computed from only that
-  /// key's dependency set, instead of the fleet-wide `DirtyMap::any` floor.
-  /// Output is bit-identical either way; disabling this restores the fleet
-  /// floor (the baseline the skewed-fleet bench compares against).
-  bool scoped_dirty = true;
 };
 
 /// Cumulative cache counters of the incremental engine (all zero under the
@@ -362,8 +355,7 @@ struct EngineCacheStats {
   /// machinery saved work on that key).
   size_t spans_narrowed = 0;
   /// Cross-key region computations that fell back to the fleet-wide
-  /// `DirtyMap::any` floor while it was dirty (no projector declared, or
-  /// scoped propagation disabled).
+  /// `DirtyMap::any` floor while it was dirty (no projector declared).
   size_t fleet_floor_hits = 0;
 
   double HitRate() const {
@@ -740,7 +732,7 @@ class Engine {
 
   /// Builds scoped_scratch_ for a cross-key definition with a projector;
   /// returns nullptr (fleet-floor behaviour) when the definition is not
-  /// cross-key, declares no projector, or scoped propagation is disabled.
+  /// cross-key or declares no projector.
   const ScopedDirty* ComputeScopedDirty(const DependencySpec& deps,
                                         bool cross_key, const EvalContext& ctx);
 

@@ -84,10 +84,7 @@ std::vector<CriticalPoint> ShardedMobilityTracker::ProcessSlide(
     s.inbox.clear();
   };
   if (pool_ != nullptr && n > 1) {
-    // Tracker lane: shard tasks prefer the lane's workers (and, when the
-    // pool is pinned, the lane's cores), keeping per-shard vessel state
-    // resident while the recognizer lane runs a different slide's phase.
-    pool_->ParallelFor(common::Lane::kTracker, n, run_shard);
+    pool_->ParallelFor(n, run_shard);
   } else {
     for (size_t i = 0; i < n; ++i) run_shard(i);
   }

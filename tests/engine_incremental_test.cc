@@ -609,7 +609,7 @@ std::pair<uint64_t, uint64_t> RunMaritimeDifferential(
   cn.window = window;
   cn.ce.use_spatial_facts = spatial_facts;
   surveillance::RecognizerConfig ci = cn;
-  ci.incremental = true;
+  ci.engine = surveillance::EngineMode::kIncremental;
   surveillance::RecognizerConfig cp = ci;
   cp.parallel_keys = true;
   cp.min_parallel_keys = 1;
@@ -686,42 +686,32 @@ TEST(MaritimeIncrementalDifferentialTest, LongWindowBitIdentical) {
 
 // ---------------------------------------------------------------------------
 // EngineMode: the auto mode resolves naive-vs-incremental deterministically
-// from the window shape (so snapshot save/restore pairs agree), and the
-// explicit modes override the legacy boolean flag.
+// from the window shape (so snapshot save/restore pairs agree); the explicit
+// modes resolve to themselves whatever the window.
 // ---------------------------------------------------------------------------
 
-TEST(EngineModeResolutionTest, ResolvesFromWindowShapeAndOverridesFlag) {
+TEST(EngineModeResolutionTest, ResolvesFromWindowShape) {
   const sim::World world = sim::BuildWorld(3);
   auto resolved_incremental = [&world](stream::WindowSpec window,
-                                       surveillance::EngineMode mode,
-                                       bool legacy_flag) {
+                                       surveillance::EngineMode mode) {
     surveillance::RecognizerConfig cfg;
     cfg.window = window;
     cfg.engine = mode;
-    cfg.incremental = legacy_flag;
     const surveillance::CERecognizer rec(&world.knowledge, cfg);
     return rec.engine().options().incremental;
   };
 
   using surveillance::EngineMode;
-  // kFromFlag honors the legacy boolean.
-  EXPECT_FALSE(resolved_incremental({kHour, kMinute}, EngineMode::kFromFlag,
-                                    false));
-  EXPECT_TRUE(resolved_incremental({kHour, kMinute}, EngineMode::kFromFlag,
-                                   true));
-  // Explicit modes override it, whatever it says.
-  EXPECT_FALSE(resolved_incremental({kHour, kMinute}, EngineMode::kNaive,
-                                    true));
-  EXPECT_TRUE(resolved_incremental({kHour, kMinute}, EngineMode::kIncremental,
-                                   false));
+  // Naive is the default.
+  EXPECT_EQ(surveillance::RecognizerConfig{}.engine, EngineMode::kNaive);
+  EXPECT_FALSE(resolved_incremental({6 * kHour, kHour}, EngineMode::kNaive));
+  EXPECT_TRUE(resolved_incremental({kHour, kHour}, EngineMode::kIncremental));
   // Auto: at omega == beta every slide dirties the whole window, so suffix
   // reuse cannot pay — naive. At omega >= 3 beta it can — incremental, with
   // the adaptive full-regen escape hatch armed.
-  EXPECT_FALSE(resolved_incremental({kHour, kHour}, EngineMode::kAuto, true));
-  EXPECT_FALSE(resolved_incremental({2 * kHour, kHour}, EngineMode::kAuto,
-                                    true));
-  EXPECT_TRUE(resolved_incremental({6 * kHour, kHour}, EngineMode::kAuto,
-                                   false));
+  EXPECT_FALSE(resolved_incremental({kHour, kHour}, EngineMode::kAuto));
+  EXPECT_FALSE(resolved_incremental({2 * kHour, kHour}, EngineMode::kAuto));
+  EXPECT_TRUE(resolved_incremental({6 * kHour, kHour}, EngineMode::kAuto));
 
   surveillance::RecognizerConfig auto_cfg;
   auto_cfg.window = stream::WindowSpec{6 * kHour, kHour};
@@ -731,7 +721,7 @@ TEST(EngineModeResolutionTest, ResolvesFromWindowShapeAndOverridesFlag) {
 
   surveillance::RecognizerConfig plain_cfg;
   plain_cfg.window = stream::WindowSpec{6 * kHour, kHour};
-  plain_cfg.incremental = true;
+  plain_cfg.engine = EngineMode::kIncremental;
   const surveillance::CERecognizer plain_rec(&world.knowledge, plain_cfg);
   EXPECT_FALSE(plain_rec.engine().options().adaptive_full_regen);
 }

@@ -6,7 +6,6 @@
 
 #include "common/rng.h"
 #include "geo/geo_point.h"
-#include "geo/grid_index.h"
 #include "geo/polygon.h"
 #include "geo/velocity.h"
 
@@ -274,28 +273,6 @@ TEST(PolygonEdgeCasesTest, EmptyPolygon) {
 TEST(PolygonEdgeCasesTest, DegenerateTwoVertexPolygonNeverContains) {
   const Polygon line(std::vector<GeoPoint>{GeoPoint{0, 0}, GeoPoint{1, 1}});
   EXPECT_FALSE(line.Contains(GeoPoint{0.5, 0.5}));
-}
-
-TEST(GridIndexTest, FindsNearbyPolygons) {
-  GridIndex grid(0.25);
-  const Polygon a = Polygon::RegularPolygon(GeoPoint{24.0, 37.0}, 3000.0, 8);
-  const Polygon b = Polygon::RegularPolygon(GeoPoint{26.0, 39.0}, 3000.0, 8);
-  grid.Insert(1, a, 0.05, 0.05);
-  grid.Insert(2, b, 0.05, 0.05);
-  const auto near_a = grid.Candidates(GeoPoint{24.0, 37.0});
-  EXPECT_NE(std::find(near_a.begin(), near_a.end(), 1), near_a.end());
-  EXPECT_EQ(std::find(near_a.begin(), near_a.end(), 2), near_a.end());
-  const auto far = grid.Candidates(GeoPoint{20.0, 35.0});
-  EXPECT_TRUE(far.empty());
-}
-
-TEST(GridIndexTest, MarginExtendsCoverage) {
-  GridIndex grid(0.1);
-  const Polygon a = Polygon::RegularPolygon(GeoPoint{24.0, 37.0}, 1000.0, 8);
-  grid.Insert(7, a, 0.2, 0.2);
-  // ~15 km east of the polygon, inside the 0.2-degree margin.
-  const auto c = grid.Candidates(GeoPoint{24.17, 37.0});
-  EXPECT_NE(std::find(c.begin(), c.end(), 7), c.end());
 }
 
 }  // namespace

@@ -152,7 +152,7 @@ TEST_F(SnapshotRecoveryTest, IncrementalRecognitionBitIdenticalAfterRecovery) {
   cfg.window = stream::WindowSpec{kHour, 10 * kMinute};
   cfg.partitions = 1;
   cfg.archive = true;
-  cfg.incremental_recognition = true;
+  cfg.recognition_engine = surveillance::EngineMode::kIncremental;
   RunDifferential(cfg, {2, 5});
 }
 
@@ -162,7 +162,7 @@ TEST_F(SnapshotRecoveryTest, ShardedPartitionedBitIdenticalAfterRecovery) {
   cfg.partitions = 2;
   cfg.tracker_shards = 2;
   cfg.archive = true;
-  cfg.incremental_recognition = true;
+  cfg.recognition_engine = surveillance::EngineMode::kIncremental;
   RunDifferential(cfg, {4});
 }
 

@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "maritime/live_index.h"
@@ -907,11 +908,32 @@ TEST(PipelineSnapshotTest, ConfigMismatchIsInvalidArgument) {
   snapshot::Reader r4(w.bytes());
   EXPECT_EQ(b4.RestoreFrom(r4).code(), StatusCode::kInvalidArgument);
 
+  // Rejected by the engine section, which records the resolved mode.
   other = cfg;
-  other.incremental_recognition = true;
+  other.recognition_engine = surveillance::EngineMode::kIncremental;
   SurveillancePipeline b5(&world.knowledge, other);
   snapshot::Reader r5(w.bytes());
   EXPECT_EQ(b5.RestoreFrom(r5).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PipelineSnapshotTest, ManifestRecordsResolvedEngineMode) {
+  // kAuto at ω = 6β resolves to the incremental engine; the manifest must
+  // say so rather than echo a default flag.
+  sim::World world = sim::BuildWorld(35, SmallWorldParams());
+  PipelineConfig cfg = SmallPipelineConfig();
+  ASSERT_EQ(cfg.window.range, 6 * cfg.window.slide);
+  for (const auto& [mode, incremental] :
+       {std::pair{surveillance::EngineMode::kAuto, true},
+        std::pair{surveillance::EngineMode::kNaive, false}}) {
+    cfg.recognition_engine = mode;
+    SurveillancePipeline pipeline(&world.knowledge, cfg);
+    snapshot::Writer w;
+    pipeline.SaveTo(w);
+    const Result<surveillance::SnapshotManifest> m =
+        surveillance::ReadSnapshotManifest(w.bytes());
+    ASSERT_TRUE(m.ok()) << m.status();
+    EXPECT_EQ(m.value().incremental_recognition, incremental);
+  }
 }
 
 TEST(PipelineSnapshotTest, SaveLoadFileRoundTrip) {

@@ -277,16 +277,16 @@ TEST(SpatialIndexTest, DegenerateShapesMatchBruteSemantics) {
 }
 
 // ---------------------------------------------------------------------------
-// KnowledgeBase engine equivalence: brute / grid / tiered answer every
-// spatial predicate identically, in the same deterministic order.
+// KnowledgeBase engine equivalence: brute and tiered answer every spatial
+// predicate identically, in the same deterministic order.
 // ---------------------------------------------------------------------------
 
 KnowledgeBase MakeKb(SpatialEngine engine, double threshold_m,
                      const std::vector<AreaInfo>& areas,
-                     double grid_cell_deg = 0.25) {
+                     double tiered_cell_deg = 0.02) {
   SpatialOptions opts;
   opts.engine = engine;
-  opts.grid_cell_deg = grid_cell_deg;
+  opts.tiered_cell_deg = tiered_cell_deg;
   KnowledgeBase kb(threshold_m, opts);
   for (const AreaInfo& a : areas) kb.AddArea(a);
   return kb;
@@ -315,7 +315,6 @@ TEST(KnowledgeBaseEngineTest, EnginesAgreeAndOutputsAreSorted) {
   Rng rng(0x6b1);
   const std::vector<AreaInfo> areas = RandomAreas(rng, region, 60);
   const KnowledgeBase brute = MakeKb(SpatialEngine::kBrute, threshold_m, areas);
-  const KnowledgeBase grid = MakeKb(SpatialEngine::kGrid, threshold_m, areas);
   const KnowledgeBase tiered =
       MakeKb(SpatialEngine::kTiered, threshold_m, areas);
 
@@ -327,29 +326,21 @@ TEST(KnowledgeBaseEngineTest, EnginesAgreeAndOutputsAreSorted) {
     batch.push_back(p);
     const std::vector<int32_t> want = brute.AreasCloseTo(p);
     EXPECT_TRUE(std::is_sorted(want.begin(), want.end()));
-    ASSERT_EQ(grid.AreasCloseTo(p), want);
     ASSERT_EQ(tiered.AreasCloseTo(p), want);
     for (const AreaKind kind :
          {AreaKind::kPort, AreaKind::kProtected, AreaKind::kShallow}) {
       const std::vector<int32_t> want_kind = brute.AreasCloseTo(p, kind);
-      ASSERT_EQ(grid.AreasCloseTo(p, kind), want_kind);
       ASSERT_EQ(tiered.AreasCloseTo(p, kind), want_kind);
-      ASSERT_EQ(grid.AnyAreaCloseTo(p, kind), !want_kind.empty());
       ASSERT_EQ(tiered.AnyAreaCloseTo(p, kind), !want_kind.empty());
     }
     const AreaInfo* want_port = brute.PortContaining(p);
-    const AreaInfo* grid_port = grid.PortContaining(p);
     const AreaInfo* tiered_port = tiered.PortContaining(p);
-    ASSERT_EQ(grid_port == nullptr, want_port == nullptr);
     ASSERT_EQ(tiered_port == nullptr, want_port == nullptr);
     if (want_port != nullptr) {
-      ASSERT_EQ(grid_port->id, want_port->id);
       ASSERT_EQ(tiered_port->id, want_port->id);
     }
     for (const AreaInfo& a : areas) {
-      ASSERT_EQ(grid.Close(p, a.id), brute.Close(p, a.id));
       ASSERT_EQ(tiered.Close(p, a.id), brute.Close(p, a.id));
-      ASSERT_EQ(grid.InsideArea(p, a.id), brute.InsideArea(p, a.id));
       ASSERT_EQ(tiered.InsideArea(p, a.id), brute.InsideArea(p, a.id));
     }
   }
@@ -362,12 +353,11 @@ TEST(KnowledgeBaseEngineTest, EnginesAgreeAndOutputsAreSorted) {
   }
 }
 
-TEST(KnowledgeBaseEngineTest, GridMarginCoversHighLatitudeNeighborhoods) {
-  // Regression for the latitude-independent grid margin: at 84.5N the
-  // close threshold of 1000 m spans ~0.098 degrees of longitude, far more
-  // than the old fixed margin of 1000/111000*2 + 0.01 ~ 0.028 degrees.
-  // With fine grid cells the old code pruned away genuinely-close areas
-  // west/east of a polygon; the bbox-latitude-derived margin must not.
+TEST(KnowledgeBaseEngineTest, TieredMatchesBruteAtHighLatitude) {
+  // At 84.5N the close threshold of 1000 m spans ~0.098 degrees of
+  // longitude, far more than a fixed mid-latitude margin of ~0.028 degrees;
+  // an index whose margin ignored latitude would prune genuinely-close areas
+  // west/east of the polygon.
   const double threshold_m = 1000.0;
   AreaInfo area;
   area.id = 42;
@@ -377,25 +367,20 @@ TEST(KnowledgeBaseEngineTest, GridMarginCoversHighLatitudeNeighborhoods) {
 
   // Fine cells (0.01 deg) so the margin itself, not cell quantization,
   // decides which cells know about the area.
-  const KnowledgeBase grid =
-      MakeKb(SpatialEngine::kGrid, threshold_m, areas, /*grid_cell_deg=*/0.01);
+  const KnowledgeBase tiered = MakeKb(SpatialEngine::kTiered, threshold_m,
+                                      areas, /*tiered_cell_deg=*/0.01);
   const KnowledgeBase brute = MakeKb(SpatialEngine::kBrute, threshold_m, areas);
-  const KnowledgeBase tiered =
-      MakeKb(SpatialEngine::kTiered, threshold_m, areas);
 
   // Walk points due west of the polygon edge out to beyond the threshold.
   for (double d = 100.0; d <= 1600.0; d += 100.0) {
     const GeoPoint p =
         DestinationPoint(GeoPoint{12.0, 84.5}, 270.0, 500.0 + d);
-    const std::vector<int32_t> want = brute.AreasCloseTo(p);
-    ASSERT_EQ(grid.AreasCloseTo(p), want) << "at d=" << d;
-    ASSERT_EQ(tiered.AreasCloseTo(p), want) << "at d=" << d;
+    ASSERT_EQ(tiered.AreasCloseTo(p), brute.AreasCloseTo(p)) << "at d=" << d;
   }
-  // Sanity: the near-threshold point is genuinely close (the configuration
-  // the old margin missed).
+  // Sanity: the near-threshold point is genuinely close.
   const GeoPoint near =
       DestinationPoint(GeoPoint{12.0, 84.5}, 270.0, 500.0 + 900.0);
-  EXPECT_EQ(grid.AreasCloseTo(near), (std::vector<int32_t>{42}));
+  EXPECT_EQ(tiered.AreasCloseTo(near), (std::vector<int32_t>{42}));
 }
 
 TEST(KnowledgeBaseEngineTest, RestrictedPropagatesEngineChoice) {
@@ -403,7 +388,7 @@ TEST(KnowledgeBaseEngineTest, RestrictedPropagatesEngineChoice) {
   Rng rng(0x9e57);
   const std::vector<AreaInfo> areas = RandomAreas(rng, region, 20);
   for (const SpatialEngine engine :
-       {SpatialEngine::kBrute, SpatialEngine::kGrid, SpatialEngine::kTiered}) {
+       {SpatialEngine::kBrute, SpatialEngine::kTiered}) {
     const KnowledgeBase kb = MakeKb(engine, 1000.0, areas);
     const KnowledgeBase sub = kb.Restricted({1, 2, 3, 4, 5});
     EXPECT_EQ(sub.spatial_options().engine, engine);

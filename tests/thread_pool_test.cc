@@ -148,56 +148,14 @@ TEST(ThreadPoolTest, UnevenWorkBalances) {
   EXPECT_EQ(count.load(), 32);
 }
 
-TEST(ThreadPoolLaneTest, LaneSpansPartitionTheWorkers) {
-  ThreadPool pool(4);
-  const auto any = pool.LaneSpan(Lane::kAny);
-  const auto tracker = pool.LaneSpan(Lane::kTracker);
-  const auto recognizer = pool.LaneSpan(Lane::kRecognizer);
-  EXPECT_EQ(any.first, 0u);
-  EXPECT_EQ(any.second, 4u);
-  EXPECT_EQ(tracker.first, 0u);
-  EXPECT_EQ(tracker.second, recognizer.first);
-  EXPECT_EQ(recognizer.second, 4u);
-  EXPECT_GT(tracker.second, tracker.first);
-  EXPECT_GT(recognizer.second, recognizer.first);
-}
-
-TEST(ThreadPoolLaneTest, SingleWorkerLanesCollapseToWholePool) {
-  ThreadPool pool(1);
-  for (Lane lane : {Lane::kAny, Lane::kTracker, Lane::kRecognizer}) {
-    const auto span = pool.LaneSpan(lane);
-    EXPECT_EQ(span.first, 0u);
-    EXPECT_EQ(span.second, 1u);
-  }
-}
-
-TEST(ThreadPoolLaneTest, LaneSubmitAndParallelForCoverEveryIndex) {
-  ThreadPool pool(4);
-  for (Lane lane : {Lane::kAny, Lane::kTracker, Lane::kRecognizer}) {
-    std::vector<std::atomic<int>> hits(64);
-    pool.ParallelFor(lane, hits.size(), [&](size_t i) { ++hits[i]; });
-    for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-
-    std::atomic<int> submitted{0};
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 32; ++i) {
-      ++submitted;
-      pool.Submit(lane, [&] { ++ran; });
-    }
-    while (ran.load() < submitted.load()) std::this_thread::yield();
-    EXPECT_EQ(ran.load(), 32);
-  }
-}
-
-TEST(ThreadPoolLaneTest, SlotContractHoldsAcrossLanes) {
-  // Slots stay dense and exclusive even when closures are stolen across
-  // lanes: every observed slot is < workers + 1 and never runs concurrently
-  // with itself.
+TEST(ThreadPoolTest, SlotContractHolds) {
+  // Slots stay dense and exclusive even when closures are stolen: every
+  // observed slot is < workers + 1 and never runs concurrently with itself.
   ThreadPool pool(3);
   const size_t slots = static_cast<size_t>(pool.worker_count()) + 1;
   std::vector<std::atomic<int>> active(slots);
   std::atomic<bool> overlap{false};
-  pool.ParallelFor(Lane::kRecognizer, 256, [&](size_t, size_t slot) {
+  pool.ParallelFor(256, [&](size_t, size_t slot) {
     ASSERT_LT(slot, slots);
     if (active[slot].fetch_add(1) != 0) overlap.store(true);
     std::this_thread::yield();
@@ -206,71 +164,48 @@ TEST(ThreadPoolLaneTest, SlotContractHoldsAcrossLanes) {
   EXPECT_FALSE(overlap.load());
 }
 
-TEST(ThreadPoolLaneTest, IdleWorkersStealAcrossLanes) {
-  // Two workers: the tracker lane is worker 0 alone, the recognizer lane is
-  // worker 1 alone. The first tracker-lane task blocks until `release` is
-  // set — which only the *second* tracker-lane task does. Without stealing
-  // the second task would sit behind the blocked first one in worker 0's
-  // deque forever; worker 1 stealing it is the only way this test finishes.
+TEST(ThreadPoolTest, IdleWorkersSteal) {
+  // Two workers, tasks pushed round-robin: the first and third task share a
+  // deque. The first blocks until `release` is set, which only the third
+  // does. Without stealing the third would sit behind the blocked first one
+  // forever; the other worker stealing one of them is the only way this
+  // test finishes.
   ThreadPool pool(2);
   std::atomic<bool> release{false};
   std::atomic<int> done{0};
-  pool.Submit(Lane::kTracker, [&] {
+  pool.Submit([&] {
     while (!release.load()) std::this_thread::yield();
     ++done;
   });
-  pool.Submit(Lane::kTracker, [&] {
+  pool.Submit([&] { ++done; });
+  pool.Submit([&] {
     release.store(true);
     ++done;
   });
-  while (done.load() < 2) std::this_thread::yield();
-  EXPECT_EQ(done.load(), 2);
+  while (done.load() < 3) std::this_thread::yield();
+  EXPECT_EQ(done.load(), 3);
   EXPECT_GE(pool.steal_count(), 1u);
 }
 
-TEST(ThreadPoolLaneTest, StopDrainsEveryLaneQueue) {
+TEST(ThreadPoolShutdownTest, StopDrainsEveryQueue) {
   // Tasks parked in per-worker deques at Stop() time must all still run,
-  // whatever lane they were pushed to.
+  // whichever deque they were pushed to.
   std::atomic<int> ran{0};
   {
     ThreadPool pool(2);
     std::atomic<bool> hold{true};
     // Park both workers so subsequent pushes stay queued.
-    pool.Submit(Lane::kTracker, [&] {
-      while (hold.load()) std::this_thread::yield();
-    });
-    pool.Submit(Lane::kRecognizer, [&] {
-      while (hold.load()) std::this_thread::yield();
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    for (int i = 0; i < 8; ++i) {
-      pool.Submit(i % 2 == 0 ? Lane::kTracker : Lane::kRecognizer,
-                  [&] { ++ran; });
+    for (int i = 0; i < 2; ++i) {
+      pool.Submit([&] {
+        while (hold.load()) std::this_thread::yield();
+      });
     }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    for (int i = 0; i < 8; ++i) pool.Submit([&] { ++ran; });
     hold.store(false);
     pool.Stop();
   }
   EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(ThreadPoolAffinityTest, UnpinnedPoolReportsZero) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.pinned_count(), 0);
-}
-
-TEST(ThreadPoolAffinityTest, PinnedPoolStillCoversEveryIndex) {
-  // Pinning is a placement hint; correctness must be unchanged. On Linux
-  // every worker should pin (cores wrap modulo the machine width); elsewhere
-  // the call is a no-op and pinned_count() stays 0.
-  ThreadPool pool(3, /*pin_to_cores=*/true);
-#if defined(__linux__)
-  EXPECT_EQ(pool.pinned_count(), 3);
-#else
-  EXPECT_EQ(pool.pinned_count(), 0);
-#endif
-  std::vector<std::atomic<int>> hits(128);
-  pool.ParallelFor(hits.size(), [&](size_t i) { ++hits[i]; });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 }  // namespace

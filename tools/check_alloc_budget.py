@@ -37,13 +37,12 @@ BUDGETS = {
     # adaptive full-regen slides stay on the same arena, so same budget.
     "BM_CERecognitionWindow/2": ("allocs_per_slide", 200.0),
     # Skewed fleet (601 vessels, steady-state slides only): ~56 allocs/slide
-    # measured on both axes. Keeping steady slides O(changes) rather than
-    # O(fleet) is the point of the scoped-dirty work, so the budget is
-    # deliberately far below fleet size: one stray per-vessel allocation
-    # (a capturing callback, a cleared-not-reused scratch map) costs ~600
-    # allocs/slide here and trips the gate at once.
-    "BM_SkewedFleetRecognition/0": ("allocs_per_slide", 300.0),
-    "BM_SkewedFleetRecognition/1": ("allocs_per_slide", 300.0),
+    # measured. Keeping steady slides O(changes) rather than O(fleet) is the
+    # point of the scoped-dirty work, so the budget is deliberately far below
+    # fleet size: one stray per-vessel allocation (a capturing callback, a
+    # cleared-not-reused scratch map) costs ~600 allocs/slide here and trips
+    # the gate at once.
+    "BM_SkewedFleetRecognition": ("allocs_per_slide", 300.0),
     # Long window (omega = 9 h, beta = 1 min, steady-state slides only):
     # ~45 allocs/slide measured, nearly all of it the output rows handed
     # back to the caller. Clean keys are fast-forwarded in place and the

@@ -12,13 +12,9 @@ Checks invariants the compiler cannot see:
                    container iteration order (bit-identical recognition
                    and snapshot bytes, DESIGN.md §9/§10)
 
-Frontends:
-  clang    libclang (python clang.cindex) over compile_commands.json
-  textual  a dependency-free lexical model of the same entities
-  auto     clang when importable, else textual (the default)
-
-The two frontends feed identical rule implementations (rules.py) and are
-pinned to identical verdicts by the fixtures under tests/lint/.
+A dependency-free lexical model of the sources (source_model.py) feeds the
+rule implementations (rules.py); the fixtures under tests/lint/ pin their
+verdicts.
 
 Usage:
   tools/lint/maritime_lint.py [paths...]          # default: src bench
@@ -26,7 +22,7 @@ Usage:
   tools/lint/maritime_lint.py --list-rules
 
 Exit codes: 0 clean / verified, 1 diagnostics or verify mismatch,
-2 configuration error (e.g. --strict with a missing frontend).
+2 configuration error (no sources, unknown rule).
 """
 
 from __future__ import annotations
@@ -59,22 +55,8 @@ def collect_files(paths: list[str]) -> list[str]:
     return out
 
 
-def build_project(files: list[str], frontend: str, build_dir: str,
-                  strict: bool) -> tuple[Project | None, str]:
-    """Returns (project, frontend_used); project None = frontend missing."""
+def build_project(files: list[str]) -> Project:
     models = []
-    clang = None
-    if frontend in ("auto", "clang"):
-        try:
-            import clang_frontend
-            clang = clang_frontend.load(build_dir)
-        except Exception as e:  # noqa: BLE001 - any import/ABI failure
-            if frontend == "clang":
-                print(f"maritime-lint: libclang frontend failed to load: {e}",
-                      file=sys.stderr)
-            clang = None
-        if clang is None and frontend == "clang":
-            return None, "clang"
     for path in files:
         try:
             with open(path, "r", encoding="utf-8", errors="replace") as f:
@@ -85,16 +67,7 @@ def build_project(files: list[str], frontend: str, build_dir: str,
         rel = os.path.relpath(path, REPO_ROOT)
         models.append(SourceFile(rel if not rel.startswith("..") else path,
                                  text))
-    used = "textual"
-    if clang is not None:
-        try:
-            clang.refine(models)
-            used = "clang"
-        except Exception as e:  # noqa: BLE001
-            print(f"maritime-lint: libclang frontend error ({e}); "
-                  "falling back to the textual frontend", file=sys.stderr)
-            used = "textual"
-    return Project(models), used
+    return Project(models)
 
 
 def cmd_lint(args) -> int:
@@ -102,16 +75,7 @@ def cmd_lint(args) -> int:
     if not files:
         print("maritime-lint: no source files found", file=sys.stderr)
         return 2
-    project, used = build_project(files, args.frontend, args.build_dir,
-                                  args.strict)
-    if project is None:
-        print("maritime-lint: libclang not available "
-              "(pip/apt install python3-clang to enable the clang frontend)",
-              file=sys.stderr)
-        if args.strict:
-            return 2
-        print("maritime-lint: SKIPPED", file=sys.stderr)
-        return 0
+    project = build_project(files)
     names = args.rules.split(",") if args.rules else None
     if names:
         unknown = [n for n in names if n not in RULES]
@@ -124,10 +88,10 @@ def cmd_lint(args) -> int:
         print(d)
     n_files = len(project.files)
     if diags:
-        print(f"maritime-lint[{used}]: {len(diags)} diagnostic(s) over "
+        print(f"maritime-lint: {len(diags)} diagnostic(s) over "
               f"{n_files} files", file=sys.stderr)
         return 1
-    print(f"maritime-lint[{used}]: clean ({n_files} files, "
+    print(f"maritime-lint: clean ({n_files} files, "
           f"{len(names) if names else len(RULES)} rules)")
     return 0
 
@@ -141,11 +105,7 @@ def cmd_verify(args) -> int:
         print(f"maritime-lint: no fixtures under {args.verify}",
               file=sys.stderr)
         return 2
-    project, used = build_project(files, args.frontend, args.build_dir,
-                                  args.strict)
-    if project is None:
-        print("maritime-lint: libclang not available", file=sys.stderr)
-        return 2 if args.strict else 0
+    project = build_project(files)
     diags = run_rules(project)
     expected = set()
     for sf in project.files:
@@ -162,11 +122,11 @@ def cmd_verify(args) -> int:
         print(f"{path}:{line}: unexpected diagnostic: [{rule}] {d.message}")
     total = len(expected)
     if missing or unexpected:
-        print(f"maritime-lint[{used}]: verify FAILED — {len(missing)} "
+        print(f"maritime-lint: verify FAILED — {len(missing)} "
               f"missing, {len(unexpected)} unexpected "
               f"(of {total} expectations)", file=sys.stderr)
         return 1
-    print(f"maritime-lint[{used}]: verify OK — {total} expected diagnostics "
+    print(f"maritime-lint: verify OK — {total} expected diagnostics "
           f"matched, {len(project.files)} fixture files")
     return 0
 
@@ -179,15 +139,6 @@ def main(argv=None) -> int:
                     default=[os.path.join(REPO_ROOT, "src"),
                              os.path.join(REPO_ROOT, "bench")],
                     help="files or directories to lint (default: src bench)")
-    ap.add_argument("-p", "--build-dir",
-                    default=os.path.join(REPO_ROOT, "build"),
-                    help="build tree with compile_commands.json for the "
-                         "clang frontend (default: build)")
-    ap.add_argument("--frontend", choices=("auto", "clang", "textual"),
-                    default="auto")
-    ap.add_argument("--strict", action="store_true",
-                    help="fail (exit 2) when the requested frontend is "
-                         "unavailable instead of skipping; for CI")
     ap.add_argument("--rules", default=None,
                     help="comma-separated subset of rules to run")
     ap.add_argument("--verify", metavar="DIR", default=None,

@@ -1,14 +1,12 @@
-"""Lightweight C++ source model for maritime-lint's portable frontend.
+"""Lightweight C++ source model for maritime-lint.
 
 This is not a C++ parser; it is a deliberately small lexical model tuned to
 this repository's style (clang-format, one declaration per statement) and to
 the four maritime-lint rules.  It blanks comments/literals/preprocessor
 lines, matches braces, and extracts just enough structure — classes with
 their data members, using-aliases, function declarations/definitions with
-leading annotation macros — for the rules to reason about.  The libclang
-frontend (clang_frontend.py) produces the same entities from a real AST when
-libclang is available; fixtures under tests/lint/ pin the two to identical
-verdicts.
+leading annotation macros — for the rules to reason about.  Fixtures under
+tests/lint/ pin the verdicts.
 
 Annotation macros (src/common/annotations.h) are recognized by name:
   MARITIME_ARENA_SCOPED, MARITIME_ARENA_ESCAPE_OK,
