@@ -24,6 +24,13 @@ std::vector<int32_t>& TlsIdScratch() {
   return ids;
 }
 
+std::shared_ptr<geo::SpatialIndex> NewIndex(double close_threshold_m,
+                                            const SpatialOptions& spatial) {
+  return std::make_shared<geo::SpatialIndex>(
+      close_threshold_m,
+      geo::SpatialIndex::Options{.cell_deg = spatial.tiered_cell_deg});
+}
+
 }  // namespace
 
 std::string_view AreaKindName(AreaKind kind) {
@@ -71,15 +78,21 @@ std::string_view SpatialEngineName(SpatialEngine engine) {
 KnowledgeBase::KnowledgeBase(double close_threshold_m, SpatialOptions spatial)
     : close_threshold_m_(close_threshold_m),
       spatial_options_(spatial),
-      spatial_(close_threshold_m,
-               geo::SpatialIndex::Options{.cell_deg = spatial.tiered_cell_deg}) {
-}
+      spatial_(NewIndex(close_threshold_m, spatial)) {}
 
 void KnowledgeBase::AddArea(AreaInfo area) {
-  area_index_[area.id] = areas_.size();
   if (spatial_options_.engine == SpatialEngine::kTiered) {
-    spatial_.Insert(area.id, area.polygon);
+    if (IndexHoldsOtherAreas()) {
+      // A band that grows stops sharing: its own index holds its areas
+      // only, so an id from another band cannot collide.
+      spatial_ = NewIndex(close_threshold_m_, spatial_options_);
+      for (const AreaInfo& a : areas_) spatial_->Insert(a.id, a.polygon);
+    } else if (spatial_.use_count() > 1) {
+      spatial_ = std::make_shared<geo::SpatialIndex>(*spatial_);
+    }
+    spatial_->Insert(area.id, area.polygon);
   }
+  area_index_[area.id] = areas_.size();
   areas_.push_back(std::move(area));
 }
 
@@ -117,9 +130,16 @@ const VesselInfo* KnowledgeBase::FindVessel(stream::Mmsi mmsi) const {
   return it == vessels_.end() ? nullptr : &it->second;
 }
 
+void KnowledgeBase::DropOtherAreas(std::vector<int32_t>* ids) const {
+  if (IndexHoldsOtherAreas()) {
+    std::erase_if(*ids, [&](int32_t id) { return FindArea(id) == nullptr; });
+  }
+}
+
 bool KnowledgeBase::Close(const geo::GeoPoint& p, int32_t area_id) const {
   if (spatial_options_.engine == SpatialEngine::kTiered) {
-    return spatial_.Close(p, area_id, &TlsSpatialCache());
+    if (IndexHoldsOtherAreas() && FindArea(area_id) == nullptr) return false;
+    return spatial_->Close(p, area_id, &TlsSpatialCache());
   }
   const AreaInfo* area = FindArea(area_id);
   if (area == nullptr) return false;
@@ -136,7 +156,8 @@ void KnowledgeBase::AreasCloseTo(const geo::GeoPoint& p,
                                  std::vector<int32_t>* out) const {
   out->clear();
   if (spatial_options_.engine == SpatialEngine::kTiered) {
-    spatial_.AreasCloseTo(p, out, &TlsSpatialCache());  // Sorted by the index.
+    spatial_->AreasCloseTo(p, out, &TlsSpatialCache());  // Sorted by id.
+    DropOtherAreas(out);
     return;
   }
   for (const AreaInfo& area : areas_) {
@@ -151,7 +172,7 @@ std::vector<int32_t> KnowledgeBase::AreasCloseTo(const geo::GeoPoint& p,
                                                  AreaKind kind) const {
   std::vector<int32_t> out;
   if (spatial_options_.engine == SpatialEngine::kTiered) {
-    spatial_.AreasCloseTo(p, &out, &TlsSpatialCache());
+    spatial_->AreasCloseTo(p, &out, &TlsSpatialCache());
     std::erase_if(out, [&](int32_t id) {
       const AreaInfo* area = FindArea(id);
       return area == nullptr || area->kind != kind;
@@ -172,7 +193,7 @@ bool KnowledgeBase::AnyAreaCloseTo(const geo::GeoPoint& p,
                                    AreaKind kind) const {
   if (spatial_options_.engine == SpatialEngine::kTiered) {
     std::vector<int32_t>& close = TlsIdScratch();
-    spatial_.AreasCloseTo(p, &close, &TlsSpatialCache());
+    spatial_->AreasCloseTo(p, &close, &TlsSpatialCache());
     for (const int32_t id : close) {
       const AreaInfo* area = FindArea(id);
       if (area != nullptr && area->kind == kind) return true;
@@ -196,7 +217,8 @@ std::vector<std::vector<int32_t>> KnowledgeBase::AreasCloseToAll(
     // same vessel track and almost always share a cell.
     geo::SpatialIndex::Cache cache;
     for (size_t i = 0; i < pts.size(); ++i) {
-      spatial_.AreasCloseTo(pts[i], &out[i], &cache);
+      spatial_->AreasCloseTo(pts[i], &out[i], &cache);
+      DropOtherAreas(&out[i]);
     }
   } else {
     for (size_t i = 0; i < pts.size(); ++i) out[i] = AreasCloseTo(pts[i]);
@@ -206,7 +228,8 @@ std::vector<std::vector<int32_t>> KnowledgeBase::AreasCloseToAll(
 
 bool KnowledgeBase::InsideArea(const geo::GeoPoint& p, int32_t area_id) const {
   if (spatial_options_.engine == SpatialEngine::kTiered) {
-    return spatial_.Contains(p, area_id, &TlsSpatialCache());
+    if (IndexHoldsOtherAreas() && FindArea(area_id) == nullptr) return false;
+    return spatial_->Contains(p, area_id, &TlsSpatialCache());
   }
   const AreaInfo* area = FindArea(area_id);
   return area != nullptr && area->polygon.Contains(p);
@@ -232,7 +255,7 @@ const AreaInfo* KnowledgeBase::PortContaining(const geo::GeoPoint& p) const {
   // is deterministic even when port polygons overlap.
   if (spatial_options_.engine == SpatialEngine::kTiered) {
     std::vector<int32_t>& inside = TlsIdScratch();
-    spatial_.AreasContaining(p, &inside, &TlsSpatialCache());
+    spatial_->AreasContaining(p, &inside, &TlsSpatialCache());
     for (const int32_t id : inside) {  // Sorted ascending: first port wins.
       const AreaInfo* area = FindArea(id);
       if (area != nullptr && area->kind == AreaKind::kPort) return area;
@@ -252,11 +275,14 @@ const AreaInfo* KnowledgeBase::PortContaining(const geo::GeoPoint& p) const {
 KnowledgeBase KnowledgeBase::Restricted(
     const std::vector<int32_t>& area_ids) const {
   KnowledgeBase out(close_threshold_m_, spatial_options_);
+  out.spatial_ = spatial_;
   for (const int32_t id : area_ids) {
     const AreaInfo* area = FindArea(id);
-    if (area != nullptr) out.AddArea(*area);
+    if (area == nullptr) continue;
+    out.area_index_[id] = out.areas_.size();
+    out.areas_.push_back(*area);
   }
-  for (const auto& [mmsi, vessel] : vessels_) out.AddVessel(vessel);
+  out.vessels_ = vessels_;
   return out;
 }
 

@@ -2,6 +2,7 @@
 #define MARITIME_MARITIME_KNOWLEDGE_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -150,8 +151,12 @@ class KnowledgeBase {
   /// segmentation); deterministic across engines.
   const AreaInfo* PortContaining(const geo::GeoPoint& p) const;
 
-  /// Builds a copy containing only the given areas (all vessels retained);
-  /// used to partition CE recognition across processors (paper Section 5.2).
+  /// Builds a copy containing only the given areas, in the given order, and
+  /// a copy of the vessel registry taken now; used to partition CE
+  /// recognition across processors (paper Section 5.2). The band shares this
+  /// KB's spatial index instead of rebuilding one, and drops the ids it
+  /// does not hold from every index answer, so it answers exactly as a KB
+  /// built from those areas alone.
   KnowledgeBase Restricted(const std::vector<int32_t>& area_ids) const;
 
   /// Under-keel clearance margin used by IsShallowFor (meters).
@@ -163,7 +168,18 @@ class KnowledgeBase {
   std::vector<AreaInfo> areas_;
   std::unordered_map<int32_t, size_t> area_index_;
   std::unordered_map<stream::Mmsi, VesselInfo> vessels_;
-  geo::SpatialIndex spatial_;  ///< Populated under SpatialEngine::kTiered.
+  /// Populated under SpatialEngine::kTiered. Shared with the bands cut by
+  /// Restricted and with copies of this KB, and never mutated while shared:
+  /// AddArea copies it first, or on a band builds one of the band's areas.
+  std::shared_ptr<geo::SpatialIndex> spatial_;
+
+  /// True when the index holds areas this KB does not (a band): index
+  /// answers must then drop the ids FindArea does not know.
+  bool IndexHoldsOtherAreas() const {
+    return spatial_->polygon_count() != area_index_.size();
+  }
+  /// Drops the ids this KB does not hold from a sorted index answer.
+  void DropOtherAreas(std::vector<int32_t>* ids) const;
 };
 
 }  // namespace maritime::surveillance

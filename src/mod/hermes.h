@@ -10,7 +10,9 @@
 namespace maritime::mod {
 
 /// Wall-clock seconds spent in each offline phase (the stages of paper
-/// Figure 10, excluding online tracking which is measured upstream).
+/// Figure 10, excluding online tracking which is measured upstream). A
+/// snapshot carries only `batches`: the seconds are this process's own, and
+/// a restored archiver counts them from zero.
 struct ArchiveTimings {
   double staging_s = 0.0;
   double reconstruction_s = 0.0;

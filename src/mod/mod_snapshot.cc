@@ -15,7 +15,10 @@ namespace {
 
 constexpr uint8_t kTripBuilderFormatVersion = 1;
 constexpr uint8_t kStoreFormatVersion = 1;
-constexpr uint8_t kArchiverFormatVersion = 1;
+// v2 dropped the three phase timers: wall-clock readings made the same run
+// write different bytes. v1 snapshots still restore; their readings are
+// discarded.
+constexpr uint8_t kArchiverFormatVersion = 2;
 
 // Minimum encoded size of a critical point, for hostile-count validation.
 constexpr size_t kCriticalPointBytes =
@@ -152,9 +155,6 @@ void HermesArchiver::SaveTo(snapshot::Writer& w) const {
   w.U64(reconstructed_.size());
   for (const Trip& t : reconstructed_) SaveTrip(t, w);
   store_.SaveTo(w);
-  w.F64(timings_.staging_s);
-  w.F64(timings_.reconstruction_s);
-  w.F64(timings_.loading_s);
   w.U64(timings_.batches);
 }
 
@@ -192,10 +192,14 @@ Status HermesArchiver::RestoreFrom(snapshot::Reader& r) {
     reconstructed_.push_back(std::move(t));
   }
   if (const Status s = store_.RestoreFrom(r); !s.ok()) return s;
-  if (!r.F64(&timings_.staging_s) || !r.F64(&timings_.reconstruction_s) ||
-      !r.F64(&timings_.loading_s) || !r.U64(&timings_.batches)) {
+  // Phase times are this process's own measurement, so they restart at
+  // zero; only the batch count is durable state.
+  double v1_seconds[3] = {};
+  if (version < 2 && (!r.F64(&v1_seconds[0]) || !r.F64(&v1_seconds[1]) ||
+                      !r.F64(&v1_seconds[2]))) {
     return fail();
   }
+  if (!r.U64(&timings_.batches)) return fail();
   return Status::OK();
 }
 

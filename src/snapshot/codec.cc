@@ -4,6 +4,12 @@
 #include <array>
 #include <bit>
 
+#include "snapshot/crc32_kernels.h"
+
+#if MARITIME_CRC32_CLMUL
+#include <immintrin.h>
+#endif
+
 namespace maritime::snapshot {
 namespace {
 
@@ -43,13 +49,9 @@ inline uint32_t LoadU32(const unsigned char* p) {
   return v;
 }
 
-}  // namespace
-
-uint32_t Crc32(std::string_view bytes) {
+// Advances the running (pre-inverted) CRC `c` over `n` bytes at `p`.
+uint32_t SlicedUpdate(uint32_t c, const unsigned char* p, size_t n) {
   const auto& t = kCrcTables;
-  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
-  size_t n = bytes.size();
-  uint32_t c = 0xFFFFFFFFu;
   for (; n >= kSlices; p += kSlices, n -= kSlices) {
     const uint32_t a = LoadU32(p) ^ c;
     const uint32_t b = LoadU32(p + 4);
@@ -67,7 +69,127 @@ uint32_t Crc32(std::string_view bytes) {
   for (; n > 0; ++p, --n) {
     c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
-  return c ^ 0xFFFFFFFFu;
+  return c;
+}
+
+#if MARITIME_CRC32_CLMUL
+
+// Carry-less-multiply folding (Gopal et al., "Fast CRC Computation for
+// Generic Polynomials Using PCLMULQDQ Instruction", Intel 2009), with the
+// paper's constants for the reflected IEEE polynomial. Four 128-bit
+// accumulators each absorb 16 bytes per 64-byte step: A becomes
+// A.lo * k1 ^ A.hi * k2 ^ next, where k1 and k2 are x^(512+32) and
+// x^(512-32) mod P, bit-reflected. The four then fold into one with the
+// 128-bit distance pair (k3, k4), the remainder shrinks 128 -> 64 -> 32 bits
+// (k4, k5), and Barrett reduction by P' (P reflected) and mu'
+// (floor(x^64 / P) reflected) leaves the running CRC.
+constexpr int64_t kK1 = 0x154442bd4;
+constexpr int64_t kK2 = 0x1c6e41596;
+constexpr int64_t kK3 = 0x1751997d0;
+constexpr int64_t kK4 = 0x0ccaa009e;
+constexpr int64_t kK5 = 0x163cd6124;
+constexpr int64_t kPoly = 0x1db710641;
+constexpr int64_t kMu = 0x1f7011641;
+
+[[gnu::target("pclmul")]] inline __m128i Load128(const unsigned char* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+// x.lo * k.lo ^ x.hi * k.hi, carry-less.
+[[gnu::target("pclmul")]] inline __m128i Fold128(__m128i x, __m128i k) {
+  return _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                       _mm_clmulepi64_si128(x, k, 0x11));
+}
+
+// Advances the running CRC `c` over `n` bytes at `p`; n >= 64, n % 16 == 0.
+[[gnu::target("pclmul")]] uint32_t ClmulUpdate(uint32_t c,
+                                                const unsigned char* p,
+                                                size_t n) {
+  const __m128i k1k2 = _mm_set_epi64x(kK2, kK1);
+  const __m128i k3k4 = _mm_set_epi64x(kK4, kK3);
+  const __m128i k5 = _mm_set_epi64x(0, kK5);
+  const __m128i poly_mu = _mm_set_epi64x(kMu, kPoly);
+  const __m128i low32 = _mm_set_epi32(0, 0, 0, -1);
+
+  __m128i x0 = _mm_xor_si128(Load128(p),
+                             _mm_cvtsi32_si128(static_cast<int>(c)));
+  __m128i x1 = Load128(p + 16);
+  __m128i x2 = Load128(p + 32);
+  __m128i x3 = Load128(p + 48);
+  for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+    x0 = _mm_xor_si128(Fold128(x0, k1k2), Load128(p));
+    x1 = _mm_xor_si128(Fold128(x1, k1k2), Load128(p + 16));
+    x2 = _mm_xor_si128(Fold128(x2, k1k2), Load128(p + 32));
+    x3 = _mm_xor_si128(Fold128(x3, k1k2), Load128(p + 48));
+  }
+  x0 = _mm_xor_si128(Fold128(x0, k3k4), x1);
+  x0 = _mm_xor_si128(Fold128(x0, k3k4), x2);
+  x0 = _mm_xor_si128(Fold128(x0, k3k4), x3);
+  for (; n >= 16; p += 16, n -= 16) {
+    x0 = _mm_xor_si128(Fold128(x0, k3k4), Load128(p));
+  }
+  // 128 -> 64 bits: x0.hi ^ x0.lo * k4.
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                     _mm_clmulepi64_si128(x0, k3k4, 0x10));
+  // 64 -> 32 bits: the upper bits ^ the low dword * k5.
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k5, 0x00));
+  // Barrett: T1 = low32(x0) * mu', T2 = low32(T1) * P', CRC = dword 1 of
+  // x0 ^ T2.
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), poly_mu, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly_mu, 0x00);
+  x0 = _mm_xor_si128(x0, t);
+  return static_cast<uint32_t>(_mm_cvtsi128_si32(_mm_srli_si128(x0, 4)));
+}
+
+#endif  // MARITIME_CRC32_CLMUL
+
+}  // namespace
+
+namespace internal {
+
+uint32_t Crc32Sliced(std::string_view bytes) {
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  return SlicedUpdate(0xFFFFFFFFu, p, bytes.size()) ^ 0xFFFFFFFFu;
+}
+
+bool ClmulSupported() {
+#if MARITIME_CRC32_CLMUL
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("pclmul");
+#else
+  return false;
+#endif
+}
+
+#if MARITIME_CRC32_CLMUL
+uint32_t Crc32Clmul(std::string_view bytes) {
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  size_t n = bytes.size();
+  uint32_t c = 0xFFFFFFFFu;
+  if (n >= 64) {
+    const size_t folded = n & ~size_t{15};
+    c = ClmulUpdate(c, p, folded);
+    p += folded;
+    n -= folded;
+  }
+  return SlicedUpdate(c, p, n) ^ 0xFFFFFFFFu;
+}
+#endif
+
+}  // namespace internal
+
+uint32_t Crc32(std::string_view bytes) {
+  // The CPU picks the kernel once; both return the same values.
+  using Kernel = uint32_t (*)(std::string_view);
+#if MARITIME_CRC32_CLMUL
+  static const Kernel kernel = internal::ClmulSupported()
+                                   ? &internal::Crc32Clmul
+                                   : &internal::Crc32Sliced;
+#else
+  static const Kernel kernel = &internal::Crc32Sliced;
+#endif
+  return kernel(bytes);
 }
 
 size_t Writer::BeginSection(uint32_t tag, uint8_t version) {

@@ -32,7 +32,9 @@ struct ShardSlideStats {
 /// `slide_totals()` under the tracker's stats mutex.
 struct SlideTotals {
   size_t slides = 0;            ///< ProcessSlide calls completed.
-  double busy_seconds = 0.0;    ///< Sum of per-shard task wall time.
+  /// Sum of per-shard task wall time in this process: a snapshot does not
+  /// carry it, so a restored tracker counts from zero.
+  double busy_seconds = 0.0;
   size_t tuples = 0;            ///< Positions processed by all shards.
   size_t critical_points = 0;   ///< Critical points emitted by all shards.
 };

@@ -16,7 +16,9 @@ namespace {
 // v2: per-vessel rings plus stop aggregates (DESIGN.md §9); v1 still reads.
 constexpr uint8_t kTrackerFormatVersion = 2;
 constexpr uint8_t kCompressorFormatVersion = 1;
-constexpr uint8_t kShardedFormatVersion = 1;
+// v2 dropped `busy_seconds`: a wall-clock reading made the same run write
+// different bytes. v1 snapshots still restore; their reading is discarded.
+constexpr uint8_t kShardedFormatVersion = 2;
 
 }  // namespace
 
@@ -113,7 +115,6 @@ void ShardedMobilityTracker::SaveTo(snapshot::Writer& w) const {
     totals = totals_;
   }
   w.U64(totals.slides);
-  w.F64(totals.busy_seconds);
   w.U64(totals.tuples);
   w.U64(totals.critical_points);
 }
@@ -136,8 +137,11 @@ Status ShardedMobilityTracker::RestoreFrom(snapshot::Reader& r) {
     s.inbox.clear();
     s.slide_out.clear();
   }
+  // Busy time is this process's own measurement, so it restarts at zero.
   SlideTotals totals;
-  if (!r.U64(&totals.slides) || !r.F64(&totals.busy_seconds) ||
+  double v1_busy_seconds = 0.0;
+  if (!r.U64(&totals.slides) ||
+      (version < 2 && !r.F64(&v1_busy_seconds)) ||
       !r.U64(&totals.tuples) || !r.U64(&totals.critical_points)) {
     return snapshot::CorruptionIn("sharded tracker");
   }

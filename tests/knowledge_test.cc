@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "maritime/knowledge.h"
 #include "maritime/me_stream.h"
 
@@ -136,6 +141,183 @@ TEST(KnowledgeTest, KindAndTypeNames) {
   EXPECT_EQ(VesselTypeName(VesselType::kFishing), "fishing");
   EXPECT_EQ(VesselTypeName(VesselType::kTanker), "tanker");
 }
+
+// --- bands cut by Restricted -------------------------------------------------
+// A band shares its parent's spatial index; every answer must still equal
+// that of a KB built fresh from the band's areas only.
+
+constexpr double kBandRegionLon0 = 24.0;
+constexpr double kBandRegionLat0 = 37.0;
+constexpr double kBandRegionDeg = 0.6;
+
+// Areas packed into a small region so that most have neighbours, and most
+// neighbours fall into the other band.
+std::vector<AreaInfo> PackedAreas(Rng& rng, int count) {
+  const AreaKind kinds[] = {AreaKind::kProtected, AreaKind::kForbiddenFishing,
+                            AreaKind::kShallow, AreaKind::kPort};
+  std::vector<AreaInfo> areas;
+  for (int32_t i = 0; i < count; ++i) {
+    AreaInfo a;
+    a.id = 10 + 3 * i;
+    a.name = "area" + std::to_string(a.id);
+    a.kind = kinds[rng.NextBelow(4)];
+    const geo::GeoPoint center{
+        kBandRegionLon0 + rng.NextDouble(0.0, kBandRegionDeg),
+        kBandRegionLat0 + rng.NextDouble(0.0, kBandRegionDeg)};
+    a.polygon = geo::Polygon::RegularPolygon(
+        center, rng.NextDouble(500.0, 6000.0),
+        static_cast<int>(rng.NextInt(3, 9)));
+    a.depth_m = rng.NextDouble(1.0, 20.0);
+    areas.push_back(std::move(a));
+  }
+  return areas;
+}
+
+KnowledgeBase KbOf(const std::vector<AreaInfo>& areas, SpatialEngine engine) {
+  KnowledgeBase kb(1000.0, SpatialOptions{.engine = engine});
+  for (const AreaInfo& a : areas) kb.AddArea(a);
+  return kb;
+}
+
+// Half the points land within a few km of an area outside the band, the
+// rest anywhere over the region.
+std::vector<geo::GeoPoint> ProbePoints(Rng& rng,
+                                       const std::vector<AreaInfo>& outside,
+                                       size_t count) {
+  std::vector<geo::GeoPoint> pts;
+  for (size_t i = 0; i < count; ++i) {
+    if (i % 2 == 0 && !outside.empty()) {
+      const AreaInfo& a = outside[rng.NextBelow(outside.size())];
+      pts.push_back(geo::DestinationPoint(a.polygon.VertexCentroid(),
+                                          rng.NextDouble(0.0, 360.0),
+                                          rng.NextDouble(0.0, 8000.0)));
+    } else {
+      pts.push_back(geo::GeoPoint{
+          kBandRegionLon0 + rng.NextDouble(-0.05, kBandRegionDeg + 0.05),
+          kBandRegionLat0 + rng.NextDouble(-0.05, kBandRegionDeg + 0.05)});
+    }
+  }
+  return pts;
+}
+
+// Every spatial query of `band` equals that of `fresh` at each point, for
+// every id in `ids` (which includes ids neither KB holds).
+void ExpectSameAnswers(const KnowledgeBase& band, const KnowledgeBase& fresh,
+                       const std::vector<int32_t>& ids,
+                       const std::vector<geo::GeoPoint>& pts) {
+  for (const geo::GeoPoint& p : pts) {
+    ASSERT_EQ(band.AreasCloseTo(p), fresh.AreasCloseTo(p)) << p;
+    for (const AreaKind kind :
+         {AreaKind::kProtected, AreaKind::kForbiddenFishing, AreaKind::kShallow,
+          AreaKind::kPort}) {
+      ASSERT_EQ(band.AreasCloseTo(p, kind), fresh.AreasCloseTo(p, kind))
+          << p;
+      ASSERT_EQ(band.AnyAreaCloseTo(p, kind), fresh.AnyAreaCloseTo(p, kind))
+          << p;
+    }
+    const AreaInfo* port = band.PortContaining(p);
+    const AreaInfo* want_port = fresh.PortContaining(p);
+    ASSERT_EQ(port == nullptr ? -1 : port->id,
+              want_port == nullptr ? -1 : want_port->id)
+        << p;
+    for (const int32_t id : ids) {
+      ASSERT_EQ(band.Close(p, id), fresh.Close(p, id)) << p << " id " << id;
+      ASSERT_EQ(band.InsideArea(p, id), fresh.InsideArea(p, id))
+          << p << " id " << id;
+    }
+  }
+  ASSERT_EQ(band.AreasCloseToAll(pts), fresh.AreasCloseToAll(pts));
+}
+
+class KnowledgeBandTest : public ::testing::TestWithParam<SpatialEngine> {};
+
+TEST_P(KnowledgeBandTest, BandAnswersEqualAKbBuiltFromItsAreas) {
+  Rng rng(0xba9d);
+  const std::vector<AreaInfo> areas = PackedAreas(rng, 60);
+  KnowledgeBase parent = KbOf(areas, GetParam());
+  VesselInfo trawler;
+  trawler.mmsi = 7;
+  trawler.type = VesselType::kFishing;
+  parent.AddVessel(trawler);
+
+  // An interleaved cut in a scrambled order: every band area has foreign
+  // neighbours, and the order must survive.
+  std::vector<AreaInfo> in_band;
+  std::vector<AreaInfo> outside;
+  for (size_t i = 0; i < areas.size(); ++i) {
+    (i % 3 == 1 ? in_band : outside).push_back(areas[i]);
+  }
+  std::reverse(in_band.begin(), in_band.end());
+  std::vector<int32_t> band_ids;
+  for (const AreaInfo& a : in_band) band_ids.push_back(a.id);
+  std::vector<int32_t> all_ids = {-1, 0, 1, 1000};  // Held by neither KB.
+  for (const AreaInfo& a : areas) all_ids.push_back(a.id);
+
+  const KnowledgeBase band = parent.Restricted(band_ids);
+  const KnowledgeBase fresh = KbOf(in_band, GetParam());
+  ASSERT_EQ(band.areas().size(), in_band.size());
+  for (size_t i = 0; i < in_band.size(); ++i) {
+    EXPECT_EQ(band.areas()[i].id, band_ids[i]);
+  }
+  EXPECT_EQ(band.vessel_count(), 1u);
+  EXPECT_TRUE(band.IsFishing(7));
+
+  const std::vector<geo::GeoPoint> pts = ProbePoints(rng, outside, 2000);
+  ExpectSameAnswers(band, fresh, all_ids, pts);
+  // The band that holds every area answers as the parent does.
+  ExpectSameAnswers(parent.Restricted(all_ids), parent, all_ids,
+                    ProbePoints(rng, areas, 200));
+}
+
+TEST_P(KnowledgeBandTest, AddAreaAfterRestrictedLeavesOtherKbsUnchanged) {
+  Rng rng(0x5eed);
+  const std::vector<AreaInfo> areas = PackedAreas(rng, 30);
+  KnowledgeBase parent = KbOf(areas, GetParam());
+  std::vector<AreaInfo> in_band;
+  std::vector<int32_t> band_ids;
+  for (size_t i = 0; i < areas.size(); i += 2) {
+    in_band.push_back(areas[i]);
+    band_ids.push_back(areas[i].id);
+  }
+  KnowledgeBase band = parent.Restricted(band_ids);
+  std::vector<int32_t> all_ids;
+  for (const AreaInfo& a : areas) all_ids.push_back(a.id);
+  // A band of every area filters nothing, so only an unshared parent index
+  // keeps the new area out of its answers.
+  const KnowledgeBase whole = parent.Restricted(all_ids);
+  const std::vector<geo::GeoPoint> pts = ProbePoints(rng, areas, 500);
+
+  // A large new area over the whole region, added to the parent only.
+  AreaInfo blanket;
+  blanket.id = 5000;
+  blanket.kind = AreaKind::kProtected;
+  blanket.polygon = geo::Polygon::RegularPolygon(
+      geo::GeoPoint{kBandRegionLon0 + 0.3, kBandRegionLat0 + 0.3}, 40000.0, 6);
+  parent.AddArea(blanket);
+  all_ids.push_back(blanket.id);
+  ExpectSameAnswers(band, KbOf(in_band, GetParam()), all_ids, pts);
+  ExpectSameAnswers(whole, KbOf(areas, GetParam()), all_ids, pts);
+  std::vector<AreaInfo> grown = areas;
+  grown.push_back(blanket);
+  ExpectSameAnswers(parent, KbOf(grown, GetParam()), all_ids, pts);
+
+  // A band that grows answers for its own areas only, even when the new
+  // area reuses the id of an area in the other band.
+  AreaInfo reused = blanket;
+  reused.id = areas[1].id;
+  reused.kind = AreaKind::kShallow;
+  band.AddArea(reused);
+  in_band.push_back(reused);
+  ExpectSameAnswers(band, KbOf(in_band, GetParam()), all_ids, pts);
+  ExpectSameAnswers(parent, KbOf(grown, GetParam()), all_ids, pts);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, KnowledgeBandTest,
+    ::testing::Values(SpatialEngine::kTiered, SpatialEngine::kBrute),
+    [](const ::testing::TestParamInfo<SpatialEngine>& info) {
+      return std::string(SpatialEngineName(info.param));
+    });
 
 TEST(SpatialFactTableTest, LatestGroupInForce) {
   SpatialFactTable t;

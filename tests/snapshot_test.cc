@@ -20,6 +20,7 @@
 #include "sim/generator.h"
 #include "sim/world.h"
 #include "snapshot/codec.h"
+#include "snapshot/crc32_kernels.h"
 #include "snapshot/snapshot.h"
 #include "stream/replayer.h"
 #include "stream/snapshot_io.h"
@@ -178,26 +179,91 @@ std::string PseudoRandomBytes(size_t n, uint64_t seed) {
   return out;
 }
 
-TEST(SnapshotCrcTest, KnownAnswers) {
-  EXPECT_EQ(snapshot::Crc32(""), 0x00000000u);
-  EXPECT_EQ(snapshot::Crc32("123456789"), 0xCBF43926u);
+using CrcFn = uint32_t (*)(std::string_view);
+
+void ExpectKnownAnswers(CrcFn crc) {
+  EXPECT_EQ(crc(""), 0x00000000u);
+  EXPECT_EQ(crc("123456789"), 0xCBF43926u);
 }
 
-TEST(SnapshotCrcTest, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+void ExpectMatchesAtEveryLengthAndOffset(CrcFn crc) {
   const std::string buf = PseudoRandomBytes(316, 1);
   for (size_t offset = 0; offset < 16; ++offset) {
     for (size_t len = 0; len <= 300; ++len) {
       const std::string_view v = std::string_view(buf).substr(offset, len);
-      ASSERT_EQ(snapshot::Crc32(v), BitwiseCrc32(v))
+      ASSERT_EQ(crc(v), BitwiseCrc32(v))
           << "offset " << offset << " length " << len;
     }
   }
 }
 
-TEST(SnapshotCrcTest, MatchesBitwiseReferenceOnOneMebibyte) {
+void ExpectMatchesOnOneMebibyte(CrcFn crc) {
   const std::string buf = PseudoRandomBytes(size_t{1} << 20, 2);
-  EXPECT_EQ(snapshot::Crc32(buf), BitwiseCrc32(buf));
+  EXPECT_EQ(crc(buf), BitwiseCrc32(buf));
 }
+
+TEST(SnapshotCrcTest, KnownAnswers) { ExpectKnownAnswers(&snapshot::Crc32); }
+
+TEST(SnapshotCrcTest, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  ExpectMatchesAtEveryLengthAndOffset(&snapshot::Crc32);
+}
+
+TEST(SnapshotCrcTest, MatchesBitwiseReferenceOnOneMebibyte) {
+  ExpectMatchesOnOneMebibyte(&snapshot::Crc32);
+}
+
+// Each kernel behind Crc32 is checked directly, so the one this CPU does not
+// select is tested too.
+struct CrcKernel {
+  const char* name;
+  CrcFn fn;
+};
+
+class SnapshotCrcKernelTest : public ::testing::TestWithParam<CrcKernel> {
+ protected:
+  void SetUp() override {
+    if (std::string_view(GetParam().name) == "clmul" &&
+        !snapshot::internal::ClmulSupported()) {
+      GTEST_SKIP() << "this CPU does not execute PCLMULQDQ";
+    }
+  }
+};
+
+TEST_P(SnapshotCrcKernelTest, KnownAnswers) {
+  ExpectKnownAnswers(GetParam().fn);
+}
+
+TEST_P(SnapshotCrcKernelTest, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  ExpectMatchesAtEveryLengthAndOffset(GetParam().fn);
+}
+
+TEST_P(SnapshotCrcKernelTest, MatchesBitwiseReferenceAroundTheFoldEdge) {
+  // The carry-less kernel folds only inputs of at least 64 bytes.
+  for (size_t len = 48; len <= 96; ++len) {
+    for (uint64_t seed = 0; seed < 8; ++seed) {
+      const std::string buf = PseudoRandomBytes(len, 100 + seed);
+      ASSERT_EQ(GetParam().fn(buf), BitwiseCrc32(buf))
+          << "length " << len << " seed " << seed;
+    }
+  }
+}
+
+TEST_P(SnapshotCrcKernelTest, MatchesBitwiseReferenceOnOneMebibyte) {
+  ExpectMatchesOnOneMebibyte(GetParam().fn);
+}
+
+const CrcKernel kCrcKernels[] = {
+    {"sliced", &snapshot::internal::Crc32Sliced},
+#if MARITIME_CRC32_CLMUL
+    {"clmul", &snapshot::internal::Crc32Clmul},
+#endif
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, SnapshotCrcKernelTest, ::testing::ValuesIn(kCrcKernels),
+    [](const ::testing::TestParamInfo<CrcKernel>& info) {
+      return std::string(info.param.name);
+    });
 
 // --- file container ---------------------------------------------------------
 

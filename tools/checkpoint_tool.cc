@@ -19,10 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "checkpoint_scenario.h"
 #include "common/time.h"
 #include "maritime/pipeline.h"
-#include "sim/generator.h"
-#include "sim/world.h"
 #include "snapshot/codec.h"
 #include "snapshot/snapshot.h"
 #include "stream/replayer.h"
@@ -34,34 +33,9 @@ using surveillance::PipelineConfig;
 using surveillance::SlideReport;
 using surveillance::SurveillancePipeline;
 
-constexpr uint64_t kWorldSeed = 7;
-constexpr uint64_t kFleetSeed = 42;
-
-sim::World MakeWorld() {
-  sim::WorldParams params;
-  params.ports = 10;
-  params.protected_areas = 4;
-  params.forbidden_fishing_areas = 4;
-  params.shallow_areas = 3;
-  return sim::BuildWorld(kWorldSeed, params);
-}
-
-std::vector<stream::PositionTuple> MakeStream(sim::World* world) {
-  sim::FleetConfig cfg;
-  cfg.vessels = 20;
-  cfg.duration = 6 * kHour;
-  cfg.seed = kFleetSeed;
-  sim::FleetSimulator fleet(world, cfg);
-  return fleet.Generate();
-}
-
-PipelineConfig MakeConfig() {
-  PipelineConfig cfg;
-  cfg.window = stream::WindowSpec{kHour, 10 * kMinute};
-  cfg.partitions = 1;
-  cfg.archive = true;
-  return cfg;
-}
+using checkpoint_scenario::MakeConfig;
+using checkpoint_scenario::MakeStream;
+using checkpoint_scenario::MakeWorld;
 
 void PrintSlide(const SlideReport& r) {
   size_t ces = 0;
