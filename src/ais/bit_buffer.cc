@@ -1,5 +1,7 @@
 #include "ais/bit_buffer.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace maritime::ais {
@@ -20,37 +22,22 @@ int SixbitFromChar(char c) {
 
 }  // namespace
 
-void PayloadBits::Append(uint64_t value, int width) {
-  MARITIME_DCHECK_MSG(width > 0 && width <= 64, "field width out of range");
-  if (width < 64) value &= (uint64_t{1} << width) - 1;
-  const size_t w = size_ / 64;
-  const int used = static_cast<int>(size_ % 64);
-  size_ += static_cast<size_t>(width);
-  if (w >= kWords) return;  // Past the inline bits: counted, not stored.
-  const int free = 64 - used;
-  if (width <= free) {
-    words_[w] |= value << (free - width);
-    return;
-  }
-  const int spill = width - free;
-  words_[w] |= value >> spill;
-  if (w + 1 < kWords) words_[w + 1] |= value << (64 - spill);
-}
-
 void PayloadBits::Truncate(size_t n) {
   if (n >= size_) return;
+  const size_t end = std::min(kWords, (size_ + 63) / 64);
   size_ = n;
   size_t w = n / 64;
-  if (w >= kWords) return;
+  if (w >= end) return;
   const int keep = static_cast<int>(n % 64);
   if (keep != 0) {
     words_[w] &= ~uint64_t{0} << (64 - keep);
     ++w;
   }
-  for (; w < kWords; ++w) words_[w] = 0;
+  for (; w < end; ++w) words_[w] = 0;
 }
 
 void BitWriter::WriteUnsigned(uint64_t value, int width) {
+  MARITIME_DCHECK_MSG(width > 0 && width <= 64, "field width out of range");
   bits_.Append(value, width);
 }
 

@@ -25,10 +25,28 @@ class PayloadBits {
   size_t size() const { return size_; }
 
   /// Appends the `width` low bits of `value`, MSB first. 0 < width <= 64.
-  void Append(uint64_t value, int width);
+  void Append(uint64_t value, int width) {
+    if (width < 64) value &= (uint64_t{1} << width) - 1;
+    const size_t w = size_ / 64;
+    const int used = static_cast<int>(size_ % 64);
+    size_ += static_cast<size_t>(width);
+    if (w >= kWords) return;  // Past the inline bits: counted, not stored.
+    const int free = 64 - used;
+    if (width <= free) {
+      words_[w] |= value << (free - width);
+      return;
+    }
+    const int spill = width - free;
+    words_[w] |= value >> spill;
+    if (w + 1 < kWords) words_[w + 1] |= value << (64 - spill);
+  }
 
-  /// Drops every bit at or past `n` (no-op when n >= size()).
+  /// Drops every bit at or past `n` (no-op when n >= size()). Only the
+  /// words that held bits are touched.
   void Truncate(size_t n);
+
+  /// Empties the buffer for reuse, zeroing only the words that held bits.
+  void Clear() { Truncate(0); }
 
   /// The `width` bits starting at `pos`, as an unsigned value; bits at or
   /// past size(), or past kInlineBits, read as zero. 0 < width <= 64.

@@ -11,9 +11,6 @@
 namespace maritime::ais {
 namespace {
 
-// Raw coordinate units: 1/10000 arc-minute.
-constexpr double kCoordScale = 600000.0;
-
 int32_t LonToRaw(double deg) {
   if (!(deg >= -180.0 && deg <= 180.0)) return kLonNotAvailableRaw;
   return static_cast<int32_t>(std::lround(deg * kCoordScale));
@@ -75,6 +72,38 @@ void EncodeClassBCommon(const PositionReport& r, BitWriter& w) {
   w.WriteUnsigned(static_cast<uint64_t>(
                       std::clamp(r.utc_second, 0, kUtcSecondNotAvailable)),
                   6);
+}
+
+// The field layout of the position reports (ITU-R M.1371), shared by
+// DecodePositionFix and DecodePositionReport. Every type opens with its type
+// (6 bits), the repeat indicator (2) and the MMSI (30). Class A (types
+// 1/2/3) follows with the navigational status (4) and the rate of turn (8),
+// class B (18/19) with 8 reserved bits, so the position block after them
+// starts 4 bits later in class A.
+constexpr size_t kMmsiAt = 8;
+constexpr size_t kNavStatusAt = 38;  // Class A only.
+// Offsets within the position block.
+constexpr size_t kSogOffset = 0;        // 10 bits.
+constexpr size_t kAccuracyOffset = 10;  // 1 bit.
+constexpr size_t kLonOffset = 11;       // 28 bits, signed.
+constexpr size_t kLatOffset = 39;       // 27 bits, signed.
+constexpr size_t kCogOffset = 66;       // 12 bits.
+constexpr size_t kHeadingOffset = 78;   // 9 bits.
+constexpr size_t kSecondOffset = 87;    // 6 bits.
+// Type 19's static fields.
+constexpr size_t kShipNameAt = 143;  // 20 six-bit characters.
+constexpr size_t kShipTypeAt = 263;  // 8 bits.
+
+size_t PositionBlockAt(int type) { return type <= 3 ? 50 : 46; }
+
+// Length of a complete message of a supported type.
+size_t MessageBits(int type) { return type == 19 ? 312 : 168; }
+
+// The two's-complement field of `width` bits at `pos`.
+int32_t SignedAt(const PayloadBits& bits, size_t pos, int width) {
+  const int shift = 64 - width;
+  return static_cast<int32_t>(
+      static_cast<int64_t>(bits.Extract(pos, width) << shift) >> shift);
 }
 
 std::optional<double> SogFromRaw(uint64_t raw) {
@@ -148,52 +177,58 @@ PayloadBits EncodePositionReport(const PositionReport& r) {
   return w.bits();
 }
 
-Result<PositionReport> DecodePositionReport(const PayloadBits& bits) {
+Result<PositionFix> DecodePositionFix(const PayloadBits& bits) {
   if (bits.size() < 6) return Status::Corruption("payload shorter than 6 bits");
-  BitReader rd(bits);
-  const int type = static_cast<int>(rd.ReadUnsigned(6));
+  const int type = static_cast<int>(bits.Extract(0, 6));
   if (!IsSupportedType(type)) {
     return Status::Unimplemented(StrPrintf("message type %d", type));
   }
+  if (bits.size() < MessageBits(type)) {
+    return Status::Corruption(type <= 3    ? "truncated class A payload"
+                              : type == 18 ? "truncated type 18 payload"
+                                           : "truncated type 19 payload");
+  }
+  const size_t block = PositionBlockAt(type);
+  PositionFix f;
+  f.mmsi = static_cast<uint32_t>(bits.Extract(kMmsiAt, 30));
+  f.lon_raw = SignedAt(bits, block + kLonOffset, 28);
+  f.lat_raw = SignedAt(bits, block + kLatOffset, 27);
+  // PositionReport::HasPosition in raw units. Its degrees are raw /
+  // kCoordScale, correctly rounded: the rounding is monotone and ±180 and
+  // ±90 are exact, so the range compares agree, and lround(deg * kCoordScale)
+  // gives back any 28-bit raw value, so the sentinel compares agree too.
+  constexpr int32_t kLonMax = 180 * 600000;
+  constexpr int32_t kLatMax = 90 * 600000;
+  f.has_position = f.lon_raw != kLonNotAvailableRaw &&
+                   f.lat_raw != kLatNotAvailableRaw && f.lon_raw >= -kLonMax &&
+                   f.lon_raw <= kLonMax && f.lat_raw >= -kLatMax &&
+                   f.lat_raw <= kLatMax;
+  return f;
+}
+
+Result<PositionReport> DecodePositionReport(const PayloadBits& bits) {
+  Result<PositionFix> fix = DecodePositionFix(bits);
+  if (!fix.ok()) return std::move(fix).status();
+  const int type = static_cast<int>(bits.Extract(0, 6));
+  const size_t block = PositionBlockAt(type);
   PositionReport r;
   r.type = static_cast<MessageType>(type);
-  rd.Skip(2);  // repeat indicator
-  r.mmsi = static_cast<uint32_t>(rd.ReadUnsigned(30));
+  r.mmsi = fix.value().mmsi;
   if (type <= 3) {
-    r.nav_status = static_cast<NavStatus>(rd.ReadUnsigned(4));
-    rd.Skip(8);  // rate of turn
-    r.sog_knots = SogFromRaw(rd.ReadUnsigned(10));
-    r.position_accuracy_high = rd.ReadUnsigned(1) != 0;
-    r.lon_deg = static_cast<double>(rd.ReadSigned(28)) / kCoordScale;
-    r.lat_deg = static_cast<double>(rd.ReadSigned(27)) / kCoordScale;
-    r.cog_deg = CogFromRaw(rd.ReadUnsigned(12));
-    r.true_heading_deg = HeadingFromRaw(rd.ReadUnsigned(9));
-    r.utc_second = static_cast<int>(rd.ReadUnsigned(6));
-    rd.Skip(2 + 3 + 1 + 19);
-    if (rd.overflow()) return Status::Corruption("truncated class A payload");
-  } else {
-    rd.Skip(8);  // regional reserved
-    r.sog_knots = SogFromRaw(rd.ReadUnsigned(10));
-    r.position_accuracy_high = rd.ReadUnsigned(1) != 0;
-    r.lon_deg = static_cast<double>(rd.ReadSigned(28)) / kCoordScale;
-    r.lat_deg = static_cast<double>(rd.ReadSigned(27)) / kCoordScale;
-    r.cog_deg = CogFromRaw(rd.ReadUnsigned(12));
-    r.true_heading_deg = HeadingFromRaw(rd.ReadUnsigned(9));
-    r.utc_second = static_cast<int>(rd.ReadUnsigned(6));
-    if (type == 18) {
-      rd.Skip(2 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 20);
-      if (rd.overflow()) {
-        return Status::Corruption("truncated type 18 payload");
-      }
-    } else {  // type 19
-      rd.Skip(4);
-      r.ship_name = rd.ReadSixbitString(20);
-      r.ship_type = static_cast<int>(rd.ReadUnsigned(8));
-      rd.Skip(9 + 9 + 6 + 6 + 4 + 1 + 1 + 1 + 4);
-      if (rd.overflow()) {
-        return Status::Corruption("truncated type 19 payload");
-      }
-    }
+    r.nav_status = static_cast<NavStatus>(bits.Extract(kNavStatusAt, 4));
+  }
+  r.sog_knots = SogFromRaw(bits.Extract(block + kSogOffset, 10));
+  r.position_accuracy_high = bits.Extract(block + kAccuracyOffset, 1) != 0;
+  r.lon_deg = fix.value().lon_deg();
+  r.lat_deg = fix.value().lat_deg();
+  r.cog_deg = CogFromRaw(bits.Extract(block + kCogOffset, 12));
+  r.true_heading_deg = HeadingFromRaw(bits.Extract(block + kHeadingOffset, 9));
+  r.utc_second = static_cast<int>(bits.Extract(block + kSecondOffset, 6));
+  if (type == 19) {
+    BitReader rd(bits);
+    rd.Skip(static_cast<int>(kShipNameAt));
+    r.ship_name = rd.ReadSixbitString(20);
+    r.ship_type = static_cast<int>(bits.Extract(kShipTypeAt, 8));
   }
   return r;
 }

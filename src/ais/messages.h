@@ -45,6 +45,9 @@ inline constexpr int kUtcSecondNotAvailable = 60;
 inline constexpr int32_t kLonNotAvailableRaw = 181 * 600000;  // 1/10000 min
 inline constexpr int32_t kLatNotAvailableRaw = 91 * 600000;
 
+/// Raw coordinate units (1/10000 arc-minute) per degree.
+inline constexpr double kCoordScale = 600000.0;
+
 /// A decoded AIS position report — the superset of the fields of message
 /// types 1/2/3/18/19 that the surveillance system consumes.
 struct PositionReport {
@@ -68,6 +71,24 @@ struct PositionReport {
 /// Encodes `report` into the raw AIS bit layout of its message type.
 /// Out-of-range fields are clamped to the representable range.
 PayloadBits EncodePositionReport(const PositionReport& report);
+
+/// What the Data Scanner keeps of a position report: the MMSI and the raw
+/// coordinates.
+struct PositionFix {
+  uint32_t mmsi = 0;
+  int32_t lon_raw = 0;  ///< Longitude, 1/10000 arc-minute.
+  int32_t lat_raw = 0;  ///< Latitude, 1/10000 arc-minute.
+  /// The verdict of PositionReport::HasPosition on the decoded report.
+  bool has_position = false;
+
+  double lon_deg() const { return static_cast<double>(lon_raw) / kCoordScale; }
+  double lat_deg() const { return static_cast<double>(lat_raw) / kCoordScale; }
+};
+
+/// The core of DecodePositionReport: the message type, length and position
+/// checks, and the MMSI and coordinates, without the report's other fields.
+/// Fails exactly when DecodePositionReport fails, with the same status.
+Result<PositionFix> DecodePositionFix(const PayloadBits& bits);
 
 /// Decodes a raw AIS payload. Fails with kCorruption on truncated payloads
 /// and kUnimplemented on unsupported message types (the Data Scanner counts

@@ -1,6 +1,8 @@
 #include "ais/nmea.h"
 
+#include <bit>
 #include <cstdio>
+#include <cstring>
 
 #include "common/strings.h"
 
@@ -41,17 +43,42 @@ Result<NmeaSentence> ParseSentence(std::string_view line) {
     return Status::Corruption("missing or malformed checksum");
   }
   const std::string_view body = line.substr(1, star - 1);
-  // One branch-free pass over the body: the XOR checksum, the number of
-  // commas, and the offsets of the first six (comma_at[min(k, 6)] is
-  // rewritten at every character until the k-th comma settles it).
+  // One pass over the body: the XOR checksum, the number of commas, and the
+  // offsets of the first six.
   unsigned char sum = 0;
   size_t commas = 0;
-  size_t comma_at[7] = {};
-  for (size_t i = 0; i < body.size(); ++i) {
-    const char c = body[i];
-    sum ^= static_cast<unsigned char>(c);
-    comma_at[commas < 6 ? commas : 6] = i;
-    commas += c == ',' ? 1 : 0;
+  size_t comma_at[6] = {};
+  const auto note_comma = [&](size_t at) {
+    if (commas < 6) comma_at[commas] = at;
+    ++commas;
+  };
+  size_t i = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    // Eight bytes per step: the XOR of the words folds to the checksum, and
+    // the zero bytes of word ^ ",,,,,,,," are the commas, lowest address in
+    // the lowest byte. The zero-byte test is exact (no carry crosses a
+    // byte), so no other byte is taken for a comma.
+    constexpr uint64_t kCommas = 0x2C2C2C2C2C2C2C2Cull;
+    constexpr uint64_t kLow7 = 0x7F7F7F7F7F7F7F7Full;
+    uint64_t acc = 0;
+    for (; i + 8 <= body.size(); i += 8) {
+      uint64_t word;
+      std::memcpy(&word, body.data() + i, 8);
+      acc ^= word;
+      const uint64_t x = word ^ kCommas;
+      uint64_t zero = ~(((x & kLow7) + kLow7) | x | kLow7);
+      for (; zero != 0; zero &= zero - 1) {
+        note_comma(i + static_cast<size_t>(std::countr_zero(zero) / 8));
+      }
+    }
+    acc ^= acc >> 32;
+    acc ^= acc >> 16;
+    acc ^= acc >> 8;
+    sum = static_cast<unsigned char>(acc);
+  }
+  for (; i < body.size(); ++i) {
+    sum ^= static_cast<unsigned char>(body[i]);
+    if (body[i] == ',') note_comma(i);
   }
   // Case-insensitive compare against NmeaChecksum's uppercase hex: receivers
   // in the wild emit lowercase hex (`*3f`), which is just as valid.
@@ -203,7 +230,7 @@ Result<FragmentAssembler::Assembled> FragmentAssembler::Add(
   ++group.received;
   if (s.fragment_index == s.fragment_count) group.fill_bits = s.fill_bits;
   if (group.received < s.fragment_count) {
-    return Status::NotFound("awaiting more fragments");
+    return Status::NotFound("fragment held");
   }
   assembled_.clear();
   for (int i = 0; i < group.fragment_count; ++i) {

@@ -13,52 +13,53 @@ Result<stream::PositionTuple> DataScanner::FeedLine(std::string_view line,
   Result<NmeaSentence> sentence = ParseSentence(line);
   if (!sentence.ok()) {
     ++stats_.framing_errors;
-    return sentence.status();
+    return std::move(sentence).status();
   }
+  const uint64_t evicted = assembler_.evicted_groups();
   Result<FragmentAssembler::Assembled> assembled =
       assembler_.Add(sentence.value());
+  stats_.fragment_groups_evicted += assembler_.evicted_groups() - evicted;
   if (!assembled.ok()) {
     if (assembled.status().code() == StatusCode::kNotFound) {
       ++stats_.fragment_pending;
     } else {
       ++stats_.fragment_errors;
     }
-    return assembled.status();
+    return std::move(assembled).status();
   }
-  Result<PayloadBits> bits = DearmorPayload(assembled.value().payload,
-                                            assembled.value().fill_bits);
-  if (!bits.ok()) {
+  Status dearmored = DearmorInto(assembled.value().payload,
+                                 assembled.value().fill_bits, &payload_);
+  if (!dearmored.ok()) {
     ++stats_.payload_errors;
-    return bits.status();
+    return dearmored;
   }
-  if (PeekMessageType(bits.value()) == 5) {
-    Result<StaticVoyageData> data = DecodeStaticVoyageData(bits.value());
+  if (PeekMessageType(payload_) == 5) {
+    Result<StaticVoyageData> data = DecodeStaticVoyageData(payload_);
     if (!data.ok()) {
       ++stats_.payload_errors;
-      return data.status();
+      return std::move(data).status();
     }
     ++stats_.static_reports;
     static_reports_.push_back(std::move(data).value());
-    return Status::NotFound("static/voyage data, no position");
+    return Status::NotFound("static report");
   }
-  Result<PositionReport> report = DecodePositionReport(bits.value());
-  if (!report.ok()) {
-    if (report.status().code() == StatusCode::kUnimplemented) {
+  Result<PositionFix> fix = DecodePositionFix(payload_);
+  if (!fix.ok()) {
+    if (fix.status().code() == StatusCode::kUnimplemented) {
       ++stats_.unsupported_type;
     } else {
       ++stats_.payload_errors;
     }
-    return report.status();
+    return std::move(fix).status();
   }
-  if (!report.value().HasPosition()) {
+  if (!fix.value().has_position) {
     ++stats_.invalid_position;
     return Status::Corruption("position not available or out of range");
   }
-  last_report_ = std::move(report).value();
   ++stats_.accepted;
   stream::PositionTuple tuple;
-  tuple.mmsi = last_report_.mmsi;
-  tuple.pos = geo::GeoPoint{last_report_.lon_deg, last_report_.lat_deg};
+  tuple.mmsi = fix.value().mmsi;
+  tuple.pos = geo::GeoPoint{fix.value().lon_deg(), fix.value().lat_deg()};
   tuple.tau = arrival;
   return tuple;
 }

@@ -16,6 +16,10 @@ namespace maritime::ais {
 /// Counters describing what the scanner did with its input; exposed so
 /// operators can monitor feed quality (the paper stresses AIS data "is not
 /// noise-free; messages may be delayed, intermittent, or conflicting").
+///
+/// Every line lands in exactly one of the per-line counters: `lines` is the
+/// sum of the eight after it. `fragment_groups_evicted` counts groups, not
+/// lines, and stands outside that sum.
 struct ScannerStats {
   uint64_t lines = 0;              ///< Input lines seen.
   uint64_t framing_errors = 0;     ///< Bad '!'/'*' framing or checksum.
@@ -26,6 +30,9 @@ struct ScannerStats {
   uint64_t invalid_position = 0;   ///< Lon/lat sentinel or out of range.
   uint64_t static_reports = 0;     ///< Type 5 static/voyage messages decoded.
   uint64_t accepted = 0;           ///< Tuples emitted downstream.
+  /// Multi-fragment groups dropped incomplete: a fragment was lost on the
+  /// air, and the group's held fragments with it.
+  uint64_t fragment_groups_evicted = 0;
 };
 
 /// The Data Scanner of Figure 1: decodes each AIS message, keeps the four
@@ -43,7 +50,12 @@ class DataScanner {
 
   /// Processes one NMEA line received at `arrival`. Returns a tuple when the
   /// line completes a valid position report; a non-OK status otherwise
-  /// (kNotFound simply means "fragment buffered, nothing to emit yet").
+  /// (kNotFound means "nothing to emit": a fragment held for its group, or a
+  /// type 5 report queued for TakeStaticReports). Those two outcomes do not
+  /// allocate.
+  ///
+  /// The line is decoded in one pass: parsed in place, de-armored into the
+  /// scanner's own bit buffer, and only the MMSI and coordinates read.
   Result<stream::PositionTuple> FeedLine(std::string_view line,
                                          Timestamp arrival);
 
@@ -53,10 +65,6 @@ class DataScanner {
   /// Decodes a whole tagged log (one sentence per line) and returns the
   /// accepted tuples in arrival order.
   std::vector<stream::PositionTuple> ScanTaggedLog(std::string_view log);
-
-  /// Full decoded report of the last accepted tuple (for consumers that need
-  /// SOG/COG or ship metadata besides the positional tuple).
-  const PositionReport& last_report() const { return last_report_; }
 
   /// Type 5 static/voyage messages decoded so far; consuming them clears the
   /// buffer. Feed these to the knowledge base (see
@@ -71,7 +79,7 @@ class DataScanner {
 
  private:
   FragmentAssembler assembler_;
-  PositionReport last_report_;
+  PayloadBits payload_;  ///< The current line's bits, reused for every line.
   std::vector<StaticVoyageData> static_reports_;
   ScannerStats stats_;
 };

@@ -1,6 +1,8 @@
 #include "ais/sixbit.h"
 
 #include <array>
+#include <bit>
+#include <cstring>
 
 #include "common/strings.h"
 
@@ -17,6 +19,30 @@ constexpr std::array<int8_t, 256> kDearmor = [] {
   }
   return t;
 }();
+
+// Eight armored characters, the first in the low byte, to their 48 bits
+// MSB first; false when one is outside the alphabet.
+bool DearmorWord(uint64_t word, uint64_t* bits) {
+  constexpr uint64_t kOnes = 0x0101010101010101ull;
+  constexpr uint64_t kHigh = 0x80 * kOnes;
+  if ((word & kHigh) != 0) return false;
+  // For a byte c < 0x80, c + (128 - k) sets the byte's high bit exactly
+  // when c >= k, and carries into no other byte.
+  const uint64_t ge48 = (word + (128 - 48) * kOnes) & kHigh;
+  const uint64_t ge88 = (word + (128 - 88) * kOnes) & kHigh;
+  const uint64_t ge96 = (word + (128 - 96) * kOnes) & kHigh;
+  const uint64_t ge120 = (word + (128 - 120) * kOnes) & kHigh;
+  if (((ge48 & ~ge88) | (ge96 & ~ge120)) != kHigh) return false;
+  // '0'..'W' -> 0..39 and '`'..'w' -> 40..63: c - 48, less 8 past the gap.
+  const uint64_t v = word - 48 * kOnes - (ge96 >> 4);
+  // Pack the 6-bit values: pairs into 12 bits, fours into 24, then 48.
+  const uint64_t v12 = ((v & 0x003F003F003F003Full) << 6) |
+                       ((v >> 8) & 0x003F003F003F003Full);
+  const uint64_t v24 = ((v12 & 0x00000FFF00000FFFull) << 12) |
+                       ((v12 >> 16) & 0x00000FFF00000FFFull);
+  *bits = ((v24 & 0xFFFFFF) << 24) | (v24 >> 32);
+  return true;
+}
 
 }  // namespace
 
@@ -42,12 +68,25 @@ std::string ArmorPayload(const PayloadBits& bits, int* fill_bits) {
   return out;
 }
 
-Result<PayloadBits> DearmorPayload(std::string_view payload, int fill_bits) {
+Status DearmorInto(std::string_view payload, int fill_bits,
+                   PayloadBits* bits) {
   if (fill_bits < 0 || fill_bits > 5) {
     return Status::InvalidArgument(
         StrPrintf("fill_bits %d outside [0,5]", fill_bits));
   }
-  PayloadBits bits;
+  bits->Clear();
+  if constexpr (std::endian::native == std::endian::little) {
+    // Eight characters per step while they are all armored; the loop below
+    // takes the rest, and reports an invalid character.
+    uint64_t word = 0;
+    uint64_t packed = 0;
+    while (payload.size() >= 8) {
+      std::memcpy(&word, payload.data(), 8);
+      if (!DearmorWord(word, &packed)) break;
+      bits->Append(packed, 48);
+      payload.remove_prefix(8);
+    }
+  }
   // Ten characters fill 60 bits of one accumulator, appended in one go. An
   // invalid character sets the sign bit of `invalid`; it is reported after
   // the loop, which then needs no branch per character.
@@ -59,7 +98,7 @@ Result<PayloadBits> DearmorPayload(std::string_view payload, int fill_bits) {
     invalid |= v;
     acc = (acc << 6) | static_cast<uint64_t>(v & 63);
     if (++chars == 10) {
-      bits.Append(acc, 60);
+      bits->Append(acc, 60);
       acc = 0;
       chars = 0;
     }
@@ -73,11 +112,18 @@ Result<PayloadBits> DearmorPayload(std::string_view payload, int fill_bits) {
       }
     }
   }
-  if (chars != 0) bits.Append(acc, 6 * chars);
-  if (static_cast<size_t>(fill_bits) > bits.size()) {
+  if (chars != 0) bits->Append(acc, 6 * chars);
+  if (static_cast<size_t>(fill_bits) > bits->size()) {
     return Status::Corruption("fill_bits exceed payload size");
   }
-  bits.Truncate(bits.size() - static_cast<size_t>(fill_bits));
+  bits->Truncate(bits->size() - static_cast<size_t>(fill_bits));
+  return Status::OK();
+}
+
+Result<PayloadBits> DearmorPayload(std::string_view payload, int fill_bits) {
+  PayloadBits bits;
+  Status status = DearmorInto(payload, fill_bits, &bits);
+  if (!status.ok()) return status;
   return bits;
 }
 

@@ -19,9 +19,14 @@ namespace maritime::ais {
 /// bits are armored (precondition: bits.size() <= PayloadBits::kInlineBits).
 std::string ArmorPayload(const PayloadBits& bits, int* fill_bits);
 
-/// Converts an armored payload string back into packed bits, dropping
-/// `fill_bits` trailing pad bits. Fails on characters outside the armoring
-/// alphabet or fill_bits outside [0, 5].
+/// Converts an armored payload string back into packed bits in `*bits`,
+/// replacing its contents, and drops `fill_bits` trailing pad bits. Fails on
+/// characters outside the armoring alphabet or fill_bits outside [0, 5];
+/// `*bits` is then unspecified. Reusing one buffer for every line keeps
+/// decoding off the heap and skips zeroing words no message reached.
+Status DearmorInto(std::string_view payload, int fill_bits, PayloadBits* bits);
+
+/// DearmorInto a fresh buffer.
 Result<PayloadBits> DearmorPayload(std::string_view payload, int fill_bits);
 
 /// Maps a 6-bit value (0–63) to its armored ASCII character.

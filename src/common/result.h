@@ -31,10 +31,15 @@ class [[nodiscard]] Result {
 
   bool ok() const { return std::holds_alternative<T>(rep_); }
 
-  /// The status: OK when a value is held.
-  Status status() const {
+  /// The status: OK when a value is held. The rvalue form moves the
+  /// message out instead of copying it.
+  Status status() const& {
     if (ok()) return Status::OK();
     return std::get<Status>(rep_);
+  }
+  Status status() && {
+    if (ok()) return Status::OK();
+    return std::get<Status>(std::move(rep_));
   }
 
   /// Precondition: ok().

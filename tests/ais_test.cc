@@ -561,7 +561,10 @@ TEST(ScannerTest, ReassemblesType19) {
   EXPECT_FALSE(scanner.FeedLine(lines[0], 10).ok());
   const auto r = scanner.FeedLine(lines[1], 11);
   ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(scanner.last_report().ship_name, "TWO PART");
+  EXPECT_EQ(r.value().mmsi, rep.mmsi);
+  EXPECT_EQ(r.value().tau, 11);
+  EXPECT_NEAR(r.value().pos.lon, rep.lon_deg, 1e-5);
+  EXPECT_NEAR(r.value().pos.lat, rep.lat_deg, 1e-5);
   EXPECT_EQ(scanner.stats().fragment_pending, 1u);
   EXPECT_EQ(scanner.stats().accepted, 1u);
 }
