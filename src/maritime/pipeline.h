@@ -42,7 +42,7 @@ struct PipelineConfig {
   /// yields bit-identical CEs.
   EngineMode recognition_engine = EngineMode::kNaive;
   /// Fan the keys of one definition layer out over the shared thread pool
-  /// (incremental engine only).
+  /// (any engine mode).
   bool parallel_recognition_keys = false;
   /// Thread pool for tracker shards and partition recognition. nullptr
   /// (default) uses the process-wide shared pool; benches inject local pools

@@ -25,7 +25,6 @@ CERecognizer::CERecognizer(const KnowledgeBase* kb, RecognizerConfig config)
   }
   opts.adaptive_full_regen = config_.engine == EngineMode::kAuto;
   opts.pool = config_.parallel_keys ? &common::ThreadPool::Shared() : nullptr;
-  opts.min_parallel_keys = config_.min_parallel_keys;
   engine_ = std::make_unique<rtec::Engine>(config_.window, kb_, opts);
   schema_ = MaritimeSchema::Declare(*engine_);
   RegisterMaritimeCes(*engine_, schema_, kb_,

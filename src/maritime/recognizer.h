@@ -43,10 +43,9 @@ struct RecognizerConfig {
   /// on this config), so snapshot save/restore pairs agree on the mode.
   EngineMode engine = EngineMode::kNaive;
   /// Evaluate the keys of one definition layer in parallel on the shared
-  /// thread pool (incremental engine only; merge order is deterministic).
+  /// thread pool, in any engine mode (merge order is deterministic; layers
+  /// below EngineOptions::min_parallel_keys stay serial).
   bool parallel_keys = false;
-  /// Layers smaller than this stay serial when parallel_keys is set.
-  size_t min_parallel_keys = 8;
 };
 
 /// The Complex Event Recognition module of Figure 1: wraps an RTEC engine

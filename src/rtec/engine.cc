@@ -70,37 +70,6 @@ void CopyInWindowPoints(std::span<const ValuedPoint> src,
   }
 }
 
-/// Drops raw static intervals that can never intersect this or any future
-/// window again (each hit re-prunes, so an always-clean key stays bounded).
-void PruneRawIntervals(std::map<Value, IntervalList>* raw,
-                       Timestamp window_start) {
-  for (auto it = raw->begin(); it != raw->end();) {
-    IntervalList& list = it->second;
-    list.erase(std::remove_if(
-                   list.begin(), list.end(),
-                   [&](const Interval& i) { return i.till <= window_start; }),
-               list.end());
-    if (list.empty()) {
-      it = raw->erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-/// Restriction of a raw static interval map to (wstart, until], dropping
-/// values that vanish; used to compare a fresh computation against the cached
-/// one on the region both windows cover.
-std::map<Value, IntervalList> ClipRawTo(const std::map<Value, IntervalList>& raw,
-                                        Timestamp wstart, Timestamp until) {
-  std::map<Value, IntervalList> out;
-  for (const auto& [value, list] : raw) {
-    IntervalList clipped = ClipToWindow(list, wstart, until);
-    if (!clipped.empty()) out[value] = std::move(clipped);
-  }
-  return out;
-}
-
 /// True iff the sorted point list contains a point at exactly `t`; used to
 /// detect evidence touching the window's leading edge (see edge_fluents_).
 bool HasPointAtTime(std::span<const ValuedPoint> pts, Timestamp t) {
@@ -108,46 +77,6 @@ bool HasPointAtTime(std::span<const ValuedPoint> pts, Timestamp t) {
     if (it->t == t) return true;
   }
   return false;
-}
-
-/// True iff any interval of the raw map starts or ends at exactly `t`.
-bool TouchesTime(const std::map<Value, IntervalList>& raw, Timestamp t) {
-  for (const auto& [value, list] : raw) {
-    if (!list.empty() && (list.back().till == t || list.back().since == t)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Builds a static-fluent timeline from a normalized raw interval map exactly
-/// as the naive evaluation does (clip, boundary-artifact starts suppressed,
-/// open value at the query time). The map iterates in ascending value order,
-/// which is exactly the slice-table order AppendValue requires.
-// Escape is sound: the returned timeline is default-constructed (heap-backed).
-MARITIME_ARENA_ESCAPE_OK FluentTimeline BuildStaticTimeline(
-    const std::map<Value, IntervalList>& raw, Timestamp wstart, Timestamp q) {
-  FluentTimeline timeline;
-  std::vector<Timestamp> starts;
-  std::vector<Timestamp> ends;
-  for (const auto& [value, list] : raw) {
-    IntervalList clipped = ClipToWindow(list, wstart, q);
-    if (clipped.empty()) continue;
-    starts.clear();
-    ends.clear();
-    for (const Interval& i : clipped) {
-      if (i.since > wstart) {
-        starts.push_back(i.since);
-      }
-      if (i.till < q) {
-        ends.push_back(i.till);
-      } else {
-        timeline.open_value = value;
-      }
-    }
-    timeline.AppendValue(value, clipped, starts, ends);
-  }
-  return timeline;
 }
 
 /// Serial triage record of one simple-fluent key: its cache entry, its
@@ -177,18 +106,6 @@ struct MARITIME_ARENA_SCOPED SimpleOutcome {
 
   explicit SimpleOutcome(common::Arena* arena)
       : evidence(arena), timeline(arena) {}
-};
-
-struct StaticOutcome {
-  std::map<Value, IntervalList> raw;
-  // Escape is sound: filled from BuildStaticTimeline, so heap-backed.
-  MARITIME_ARENA_ESCAPE_OK FluentTimeline timeline;
-  bool hit = false;
-  bool changed = false;
-  // Regen-region telemetry (see SimpleOutcome). No region_from: a static
-  // recompute is always full-window (interval output has no partial delta).
-  bool narrowed = false;
-  bool fleet_floor = false;
 };
 
 }  // namespace
@@ -276,15 +193,6 @@ void Engine::AddSimpleFluent(SimpleFluentSpec spec) {
   assert(spec.domain && spec.rules);
   definitions_.emplace_back(std::move(spec));
   def_caches_.emplace_back(SimpleDefCache{});
-  def_regen_stats_.emplace_back();
-}
-
-void Engine::AddStaticFluent(StaticFluentSpec spec) {
-  assert(spec.fluent >= 0 &&
-         static_cast<size_t>(spec.fluent) < fluent_names_.size());
-  assert(spec.domain && spec.compute);
-  definitions_.emplace_back(std::move(spec));
-  def_caches_.emplace_back(StaticDefCache{});
   def_regen_stats_.emplace_back();
 }
 
@@ -463,8 +371,6 @@ size_t Engine::cache_entry_count() const {
   for (const auto& cache : def_caches_) {
     if (const auto* simple = std::get_if<SimpleDefCache>(&cache)) {
       n += simple->evidence.size();
-    } else if (const auto* st = std::get_if<StaticDefCache>(&cache)) {
-      n += st->raw.size();
     } else if (std::get<DerivedDefCache>(cache).valid) {
       n += 1;
     }
@@ -742,81 +648,24 @@ Engine::RegenRegion Engine::DirtyRegionFor(const DependencySpec& deps,
 
 // --- simple fluents ----------------------------------------------------------
 
-void Engine::EvaluateSimpleNaive(const SimpleFluentSpec& spec,
-                                 const EvalContext& ctx, bool have_boundary,
-                                 RecognitionResult* result) {
+void Engine::EvaluateSimple(const SimpleFluentSpec& spec, SimpleDefCache& cache,
+                            const EvalContext& ctx, bool have_boundary,
+                            RecognitionResult* result) {
   const size_t fidx = static_cast<size_t>(spec.fluent);
   const Timestamp wstart = ctx.window_start();
   const Timestamp q = ctx.query_time();
-  const std::vector<Term> keys =
-      EvalKeys(spec.domain, ctx, spec.fluent, have_boundary);
-  // One rehash to the final bucket count instead of a doubling chain as the
-  // key map fills on the first slide.
-  timelines_[fidx].reserve(keys.size());
-  common::Arena* arena = &arenas_[0];
-  for (const Term& key : keys) {
-    FluentEvidence ev(arena);
-    spec.rules(ctx, key, &ev.initiations, &ev.terminations);
-    if (have_boundary) {
-      ev.carried_value = boundary_.CarriedValue(fidx, key);
-    }
-    FluentTimeline timeline(arena);
-    ComputeSimpleFluentInto(ev.initiations, ev.terminations, ev.carried_value,
-                            wstart, q, arena, &timeline);
-    if (spec.output) {
-      for (const auto& slice : timeline.slices) {
-        const IntervalSpan span = timeline.IntervalsAt(slice);
-        if (!span.empty()) {
-          result->fluents.push_back(RecognizedFluent{
-              spec.fluent, key, slice.value,
-              IntervalList(span.begin(), span.end())});
-        }
-      }
-    }
-    // Copy out to the heap-backed slot, reusing its capacity across slides.
-    // A key with no content this window gets no slot: most keys of a sparse
-    // fluent (e.g. vessels that never stop) would otherwise pay a map node
-    // for an empty timeline. An existing slot is still overwritten so a key
-    // whose content disappeared reads as empty downstream.
-    const bool has_content =
-        !timeline.slices.empty() || timeline.open_value.has_value();
-    if (has_content) {
-      TimelineSlot(fidx, key).CopyFrom(timeline);
-    } else {
-      auto& tl_map = timelines_[fidx];
-      const auto tl_it = tl_map.find(key);
-      if (tl_it != tl_map.end()) tl_it->second.CopyFrom(timeline);
-    }
-  }
-  // Keys that left the domain: recycle their (stale) timeline nodes.
-  // Replaces the former wholesale clear at the top of Recognize, which
-  // discarded every slot's capacity each slide.
-  auto& tl_map = timelines_[fidx];
-  for (auto it = tl_map.begin(); it != tl_map.end();) {
-    if (!std::binary_search(keys.begin(), keys.end(), it->first)) {
-      it = RecycleTimeline(tl_map, it);
-    } else {
-      ++it;
-    }
-  }
-  RebuildKeyMemo(fidx);
-}
-
-void Engine::EvaluateSimpleIncremental(const SimpleFluentSpec& spec,
-                                       SimpleDefCache& cache,
-                                       const EvalContext& ctx,
-                                       bool have_boundary,
-                                       RecognitionResult* result) {
-  const size_t fidx = static_cast<size_t>(spec.fluent);
-  const Timestamp wstart = ctx.window_start();
-  const Timestamp q = ctx.query_time();
+  // Naive mode is the whole-window region without a cache: every key
+  // regenerates from the window start, and the commit writes no cache
+  // entry, change mark or edge mark.
+  const bool incremental = options_.incremental;
+  const bool whole_window = !incremental || dirty_all_;
   const std::vector<Term> keys =
       EvalKeys(spec.domain, ctx, spec.fluent, have_boundary);
 
   // Dependency-scoped dirty view (cross-key definitions with a projector
   // only): computed once per definition, serially, before the fan-out.
   const ScopedDirty* scoped =
-      (!dirty_all_ && spec.deps.has_value())
+      (!whole_window && spec.deps.has_value())
           ? ComputeScopedDirty(*spec.deps, /*cross_key=*/false, ctx)
           : nullptr;
 
@@ -837,11 +686,12 @@ void Engine::EvaluateSimpleIncremental(const SimpleFluentSpec& spec,
   triage.resize(keys.size());
   common::ArenaVector<uint32_t> slow{
       common::ArenaAllocator<uint32_t>(caller_arena)};
+  slow.reserve(keys.size());
   const bool can_fast = have_boundary && prev_query_ != kInvalidTimestamp &&
                         prev_query_ <= q;
   // Keys, the previous key set and the carried record are all sorted, so
   // one merge walk finds each key's entry, slot and carried value.
-  const bool same_keys = keys == cache.keys;
+  const bool same_keys = incremental && keys == cache.keys;
   const std::vector<std::pair<Term, Value>>* carried =
       have_boundary ? &boundary_.values[fidx] : nullptr;
   size_t old_i = 0;
@@ -857,9 +707,11 @@ void Engine::EvaluateSimpleIncremental(const SimpleFluentSpec& spec,
         t.entry = cache.entries[old_i];
         t.timeline = cache.timelines[old_i];
       } else {
-        const auto entry_it = cache.evidence.find(keys[i]);
-        t.entry =
-            entry_it == cache.evidence.end() ? nullptr : &entry_it->second;
+        if (incremental) {
+          const auto entry_it = cache.evidence.find(keys[i]);
+          t.entry =
+              entry_it == cache.evidence.end() ? nullptr : &entry_it->second;
+        }
         const auto tl_it = timelines_[fidx].find(keys[i]);
         t.timeline =
             tl_it == timelines_[fidx].end() ? nullptr : &tl_it->second;
@@ -876,7 +728,7 @@ void Engine::EvaluateSimpleIncremental(const SimpleFluentSpec& spec,
       }
     }
     t.region_from = wstart;
-    if (t.entry != nullptr && !dirty_all_ && spec.deps.has_value()) {
+    if (t.entry != nullptr && !whole_window && spec.deps.has_value()) {
       RegionStats rstats;
       t.region_from = DirtyRegionFor(*spec.deps, keys[i], /*cross_key=*/false,
                                      wstart, scoped, &rstats)
@@ -904,7 +756,12 @@ void Engine::EvaluateSimpleIncremental(const SimpleFluentSpec& spec,
     const KeyTriage& t = triage[slow[j]];
     SimpleOutcome& out = outcomes[j].emplace(arena);
     const CachedEvidence* entry = t.entry;
-    if (entry != nullptr && t.region_from == kTimestampNever) {
+    if (!incremental) {
+      // Nothing cached to merge with or diff against: the rules' output is
+      // the evidence (the sweep ignores points outside the window).
+      spec.rules(ctx, key, &out.evidence.initiations,
+                 &out.evidence.terminations);
+    } else if (entry != nullptr && t.region_from == kTimestampNever) {
       out.hit = true;
       CopyInWindowPoints(entry->initiations(), wstart,
                          &out.evidence.initiations);
@@ -959,7 +816,6 @@ void Engine::EvaluateSimpleIncremental(const SimpleFluentSpec& spec,
   // Commit phase, in key order: deterministic regardless of pool width.
   // One rehash to the final bucket count instead of a doubling chain as the
   // maps fill on the first slide.
-  cache.evidence.reserve(keys.size());
   timelines_[fidx].reserve(keys.size());
   // Cache/timeline writes are non-propagating copy-assigns: the heap-backed
   // destination keeps its allocator and reuses capacity, which is the
@@ -971,22 +827,27 @@ void Engine::EvaluateSimpleIncremental(const SimpleFluentSpec& spec,
   // key memo only goes stale if a previously-empty key gained its first
   // timeline slot (visible as map growth).
   const size_t timelines_before = timelines_[fidx].size();
-  cache.entries.resize(keys.size());
-  cache.timelines.resize(keys.size());
+  if (incremental) {
+    cache.evidence.reserve(keys.size());
+    cache.entries.resize(keys.size());
+    cache.timelines.resize(keys.size());
+  }
   size_t next_slow = 0;
   for (size_t i = 0; i < keys.size(); ++i) {
     const KeyTriage& t = triage[i];
-    ++dstats.evals;
-    if (t.region_from != kTimestampNever) {
-      dstats.regen_span_sum += static_cast<uint64_t>(q - t.region_from);
-    }
-    if (t.narrowed) {
-      ++dstats.spans_narrowed;
-      ++cache_stats_.spans_narrowed;
-    }
-    if (t.fleet_floor) {
-      ++dstats.fleet_floor_hits;
-      ++cache_stats_.fleet_floor_hits;
+    if (incremental) {
+      ++dstats.evals;
+      if (t.region_from != kTimestampNever) {
+        dstats.regen_span_sum += static_cast<uint64_t>(q - t.region_from);
+      }
+      if (t.narrowed) {
+        ++dstats.spans_narrowed;
+        ++cache_stats_.spans_narrowed;
+      }
+      if (t.fleet_floor) {
+        ++dstats.fleet_floor_hits;
+        ++cache_stats_.fleet_floor_hits;
+      }
     }
     if (t.fast) {
       // Clean fast-forward: the cached evidence is byte-identical to what a
@@ -1015,6 +876,28 @@ void Engine::EvaluateSimpleIncremental(const SimpleFluentSpec& spec,
       continue;
     }
     SimpleOutcome& out = *outcomes[next_slow++];
+    if (spec.output) {
+      for (const auto& slice : out.timeline.slices) {
+        const IntervalSpan span = out.timeline.IntervalsAt(slice);
+        if (!span.empty()) {
+          result->fluents.push_back(RecognizedFluent{
+              spec.fluent, keys[i], slice.value,
+              IntervalList(span.begin(), span.end())});
+        }
+      }
+    }
+    // A key with no content this window gets no slot: most keys of a sparse
+    // fluent (e.g. vessels that never stop) would otherwise pay a map node
+    // for an empty timeline. An existing slot is still overwritten so a key
+    // whose content disappeared reads as empty downstream.
+    FluentTimeline* tl = t.timeline;
+    const bool has_content =
+        !out.timeline.slices.empty() || out.timeline.open_value.has_value();
+    if (tl == nullptr && has_content) tl = &TimelineSlot(fidx, keys[i]);
+    if (tl != nullptr) tl->CopyFrom(out.timeline);
+    if (!incremental) continue;
+
+    cache.timelines[i] = tl;
     if (out.hit) {
       ++cache_stats_.hits;
     } else {
@@ -1026,16 +909,6 @@ void Engine::EvaluateSimpleIncremental(const SimpleFluentSpec& spec,
     if (HasPointAtTime(out.evidence.initiations, q) ||
         HasPointAtTime(out.evidence.terminations, q)) {
       edge_fluents_[fidx].push_back(keys[i]);
-    }
-    if (spec.output) {
-      for (const auto& slice : out.timeline.slices) {
-        const IntervalSpan span = out.timeline.IntervalsAt(slice);
-        if (!span.empty()) {
-          result->fluents.push_back(RecognizedFluent{
-              spec.fluent, keys[i], slice.value,
-              IntervalList(span.begin(), span.end())});
-        }
-      }
     }
     if (t.entry == nullptr) {
       SimpleDefCache::EvidenceMap::iterator ev_it;
@@ -1069,22 +942,18 @@ void Engine::EvaluateSimpleIncremental(const SimpleFluentSpec& spec,
     slot.init_count = static_cast<uint32_t>(out.evidence.initiations.size());
     slot.carried_value = out.evidence.carried_value;
     slot.IndexPoints();
-    // As in the naive commit: no slot for a key with no content this window;
-    // an existing slot is overwritten so the key reads as empty downstream.
-    FluentTimeline* tl = t.timeline;
-    const bool has_content =
-        !out.timeline.slices.empty() || out.timeline.open_value.has_value();
-    if (tl == nullptr && has_content) tl = &TimelineSlot(fidx, keys[i]);
-    if (tl != nullptr) tl->CopyFrom(out.timeline);
-    cache.timelines[i] = tl;
   }
   MARITIME_DCHECK(next_slow == outcomes.size());
 
   // Keys that left the evaluated set: under the dependency contract their
   // timelines were already empty, so dropping them cannot affect downstream
   // definitions — no dirty mark needed. Nodes go to the recycling pools.
+  // Naive mode keeps no key set of its own; the key memo is the previous
+  // slide's timeline key set.
   if (!same_keys) {
-    for (const Term& old_key : cache.keys) {
+    const std::vector<Term>& old_keys =
+        incremental ? cache.keys : fluent_keys_[fidx];
+    for (const Term& old_key : old_keys) {
       if (!std::binary_search(keys.begin(), keys.end(), old_key)) {
         const auto evict_it = cache.evidence.find(old_key);
         if (evict_it != cache.evidence.end()) {
@@ -1093,12 +962,12 @@ void Engine::EvaluateSimpleIncremental(const SimpleFluentSpec& spec,
         auto& tl_map = timelines_[fidx];
         const auto tl_it = tl_map.find(old_key);
         if (tl_it != tl_map.end()) RecycleTimeline(tl_map, tl_it);
-        ++cache_stats_.evictions;
+        if (incremental) ++cache_stats_.evictions;
       }
     }
-    cache.keys = keys;
+    if (incremental) cache.keys = keys;
   }
-  MARITIME_DCHECK_MSG(cache.evidence.size() == keys.size(),
+  MARITIME_DCHECK_MSG(!incremental || cache.evidence.size() == keys.size(),
                       "simple-fluent cache out of sync with evaluated keys");
   // Later definitions read this fluent's change marks by key.
   changed_fluents_[fidx].Flush();
@@ -1107,226 +976,17 @@ void Engine::EvaluateSimpleIncremental(const SimpleFluentSpec& spec,
   }
 }
 
-// --- statically determined fluents ------------------------------------------
-
-void Engine::EvaluateStaticNaive(const StaticFluentSpec& spec,
-                                 const EvalContext& ctx,
-                                 RecognitionResult* result) {
-  const size_t fidx = static_cast<size_t>(spec.fluent);
-  const Timestamp wstart = ctx.window_start();
-  const Timestamp q = ctx.query_time();
-  const std::vector<Term> keys =
-      EvalKeys(spec.domain, ctx, spec.fluent, /*have_boundary=*/false);
-  for (const Term& key : keys) {
-    std::map<Value, IntervalList> computed;
-    spec.compute(ctx, key, &computed);
-    for (auto& [value, list] : computed) NormalizeIntervals(&list);
-    // BuildStaticTimeline clips, suppresses boundary-artifact starts and
-    // records the open value — identical semantics to the former inline loop.
-    FluentTimeline timeline = BuildStaticTimeline(computed, wstart, q);
-    if (spec.output) {
-      for (const auto& slice : timeline.slices) {
-        const IntervalSpan span = timeline.IntervalsAt(slice);
-        if (!span.empty()) {
-          result->fluents.push_back(RecognizedFluent{
-              spec.fluent, key, slice.value,
-              IntervalList(span.begin(), span.end())});
-        }
-      }
-    }
-    TimelineSlot(fidx, key).CopyFrom(timeline);
-  }
-  // Stale-key recycle, replacing the former wholesale clear in Recognize.
-  auto& tl_map = timelines_[fidx];
-  for (auto it = tl_map.begin(); it != tl_map.end();) {
-    if (!std::binary_search(keys.begin(), keys.end(), it->first)) {
-      it = RecycleTimeline(tl_map, it);
-    } else {
-      ++it;
-    }
-  }
-  RebuildKeyMemo(fidx);
-}
-
-void Engine::EvaluateStaticIncremental(const StaticFluentSpec& spec,
-                                       StaticDefCache& cache,
-                                       const EvalContext& ctx,
-                                       RecognitionResult* result) {
-  const size_t fidx = static_cast<size_t>(spec.fluent);
-  const Timestamp wstart = ctx.window_start();
-  const Timestamp q = ctx.query_time();
-  const std::vector<Term> keys =
-      EvalKeys(spec.domain, ctx, spec.fluent, /*have_boundary=*/false);
-
-  const Timestamp prev_q = prev_query_;
-  const ScopedDirty* scoped =
-      (!dirty_all_ && spec.deps.has_value())
-          ? ComputeScopedDirty(*spec.deps, /*cross_key=*/false, ctx)
-          : nullptr;
-  std::vector<StaticOutcome> outcomes(keys.size());
-  // The static path is not allocation-hot (raw caches stay heap maps by
-  // design); the slot arena is unused here.
-  ForEachKey(keys.size(), [&](size_t i, common::Arena* /*arena*/) {
-    const Term key = keys[i];
-    StaticOutcome& out = outcomes[i];
-    const auto entry_it = cache.raw.find(key);
-    const std::map<Value, IntervalList>* entry =
-        entry_it == cache.raw.end() ? nullptr : &entry_it->second;
-    RegenRegion region{wstart};
-    if (entry != nullptr && !dirty_all_ && spec.deps.has_value()) {
-      RegionStats rstats;
-      region = DirtyRegionFor(*spec.deps, key, /*cross_key=*/false, wstart,
-                              scoped, &rstats);
-      out.narrowed = rstats.narrowed;
-      out.fleet_floor = rstats.fleet_floor;
-    }
-    // Interval algebra is pointwise over its inputs, so with no in-window
-    // input change the result is unchanged on the *overlap* with the
-    // previous window. The leading edge (prev_q, q] is new territory: an
-    // upstream open interval extends to the new query time each slide, so a
-    // cached interval that reached prev_q is ambiguous (clip artifact or
-    // genuine end). Reuse therefore additionally requires that no cached
-    // interval touches prev_q and no declared upstream fluent has a value
-    // discontinuity exactly there — then the suffix is provably empty and
-    // the cached raw map is the full answer.
-    bool reusable =
-        entry != nullptr && region.clean() && prev_q != kInvalidTimestamp;
-    if (reusable) {
-      for (const auto& [value, list] : *entry) {
-        if (!list.empty() && list.back().till >= prev_q) {
-          reusable = false;
-          break;
-        }
-      }
-    }
-    if (reusable && spec.deps.has_value()) {
-      for (const FluentId f : spec.deps->fluents) {
-        const bool cross = spec.deps->cross_key;
-        const std::vector<Term> own{key};
-        const std::vector<Term>& dep_keys = cross ? ctx.FluentKeys(f) : own;
-        for (const Term& k : dep_keys) {
-          const FluentTimeline& tl = ctx.Timeline(f, k);
-          if (tl.ValueAt(prev_q) != tl.ValueRightOf(prev_q)) {
-            reusable = false;
-            break;
-          }
-        }
-        if (!reusable) break;
-      }
-    }
-    if (reusable) {
-      out.hit = true;
-      out.raw = *entry;
-      PruneRawIntervals(&out.raw, wstart);
-    } else {
-      // Full recompute under a full-regeneration context: interval output
-      // has no per-point delta to merge, so a partial NeedsEval hint could
-      // not be honored anyway. The cached raw still provides change damping
-      // for downstream readers.
-      std::map<Value, IntervalList> computed;
-      spec.compute(ctx, key, &computed);
-      for (auto& [value, list] : computed) NormalizeIntervals(&list);
-      if (entry == nullptr) {
-        out.changed = !computed.empty();
-      } else if (prev_q == kInvalidTimestamp) {
-        out.changed = !(computed == *entry);
-      } else {
-        // Equal on the overlap with the previous window means downstream
-        // conditions at surviving times see identical values; differences
-        // confined to (prev_q, q] are covered by the readers' own dirty
-        // marks (their new points require new inputs at those times).
-        out.changed = ClipRawTo(computed, wstart, prev_q) !=
-                      ClipRawTo(*entry, wstart, prev_q);
-      }
-      out.raw = std::move(computed);
-    }
-    out.timeline = BuildStaticTimeline(out.raw, wstart, q);
-  });
-
-  DefRegenStats& dstats = def_regen_stats_[cur_def_];
-  for (size_t i = 0; i < keys.size(); ++i) {
-    StaticOutcome& out = outcomes[i];
-    if (out.hit) {
-      ++cache_stats_.hits;
-    } else {
-      ++cache_stats_.misses;
-      dstats.regen_span_sum += static_cast<uint64_t>(q - wstart);
-    }
-    ++dstats.evals;
-    if (out.narrowed) {
-      ++dstats.spans_narrowed;
-      ++cache_stats_.spans_narrowed;
-    }
-    if (out.fleet_floor) {
-      ++dstats.fleet_floor_hits;
-      ++cache_stats_.fleet_floor_hits;
-    }
-    if (out.changed) {
-      // Conservative: interval output has no cheap earliest-diff, so a
-      // changed static key invalidates its downstream readers' full window.
-      changed_fluents_[fidx].Mark(keys[i], wstart);
-    }
-    if (TouchesTime(out.raw, q)) edge_fluents_[fidx].push_back(keys[i]);
-    if (spec.output) {
-      for (const auto& slice : out.timeline.slices) {
-        const IntervalSpan span = out.timeline.IntervalsAt(slice);
-        if (!span.empty()) {
-          result->fluents.push_back(RecognizedFluent{
-              spec.fluent, keys[i], slice.value,
-              IntervalList(span.begin(), span.end())});
-        }
-      }
-    }
-    cache.raw[keys[i]] = std::move(out.raw);
-    TimelineSlot(fidx, keys[i]).CopyFrom(out.timeline);
-  }
-
-  for (const Term& old_key : cache.keys) {
-    if (!std::binary_search(keys.begin(), keys.end(), old_key)) {
-      cache.raw.erase(old_key);
-      auto& tl_map = timelines_[fidx];
-      const auto tl_it = tl_map.find(old_key);
-      if (tl_it != tl_map.end()) RecycleTimeline(tl_map, tl_it);
-      ++cache_stats_.evictions;
-    }
-  }
-  cache.keys = keys;
-  MARITIME_DCHECK_MSG(cache.raw.size() == keys.size(),
-                      "static-fluent cache out of sync with evaluated keys");
-  // Later definitions read this fluent's change marks by key.
-  changed_fluents_[fidx].Flush();
-  RebuildKeyMemo(fidx);
-}
-
 // --- derived events ----------------------------------------------------------
 
-void Engine::EvaluateDerivedNaive(const DerivedEventSpec& spec,
-                                  const EvalContext& ctx,
-                                  RecognitionResult* result) {
-  const Timestamp wstart = ctx.window_start();
-  const Timestamp q = ctx.query_time();
-  derived_fresh_.clear();
-  spec.compute(ctx, &derived_fresh_);
-  auto& store = derived_events_[static_cast<size_t>(spec.event)];
-  for (const EventInstance& i : derived_fresh_) {
-    if (i.t > wstart && i.t <= q) store.push_back(i);
-  }
-  std::sort(store.begin(), store.end(), EventOrder);
-  store.erase(std::unique(store.begin(), store.end()), store.end());
-  if (spec.output) {
-    for (const EventInstance& i : store) {
-      result->events.push_back(RecognizedEvent{spec.event, i});
-    }
-  }
-}
-
-void Engine::EvaluateDerivedIncremental(const DerivedEventSpec& spec,
-                                        DerivedDefCache& cache,
-                                        const EvalContext& ctx,
-                                        RecognitionResult* result) {
+void Engine::EvaluateDerived(const DerivedEventSpec& spec,
+                             DerivedDefCache& cache, const EvalContext& ctx,
+                             RecognitionResult* result) {
   const size_t eidx = static_cast<size_t>(spec.event);
   const Timestamp wstart = ctx.window_start();
   const Timestamp q = ctx.query_time();
+  // As for simple fluents, naive mode derives the whole window and commits
+  // no cache state, change time or edge mark.
+  const bool incremental = options_.incremental;
   auto& store = derived_events_[eidx];
 
   // The previous slide's store is the cache (EventOrder-sorted, unique);
@@ -1344,7 +1004,7 @@ void Engine::EvaluateDerivedIncremental(const DerivedEventSpec& spec,
 
   RegenRegion region{wstart};
   DefRegenStats& dstats = def_regen_stats_[cur_def_];
-  if (cache.valid && !dirty_all_ && spec.deps.has_value()) {
+  if (incremental && cache.valid && !dirty_all_ && spec.deps.has_value()) {
     // Derived events carry no key: any change to a declared input re-derives
     // (cross-key forced). A projector still narrows in *time* — the earliest
     // projected mark — and, more importantly, an idle fleet projects to
@@ -1363,15 +1023,17 @@ void Engine::EvaluateDerivedIncremental(const DerivedEventSpec& spec,
       ++cache_stats_.fleet_floor_hits;
     }
   }
-  ++dstats.evals;
-  if (!region.clean()) {
-    dstats.regen_span_sum += static_cast<uint64_t>(q - region.from);
+  if (incremental) {
+    ++dstats.evals;
+    if (!region.clean()) {
+      dstats.regen_span_sum += static_cast<uint64_t>(q - region.from);
+    }
   }
   if (cache.valid && region.clean()) {
     ++cache_stats_.hits;
     store.assign(old.begin(), old.end());
   } else {
-    ++cache_stats_.misses;
+    if (incremental) ++cache_stats_.misses;
     derived_fresh_.clear();
     spec.compute(ctx.WithRegenRegion(region.from), &derived_fresh_);
     const auto needs_eval = [&](Timestamp t) { return t >= region.from; };
@@ -1384,23 +1046,27 @@ void Engine::EvaluateDerivedIncremental(const DerivedEventSpec& spec,
     }
     std::sort(store.begin(), store.end(), EventOrder);
     store.erase(std::unique(store.begin(), store.end()), store.end());
-    // Downstream readers of this derived event re-evaluate from the first
-    // in-window occurrence difference.
-    Timestamp change_at = kTimestampNever;
-    const size_t n = std::min(old.size(), store.size());
-    size_t i = 0;
-    while (i < n && old[i] == store[i]) ++i;
-    if (i < old.size() && i < store.size()) {
-      change_at = std::min(old[i].t, store[i].t);
-    } else if (i < old.size()) {
-      change_at = old[i].t;
-    } else if (i < store.size()) {
-      change_at = store[i].t;
+    if (incremental) {
+      // Downstream readers of this derived event re-evaluate from the first
+      // in-window occurrence difference.
+      Timestamp change_at = kTimestampNever;
+      const size_t n = std::min(old.size(), store.size());
+      size_t i = 0;
+      while (i < n && old[i] == store[i]) ++i;
+      if (i < old.size() && i < store.size()) {
+        change_at = std::min(old[i].t, store[i].t);
+      } else if (i < old.size()) {
+        change_at = old[i].t;
+      } else if (i < store.size()) {
+        change_at = store[i].t;
+      }
+      changed_derived_[eidx] = std::min(changed_derived_[eidx], change_at);
     }
-    changed_derived_[eidx] = std::min(changed_derived_[eidx], change_at);
   }
-  cache.valid = true;
-  if (!store.empty() && store.back().t == q) edge_derived_[eidx] = 1;
+  if (incremental) {
+    cache.valid = true;
+    if (!store.empty() && store.back().t == q) edge_derived_[eidx] = 1;
+  }
   if (spec.output) {
     for (const EventInstance& i : store) {
       result->events.push_back(RecognizedEvent{spec.event, i});
@@ -1423,29 +1089,27 @@ MARITIME_COMMIT_BOUNDARY RecognitionResult Engine::Recognize(Timestamp q) {
     // below would be correct either way.)
     for (auto& m : dirty_events_) m.Flush();
     dirty_coords_.Flush();
-  }
-  if (options_.incremental && options_.adaptive_full_regen && !dirty_all_) {
-    // Adaptive escalation: when the earliest dirty mark reaches back over
-    // most of the window, almost every key regenerates almost its whole
-    // suffix anyway, and the diff/merge bookkeeping is pure overhead. A full
-    // regeneration (dirty_all_) produces identical output — it is exactly
-    // the first-slide path — and rebuilds every cache entry, so the next
-    // step starts from fresh evidence either way.
-    Timestamp earliest = dirty_coords_.any;
-    for (const DirtyMap& m : dirty_events_) {
-      earliest = std::min(earliest, m.any);
-    }
-    if (earliest != kTimestampNever) {
-      const double dirty_span =
-          static_cast<double>(q - std::max(earliest, wstart));
-      if (dirty_span >= options_.full_regen_dirty_fraction *
-                            static_cast<double>(window_.range)) {
-        dirty_all_ = true;
-        ++adaptive_full_regens_;
+    if (options_.adaptive_full_regen && !dirty_all_) {
+      // Adaptive escalation: when the earliest dirty mark reaches back over
+      // most of the window, almost every key regenerates almost its whole
+      // suffix anyway, and the diff/merge bookkeeping is pure overhead. A
+      // full regeneration (dirty_all_) produces identical output — it is
+      // exactly the first-slide path — and rebuilds every cache entry, so
+      // the next step starts from fresh evidence either way.
+      Timestamp earliest = dirty_coords_.any;
+      for (const DirtyMap& m : dirty_events_) {
+        earliest = std::min(earliest, m.any);
+      }
+      if (earliest != kTimestampNever) {
+        const double dirty_span =
+            static_cast<double>(q - std::max(earliest, wstart));
+        if (dirty_span >=
+            kFullRegenDirtyFraction * static_cast<double>(window_.range)) {
+          dirty_all_ = true;
+          ++adaptive_full_regens_;
+        }
       }
     }
-  }
-  if (options_.incremental) {
     for (auto& m : changed_fluents_) m.Clear();
     std::fill(changed_derived_.begin(), changed_derived_.end(),
               kTimestampNever);
@@ -1470,15 +1134,12 @@ MARITIME_COMMIT_BOUNDARY RecognitionResult Engine::Recognize(Timestamp q) {
     std::fill(edge_derived_.begin(), edge_derived_.end(), 0);
     // Edge marks batched above become readable before any definition runs.
     for (auto& m : changed_fluents_) m.Flush();
-  } else {
-    for (auto& d : derived_events_) d.clear();
-    // Timelines are NOT cleared wholesale: the naive evaluators overwrite
-    // each evaluated key in place (reusing the heap slot's capacity) and
-    // erase keys that left the domain. Under the registration-order
-    // hierarchy a rule only reads fluents registered earlier, which have
-    // already been rewritten this slide, so the observable behavior is
-    // unchanged.
   }
+  // Timelines and derived stores are not cleared wholesale: each evaluator
+  // overwrites its keys in place (reusing the heap slots' capacity) and
+  // drops keys that left the domain. Under the registration-order hierarchy
+  // a rule only reads definitions registered earlier, which have already
+  // been rewritten this slide.
 
   RecognitionResult result;
   result.query_time = q;
@@ -1498,30 +1159,12 @@ MARITIME_COMMIT_BOUNDARY RecognitionResult Engine::Recognize(Timestamp q) {
     cur_def_ = di;
     const auto& def = definitions_[di];
     if (const auto* simple = std::get_if<SimpleFluentSpec>(&def)) {
-      if (options_.incremental) {
-        EvaluateSimpleIncremental(*simple,
-                                  std::get<SimpleDefCache>(def_caches_[di]),
-                                  ctx, have_boundary, &result);
-      } else {
-        EvaluateSimpleNaive(*simple, ctx, have_boundary, &result);
-      }
-    } else if (const auto* st = std::get_if<StaticFluentSpec>(&def)) {
-      if (options_.incremental) {
-        EvaluateStaticIncremental(*st,
-                                  std::get<StaticDefCache>(def_caches_[di]),
-                                  ctx, &result);
-      } else {
-        EvaluateStaticNaive(*st, ctx, &result);
-      }
+      EvaluateSimple(*simple, std::get<SimpleDefCache>(def_caches_[di]), ctx,
+                     have_boundary, &result);
     } else {
-      const auto& de = std::get<DerivedEventSpec>(def);
-      if (options_.incremental) {
-        EvaluateDerivedIncremental(de,
-                                   std::get<DerivedDefCache>(def_caches_[di]),
-                                   ctx, &result);
-      } else {
-        EvaluateDerivedNaive(de, ctx, &result);
-      }
+      EvaluateDerived(std::get<DerivedEventSpec>(def),
+                      std::get<DerivedDefCache>(def_caches_[di]), ctx,
+                      &result);
     }
   }
 
@@ -1586,17 +1229,6 @@ MARITIME_COMMIT_BOUNDARY RecognitionResult Engine::Recognize(Timestamp q) {
                   cache.timelines[i] ==
                       (tl_it == tl_map.end() ? nullptr : &tl_it->second),
               "simple-fluent cache pointers out of sync with its maps");
-        }
-      } else if (const auto* st = std::get_if<StaticFluentSpec>(
-                     &definitions_[di])) {
-        const auto& cache = std::get<StaticDefCache>(def_caches_[di]);
-        const auto& live = timelines_[static_cast<size_t>(st->fluent)];
-        // DCHECK-only sweep: asserts per-element membership, so no
-        // order-dependent state escapes this loop.
-        // maritime-lint: allow-next-line(determinism): assert-only loop
-        for (const auto& [k, raw] : cache.raw) {
-          MARITIME_DCHECK_MSG(live.count(k) == 1,
-                              "cached static-fluent key not live");
         }
       }
     }

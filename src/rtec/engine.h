@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -238,24 +237,6 @@ struct SimpleFluentSpec {
   std::optional<DependencySpec> deps;
 };
 
-/// Definition of a statically determined fluent: its intervals are computed
-/// directly by interval manipulation (union/intersect/complement) over
-/// previously computed timelines, without inertia.
-struct StaticFluentSpec {
-  FluentId fluent = -1;
-  std::function<std::vector<Term>(const EvalContext&)> domain;
-  std::function<void(const EvalContext&, Term key,
-                     std::map<Value, IntervalList>* out)>
-      compute;
-  bool output = false;
-  /// Declared inputs; a clean key whose cached intervals stay clear of the
-  /// window's leading edge reuses its cached interval map, any other key is
-  /// fully recomputed under a full-regeneration context (interval output has
-  /// no per-point delta, so the NeedsEval hint is never partial here) with
-  /// cached-vs-fresh change damping for downstream readers.
-  std::optional<DependencySpec> deps;
-};
-
 /// Definition of a derived (output) event: happensAt rules producing event
 /// occurrences from the window contents, e.g. illegalShipping (rule (5)).
 struct DerivedEventSpec {
@@ -315,8 +296,17 @@ struct RecognitionResult {
   }
 };
 
+/// Adaptive per-query full regeneration (the recognizer's `auto` engine
+/// mode, EngineOptions::adaptive_full_regen): when the dirty suffix of a step
+/// covers at least this fraction of the window, suffix bookkeeping cannot pay
+/// for itself (BENCH_rtec.json: incremental runs at 0.647x naive when ω
+/// equals the slide), so the step runs as one full regeneration — caches are
+/// rebuilt whole and the output is unchanged.
+inline constexpr double kFullRegenDirtyFraction = 0.75;
+
 /// Evaluation-mode knobs of the engine. The default is the naive engine:
-/// full serial recomputation of every definition at every query time.
+/// every definition regenerates its whole window at every query time, with
+/// no evidence cache.
 struct EngineOptions {
   /// Cache evidence across slides and re-evaluate only dirty keys (and only
   /// the dirty region of the window for partially dirty keys). Results are
@@ -325,21 +315,16 @@ struct EngineOptions {
   /// re-evaluated.
   bool incremental = false;
   /// When set, the keys of one definition layer are evaluated concurrently
-  /// on this pool (deterministic: outcomes are committed in key order after
-  /// a per-layer barrier). Must outlive the engine. nullptr = serial.
+  /// on this pool, in either mode (deterministic: outcomes are committed in
+  /// key order after a per-layer barrier). Must outlive the engine.
+  /// nullptr = serial.
   common::ThreadPool* pool = nullptr;
   /// Definitions with fewer keys than this stay serial (fan-out overhead
   /// exceeds the win for tiny layers).
   size_t min_parallel_keys = 8;
-  /// Adaptive per-query full regeneration (the recognizer's `auto` engine
-  /// mode): when the dirty suffix of a step covers at least
-  /// `full_regen_dirty_fraction` of the window, suffix bookkeeping cannot
-  /// pay for itself (BENCH_rtec.json: incremental runs at 0.647x naive when
-  /// ω equals the slide), so the step runs as one full regeneration —
-  /// caches are rebuilt whole and the output is unchanged. Incremental
-  /// mode only.
+  /// Escalate a step whose dirty suffix covers kFullRegenDirtyFraction of
+  /// the window to one full regeneration. Incremental mode only.
   bool adaptive_full_regen = false;
-  double full_regen_dirty_fraction = 0.75;
 };
 
 /// Cumulative cache counters of the incremental engine (all zero under the
@@ -569,7 +554,6 @@ class Engine {
 
   // --- definitions (evaluated in registration order) ----------------------
   void AddSimpleFluent(SimpleFluentSpec spec);
-  void AddStaticFluent(StaticFluentSpec spec);
   void AddDerivedEvent(DerivedEventSpec spec);
 
   // --- stream input --------------------------------------------------------
@@ -670,17 +654,12 @@ class Engine {
     // Escape is sound: points into the heap-backed committed timeline map.
     MARITIME_ARENA_ESCAPE_OK std::vector<FluentTimeline*> timelines;
   };
-  struct StaticDefCache {
-    std::unordered_map<Term, std::map<Value, IntervalList>, TermHash> raw;
-    std::vector<Term> keys;
-  };
   struct DerivedDefCache {
     /// The derived store itself persists across slides under the incremental
     /// engine and is the cache; this flag marks it populated at least once.
     bool valid = false;
   };
-  using AnyCache =
-      std::variant<SimpleDefCache, StaticDefCache, DerivedDefCache>;
+  using AnyCache = std::variant<SimpleDefCache, DerivedDefCache>;
 
   /// Dependency-scoped dirty view of one cross-key definition, computed at
   /// that definition's evaluation time by projecting each dirty *input* key
@@ -745,24 +724,15 @@ class Engine {
       const std::function<std::vector<Term>(const EvalContext&)>& domain,
       const EvalContext& ctx, const FluentId fluent, bool have_boundary) const;
 
-  void EvaluateSimpleNaive(const SimpleFluentSpec& spec,
-                           const EvalContext& ctx, bool have_boundary,
-                           RecognitionResult* result);
-  void EvaluateSimpleIncremental(const SimpleFluentSpec& spec,
-                                 SimpleDefCache& cache, const EvalContext& ctx,
-                                 bool have_boundary,
-                                 RecognitionResult* result);
-  void EvaluateStaticNaive(const StaticFluentSpec& spec,
-                           const EvalContext& ctx, RecognitionResult* result);
-  void EvaluateStaticIncremental(const StaticFluentSpec& spec,
-                                 StaticDefCache& cache, const EvalContext& ctx,
-                                 RecognitionResult* result);
-  void EvaluateDerivedNaive(const DerivedEventSpec& spec,
-                            const EvalContext& ctx, RecognitionResult* result);
-  void EvaluateDerivedIncremental(const DerivedEventSpec& spec,
-                                  DerivedDefCache& cache,
-                                  const EvalContext& ctx,
-                                  RecognitionResult* result);
+  /// One evaluator per definition kind. The regeneration region decides
+  /// the work: naive mode (and the incremental engine's first and escalated
+  /// slides) regenerate every key over the whole window; naive mode also
+  /// commits nothing to the evidence caches.
+  void EvaluateSimple(const SimpleFluentSpec& spec, SimpleDefCache& cache,
+                      const EvalContext& ctx, bool have_boundary,
+                      RecognitionResult* result);
+  void EvaluateDerived(const DerivedEventSpec& spec, DerivedDefCache& cache,
+                       const EvalContext& ctx, RecognitionResult* result);
 
   /// Runs `body(i, arena)` for i in [0, n), on the configured pool when the
   /// layer is large enough, serially otherwise. `arena` is the slide-scoped
@@ -800,8 +770,7 @@ class Engine {
   std::vector<std::string> event_names_;
   std::vector<std::string> fluent_names_;
 
-  using AnySpec =
-      std::variant<SimpleFluentSpec, StaticFluentSpec, DerivedEventSpec>;
+  using AnySpec = std::variant<SimpleFluentSpec, DerivedEventSpec>;
   std::vector<AnySpec> definitions_;
 
   // Input event store of one event id. `by_time` is sorted by EventOrder
@@ -892,8 +861,8 @@ class Engine {
   std::vector<std::vector<Term>> edge_fluents_;  ///< Per fluent id.
   std::vector<char> edge_derived_;               ///< Per event id.
   // Query time of the previous Recognize call (kInvalidTimestamp before the
-  // first): the window's leading edge (prev_query_, q] is new territory that
-  // static-fluent reuse and change damping must treat specially.
+  // first): the window's leading edge (prev_query_, q] is new territory
+  // that the clean fast-forward must treat specially.
   Timestamp prev_query_ = kInvalidTimestamp;
   // Per-definition caches, parallel to definitions_.
   std::vector<AnyCache> def_caches_;

@@ -30,9 +30,10 @@ namespace {
 constexpr uint8_t kEngineFormatVersion = 3;
 constexpr const char* kWhat = "rtec engine";
 
-// Definition kind tags in the schema fingerprint.
+// Definition kind tags in the schema fingerprint. Tag 1 belonged to the
+// former statically-determined fluent kind and stays reserved, so a table
+// naming it restores as a definition mismatch.
 constexpr uint8_t kKindSimple = 0;
-constexpr uint8_t kKindStatic = 1;
 constexpr uint8_t kKindDerived = 2;
 
 void SaveTerm(const Term& t, snapshot::Writer& w) {
@@ -73,14 +74,6 @@ bool LoadPoints(snapshot::Reader& r, PointVec* pts) {
     pts->push_back(p);
   }
   return true;
-}
-
-void SaveIntervals(const IntervalList& list, snapshot::Writer& w) {
-  w.U64(list.size());
-  for (const Interval& i : list) {
-    w.I64(i.since);
-    w.I64(i.till);
-  }
 }
 
 bool LoadIntervals(snapshot::Reader& r, IntervalList* list) {
@@ -266,11 +259,6 @@ MARITIME_OUTPUT_PATH void Engine::SaveTo(snapshot::Writer& w) const {
       w.I32(s->fluent);
       w.Bool(s->output);
       w.Bool(s->deps.has_value());
-    } else if (const auto* s = std::get_if<StaticFluentSpec>(&def)) {
-      w.U8(kKindStatic);
-      w.I32(s->fluent);
-      w.Bool(s->output);
-      w.Bool(s->deps.has_value());
     } else {
       const auto& d = std::get<DerivedEventSpec>(def);
       w.U8(kKindDerived);
@@ -358,18 +346,6 @@ MARITIME_OUTPUT_PATH void Engine::SaveTo(snapshot::Writer& w) const {
         SaveEvidence(simple->evidence.at(key), w);
       }
       SaveTermVector(simple->keys, w);
-    } else if (const auto* st = std::get_if<StaticDefCache>(&cache)) {
-      w.U64(st->raw.size());
-      for (const Term& key : SortedTermKeys(st->raw)) {
-        SaveTerm(key, w);
-        const auto& by_value = st->raw.at(key);
-        w.U64(by_value.size());
-        for (const auto& [value, list] : by_value) {
-          w.I32(value);
-          SaveIntervals(list, w);
-        }
-      }
-      SaveTermVector(st->keys, w);
     } else {
       w.Bool(std::get<DerivedDefCache>(cache).valid);
     }
@@ -444,11 +420,6 @@ Status Engine::RestoreFrom(snapshot::Reader& r) {
     bool want_deps = false;
     if (const auto* s = std::get_if<SimpleFluentSpec>(&def)) {
       want_kind = kKindSimple;
-      want_target = s->fluent;
-      want_output = s->output;
-      want_deps = s->deps.has_value();
-    } else if (const auto* s = std::get_if<StaticFluentSpec>(&def)) {
-      want_kind = kKindStatic;
       want_target = s->fluent;
       want_output = s->output;
       want_deps = s->deps.has_value();
@@ -634,29 +605,6 @@ Status Engine::RestoreFrom(snapshot::Reader& r) {
       if (!LoadTermVector(r, &simple->keys)) {
         return snapshot::CorruptionIn(kWhat);
       }
-    } else if (auto* st = std::get_if<StaticDefCache>(&cache)) {
-      st->raw.clear();
-      if (!r.Count(&n, 2 * sizeof(int32_t) + 1)) {
-        return snapshot::CorruptionIn(kWhat);
-      }
-      for (uint64_t i = 0; i < n; ++i) {
-        Term key;
-        uint64_t vals = 0;
-        if (!LoadTerm(r, &key) ||
-            !r.Count(&vals, sizeof(int32_t) + sizeof(uint64_t))) {
-          return snapshot::CorruptionIn(kWhat);
-        }
-        auto& by_value = st->raw[key];
-        for (uint64_t j = 0; j < vals; ++j) {
-          Value value = 0;
-          IntervalList list;
-          if (!r.I32(&value) || !LoadIntervals(r, &list)) {
-            return snapshot::CorruptionIn(kWhat);
-          }
-          by_value[value] = std::move(list);
-        }
-      }
-      if (!LoadTermVector(r, &st->keys)) return snapshot::CorruptionIn(kWhat);
     } else {
       bool valid = false;
       if (!r.Bool(&valid)) return snapshot::CorruptionIn(kWhat);

@@ -85,15 +85,13 @@ TEST_F(MultiValueFixture, MultiValueInertiaAcrossSlides) {
   EXPECT_EQ(tl.IntervalsFor(1), (IntervalList{{2500, 3000}}));
 }
 
-// Definition chaining: a derived event feeding a simple fluent feeding a
-// statically-determined fluent — the three definition kinds composed in
-// dependency order, as a CE hierarchy does.
-TEST(EngineChainingTest, DerivedEventDrivesFluentDrivesStaticFluent) {
+// Definition chaining: a derived event feeding a simple fluent — the two
+// definition kinds composed in dependency order, as a CE hierarchy does.
+TEST(EngineChainingTest, DerivedEventDrivesFluent) {
   Engine engine(stream::WindowSpec{1000, 1000});
   const EventId ping = engine.DeclareEvent("ping");
   const EventId echo = engine.DeclareEvent("echo");        // derived
   const FluentId lively = engine.DeclareFluent("lively");  // simple
-  const FluentId quiet = engine.DeclareFluent("quiet");    // static
 
   DerivedEventSpec ev;
   ev.event = echo;
@@ -124,25 +122,10 @@ TEST(EngineChainingTest, DerivedEventDrivesFluentDrivesStaticFluent) {
   };
   engine.AddSimpleFluent(std::move(fl));
 
-  StaticFluentSpec st;
-  st.fluent = quiet;
-  st.domain = [lively](const EvalContext& ctx) {
-    return ctx.FluentKeys(lively);
-  };
-  st.compute = [lively](const EvalContext& ctx, Term key,
-                        std::map<Value, IntervalList>* out) {
-    const IntervalList window{{ctx.window_start(), ctx.query_time()}};
-    (*out)[kTrue] = RelativeComplementAll(
-        window, {ToList(ctx.Timeline(lively, key).IntervalsFor(kTrue))});
-  };
-  engine.AddStaticFluent(std::move(st));
-
   engine.AssertEvent(ping, kV1, 200);
   engine.Recognize(1000);
   EXPECT_EQ(engine.TimelineOf(lively, kV1).IntervalsFor(kTrue),
             (IntervalList{{210, 310}}));
-  EXPECT_EQ(engine.TimelineOf(quiet, kV1).IntervalsFor(kTrue),
-            (IntervalList{{0, 210}, {310, 1000}}));
 }
 
 TEST(EngineOutOfOrderTest, AssertionOrderIsIrrelevantWithinWindow) {

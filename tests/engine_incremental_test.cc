@@ -4,13 +4,14 @@
 #include <random>
 #include <set>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "ec_oracle.h"
 #include "geo/geo_point.h"
 #include "maritime/recognizer.h"
 #include "rtec/engine.h"
-#include "rtec/interval.h"
 #include "sim/generator.h"
 #include "sim/world.h"
 #include "stream/sliding_window.h"
@@ -22,11 +23,14 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Generic randomized differential: a contract-honoring definition hierarchy
-// (multi-valued simple fluent -> static fluent -> conditioned simple fluent
-// -> derived event, plus a cross-key fluent) fed an adversarial stream of
-// fresh, delayed, and future-dated events, recognized side by side on the
-// naive engine, the incremental engine, and the incremental engine with
-// parallel per-key evaluation. Every slide must be bit-identical.
+// (multi-valued simple fluent -> conditioned simple fluent -> derived event,
+// plus a cross-key fluent and a fluent without declared deps) fed an
+// adversarial stream of fresh, delayed, and future-dated events, recognized
+// side by side on the naive engine, the incremental engine, and both with
+// parallel per-key evaluation. The naive engine's definitions are captured
+// by the Event Calculus reference (ec_oracle.h), which recomputes every
+// timeline and output row from their evidence; every slide must agree with
+// it and be bit-identical across engines.
 // ---------------------------------------------------------------------------
 
 struct Schema {
@@ -34,24 +38,34 @@ struct Schema {
   EventId stop = -1;
   EventId ping = -1;
   FluentId moving = -1;  // multi-valued: gear 1..3
-  FluentId busy = -1;    // static: moving=1 union moving=2
   FluentId alert = -1;   // conditioned on moving + coords
   FluentId crowded = -1; // cross-key: >= 3 distinct vessels pinged
   EventId alarm = -1;    // derived from ping + alert
+  FluentId lagged = -1;  // no deps: points off the event times
 };
 
 const Term kArea{1, 99};
 
-Schema Register(Engine* eng) {
+/// Registers the hierarchy on `eng`; with an `oracle`, every definition is
+/// captured for the Event Calculus reference.
+Schema Register(Engine* eng, ec_reference::Oracle* oracle = nullptr) {
   Schema s;
   s.move = eng->DeclareEvent("move");
   s.stop = eng->DeclareEvent("stop");
   s.ping = eng->DeclareEvent("ping");
   s.moving = eng->DeclareFluent("moving");
-  s.busy = eng->DeclareFluent("busy");
   s.alert = eng->DeclareFluent("alert");
   s.crowded = eng->DeclareFluent("crowded");
   s.alarm = eng->DeclareEvent("alarm");
+  s.lagged = eng->DeclareFluent("lagged");
+  const auto add = [&](auto spec) {
+    if (oracle != nullptr) spec = oracle->Capture(std::move(spec));
+    if constexpr (std::is_same_v<decltype(spec), SimpleFluentSpec>) {
+      eng->AddSimpleFluent(std::move(spec));
+    } else {
+      eng->AddDerivedEvent(std::move(spec));
+    }
+  };
 
   // moving(V)=gear: initiated by move (gear from the object term), terminated
   // by stop. Uses the NeedsEval hint (the engine must merge the cached
@@ -80,27 +94,7 @@ Schema Register(Engine* eng) {
         for (Value v = 1; v <= 3; ++v) terminated->push_back({v, e.t});
       }
     };
-    eng->AddSimpleFluent(std::move(spec));
-  }
-
-  // busy(V): statically determined from moving's timeline.
-  {
-    StaticFluentSpec spec;
-    spec.fluent = s.busy;
-    spec.output = true;
-    spec.deps = DependencySpec{{}, {s.moving}, false, false, {}};
-    const Schema sc = s;
-    spec.domain = [sc](const EvalContext& ctx) {
-      return ctx.FluentKeys(sc.moving);
-    };
-    spec.compute = [sc](const EvalContext& ctx, Term key,
-                        std::map<Value, IntervalList>* out) {
-      const FluentTimeline& tl = ctx.Timeline(sc.moving, key);
-      const IntervalList u =
-          UnionAll({ToList(tl.IntervalsFor(1)), ToList(tl.IntervalsFor(2))});
-      if (!u.empty()) (*out)[kTrue] = u;
-    };
-    eng->AddStaticFluent(std::move(spec));
+    add(std::move(spec));
   }
 
   // alert(V): initiated at ping(V) while moving(V)=3 holds or V sits in the
@@ -134,7 +128,7 @@ Schema Register(Engine* eng) {
         if (e.subject == key) terminated->push_back({kTrue, e.t});
       }
     };
-    eng->AddSimpleFluent(std::move(spec));
+    add(std::move(spec));
   }
 
   // crowded(area): cross-key — (re)checked at every ping: initiated while
@@ -173,7 +167,7 @@ Schema Register(Engine* eng) {
         }
       }
     };
-    eng->AddSimpleFluent(std::move(spec));
+    add(std::move(spec));
   }
 
   // alarm(V): derived at ping occurrences while alert(V) holds (right limit,
@@ -193,7 +187,34 @@ Schema Register(Engine* eng) {
         }
       }
     };
-    eng->AddDerivedEvent(std::move(spec));
+    add(std::move(spec));
+  }
+
+  // lagged(area): initiated 20 time units before every ping, terminated 5
+  // before and 5 after every stop, whichever vessel's. The time arithmetic
+  // is outside the DependencySpec contract, so it declares no deps and every
+  // engine regenerates it whole each slide. Its points land before the
+  // window, exactly on its start, and past the query time: the working
+  // memory must hide all three.
+  {
+    SimpleFluentSpec spec;
+    spec.fluent = s.lagged;
+    spec.output = true;
+    const Schema sc = s;
+    spec.domain = [](const EvalContext&) {
+      return std::vector<Term>{kArea};
+    };
+    spec.rules = [sc](const EvalContext& ctx, Term /*key*/,
+                      PointVec* initiated, PointVec* terminated) {
+      for (const auto& e : ctx.Events(sc.ping)) {
+        initiated->push_back({kTrue, e.t - 20});
+      }
+      for (const auto& e : ctx.Events(sc.stop)) {
+        terminated->push_back({kTrue, e.t - 5});
+        terminated->push_back({kTrue, e.t + 5});
+      }
+    };
+    add(std::move(spec));
   }
   return s;
 }
@@ -249,6 +270,7 @@ struct Assertion {
 
 TEST(EngineIncrementalDifferentialTest, RandomizedStreamBitIdentical) {
   const stream::WindowSpec window{50, 10};
+  ec_reference::Oracle oracle(window);
   Engine naive(window);
   EngineOptions incr_opts;
   incr_opts.incremental = true;
@@ -259,10 +281,16 @@ TEST(EngineIncrementalDifferentialTest, RandomizedStreamBitIdentical) {
   par_opts.pool = &pool;
   par_opts.min_parallel_keys = 1;  // force the parallel path on tiny layers
   Engine par(window, nullptr, par_opts);
+  // The naive engine fans keys out too when given a pool.
+  EngineOptions naive_par_opts;
+  naive_par_opts.pool = &pool;
+  naive_par_opts.min_parallel_keys = 1;
+  Engine naive_par(window, nullptr, naive_par_opts);
 
-  const Schema sn = Register(&naive);
+  const Schema sn = Register(&naive, &oracle);
   const Schema si = Register(&incr);
   const Schema sp = Register(&par);
+  Register(&naive_par);
   ASSERT_EQ(sn.alarm, si.alarm);
   ASSERT_EQ(sn.alarm, sp.alarm);
 
@@ -312,7 +340,7 @@ TEST(EngineIncrementalDifferentialTest, RandomizedStreamBitIdentical) {
         a.event = sn.ping;
         a.object = Term::None();
       }
-      for (Engine* eng : {&naive, &incr, &par}) {
+      for (Engine* eng : {&naive, &incr, &par, &naive_par}) {
         if (a.kind == Assertion::kCoord) {
           eng->AssertCoord(a.subject, a.t, a.pos);
         } else {
@@ -323,8 +351,10 @@ TEST(EngineIncrementalDifferentialTest, RandomizedStreamBitIdentical) {
 
     const EngineCacheStats before = incr.cache_stats();
     const RecognitionResult rn = naive.Recognize(q);
+    ASSERT_TRUE(oracle.Check(naive, rn));
     const RecognitionResult ri = incr.Recognize(q);
     const RecognitionResult rp = par.Recognize(q);
+    const RecognitionResult rnp = naive_par.Recognize(q);
     ASSERT_TRUE(rn == ri) << "incremental diverged at q=" << q << "\nnaive:\n"
                           << Dump(rn) << "incremental:\n" << Dump(ri)
                           << "naive state:\n" << DumpState(naive, sn)
@@ -332,6 +362,7 @@ TEST(EngineIncrementalDifferentialTest, RandomizedStreamBitIdentical) {
     ASSERT_TRUE(rn == rp) << "parallel incremental diverged at q=" << q
                           << "\nnaive:\n" << Dump(rn) << "parallel:\n"
                           << Dump(rp);
+    ASSERT_TRUE(rn == rnp) << "parallel naive diverged at q=" << q;
     if (incr.cache_stats().hits > before.hits) ++slides_with_hits;
   }
 
@@ -339,10 +370,11 @@ TEST(EngineIncrementalDifferentialTest, RandomizedStreamBitIdentical) {
   EXPECT_GT(incr.cache_stats().hits, incr.cache_stats().misses);
   EXPECT_GT(slides_with_hits, static_cast<size_t>(kSlides / 2));
   EXPECT_GT(incr.cache_stats().evictions, 0u);
-  // The naive engine never touches the cache.
+  // The naive engine never touches the cache, with or without a pool.
   EXPECT_EQ(naive.cache_stats().hits, 0u);
   EXPECT_EQ(naive.cache_stats().misses, 0u);
   EXPECT_EQ(naive.cache_entry_count(), 0u);
+  EXPECT_EQ(naive_par.cache_entry_count(), 0u);
 }
 
 TEST(EngineIncrementalDifferentialTest, LongWindowCleanBypassBitIdentical) {
@@ -352,6 +384,7 @@ TEST(EngineIncrementalDifferentialTest, LongWindowCleanBypassBitIdentical) {
   // exception. Naive, incremental and parallel incremental must still agree
   // on every slide.
   const stream::WindowSpec window{600, 10};
+  ec_reference::Oracle oracle(window);
   Engine naive(window);
   EngineOptions incr_opts;
   incr_opts.incremental = true;
@@ -362,7 +395,7 @@ TEST(EngineIncrementalDifferentialTest, LongWindowCleanBypassBitIdentical) {
   par_opts.min_parallel_keys = 1;
   Engine par(window, nullptr, par_opts);
 
-  const Schema sn = Register(&naive);
+  const Schema sn = Register(&naive, &oracle);
   const Schema si = Register(&incr);
   Register(&par);
 
@@ -414,6 +447,7 @@ TEST(EngineIncrementalDifferentialTest, LongWindowCleanBypassBitIdentical) {
       }
     }
     const RecognitionResult rn = naive.Recognize(q);
+    ASSERT_TRUE(oracle.Check(naive, rn));
     const RecognitionResult ri = incr.Recognize(q);
     const RecognitionResult rp = par.Recognize(q);
     ASSERT_TRUE(rn == ri) << "incremental diverged at q=" << q << "\nnaive:\n"
@@ -424,7 +458,7 @@ TEST(EngineIncrementalDifferentialTest, LongWindowCleanBypassBitIdentical) {
   }
 
   // The per-key simple fluents (moving, alert) mostly take the bypass.
-  for (const size_t def : {size_t{0}, size_t{2}}) {
+  for (const size_t def : {size_t{0}, size_t{1}}) {
     const DefRegenStats& st = incr.def_regen_stats()[def];
     EXPECT_GT(st.fast_forwards * 2, st.evals) << "definition " << def;
   }
@@ -432,20 +466,21 @@ TEST(EngineIncrementalDifferentialTest, LongWindowCleanBypassBitIdentical) {
 }
 
 TEST(EngineIncrementalDifferentialTest, AdaptiveFullRegenBitIdentical) {
-  // The adaptive escalation path: when the dirty suffix covers most of the
-  // window, the incremental engine falls back to full regeneration for that
-  // slide (rebuilding its caches) instead of merging. A low threshold makes
-  // delayed events trip the escalation regularly while fresh-only slides
-  // stay on the incremental path — both paths must agree with naive.
+  // The adaptive escalation path: when the dirty suffix covers at least
+  // kFullRegenDirtyFraction of the window, the incremental engine falls back
+  // to full regeneration for that slide (rebuilding its caches) instead of
+  // merging. Delayed events land in the oldest quarter of the window, so
+  // every slide receiving one escalates, while fresh-only slides stay on the
+  // incremental path — both paths must agree with naive and the reference.
   const stream::WindowSpec window{50, 10};
+  ec_reference::Oracle oracle(window);
   Engine naive(window);
   EngineOptions adapt_opts;
   adapt_opts.incremental = true;
   adapt_opts.adaptive_full_regen = true;
-  adapt_opts.full_regen_dirty_fraction = 0.35;  // fresh slide dirties ~0.2
   Engine adapt(window, nullptr, adapt_opts);
 
-  const Schema sn = Register(&naive);
+  const Schema sn = Register(&naive, &oracle);
   const Schema sa = Register(&adapt);
   ASSERT_EQ(sn.alarm, sa.alarm);
 
@@ -455,6 +490,10 @@ TEST(EngineIncrementalDifferentialTest, AdaptiveFullRegenBitIdentical) {
   std::uniform_int_distribution<int> kind_dist(0, 99);
   std::uniform_real_distribution<double> lat_dist(-1.0, 1.0);
 
+  // A delay into (wstart, wstart + quarter] dirties at least 75% of a full
+  // window.
+  const Timestamp quarter = window.range / 4;
+  static_assert(kFullRegenDirtyFraction <= 0.75);
   constexpr int kSlides = 500;
   for (int slide = 1; slide <= kSlides; ++slide) {
     const Timestamp q = static_cast<Timestamp>(slide) * window.slide;
@@ -464,16 +503,13 @@ TEST(EngineIncrementalDifferentialTest, AdaptiveFullRegenBitIdentical) {
       Assertion a;
       a.subject = Term{0, vessel_dist(rng)};
       const int when = kind_dist(rng);
-      if (when < 70) {
+      if (when < 85) {
         a.t = q - window.slide + 1 +
               std::uniform_int_distribution<Timestamp>(0, window.slide - 1)(rng);
       } else {
-        // Delayed: lands anywhere in the window, so the dirty suffix often
-        // exceeds the escalation threshold.
         const Timestamp wstart = q > window.range ? q - window.range : 0;
         a.t = wstart + 1 +
-              std::uniform_int_distribution<Timestamp>(
-                  0, std::max<Timestamp>(0, q - wstart - 1))(rng);
+              std::uniform_int_distribution<Timestamp>(0, quarter - 1)(rng);
       }
       const int what = kind_dist(rng);
       if (what < 15) {
@@ -498,6 +534,7 @@ TEST(EngineIncrementalDifferentialTest, AdaptiveFullRegenBitIdentical) {
       }
     }
     const RecognitionResult rn = naive.Recognize(q);
+    ASSERT_TRUE(oracle.Check(naive, rn));
     const RecognitionResult ra = adapt.Recognize(q);
     ASSERT_TRUE(rn == ra) << "adaptive diverged at q=" << q << "\nnaive:\n"
                           << Dump(rn) << "adaptive:\n" << Dump(ra);
@@ -522,19 +559,19 @@ TEST(EngineIncrementalDifferentialTest, CacheEvictionFollowsKeyChurn) {
   eng.AssertEvent(s.move, v1, 5, Term{2, 0});
   eng.AssertEvent(s.stop, v1, 8);
   eng.Recognize(10);
-  // moving cached for v1 (busy has no intervals: moving=1 only 5..8 — it
-  // does, actually; either way entries exist for the touched definitions).
+  // Entries exist for the definitions v1 touched.
   EXPECT_GT(eng.cache_entry_count(), 0u);
   const size_t evictions_before = eng.cache_stats().evictions;
 
   // Slide until (0, 10] leaves the window entirely: v1 has no in-window
-  // input and no carried value, so all of its entries (moving, busy, alert)
-  // must be evicted. What remains is key-churn-independent: the
-  // constant-domain crowded(area) entry and the derived-event cache marker.
+  // input and no carried value, so all of its entries (moving, alert) must
+  // be evicted. What remains is key-churn-independent: the constant-domain
+  // crowded(area) and lagged(area) entries and the derived-event cache
+  // marker.
   for (Timestamp q = 20; q <= 80; q += 10) eng.Recognize(q);
-  EXPECT_EQ(eng.cache_entry_count(), 2u);
+  EXPECT_EQ(eng.cache_entry_count(), 3u);
   EXPECT_EQ(eng.KeysOf(s.moving).size(), 0u);
-  EXPECT_GE(eng.cache_stats().evictions, evictions_before + 3);
+  EXPECT_GE(eng.cache_stats().evictions, evictions_before + 2);
 }
 
 TEST(EngineIncrementalDifferentialTest, UndeclaredDepsAlwaysRecompute) {
@@ -612,7 +649,6 @@ std::pair<uint64_t, uint64_t> RunMaritimeDifferential(
   ci.engine = surveillance::EngineMode::kIncremental;
   surveillance::RecognizerConfig cp = ci;
   cp.parallel_keys = true;
-  cp.min_parallel_keys = 1;
 
   surveillance::CERecognizer naive(&w.world.knowledge, cn);
   surveillance::CERecognizer incr(&w.world.knowledge, ci);

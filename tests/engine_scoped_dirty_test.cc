@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "ec_oracle.h"
 #include "geo/geo_point.h"
 #include "maritime/knowledge.h"
 #include "maritime/recognizer.h"
@@ -24,7 +25,8 @@ namespace {
 // KeyProjector on the cross-key definition the incremental engine must
 // regenerate only the output keys the active vessel projects to — and remain
 // bit-identical to both the naive engine and the incremental engine running
-// the same definitions without a projector (the fleet-wide regen floor).
+// the same definitions without a projector (the fleet-wide regen floor). The
+// naive engine is checked against the Event Calculus reference (ec_oracle.h).
 // ---------------------------------------------------------------------------
 
 // Output keys: latitude buckets 0..9 over lat in [0, 1).
@@ -42,8 +44,10 @@ struct Schema {
 };
 
 /// Registers the definitions; without `with_projector` their cross-key
-/// dependencies fall back to the fleet-wide regen floor.
-Schema Register(Engine* eng, bool with_projector = true) {
+/// dependencies fall back to the fleet-wide regen floor. With an `oracle`,
+/// every definition is captured for the Event Calculus reference.
+Schema Register(Engine* eng, bool with_projector = true,
+                ec_reference::Oracle* oracle = nullptr) {
   Schema s;
   s.ping = eng->DeclareEvent("ping");
   s.stop = eng->DeclareEvent("stop");
@@ -102,6 +106,7 @@ Schema Register(Engine* eng, bool with_projector = true) {
         }
       }
     };
+    if (oracle != nullptr) spec = oracle->Capture(std::move(spec));
     eng->AddSimpleFluent(std::move(spec));
   }
 
@@ -126,6 +131,7 @@ Schema Register(Engine* eng, bool with_projector = true) {
         }
       }
     };
+    if (oracle != nullptr) spec = oracle->Capture(std::move(spec));
     eng->AddDerivedEvent(std::move(spec));
   }
   return s;
@@ -156,13 +162,14 @@ uint64_t TotalRegenSpan(const Engine& eng) {
 
 TEST(ScopedDirtyDifferentialTest, SkewedFleetBitIdenticalAndNarrowed) {
   const stream::WindowSpec window{60, 10};
+  ec_reference::Oracle oracle(window);
   Engine naive(window);
   EngineOptions incr_opts;
   incr_opts.incremental = true;
   Engine scoped(window, nullptr, incr_opts);
   Engine floor(window, nullptr, incr_opts);
 
-  const Schema sn = Register(&naive);
+  const Schema sn = Register(&naive, /*with_projector=*/true, &oracle);
   const Schema ss = Register(&scoped);
   // The fleet-wide regen floor baseline: same rules, no projector.
   const Schema sf = Register(&floor, /*with_projector=*/false);
@@ -221,6 +228,7 @@ TEST(ScopedDirtyDifferentialTest, SkewedFleetBitIdenticalAndNarrowed) {
       }
     }
     const RecognitionResult rn = naive.Recognize(q);
+    ASSERT_TRUE(oracle.Check(naive, rn));
     const RecognitionResult rs = scoped.Recognize(q);
     const RecognitionResult rf = floor.Recognize(q);
     ASSERT_TRUE(rn == rs) << "scoped diverged at q=" << q << "\nnaive:\n"

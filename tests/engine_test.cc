@@ -174,33 +174,6 @@ TEST_F(EngineFixture, DerivedEventsComputedAndWindowed) {
   EXPECT_EQ(r.events[0].instance.object, kA1);
 }
 
-TEST_F(EngineFixture, StaticFluentFromIntervalAlgebra) {
-  Init(stream::WindowSpec{100, 100});
-  // idle(V) := complement of active(V) over the window — a statically
-  // determined fluent computed by interval manipulation.
-  const FluentId idle = engine_->DeclareFluent("idle");
-  StaticFluentSpec spec;
-  spec.fluent = idle;
-  spec.output = true;
-  const FluentId active = active_;
-  spec.domain = [active](const EvalContext& ctx) {
-    return ctx.FluentKeys(active);
-  };
-  spec.compute = [active](const EvalContext& ctx, Term key,
-                          std::map<Value, IntervalList>* out) {
-    const IntervalList window{{ctx.window_start(), ctx.query_time()}};
-    (*out)[kTrue] = RelativeComplementAll(
-        window, {ToList(ctx.Timeline(active, key).IntervalsFor(kTrue))});
-  };
-  engine_->AddStaticFluent(std::move(spec));
-
-  engine_->AssertEvent(on_, kV1, 20);
-  engine_->AssertEvent(off_, kV1, 60);
-  const RecognitionResult r = engine_->Recognize(100);
-  const FluentTimeline& tl = engine_->TimelineOf(idle, kV1);
-  EXPECT_EQ(tl.IntervalsFor(kTrue), (IntervalList{{0, 20}, {60, 100}}));
-}
-
 TEST_F(EngineFixture, StartEndEventSemantics) {
   Init(stream::WindowSpec{100, 100});
   engine_->AssertEvent(on_, kV1, 10);

@@ -499,6 +499,31 @@ TEST(EngineSnapshotTest, SchemaMismatchIsInvalidArgument) {
   other.DeclareEvent("different");
   snapshot::Reader r(w.bytes());
   EXPECT_EQ(other.RestoreFrom(r).code(), StatusCode::kInvalidArgument);
+
+  // Kind tag 1 belonged to the retired statically-determined fluent kind
+  // and stays reserved: a definition table naming it is a schema mismatch,
+  // not corrupt bytes. Hand-build the section's prefix up to the one
+  // definition's kind tag and flip that tag in the saved section.
+  snapshot::Writer prefix;
+  prefix.U8(3);  // engine section version
+  prefix.I64(120);
+  prefix.I64(60);
+  prefix.Bool(false);  // naive
+  prefix.U64(2);
+  prefix.Str("on");
+  prefix.Str("off");
+  prefix.U64(1);
+  prefix.Str("active");
+  prefix.U64(1);  // definitions
+  std::string bytes(w.bytes());
+  const size_t kind_at = prefix.bytes().size();
+  ASSERT_EQ(bytes.substr(0, kind_at), prefix.bytes());
+  ASSERT_EQ(bytes[kind_at], 0);  // the simple-fluent kind
+  bytes[kind_at] = 1;
+  SnapshotEngineFixture b(stream::WindowSpec{120, 60});
+  snapshot::Reader kind_r(bytes);
+  EXPECT_EQ(b.engine->RestoreFrom(kind_r).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(EngineSnapshotTest, TruncatedStateIsCorruption) {
