@@ -82,9 +82,8 @@ inline Fig11Row RunFig11Config(const Fig11Workload& w, Duration range,
   for (Timestamp q = kHour; q <= w.horizon; q += kHour) {
     size_t end = cursor;
     while (end < w.criticals.size() && w.criticals[end].tau <= q) ++end;
-    // Feed the slide's MEs in one batch: the 11(b) spatial facts are then
-    // computed through the batched KnowledgeBase lookup (still at feed
-    // time — only Recognize() is measured, as in the paper).
+    // Feed the slide's MEs in one call: the 11(b) spatial facts are computed
+    // at feed time, and only Recognize() is measured, as in the paper.
     rec.Feed(std::span<const tracker::CriticalPoint>(w.criticals.data() + cursor,
                                                      end - cursor));
     cursor = end;

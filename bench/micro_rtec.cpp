@@ -379,13 +379,17 @@ BENCHMARK(BM_SkewedFleetRecognition)
 /// beyond that is the input merge and the dirty keys (DESIGN.md §7). Manual
 /// time: only steady-state slides (window full, q > ω) are timed, as in
 /// BM_SkewedFleetRecognition. Reports µs and heap allocations per steady
-/// slide, and the share of key evaluations that were fast-forwarded.
+/// slide, the share of key evaluations that were fast-forwarded, and the
+/// heap allocations per fed critical point over every slide (the e2e
+/// `maritime.feed_allocs_per_cp`: ME assertion plus the spatial-fact group).
 void BM_LongWindowRecognition(benchmark::State& state) {
   const bench::Fig11Workload& w = Fig11Stream();
   const stream::WindowSpec window{9 * kHour, kMinute};
   size_t queries = 0;
   double steady_total = 0.0;
   uint64_t recognize_allocs = 0;
+  uint64_t feed_allocs = 0;
+  uint64_t fed = 0;
   uint64_t fast_forwards = 0;
   uint64_t evals = 0;
   for (auto _ : state) {
@@ -398,10 +402,15 @@ void BM_LongWindowRecognition(benchmark::State& state) {
     size_t recognized = 0;
     double steady_seconds = 0.0;
     for (Timestamp q = window.slide; q <= w.horizon; q += window.slide) {
+      const uint64_t feed_before =
+          bench::g_heap_allocs.load(std::memory_order_relaxed);
       while (cursor < w.criticals.size() && w.criticals[cursor].tau <= q) {
         rec.Feed(w.criticals[cursor]);
         ++cursor;
+        ++fed;
       }
+      feed_allocs +=
+          bench::g_heap_allocs.load(std::memory_order_relaxed) - feed_before;
       const bool steady = q > window.range;
       const uint64_t allocs_before =
           bench::g_heap_allocs.load(std::memory_order_relaxed);
@@ -437,6 +446,10 @@ void BM_LongWindowRecognition(benchmark::State& state) {
       evals > 0 ? static_cast<double>(fast_forwards) /
                       static_cast<double>(evals)
                 : 0.0;
+  state.counters["feed_allocs_per_cp"] =
+      bench::kAllocCountingActive && fed > 0
+          ? static_cast<double>(feed_allocs) / static_cast<double>(fed)
+          : 0.0;
 }
 BENCHMARK(BM_LongWindowRecognition)
     ->UseManualTime()

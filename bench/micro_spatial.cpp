@@ -6,9 +6,8 @@
 //     + edge buckets, arg 1);
 //   - area count: 35 (the paper's world) up to 2240;
 //   - tiered cell size, for the cell-granularity trade-off;
-// plus the batched AreasCloseToAll lookup and PortContaining across
-// engines. All engines return identical results (asserted in
-// tests/spatial_index_test.cc); only speed differs.
+// plus PortContaining across engines. All engines return identical results
+// (asserted in tests/spatial_index_test.cc); only speed differs.
 
 #include <benchmark/benchmark.h>
 
@@ -53,24 +52,6 @@ std::vector<geo::GeoPoint> QueryPoints(int n, uint64_t seed) {
   return out;
 }
 
-/// A vessel-like query trace: spatially coherent runs instead of uniform
-/// jumps, the access pattern the one-entry locality cache is built for.
-std::vector<geo::GeoPoint> TrackQueryPoints(int n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<geo::GeoPoint> out;
-  geo::GeoPoint p{rng.NextDouble(22.5, 27.5), rng.NextDouble(35.0, 41.0)};
-  for (int i = 0; i < n; ++i) {
-    if (i % 64 == 0) {
-      p = geo::GeoPoint{rng.NextDouble(22.5, 27.5),
-                        rng.NextDouble(35.0, 41.0)};
-    }
-    p.lon += rng.NextDouble(-0.002, 0.002);
-    p.lat += rng.NextDouble(-0.002, 0.002);
-    out.push_back(p);
-  }
-  return out;
-}
-
 // --- engine x area-count ----------------------------------------------------
 
 void BM_AreasCloseTo(benchmark::State& state) {
@@ -103,21 +84,6 @@ void BM_AreasCloseTo_TieredCellDeg(benchmark::State& state) {
 }
 BENCHMARK(BM_AreasCloseTo_TieredCellDeg)->Arg(5)->Arg(10)->Arg(20)->Arg(50)
     ->Arg(100);
-
-// --- batched lookup (vessel-track access pattern) ---------------------------
-
-void BM_AreasCloseToAll(benchmark::State& state) {
-  const KnowledgeBase kb = MakeKbWithAreas(static_cast<int>(state.range(1)),
-                                           11, EngineOf(state.range(0)));
-  const auto points = TrackQueryPoints(1024, 12);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kb.AreasCloseToAll(points));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(points.size()));
-  state.SetLabel(std::string(SpatialEngineName(kb.spatial_options().engine)));
-}
-BENCHMARK(BM_AreasCloseToAll)->ArgsProduct({{0, 1}, {35, 560}});
 
 // --- PortContaining across engines ------------------------------------------
 

@@ -183,8 +183,8 @@ int main(int argc, char** argv) {
   }
   {
     maritime::surveillance::SpatialFactTable facts;
-    facts.AddFactGroup(7, 100, {1, 2, 3});
-    facts.AddFactGroup(9, 150, {2});
+    facts.AddFactGroup(7, 100, std::vector<int32_t>{1, 2, 3});
+    facts.AddFactGroup(9, 150, std::vector<int32_t>{2});
     maritime::snapshot::Writer w;
     facts.SaveTo(w);
     WriteSeed(snapshot_dir, snapshot_seeds++,

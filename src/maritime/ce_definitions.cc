@@ -68,12 +68,36 @@ struct CeEnv {
     return kb->AreasCloseTo(*coord, kind);
   }
 
+  /// Calls `fn(i)`, ascending, for each index i into ctx.FluentKeys(fluent)
+  /// whose vessel can be close to `area` at some window time. On demand that
+  /// is every key (the fleet sweep). With spatial facts it is only the keys
+  /// the fact table indexes under the area: a vessel no retained fact group
+  /// names is never close to it, so skipping it leaves every count and every
+  /// emitted point unchanged. The index is ascending by MMSI, a 30-bit AIS
+  /// field, so the visit order is the keys' own order too.
+  template <typename Fn>
+  void ForEachKeyNear(const rtec::EvalContext& ctx, rtec::FluentId fluent,
+                      int32_t area, Fn&& fn) const {
+    const std::vector<rtec::Term>& keys = ctx.FluentKeys(fluent);
+    if (!options.use_spatial_facts) {
+      for (size_t i = 0; i < keys.size(); ++i) fn(i);
+      return;
+    }
+    for (const SpatialFactTable::NearVessel& near : facts->VesselsNear(area)) {
+      const rtec::Term v = VesselTerm(near.mmsi);
+      const auto it = std::lower_bound(keys.begin(), keys.end(), v);
+      if (it != keys.end() && *it == v) {
+        fn(static_cast<size_t>(it - keys.begin()));
+      }
+    }
+  }
 };
 
 /// Per-rule-invocation memoization of the fleet-count predicates for one
-/// area. Both counts below scan every vessel carrying the stopped / lowSpeed
-/// fluent and test closeness to the area at each candidate time — O(fleet)
-/// Haversine or fact lookups per candidate. Closeness is time-constant for
+/// area. Both counts below scan the vessels carrying the stopped / lowSpeed
+/// fluent that CeEnv::ForEachKeyNear yields (the whole fleet on demand, the
+/// indexed vessels near the area with spatial facts) and test closeness to
+/// the area at each candidate time. Closeness is time-constant for
 /// almost every vessel of a mostly-idle fleet (a single position fix or fact
 /// group is in force across the whole window), so the memo classifies each
 /// vessel once per invocation:
@@ -162,7 +186,9 @@ class MARITIME_ARENA_SCOPED CloseCountMemo {
   }
 
   void Classify(rtec::FluentId fluent, common::ArenaVector<Entry>* out) {
-    for (const rtec::Term& v : ctx_.FluentKeys(fluent)) {
+    const std::vector<rtec::Term>& keys = ctx_.FluentKeys(fluent);
+    env_.ForEachKeyNear(ctx_, fluent, area_, [&](size_t i) {
+      const rtec::Term v = keys[i];
       bool close = false;
       const bool constant =
           env_.options.use_spatial_facts
@@ -170,9 +196,9 @@ class MARITIME_ARENA_SCOPED CloseCountMemo {
                                               ctx_.window_start(),
                                               ctx_.query_time(), &close)
               : ConstantCloseOnDemand(v, &close);
-      if (constant && !close) continue;
+      if (constant && !close) return;
       out->push_back(Entry{v, env_.kb->IsFishing(MmsiOf(v)), !constant});
-    }
+    });
   }
 
   /// On-demand analogue of SpatialFactTable::ConstantCloseOver: closeness to
@@ -371,7 +397,7 @@ void RegisterMaritimeCes(rtec::Engine& engine, const MaritimeSchema& schema,
       CloseCountMemo memo(env, ctx, area, initiated->get_allocator().arena());
       const auto& vessels = ctx.FluentKeys(env.schema.stopped);
       const auto& timelines = ctx.FluentTimelines(env.schema.stopped);
-      for (size_t i = 0; i < vessels.size(); ++i) {
+      env.ForEachKeyNear(ctx, env.schema.stopped, area, [&](size_t i) {
         const rtec::Term v = vessels[i];
         const rtec::FluentTimeline& tl = *timelines[i];
         for (const Timestamp t :
@@ -389,12 +415,13 @@ void RegisterMaritimeCes(rtec::Engine& engine, const MaritimeSchema& schema,
             terminated->push_back({rtec::kTrue, t});
           }
         }
-      }
+      });
     };
     spec.output = true;
     // Reads every vessel's stopped timeline and position (the loitering
-    // count scans the fleet); the projector scopes a vessel's changes to the
-    // areas it could be close to instead of dirtying the whole area set.
+    // count scans the fleet on demand); the projector scopes a vessel's
+    // changes to the areas it could be close to instead of dirtying the
+    // whole area set.
     spec.deps = rtec::DependencySpec{{}, {schema.stopped}, true, true, {}};
     spec.deps->project = project_vessel_to_areas;
     engine.AddSimpleFluent(std::move(spec));
@@ -416,16 +443,16 @@ void RegisterMaritimeCes(rtec::Engine& engine, const MaritimeSchema& schema,
       const auto& stopped_timelines =
           ctx.FluentTimelines(env.schema.stopped);
       // Initiation (a): a fishing vessel stops close to the area.
-      for (size_t i = 0; i < stopped_vessels.size(); ++i) {
+      env.ForEachKeyNear(ctx, env.schema.stopped, area, [&](size_t i) {
         const rtec::Term v = stopped_vessels[i];
-        if (!env.kb->IsFishing(MmsiOf(v))) continue;
+        if (!env.kb->IsFishing(MmsiOf(v))) return;
         for (const Timestamp t : ctx.NeedsEvalSuffix(
                  stopped_timelines[i]->StartsFor(rtec::kTrue))) {
           if (env.IsClose(ctx, v, area, t)) {
             initiated->push_back({rtec::kTrue, t});
           }
         }
-      }
+      });
       // Initiation (b): a fishing vessel moves "too" slowly close to it.
       for (const rtec::EventInstance& e :
            ctx.NeedsEvalSuffix(ctx.Events(env.schema.slow_motion))) {
@@ -441,11 +468,11 @@ void RegisterMaritimeCes(rtec::Engine& engine, const MaritimeSchema& schema,
       const auto try_terminate = [&](rtec::FluentId fluent) {
         const auto& vessels = ctx.FluentKeys(fluent);
         const auto& timelines = ctx.FluentTimelines(fluent);
-        for (size_t i = 0; i < vessels.size(); ++i) {
+        env.ForEachKeyNear(ctx, fluent, area, [&](size_t i) {
           const auto ends =
               ctx.NeedsEvalSuffix(timelines[i]->EndsFor(rtec::kTrue));
           if (ends.empty() || !env.kb->IsFishing(MmsiOf(vessels[i]))) {
-            continue;
+            return;
           }
           for (const Timestamp t : ends) {
             if (env.IsClose(ctx, vessels[i], area, t) &&
@@ -453,7 +480,7 @@ void RegisterMaritimeCes(rtec::Engine& engine, const MaritimeSchema& schema,
               terminated->push_back({rtec::kTrue, t});
             }
           }
-        }
+        });
       };
       try_terminate(env.schema.stopped);
       try_terminate(env.schema.low_speed);

@@ -209,23 +209,6 @@ bool KnowledgeBase::AnyAreaCloseTo(const geo::GeoPoint& p,
   return false;
 }
 
-std::vector<std::vector<int32_t>> KnowledgeBase::AreasCloseToAll(
-    std::span<const geo::GeoPoint> pts) const {
-  std::vector<std::vector<int32_t>> out(pts.size());
-  if (spatial_options_.engine == SpatialEngine::kTiered) {
-    // One batch-local cache: consecutive points in a batch come from the
-    // same vessel track and almost always share a cell.
-    geo::SpatialIndex::Cache cache;
-    for (size_t i = 0; i < pts.size(); ++i) {
-      spatial_->AreasCloseTo(pts[i], &out[i], &cache);
-      DropOtherAreas(&out[i]);
-    }
-  } else {
-    for (size_t i = 0; i < pts.size(); ++i) out[i] = AreasCloseTo(pts[i]);
-  }
-  return out;
-}
-
 bool KnowledgeBase::InsideArea(const geo::GeoPoint& p, int32_t area_id) const {
   if (spatial_options_.engine == SpatialEngine::kTiered) {
     if (IndexHoldsOtherAreas() && FindArea(area_id) == nullptr) return false;

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -127,13 +126,6 @@ class KnowledgeBase {
   /// "away from every port" test of the rule-sets, without materializing
   /// the id list).
   bool AnyAreaCloseTo(const geo::GeoPoint& p, AreaKind kind) const;
-
-  /// Batched AreasCloseTo over a run of positions, sharing one spatial
-  /// locality cache across the batch: consecutive fixes of a vessel almost
-  /// always land in the same cell. Used by the recognizer's spatial-fact
-  /// precomputation (Figure 11(b)) and suffix regeneration.
-  std::vector<std::vector<int32_t>> AreasCloseToAll(
-      std::span<const geo::GeoPoint> pts) const;
 
   /// Point-in-polygon test for one area (false for unknown ids).
   bool InsideArea(const geo::GeoPoint& p, int32_t area_id) const;

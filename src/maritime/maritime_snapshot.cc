@@ -23,25 +23,27 @@ constexpr uint8_t kPartitionedFormatVersion = 1;
 }  // namespace
 
 void SpatialFactTable::SaveTo(snapshot::Writer& w) const {
+  // Format v1: vessels ascending by MMSI, each group as its time and its
+  // sorted ids. Slots, the pool and the interned sets do not show in it.
   w.U8(kFactTableFormatVersion);
-  w.U64(groups_.size());
-  for (const auto& [mmsi, vec] : groups_) {
+  w.U64(by_mmsi_.size());
+  for (const auto& [mmsi, slot] : by_mmsi_) {
+    const std::span<const Group> groups = GroupsOf(vessels_[slot]);
     w.U32(mmsi);
-    w.U64(vec.size());
-    for (const Group& g : vec) {
+    w.U64(groups.size());
+    for (const Group& g : groups) {
       w.I64(g.t);
-      w.U64(g.areas.size());
-      for (const int32_t area : g.areas) w.I32(area);
+      const std::span<const int32_t> areas = SetOf(g.set);
+      w.U64(areas.size());
+      for (const int32_t area : areas) w.I32(area);
     }
   }
 }
 
 Status SpatialFactTable::RestoreFrom(snapshot::Reader& r) {
-  groups_.clear();
-  fact_count_ = 0;
+  Clear();
   const auto fail = [this] {
-    groups_.clear();
-    fact_count_ = 0;
+    Clear();
     return snapshot::CorruptionIn("spatial fact table");
   };
   uint8_t version = 0;
@@ -51,33 +53,56 @@ Status SpatialFactTable::RestoreFrom(snapshot::Reader& r) {
   }
   uint64_t vessels = 0;
   if (!r.Count(&vessels, sizeof(uint32_t) + sizeof(uint64_t))) return fail();
+  std::vector<int32_t> areas;  // one group's ids
+  std::vector<int32_t> named;  // every group's ids, for the area index
   for (uint64_t i = 0; i < vessels; ++i) {
-    stream::Mmsi mmsi = 0;
+    Vessel v;
     uint64_t ngroups = 0;
-    if (!r.U32(&mmsi) ||
+    if (!r.U32(&v.mmsi) ||
         !r.Count(&ngroups, sizeof(int64_t) + sizeof(uint64_t))) {
       return fail();
     }
-    auto& vec = groups_[mmsi];
-    vec.reserve(ngroups);
+    // SaveTo writes each vessel once, in ascending MMSI order, with at least
+    // one group (a purge always keeps the boundary group).
+    if (ngroups == 0 ||
+        (!by_mmsi_.empty() && by_mmsi_.back().first >= v.mmsi)) {
+      return fail();
+    }
+    Place(v, static_cast<uint32_t>(ngroups));
     for (uint64_t j = 0; j < ngroups; ++j) {
-      Group g;
+      Group g{};
       uint64_t nareas = 0;
       if (!r.I64(&g.t) || !r.Count(&nareas, sizeof(int32_t))) return fail();
-      g.areas.reserve(nareas);
-      for (uint64_t k = 0; k < nareas; ++k) {
-        int32_t area = 0;
+      areas.resize(nareas);
+      for (int32_t& area : areas) {
         if (!r.I32(&area)) return fail();
-        g.areas.push_back(area);
       }
       // Invariants IsCloseAt/AreasCloseAt rely on: per-vessel groups sorted
       // by time, areas sorted within a group.
-      if (!std::is_sorted(g.areas.begin(), g.areas.end())) return fail();
-      if (!vec.empty() && vec.back().t > g.t) return fail();
-      fact_count_ += g.areas.size();
-      vec.push_back(std::move(g));
+      if (!std::is_sorted(areas.begin(), areas.end())) return fail();
+      const Group* last = v.size > 0 ? &pool_[v.begin + v.size - 1] : nullptr;
+      if (last != nullptr && last->t > g.t) return fail();
+      g.set = Intern(areas, last != nullptr ? last->set : kNoSet);
+      fact_count_ += areas.size();
+      named.insert(named.end(), areas.begin(), areas.end());
+      pool_[v.begin + v.size++] = g;
     }
+    // Index the vessel under each area it names, counting the naming groups
+    // (sorted into (area, MMSI) order once every vessel is read).
+    std::sort(named.begin(), named.end());
+    for (auto run = named.begin(); run != named.end();) {
+      const auto next = std::upper_bound(run, named.end(), *run);
+      near_.push_back(
+          NearVessel{*run, v.mmsi, static_cast<uint32_t>(next - run)});
+      run = next;
+    }
+    named.clear();
+    const auto slot = static_cast<uint32_t>(vessels_.size());
+    by_mmsi_.emplace_back(v.mmsi, slot);
+    vessels_.push_back(std::move(v));
+    QueuePurge(slot);
   }
+  std::sort(near_.begin(), near_.end());
   return Status::OK();
 }
 

@@ -39,30 +39,14 @@ void CERecognizer::Feed(const tracker::CriticalPoint& cp) {
     // The trajectory detection side accompanies each ME with facts naming
     // the areas the vessel is currently close to (Figure 11(b) setting);
     // recognition then skips on-demand spatial reasoning entirely.
-    std::vector<int32_t> areas = kb_->AreasCloseTo(cp.pos);
-    feed_stats_.spatial_facts += areas.size();
-    facts_.AddFactGroup(cp.mmsi, cp.tau, std::move(areas));
+    kb_->AreasCloseTo(cp.pos, &close_scratch_);
+    feed_stats_.spatial_facts += close_scratch_.size();
+    facts_.AddFactGroup(cp.mmsi, cp.tau, close_scratch_);
   }
 }
 
 void CERecognizer::Feed(std::span<const tracker::CriticalPoint> cps) {
-  if (!config_.ce.use_spatial_facts) {
-    for (const tracker::CriticalPoint& cp : cps) Feed(cp);
-    return;
-  }
-  // Batch the spatial-fact computation: consecutive points of a slide are
-  // spatially coherent, so one shared locality cache turns most lookups
-  // into a pointer compare.
-  std::vector<geo::GeoPoint> pts;
-  pts.reserve(cps.size());
-  for (const tracker::CriticalPoint& cp : cps) pts.push_back(cp.pos);
-  std::vector<std::vector<int32_t>> close = kb_->AreasCloseToAll(pts);
-  for (size_t i = 0; i < cps.size(); ++i) {
-    ++feed_stats_.critical_points;
-    feed_stats_.me_events += FeedCriticalPoint(*engine_, schema_, cps[i]);
-    feed_stats_.spatial_facts += close[i].size();
-    facts_.AddFactGroup(cps[i].mmsi, cps[i].tau, std::move(close[i]));
-  }
+  for (const tracker::CriticalPoint& cp : cps) Feed(cp);
 }
 
 rtec::RecognitionResult CERecognizer::Recognize(Timestamp q) {
@@ -137,19 +121,7 @@ void PartitionedRecognizer::Feed(const tracker::CriticalPoint& cp) {
 }
 
 void PartitionedRecognizer::Feed(std::span<const tracker::CriticalPoint> cps) {
-  if (parts_.size() == 1) {
-    parts_[0].rec->Feed(cps);
-    return;
-  }
-  std::vector<std::vector<tracker::CriticalPoint>> buckets(parts_.size());
-  for (const tracker::CriticalPoint& cp : cps) {
-    buckets[PartitionFor(cp.pos)].push_back(cp);
-  }
-  for (size_t i = 0; i < parts_.size(); ++i) {
-    if (!buckets[i].empty()) {
-      parts_[i].rec->Feed(std::span<const tracker::CriticalPoint>(buckets[i]));
-    }
-  }
+  for (const tracker::CriticalPoint& cp : cps) Feed(cp);
 }
 
 std::vector<rtec::RecognitionResult> PartitionedRecognizer::Recognize(

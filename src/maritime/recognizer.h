@@ -63,9 +63,10 @@ class CERecognizer {
   /// Feeds one critical point (possibly delayed) into the working memory.
   void Feed(const tracker::CriticalPoint& cp);
 
-  /// Batched feed: identical to feeding each point in order, but in the
-  /// Figure 11(b) mode the spatial facts for the whole run are computed by
-  /// one KnowledgeBase::AreasCloseToAll call sharing a locality cache.
+  /// Feeds a run of critical points in order. In the Figure 11(b) mode,
+  /// consecutive points of a run mostly share a spatial-index cell, so the
+  /// closeness lookups behind their fact groups hit the knowledge base's
+  /// locality cache.
   void Feed(std::span<const tracker::CriticalPoint> cps);
 
   /// Runs recognition at query time `q`.
@@ -96,6 +97,7 @@ class CERecognizer {
   const KnowledgeBase* kb_;
   RecognizerConfig config_;
   SpatialFactTable facts_;
+  std::vector<int32_t> close_scratch_;  ///< One fact group, reused per Feed.
   std::unique_ptr<rtec::Engine> engine_;
   MaritimeSchema schema_;
   MeFeedStats feed_stats_;
@@ -117,8 +119,8 @@ class PartitionedRecognizer {
   /// Routes a critical point to the partition covering its position.
   void Feed(const tracker::CriticalPoint& cp);
 
-  /// Routes a run of critical points (order preserved per partition) and
-  /// feeds every partition its slice through the batched overload.
+  /// Routes a run of critical points, point by point (order preserved per
+  /// partition).
   void Feed(std::span<const tracker::CriticalPoint> cps);
 
   /// Recognizes on all partitions in parallel; returns one result per

@@ -222,6 +222,11 @@ void Engine::AssertEvent(EventId e, Term subject, Timestamp t, Term object) {
 
 void Engine::AssertCoord(Term vessel, Timestamp t, geo::GeoPoint pos) {
   CoordHistory& h = coords_[vessel];
+  // A vessel's first fix sizes its history for kInitialFixCapacity fixes,
+  // sparing the doubling chain every newly seen vessel would otherwise
+  // allocate through (the spatial-facts feed path is otherwise
+  // allocation-free per point).
+  if (h.fixes.capacity() == 0) h.fixes.reserve(kInitialFixCapacity);
   const bool was_sorted = h.sorted == h.fixes.size();
   const bool in_order =
       was_sorted && (h.fixes.empty() || t >= h.fixes.back().first);

@@ -812,6 +812,7 @@ class Engine {
     std::vector<std::pair<Timestamp, geo::GeoPoint>> fixes;
     size_t sorted = 0;
   };
+  static constexpr size_t kInitialFixCapacity = 16;
   std::unordered_map<Term, CoordHistory, TermHash> coords_;
   std::vector<Term> coords_unsorted_;
   // Purge schedule: a min-heap of (time, vessel), one entry per fix not yet

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "maritime/knowledge.h"
 #include "maritime/me_stream.h"
+#include "snapshot/codec.h"
 
 namespace maritime::surveillance {
 namespace {
@@ -226,7 +229,6 @@ void ExpectSameAnswers(const KnowledgeBase& band, const KnowledgeBase& fresh,
           << p << " id " << id;
     }
   }
-  ASSERT_EQ(band.AreasCloseToAll(pts), fresh.AreasCloseToAll(pts));
 }
 
 class KnowledgeBandTest : public ::testing::TestWithParam<SpatialEngine> {};
@@ -319,33 +321,36 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(SpatialEngineName(info.param));
     });
 
+using Ids = std::vector<int32_t>;
+
 TEST(SpatialFactTableTest, LatestGroupInForce) {
   SpatialFactTable t;
-  t.AddFactGroup(100, 10, {1, 2});
-  t.AddFactGroup(100, 50, {2});
+  t.AddFactGroup(100, 10, Ids{1, 2});
+  t.AddFactGroup(100, 50, Ids{2});
   EXPECT_TRUE(t.IsCloseAt(100, 1, 10));
   EXPECT_TRUE(t.IsCloseAt(100, 1, 49)) << "group at 10 in force until 50";
   EXPECT_FALSE(t.IsCloseAt(100, 1, 50)) << "superseded by the group at 50";
   EXPECT_TRUE(t.IsCloseAt(100, 2, 50));
   EXPECT_FALSE(t.IsCloseAt(100, 1, 5)) << "no facts before the first group";
   EXPECT_FALSE(t.IsCloseAt(999, 1, 50));
-  EXPECT_EQ(t.AreasCloseAt(100, 60), std::vector<int32_t>{2});
+  const auto at60 = t.AreasCloseAt(100, 60);
+  EXPECT_EQ(Ids(at60.begin(), at60.end()), Ids{2});
   EXPECT_EQ(t.fact_count(), 3u);
 }
 
 TEST(SpatialFactTableTest, DelayedGroupInsertedInOrder) {
   SpatialFactTable t;
-  t.AddFactGroup(100, 50, {2});
-  t.AddFactGroup(100, 10, {1});  // arrives late
+  t.AddFactGroup(100, 50, Ids{2});
+  t.AddFactGroup(100, 10, Ids{1});  // arrives late
   EXPECT_TRUE(t.IsCloseAt(100, 1, 20));
   EXPECT_TRUE(t.IsCloseAt(100, 2, 60));
 }
 
 TEST(SpatialFactTableTest, PurgeKeepsLatestBoundaryGroup) {
   SpatialFactTable t;
-  t.AddFactGroup(100, 5, {3});
-  t.AddFactGroup(100, 10, {1});
-  t.AddFactGroup(100, 50, {2});
+  t.AddFactGroup(100, 5, Ids{3});
+  t.AddFactGroup(100, 10, Ids{1});
+  t.AddFactGroup(100, 50, Ids{2});
   // The group at t=5 is shadowed by the boundary group at t=10 for every
   // query after the cutoff, so only it is dropped; answers at t > 10 are
   // unchanged by the purge (last-known-state inertia).
@@ -358,7 +363,211 @@ TEST(SpatialFactTableTest, PurgeKeepsLatestBoundaryGroup) {
   // last known spatial state stays in force.
   t.PurgeBefore(100);
   EXPECT_EQ(t.fact_count(), 1u);
-  EXPECT_EQ(t.AreasCloseAt(100, 200), std::vector<int32_t>{2});
+  const auto last = t.AreasCloseAt(100, 200);
+  EXPECT_EQ(Ids(last.begin(), last.end()), Ids{2});
+}
+
+/// Brute-force model of a SpatialFactTable: per vessel, the retained groups
+/// in time order (equal times in arrival order), each with its sorted ids.
+class FactTableModel {
+ public:
+  struct Group {
+    Timestamp t;
+    Ids areas;
+  };
+
+  void Add(stream::Mmsi mmsi, Timestamp t, Ids areas) {
+    std::sort(areas.begin(), areas.end());
+    auto& groups = vessels_[mmsi];
+    auto pos = groups.begin();
+    while (pos != groups.end() && pos->t <= t) ++pos;
+    groups.insert(pos, Group{t, std::move(areas)});
+  }
+
+  void Purge(Timestamp cutoff) {
+    for (auto& [mmsi, groups] : vessels_) {
+      // Keep the latest group at or before the cutoff and every later one.
+      size_t at_or_before = 0;
+      while (at_or_before < groups.size() && groups[at_or_before].t <= cutoff) {
+        ++at_or_before;
+      }
+      if (at_or_before > 1) {
+        groups.erase(groups.begin(), groups.begin() + (at_or_before - 1));
+      }
+    }
+  }
+
+  /// Index of the group in force at t, or -1.
+  int InForce(stream::Mmsi mmsi, Timestamp t) const {
+    const auto it = vessels_.find(mmsi);
+    int found = -1;
+    if (it == vessels_.end()) return found;
+    for (size_t i = 0; i < it->second.size(); ++i) {
+      if (it->second[i].t <= t) found = static_cast<int>(i);
+    }
+    return found;
+  }
+
+  Ids AreasAt(stream::Mmsi mmsi, Timestamp t) const {
+    const int g = InForce(mmsi, t);
+    return g < 0 ? Ids{} : vessels_.at(mmsi)[static_cast<size_t>(g)].areas;
+  }
+
+  bool CloseAt(stream::Mmsi mmsi, int32_t area, Timestamp t) const {
+    const Ids ids = AreasAt(mmsi, t);
+    return std::find(ids.begin(), ids.end(), area) != ids.end();
+  }
+
+  /// ConstantCloseOver's contract: every group in force at some time in
+  /// [from, upto] agrees on the area — with the implicit "never close"
+  /// before the first group among them — and there are at most 8.
+  bool ConstantClose(stream::Mmsi mmsi, int32_t area, Timestamp from,
+                     Timestamp upto, bool* close) const {
+    std::set<bool> answers;
+    if (InForce(mmsi, from) < 0) answers.insert(false);
+    int scanned = 0;
+    const auto it = vessels_.find(mmsi);
+    if (it != vessels_.end()) {
+      const int first = std::max(InForce(mmsi, from), 0);
+      for (size_t i = static_cast<size_t>(first); i < it->second.size(); ++i) {
+        const Group& g = it->second[i];
+        if (g.t > upto) break;
+        ++scanned;
+        answers.insert(std::find(g.areas.begin(), g.areas.end(), area) !=
+                       g.areas.end());
+      }
+    }
+    *close = *answers.begin();
+    return answers.size() == 1 && scanned <= 8;
+  }
+
+  Ids Covering(stream::Mmsi mmsi, Timestamp from) const {
+    std::set<int32_t> out;
+    const auto it = vessels_.find(mmsi);
+    if (it == vessels_.end()) return {};
+    for (size_t i = static_cast<size_t>(std::max(InForce(mmsi, from), 0));
+         i < it->second.size(); ++i) {
+      out.insert(it->second[i].areas.begin(), it->second[i].areas.end());
+    }
+    return Ids(out.begin(), out.end());
+  }
+
+  /// (MMSI, groups naming the area), ascending MMSI.
+  std::vector<std::pair<stream::Mmsi, uint32_t>> Near(int32_t area) const {
+    std::vector<std::pair<stream::Mmsi, uint32_t>> out;
+    for (const auto& [mmsi, groups] : vessels_) {
+      uint32_t refs = 0;
+      for (const Group& g : groups) {
+        refs += static_cast<uint32_t>(
+            std::count(g.areas.begin(), g.areas.end(), area));
+      }
+      if (refs > 0) out.emplace_back(mmsi, refs);
+    }
+    return out;
+  }
+
+  size_t FactCount() const {
+    size_t n = 0;
+    for (const auto& [mmsi, groups] : vessels_) {
+      for (const Group& g : groups) n += g.areas.size();
+    }
+    return n;
+  }
+
+ private:
+  std::map<stream::Mmsi, std::vector<Group>> vessels_;
+};
+
+void ExpectMatchesModel(const SpatialFactTable& t, const FactTableModel& m,
+                        Rng& rng, Timestamp now) {
+  constexpr int32_t kAreas = 8;
+  for (int32_t area = 0; area < kAreas; ++area) {
+    std::vector<std::pair<stream::Mmsi, uint32_t>> near;
+    for (const SpatialFactTable::NearVessel& n : t.VesselsNear(area)) {
+      EXPECT_EQ(n.area, area);
+      near.emplace_back(n.mmsi, n.refs);
+    }
+    EXPECT_EQ(near, m.Near(area)) << "area " << area;
+  }
+  EXPECT_EQ(t.fact_count(), m.FactCount());
+  for (stream::Mmsi mmsi = 1; mmsi <= 7; ++mmsi) {
+    for (int probe = 0; probe < 6; ++probe) {
+      const Timestamp at = rng.NextInt(0, now + 100);
+      const int32_t area = static_cast<int32_t>(rng.NextBelow(kAreas));
+      const auto ids = t.AreasCloseAt(mmsi, at);
+      EXPECT_EQ(Ids(ids.begin(), ids.end()), m.AreasAt(mmsi, at));
+      EXPECT_EQ(t.IsCloseAt(mmsi, area, at), m.CloseAt(mmsi, area, at));
+      const Timestamp upto = at + rng.NextInt(0, 400);
+      bool close = false;
+      bool model_close = false;
+      const bool constant = t.ConstantCloseOver(mmsi, area, at, upto, &close);
+      EXPECT_EQ(constant, m.ConstantClose(mmsi, area, at, upto, &model_close))
+          << "vessel " << mmsi << " area " << area << " (" << at << ", "
+          << upto << "]";
+      if (constant) {
+        EXPECT_EQ(close, model_close);
+      }
+      Ids covering;
+      t.AreasCoveringFrom(mmsi, at, &covering);
+      EXPECT_EQ(covering, m.Covering(mmsi, at));
+    }
+  }
+}
+
+TEST(SpatialFactTableTest, RandomOpsMatchBruteForceModel) {
+  for (uint64_t trial = 0; trial < 20; ++trial) {
+    Rng rng(4200 + trial);
+    SpatialFactTable t;
+    FactTableModel m;
+    Timestamp now = 0;
+    Timestamp cutoff = 0;
+    for (int step = 0; step < 300; ++step) {
+      const uint64_t op = rng.NextBelow(20);
+      if (op < 14) {
+        // A fact group, delayed behind the stream head one time in four
+        // (sometimes behind the last purge cutoff too), naming up to three
+        // distinct areas in any order.
+        now += rng.NextInt(0, 15);
+        const Timestamp at =
+            rng.NextBool(0.25) ? now - rng.NextInt(0, 120) : now;
+        Ids areas;
+        const int count = static_cast<int>(rng.NextInt(0, 3));
+        while (static_cast<int>(areas.size()) < count) {
+          const auto area = static_cast<int32_t>(rng.NextBelow(8));
+          if (std::find(areas.begin(), areas.end(), area) == areas.end()) {
+            areas.push_back(area);
+          }
+        }
+        const auto mmsi = static_cast<stream::Mmsi>(rng.NextInt(1, 6));
+        t.AddFactGroup(mmsi, at, areas);
+        m.Add(mmsi, at, areas);
+      } else if (op < 18) {
+        // Purge, mostly advancing; now and then a cutoff behind the last.
+        cutoff = rng.NextBool(0.8) ? std::max(cutoff, now - rng.NextInt(0, 90))
+                                   : cutoff - rng.NextInt(0, 60);
+        t.PurgeBefore(cutoff);
+        m.Purge(cutoff);
+      } else {
+        // Save, restore into a fresh table, and carry on with the copy: its
+        // bytes must round-trip and its derived state (area index, purge
+        // queue) must behave as the original's.
+        snapshot::Writer w;
+        t.SaveTo(w);
+        SpatialFactTable restored;
+        snapshot::Reader r(w.bytes());
+        ASSERT_TRUE(restored.RestoreFrom(r).ok());
+        snapshot::Writer again;
+        restored.SaveTo(again);
+        ASSERT_EQ(again.bytes(), w.bytes());
+        t = std::move(restored);
+      }
+      ExpectMatchesModel(t, m, rng, now);
+      if (HasFailure()) {
+        ADD_FAILURE() << "trial " << trial << " step " << step;
+        return;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -5,11 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/strings.h"
 #include "maritime/recognizer.h"
 #include "sim/scenarios.h"
+#include "snapshot/codec.h"
 #include "tracker/mobility_tracker.h"
 #include "tracker/reconstruct.h"
 
@@ -171,6 +176,153 @@ TEST(SpatialModeEquivalenceProperty, RandomStreamsRecognizeIdentically) {
       EXPECT_EQ(Fingerprint(ra), Fingerprint(rb))
           << "trial " << trial << " at Q=" << q;
     }
+  }
+}
+
+/// Loitering clusters for the spatial-mode property below: every half hour
+/// four to six vessels, at least one of them a fishing vessel, stop close to
+/// one shared area (a forbidden-fishing area every other time) for 20–60
+/// minutes and then leave, on top of RandomCriticalStream's background.
+/// Each vessel takes part in at most one cluster at a time. Returned sorted
+/// by time.
+std::vector<tracker::CriticalPoint> LoiteringStream(
+    Rng& rng, const KnowledgeBase& kb, Timestamp horizon,
+    const std::vector<stream::Mmsi>& fishing) {
+  std::vector<tracker::CriticalPoint> out =
+      RandomCriticalStream(rng, kb, horizon);
+  std::vector<const AreaInfo*> forbidden;
+  std::vector<const AreaInfo*> others;
+  for (const AreaInfo& a : kb.areas()) {
+    (a.kind == AreaKind::kForbiddenFishing ? forbidden : others).push_back(&a);
+  }
+  std::vector<stream::Mmsi> fleet;
+  for (stream::Mmsi m = 100; m < 112; ++m) fleet.push_back(m);
+  fleet.insert(fleet.end(), fishing.begin(), fishing.end());
+  std::map<stream::Mmsi, Timestamp> busy_until;
+  int cluster = 0;
+  for (Timestamp start = 20 * kMinute; start + kHour < horizon;
+       start += 30 * kMinute, ++cluster) {
+    const auto& pool = cluster % 2 == 0 || others.empty() ? forbidden : others;
+    const AreaInfo& area = *pool[rng.NextBelow(pool.size())];
+    std::vector<stream::Mmsi> members;
+    const auto join = [&](stream::Mmsi m) {
+      if (busy_until[m] > start - 10 * kMinute) return;
+      if (std::find(members.begin(), members.end(), m) != members.end()) return;
+      members.push_back(m);
+    };
+    join(fishing[rng.NextBelow(fishing.size())]);
+    const size_t want = static_cast<size_t>(rng.NextInt(4, 6));
+    for (int tries = 0; members.size() < want && tries < 50; ++tries) {
+      join(fleet[rng.NextBelow(fleet.size())]);
+    }
+    for (const stream::Mmsi m : members) {
+      const auto near = [&] {
+        return geo::DestinationPoint(area.polygon.VertexCentroid(),
+                                     rng.NextDouble(0.0, 360.0),
+                                     rng.NextDouble(0.0, 800.0));
+      };
+      tracker::CriticalPoint cp;
+      cp.mmsi = m;
+      cp.pos = near();
+      cp.tau = start - rng.NextInt(2 * kMinute, 10 * kMinute);
+      cp.flags = tracker::kTurn;  // the approach
+      out.push_back(cp);
+      cp.pos = near();
+      cp.tau = start + rng.NextInt(0, 5 * kMinute);
+      cp.flags = tracker::kStopStart;
+      out.push_back(cp);
+      cp.tau += rng.NextInt(20 * kMinute, kHour);
+      cp.flags = tracker::kStopEnd;
+      out.push_back(cp);
+      cp.pos = geo::DestinationPoint(cp.pos, rng.NextDouble(0.0, 360.0),
+                                     20000.0);
+      cp.tau += rng.NextInt(5 * kMinute, 15 * kMinute);
+      cp.flags = tracker::kSpeedChange;  // gone
+      out.push_back(cp);
+      busy_until[m] = cp.tau;
+    }
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const auto& a, const auto& b) { return a.tau < b.tau; });
+  return out;
+}
+
+// The spatial-facts mode visits only the vessels its fact table indexes near
+// an area; the on-demand mode sweeps the fleet. Both must agree slide for
+// slide under the incremental engine's partial regenerations (omega = 2 h,
+// beta = 10 min), with critical points arriving late and out of order
+// (fact groups inserted mid-vector) and a checkpoint/restore of the
+// facts-mode recognizer mid-stream. The loitering clusters make sure the
+// area-counting CEs actually fire, so agreement is not vacuous.
+TEST(SpatialModeEquivalenceProperty,
+     IncrementalDelayedLoiteringWithRestoreRecognizeIdentically) {
+  constexpr Timestamp kHorizon = 6 * kHour;
+  constexpr Timestamp kSlide = 10 * kMinute;
+  for (uint64_t trial = 0; trial < 8; ++trial) {
+    Rng rng(8100 + trial);
+    KnowledgeBase kb = RandomKb(rng);
+    std::vector<stream::Mmsi> fishing;
+    for (stream::Mmsi m = 112; m < 116; ++m) {
+      VesselInfo v;
+      v.mmsi = m;
+      v.type = VesselType::kFishing;
+      v.fishing_gear = true;
+      v.draft_m = 4.0;
+      kb.AddVessel(v);
+      fishing.push_back(m);
+    }
+    const auto stream = LoiteringStream(rng, kb, kHorizon, fishing);
+
+    // Arrival order: one point in six is held back one to three slides, so
+    // it reaches recognition behind later points (of its own vessel too).
+    std::vector<std::pair<Timestamp, tracker::CriticalPoint>> arrivals;
+    for (const tracker::CriticalPoint& cp : stream) {
+      const Timestamp lag =
+          rng.NextBool(1.0 / 6.0) ? rng.NextInt(1, 3) * kSlide : 0;
+      arrivals.emplace_back(cp.tau + lag, cp);
+    }
+    std::stable_sort(
+        arrivals.begin(), arrivals.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+
+    RecognizerConfig on_demand;
+    on_demand.window = stream::WindowSpec{2 * kHour, kSlide};
+    on_demand.engine = surveillance::EngineMode::kIncremental;
+    RecognizerConfig with_facts = on_demand;
+    with_facts.ce.use_spatial_facts = true;
+    surveillance::CERecognizer a(&kb, on_demand);
+    auto b = std::make_unique<surveillance::CERecognizer>(&kb, with_facts);
+
+    size_t cursor = 0;
+    int suspicious = 0;
+    int illegal_fishing = 0;
+    for (Timestamp q = kSlide; q <= kHorizon; q += kSlide) {
+      for (; cursor < arrivals.size() && arrivals[cursor].first <= q;
+           ++cursor) {
+        a.Feed(arrivals[cursor].second);
+        b->Feed(arrivals[cursor].second);
+      }
+      if (q == kHorizon / 2) {
+        snapshot::Writer w;
+        b->SaveTo(w);
+        auto restored =
+            std::make_unique<surveillance::CERecognizer>(&kb, with_facts);
+        snapshot::Reader r(w.bytes());
+        ASSERT_TRUE(restored->RestoreFrom(r).ok()) << "trial " << trial;
+        b = std::move(restored);
+      }
+      const auto ra = a.Recognize(q);
+      const auto rb = b->Recognize(q);
+      ASSERT_EQ(Fingerprint(ra), Fingerprint(rb))
+          << "trial " << trial << " at Q=" << q;
+      for (const rtec::RecognizedFluent& f : rb.fluents) {
+        if (f.intervals.empty()) continue;
+        suspicious += f.fluent == b->schema().suspicious;
+        illegal_fishing += f.fluent == b->schema().illegal_fishing;
+      }
+    }
+    EXPECT_GT(suspicious, 0) << "trial " << trial;
+    EXPECT_GT(illegal_fishing, 0) << "trial " << trial;
   }
 }
 

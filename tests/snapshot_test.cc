@@ -795,9 +795,9 @@ TEST(TrackerSnapshotTest, HandBuiltV1SectionRestoresIntoV2State) {
 
 TEST(SpatialFactTableSnapshotTest, RoundTrip) {
   SpatialFactTable a;
-  a.AddFactGroup(7, 100, {3, 1, 2});
-  a.AddFactGroup(7, 200, {});
-  a.AddFactGroup(9, 150, {5});
+  a.AddFactGroup(7, 100, std::vector<int32_t>{3, 1, 2});
+  a.AddFactGroup(7, 200, std::vector<int32_t>{});
+  a.AddFactGroup(9, 150, std::vector<int32_t>{5});
   snapshot::Writer w;
   a.SaveTo(w);
 
@@ -807,7 +807,9 @@ TEST(SpatialFactTableSnapshotTest, RoundTrip) {
   ASSERT_TRUE(s.ok()) << s;
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(b.fact_count(), a.fact_count());
-  EXPECT_EQ(b.AreasCloseAt(7, 150), (std::vector<int32_t>{1, 2, 3}));
+  const auto at150 = b.AreasCloseAt(7, 150);
+  EXPECT_EQ(std::vector<int32_t>(at150.begin(), at150.end()),
+            (std::vector<int32_t>{1, 2, 3}));
   EXPECT_TRUE(b.AreasCloseAt(7, 250).empty());
   EXPECT_TRUE(b.IsCloseAt(9, 5, 150));
   EXPECT_FALSE(b.IsCloseAt(9, 5, 100));
@@ -815,7 +817,7 @@ TEST(SpatialFactTableSnapshotTest, RoundTrip) {
 
 TEST(SpatialFactTableSnapshotTest, UnsortedAreasAreCorruption) {
   SpatialFactTable a;
-  a.AddFactGroup(7, 100, {1, 2});
+  a.AddFactGroup(7, 100, std::vector<int32_t>{1, 2});
   snapshot::Writer w;
   a.SaveTo(w);
   // The two areas of the single group are the last 8 bytes; swap them.
@@ -826,6 +828,66 @@ TEST(SpatialFactTableSnapshotTest, UnsortedAreasAreCorruption) {
   snapshot::Reader r(bytes);
   EXPECT_EQ(b.RestoreFrom(r).code(), StatusCode::kCorruption);
   EXPECT_EQ(b.fact_count(), 0u) << "no partial state on error";
+}
+
+std::string FromHex(std::string_view hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+// The v1 section format, pinned byte for byte: the bytes below were written
+// by the map-of-vectors table this format was defined with. Vessels ascend
+// by MMSI; a vessel is its MMSI, its group count, and per group the time,
+// the id count and the sorted ids (all little-endian).
+TEST(SpatialFactTableSnapshotTest, V1BytesAreGolden) {
+  SpatialFactTable a;
+  a.AddFactGroup(9, 150, std::vector<int32_t>{5});
+  a.AddFactGroup(7, 200, std::vector<int32_t>{});
+  a.AddFactGroup(7, 100, std::vector<int32_t>{3, 1});  // delayed
+  a.AddFactGroup(7, 40, std::vector<int32_t>{2});      // delayed, purged
+  a.PurgeBefore(120);
+  const std::string golden = FromHex(
+      "01"                                // format version
+      "0200000000000000"                  // 2 vessels
+      "07000000" "0200000000000000"       // MMSI 7, 2 groups
+      "6400000000000000" "0200000000000000" "01000000" "03000000"
+      "c800000000000000" "0000000000000000"
+      "09000000" "0100000000000000"       // MMSI 9, 1 group
+      "9600000000000000" "0100000000000000" "05000000");
+  snapshot::Writer w;
+  a.SaveTo(w);
+  EXPECT_EQ(std::string(w.bytes()), golden);
+  EXPECT_EQ(a.fact_count(), 3u);
+
+  SpatialFactTable b;
+  snapshot::Reader r(golden);
+  ASSERT_TRUE(b.RestoreFrom(r).ok());
+  snapshot::Writer again;
+  b.SaveTo(again);
+  EXPECT_EQ(std::string(again.bytes()), golden);
+}
+
+TEST(SpatialFactTableSnapshotTest, UnorderedOrEmptyVesselsAreCorruption) {
+  // SaveTo writes each vessel once, in ascending MMSI order, with at least
+  // one group; anything else is not a table it wrote.
+  const std::string descending = FromHex(
+      "01" "0200000000000000"
+      "09000000" "0100000000000000"
+      "9600000000000000" "0100000000000000" "05000000"
+      "07000000" "0100000000000000" "6400000000000000" "0000000000000000");
+  const std::string empty_vessel = FromHex(
+      "01" "0100000000000000" "07000000" "0000000000000000");
+  for (const std::string& bytes : {descending, empty_vessel}) {
+    SpatialFactTable t;
+    snapshot::Reader r(bytes);
+    EXPECT_EQ(t.RestoreFrom(r).code(), StatusCode::kCorruption);
+    EXPECT_EQ(t.fact_count(), 0u);
+    EXPECT_TRUE(t.AreasCloseAt(9, 200).empty());
+  }
 }
 
 TEST(LiveIndexSnapshotTest, RoundTripPreservesQueries) {

@@ -318,12 +318,10 @@ TEST(KnowledgeBaseEngineTest, EnginesAgreeAndOutputsAreSorted) {
   const KnowledgeBase tiered =
       MakeKb(SpatialEngine::kTiered, threshold_m, areas);
 
-  std::vector<GeoPoint> batch;
   std::vector<NamedPoly> polys;
   for (const AreaInfo& a : areas) polys.push_back({a.id, a.polygon});
   for (int i = 0; i < 500; ++i) {
     const GeoPoint p = RandomQuery(rng, polys, region, threshold_m);
-    batch.push_back(p);
     const std::vector<int32_t> want = brute.AreasCloseTo(p);
     EXPECT_TRUE(std::is_sorted(want.begin(), want.end()));
     ASSERT_EQ(tiered.AreasCloseTo(p), want);
@@ -343,13 +341,6 @@ TEST(KnowledgeBaseEngineTest, EnginesAgreeAndOutputsAreSorted) {
       ASSERT_EQ(tiered.Close(p, a.id), brute.Close(p, a.id));
       ASSERT_EQ(tiered.InsideArea(p, a.id), brute.InsideArea(p, a.id));
     }
-  }
-
-  // The batched lookup is the per-point lookup, verbatim.
-  const auto batched = tiered.AreasCloseToAll(batch);
-  ASSERT_EQ(batched.size(), batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_EQ(batched[i], brute.AreasCloseTo(batch[i]));
   }
 }
 

@@ -10,6 +10,10 @@ its committed budget:
   values (~61 naive / ~107 incremental — the ~20 allocs over the
   pre-scoped ~86 are the dependency projector's steady-state footprint) but
   sit an order of magnitude below the pre-arena baseline (884.8 / 897.7).
+- micro_rtec's BM_LongWindowRecognition also reports `feed_allocs_per_cp`
+  for CERecognizer::Feed in the spatial-facts mode, over every slide (~0.23
+  measured: each newly seen vessel's coord history, fact-table slot and
+  index entries; 0.98 while every fact group owned a heap vector).
 - micro_tracker's BM_ScanTaggedLines reports `allocs_per_line` for the Data
   Scanner (~0.0063 measured: type 5 names too long for the small-string
   buffer and the regrowth of the drained static-report vector; 0.23 while
@@ -31,32 +35,36 @@ budget, 2 usage/parse error.
 import json
 import sys
 
-# name substring -> (counter, max value)
+# (name substring, counter) -> max value
 BUDGETS = {
-    "BM_CERecognitionWindow/0": ("allocs_per_slide", 150.0),  # naive engine
-    "BM_CERecognitionWindow/1": ("allocs_per_slide", 200.0),  # incremental
+    ("BM_CERecognitionWindow/0", "allocs_per_slide"): 150.0,  # naive engine
+    ("BM_CERecognitionWindow/1", "allocs_per_slide"): 200.0,  # incremental
     # auto resolves to incremental at this window shape (omega = 6 beta);
     # adaptive full-regen slides stay on the same arena, so same budget.
-    "BM_CERecognitionWindow/2": ("allocs_per_slide", 200.0),
+    ("BM_CERecognitionWindow/2", "allocs_per_slide"): 200.0,
     # Skewed fleet (601 vessels, steady-state slides only): ~56 allocs/slide
     # measured. Keeping steady slides O(changes) rather than O(fleet) is the
     # point of the scoped-dirty work, so the budget is deliberately far below
     # fleet size: one stray per-vessel allocation (a capturing callback, a
     # cleared-not-reused scratch map) costs ~600 allocs/slide here and trips
     # the gate at once.
-    "BM_SkewedFleetRecognition": ("allocs_per_slide", 300.0),
+    ("BM_SkewedFleetRecognition", "allocs_per_slide"): 300.0,
     # Long window (omega = 9 h, beta = 1 min, steady-state slides only):
     # ~45 allocs/slide measured, nearly all of it the output rows handed
     # back to the caller. Clean keys are fast-forwarded in place and the
     # input merge, subject index and key walk reuse their buffers, so a
     # per-key or per-event allocation (hundreds per slide) trips this.
-    "BM_LongWindowRecognition": ("allocs_per_slide", 120.0),
+    ("BM_LongWindowRecognition", "allocs_per_slide"): 120.0,
+    # Feeding the same stream (every slide): ~0.23 allocs per critical point
+    # measured, all of it one-off growth for newly seen vessels. A heap
+    # allocation per fact group reads ~1.0 (0.98 before the flat fact table).
+    ("BM_LongWindowRecognition", "feed_allocs_per_cp"): 0.4,
     # Ingest: one stray allocation per line or per tuple is 1.0 and trips
     # these at once. The scanner's budget is about twice its measured
     # 0.0063, so one more allocation per ~150 lines trips it too: a
     # heap-allocated status for each type 5 report reads 0.031.
-    "BM_ScanTaggedLines": ("allocs_per_line", 0.013),
-    "BM_TrackerSlide": ("allocs_per_tuple", 0.1),
+    ("BM_ScanTaggedLines", "allocs_per_line"): 0.013,
+    ("BM_TrackerSlide", "allocs_per_tuple"): 0.1,
 }
 
 
@@ -74,8 +82,9 @@ def main(argv):
             return 2
         for b in report.get("benchmarks", []):
             name = b.get("name", "")
-            for key, (counter, _) in BUDGETS.items():
-                if key in name and counter in b:
+            for key in BUDGETS:
+                bench, counter = key
+                if bench in name and counter in b:
                     seen[key] = float(b[counter])
 
     missing = sorted(set(BUDGETS) - set(seen))
@@ -90,10 +99,10 @@ def main(argv):
         return 0
 
     status = 0
-    for key, (counter, budget) in sorted(BUDGETS.items()):
-        value = seen[key]
+    for (bench, counter), budget in sorted(BUDGETS.items()):
+        value = seen[(bench, counter)]
         verdict = "ok" if value <= budget else "OVER BUDGET"
-        print(f"{key}: {counter}={value:.3g} budget={budget:g} [{verdict}]")
+        print(f"{bench}: {counter}={value:.3g} budget={budget:g} [{verdict}]")
         if value > budget:
             status = 1
     return status
