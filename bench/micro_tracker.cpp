@@ -2,21 +2,28 @@
 // validating the complexity claims of paper Section 3.1 — O(1) per incoming
 // tuple for instantaneous events and gaps, O(m) for long-lasting events —
 // by sweeping the history size m. BM_ScanTaggedLines and BM_TrackerSlide
-// time the two ingest layers on a simulated feed and count their heap
+// time the two ingest layers on a simulated feed, BM_PipelineCheckpoint
+// times one whole-pipeline checkpoint, and all three count their heap
 // allocations (tools/check_alloc_budget.py gates the counts).
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <string>
 #include <string_view>
 
 #include "ais/scanner.h"
 #include "alloc_counter.h"
+#include "checkpoint_scenario.h"
 #include "common/thread_pool.h"
+#include "maritime/pipeline.h"
 #include "sim/generator.h"
 #include "sim/nmea_feed.h"
 #include "sim/scenarios.h"
 #include "sim/world.h"
+#include "snapshot/codec.h"
+#include "snapshot/snapshot.h"
+#include "stream/replayer.h"
 #include "tracker/mobility_tracker.h"
 #include "tracker/sharded_tracker.h"
 
@@ -118,6 +125,53 @@ void BM_TrackerSlide(benchmark::State& state) {
           : 0.0;
 }
 BENCHMARK(BM_TrackerSlide)->Unit(benchmark::kMillisecond);
+
+void BM_PipelineCheckpoint(benchmark::State& state) {
+  // One checkpoint as bench/e2e's checkpoint_restart takes it after every
+  // slide: SurveillancePipeline::SaveTo into a fresh Writer, then
+  // EncodeSnapshotFile. The pipeline is checkpoint_tool's scenario halfway
+  // through its stream, and has saved once before, as it would have after
+  // the previous slide.
+  sim::World world = checkpoint_scenario::MakeWorld();
+  const std::vector<stream::PositionTuple> tuples =
+      checkpoint_scenario::MakeStream(&world);
+  const surveillance::PipelineConfig cfg = checkpoint_scenario::MakeConfig();
+  surveillance::SurveillancePipeline pipeline(&world.knowledge, cfg);
+  stream::StreamReplayer replayer(tuples);
+  stream::QueryTimeSequence queries(cfg.window, replayer.first_timestamp());
+  const Timestamp mid =
+      tuples.front().tau + (tuples.back().tau - tuples.front().tau) / 2;
+  for (Timestamp q = queries.Fire(); q <= mid; q = queries.Fire()) {
+    pipeline.RunSlide(q, replayer.NextBatch(q));
+  }
+  const auto checkpoint = [&pipeline] {
+    snapshot::Writer w;
+    pipeline.SaveTo(w);
+    return snapshot::EncodeSnapshotFile(w.bytes());
+  };
+  size_t bytes = checkpoint().size();
+  uint64_t allocs = 0;
+  double seconds = 0.0;
+  for (auto _ : state) {
+    const uint64_t before = bench::HeapAllocs();
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::string file = checkpoint();
+    seconds += std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+    allocs += bench::HeapAllocs() - before;
+    bytes = file.size();
+    benchmark::DoNotOptimize(file.data());
+  }
+  const auto saves = static_cast<double>(state.iterations());
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+  state.counters["bytes_per_save"] = static_cast<double>(bytes);
+  state.counters["ns_per_byte"] =
+      1e9 * seconds / (saves * static_cast<double>(bytes));
+  state.counters["allocs_per_save"] =
+      bench::kAllocCountingActive ? static_cast<double>(allocs) / saves : 0.0;
+}
+BENCHMARK(BM_PipelineCheckpoint)->Unit(benchmark::kMicrosecond);
 
 std::vector<stream::PositionTuple> CruiseTuples(int n) {
   return sim::TraceBuilder(1, geo::GeoPoint{24.0, 37.0}, 0)

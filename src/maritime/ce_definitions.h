@@ -20,12 +20,13 @@ struct CeOptions {
   int suspicious_min_vessels = 4;
 
   /// Registers the extension CE adrift(Vessel) (see MaritimeSchema::adrift).
-  /// Vessel-keyed CEs are exact on a single engine; under partitioned
-  /// recognition a vessel whose episode spans the partition boundary can be
-  /// seen by two engines, so counts may differ slightly from the
-  /// single-processor run (area-keyed CEs are unaffected — MEs are routed
-  /// by location). The Figure 11 benches disable this to reproduce the
-  /// paper's exact CE set.
+  /// The Figure 11 benches disable this to reproduce the paper's exact CE
+  /// set. Turning it off does not make partitioned recognition exact: each
+  /// critical point goes to the one band its longitude falls in, so a point
+  /// within the close threshold of a neighbouring band's area never reaches
+  /// that band, and area-keyed CEs differ too (illegalFishing on 16 of 73
+  /// slides at 1 vs 2 partitions, BuildWorld(25), with adrift on or off).
+  /// Known gap: ROADMAP.md, "Exact partitioned recognition".
   bool enable_adrift = true;
 };
 

@@ -29,12 +29,10 @@ void SpatialFactTable::SaveTo(snapshot::Writer& w) const {
   w.U64(by_mmsi_.size());
   for (const auto& [mmsi, slot] : by_mmsi_) {
     const std::span<const Group> groups = GroupsOf(vessels_[slot]);
-    w.U32(mmsi);
-    w.U64(groups.size());
+    w.Put(mmsi, uint64_t{groups.size()});
     for (const Group& g : groups) {
-      w.I64(g.t);
       const std::span<const int32_t> areas = SetOf(g.set);
-      w.U64(areas.size());
+      w.Put(g.t, uint64_t{areas.size()});
       for (const int32_t area : areas) w.I32(area);
     }
   }
@@ -107,28 +105,17 @@ Status SpatialFactTable::RestoreFrom(snapshot::Reader& r) {
 }
 
 void LiveVesselIndex::SaveTo(snapshot::Writer& w) const {
-  w.U8(kLiveIndexFormatVersion);
-  w.F64(cell_deg_);
-  std::vector<stream::Mmsi> keys;
-  keys.reserve(vessels_.size());
-  for (const auto& [mmsi, v] : vessels_) keys.push_back(mmsi);
-  std::sort(keys.begin(), keys.end());
-  w.U64(keys.size());
-  for (const stream::Mmsi mmsi : keys) {
-    const LiveVessel& v = vessels_.at(mmsi);
-    w.U32(v.mmsi);
-    geo::SaveGeoPoint(v.pos, w);
-    w.I64(v.tau);
-    w.F64(v.speed_knots);
-    w.F64(v.heading_deg);
-    w.Bool(v.in_gap);
+  w.Put(kLiveIndexFormatVersion, cell_deg_, uint64_t{vessels_.size()});
+  for (const auto* entry : snapshot::SortedEntries(vessels_)) {
+    const LiveVessel& v = entry->second;
+    w.Put(v.mmsi, v.pos.lon, v.pos.lat, v.tau, v.speed_knots, v.heading_deg,
+          uint8_t{v.in_gap});
   }
   // Cells verbatim (ordered map, per-cell insertion order preserved), so
   // query result ordering survives the round trip bit for bit.
   w.U64(cells_.size());
   for (const auto& [key, mmsis] : cells_) {
-    w.I64(key);
-    w.U64(mmsis.size());
+    w.Put(key, uint64_t{mmsis.size()});
     for (const stream::Mmsi mmsi : mmsis) w.U32(mmsi);
   }
 }

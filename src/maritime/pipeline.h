@@ -1,6 +1,7 @@
 #ifndef MARITIME_MARITIME_PIPELINE_H_
 #define MARITIME_MARITIME_PIPELINE_H_
 
+#include <atomic>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -187,6 +188,11 @@ class SurveillancePipeline {
   /// Critical points not yet evicted from the window (awaiting archival).
   std::deque<tracker::CriticalPoint> window_criticals_;
   std::vector<tracker::CriticalPoint> all_criticals_;
+  /// Payload bytes the last SaveTo wrote; the next one presizes its Writer
+  /// from it so the buffer is not regrown (and recopied) about 13 times on
+  /// the way to a ~2 MB snapshot. Derived state: never serialized, so a
+  /// restored pipeline starts at 0. Relaxed atomic because SaveTo is const.
+  mutable std::atomic<size_t> last_save_bytes_{0};
 };
 
 }  // namespace maritime::surveillance

@@ -82,6 +82,12 @@ Result<SnapshotManifest> ReadSnapshotManifest(std::string_view payload) {
 }
 
 void SurveillancePipeline::SaveTo(snapshot::Writer& w) const {
+  // A snapshot is about as large as the previous one; 1/8 slack covers the
+  // growth of a slide or two. Capacity never changes the bytes.
+  const size_t begin = w.size();
+  const size_t hint = last_save_bytes_.load(std::memory_order_relaxed);
+  w.Reserve(begin + hint + hint / 8);
+
   SnapshotManifest m;
   m.last_query = last_query_;
   m.window = config_.window;
@@ -116,6 +122,7 @@ void SurveillancePipeline::SaveTo(snapshot::Writer& w) const {
   w.Bool(archiver_ != nullptr);
   if (archiver_ != nullptr) archiver_->SaveTo(w);
   w.EndSection(section);
+  last_save_bytes_.store(w.size() - begin, std::memory_order_relaxed);
 }
 
 Status SurveillancePipeline::RestoreFrom(snapshot::Reader& r) {

@@ -1,7 +1,6 @@
 // Checkpoint serialization of the offline MOD layer: trip builder segments,
 // the trajectory store, and the Hermes archival path.
 
-#include <algorithm>
 #include <vector>
 
 #include "mod/hermes.h"
@@ -45,13 +44,9 @@ bool LoadCriticalPoints(snapshot::Reader& r,
 }
 
 void SaveTrip(const Trip& t, snapshot::Writer& w) {
-  w.U32(t.mmsi);
-  w.I32(t.origin_port);
-  w.I32(t.destination_port);
+  w.Put(t.mmsi, t.origin_port, t.destination_port);
   SaveCriticalPoints(t.points, w);
-  w.I64(t.start_tau);
-  w.I64(t.end_tau);
-  w.F64(t.distance_m);
+  w.Put(t.start_tau, t.end_tau, t.distance_m);
 }
 
 bool LoadTrip(snapshot::Reader& r, Trip* t) {
@@ -63,17 +58,11 @@ bool LoadTrip(snapshot::Reader& r, Trip* t) {
 }  // namespace
 
 void TripBuilder::SaveTo(snapshot::Writer& w) const {
-  w.U8(kTripBuilderFormatVersion);
-  w.F64(min_trip_distance_m_);
-  std::vector<stream::Mmsi> keys;
-  keys.reserve(segments_.size());
-  for (const auto& [mmsi, seg] : segments_) keys.push_back(mmsi);
-  std::sort(keys.begin(), keys.end());
-  w.U64(keys.size());
-  for (const stream::Mmsi mmsi : keys) {
-    const OpenSegment& seg = segments_.at(mmsi);
-    w.U32(mmsi);
-    w.I32(seg.origin_port);
+  w.Put(kTripBuilderFormatVersion, min_trip_distance_m_,
+        uint64_t{segments_.size()});
+  for (const auto* entry : snapshot::SortedEntries(segments_)) {
+    const auto& [mmsi, seg] = *entry;
+    w.Put(mmsi, seg.origin_port);
     SaveCriticalPoints(seg.points, w);
     w.F64(seg.distance_m);
   }

@@ -36,19 +36,14 @@ constexpr const char* kWhat = "rtec engine";
 constexpr uint8_t kKindSimple = 0;
 constexpr uint8_t kKindDerived = 2;
 
-void SaveTerm(const Term& t, snapshot::Writer& w) {
-  w.I32(t.kind);
-  w.I32(t.id);
-}
+void SaveTerm(const Term& t, snapshot::Writer& w) { w.Put(t.kind, t.id); }
 
 bool LoadTerm(snapshot::Reader& r, Term* t) {
   return r.I32(&t->kind) && r.I32(&t->id);
 }
 
 void SaveEventInstance(const EventInstance& e, snapshot::Writer& w) {
-  SaveTerm(e.subject, w);
-  SaveTerm(e.object, w);
-  w.I64(e.t);
+  w.Put(e.subject.kind, e.subject.id, e.object.kind, e.object.id, e.t);
 }
 
 bool LoadEventInstance(snapshot::Reader& r, EventInstance* e) {
@@ -57,10 +52,7 @@ bool LoadEventInstance(snapshot::Reader& r, EventInstance* e) {
 
 void SavePoints(std::span<const ValuedPoint> pts, snapshot::Writer& w) {
   w.U64(pts.size());
-  for (const ValuedPoint& p : pts) {
-    w.I32(p.value);
-    w.I64(p.t);
-  }
+  for (const ValuedPoint& p : pts) w.Put(p.value, p.t);
 }
 
 bool LoadPoints(snapshot::Reader& r, PointVec* pts) {
@@ -106,31 +98,24 @@ void SaveTimeline(const FluentTimeline& tl, snapshot::Writer& w) {
   for (const auto& s : tl.slices) {
     const IntervalSpan span = tl.IntervalsAt(s);
     if (span.empty()) continue;
-    w.I32(s.value);
-    w.U64(span.size());
-    for (const Interval& i : span) {
-      w.I64(i.since);
-      w.I64(i.till);
-    }
+    w.Put(s.value, uint64_t{span.size()});
+    for (const Interval& i : span) w.Put(i.since, i.till);
   }
   w.U64(with_starts);
   for (const auto& s : tl.slices) {
     const auto span = tl.StartsAt(s);
     if (span.empty()) continue;
-    w.I32(s.value);
-    w.U64(span.size());
+    w.Put(s.value, uint64_t{span.size()});
     for (const Timestamp t : span) w.I64(t);
   }
   w.U64(with_ends);
   for (const auto& s : tl.slices) {
     const auto span = tl.EndsAt(s);
     if (span.empty()) continue;
-    w.I32(s.value);
-    w.U64(span.size());
+    w.Put(s.value, uint64_t{span.size()});
     for (const Timestamp t : span) w.I64(t);
   }
-  w.Bool(tl.open_value.has_value());
-  w.I32(tl.open_value.value_or(0));
+  w.Put(uint8_t{tl.open_value.has_value()}, tl.open_value.value_or(0));
 }
 
 bool LoadTimeline(snapshot::Reader& r, FluentTimeline* tl) {
@@ -190,8 +175,7 @@ bool LoadTimeline(snapshot::Reader& r, FluentTimeline* tl) {
 void SaveEvidence(const CachedEvidence& ev, snapshot::Writer& w) {
   SavePoints(ev.initiations(), w);
   SavePoints(ev.terminations(), w);
-  w.Bool(ev.carried_value.has_value());
-  w.I32(ev.carried_value.value_or(0));
+  w.Put(uint8_t{ev.carried_value.has_value()}, ev.carried_value.value_or(0));
 }
 
 bool LoadEvidence(snapshot::Reader& r, CachedEvidence* ev) {
@@ -209,16 +193,6 @@ bool LoadEvidence(snapshot::Reader& r, CachedEvidence* ev) {
   if (has_carried) ev->carried_value = carried;
   ev->IndexPoints();
   return true;
-}
-
-/// Sorted key view of an unordered Term-keyed map, for deterministic bytes.
-template <typename Map>
-MARITIME_OUTPUT_PATH std::vector<Term> SortedTermKeys(const Map& map) {
-  std::vector<Term> keys;
-  keys.reserve(map.size());
-  for (const auto& [k, v] : map) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  return keys;
 }
 
 void SaveTermVector(const std::vector<Term>& terms, snapshot::Writer& w) {
@@ -279,24 +253,19 @@ MARITIME_OUTPUT_PATH void Engine::SaveTo(snapshot::Writer& w) const {
     for (const EventInstance& e : store) SaveEventInstance(e, w);
   }
   w.U64(coords_.size());
-  for (const Term& vessel : SortedTermKeys(coords_)) {
-    SaveTerm(vessel, w);
-    const auto& vec = coords_.at(vessel).fixes;
-    w.U64(vec.size());
-    for (const auto& [t, pos] : vec) {
-      w.I64(t);
-      w.F64(pos.lon);
-      w.F64(pos.lat);
-    }
+  for (const auto* entry : snapshot::SortedEntries(coords_)) {
+    const auto& [vessel, history] = *entry;
+    w.Put(vessel.kind, vessel.id, uint64_t{history.fixes.size()});
+    for (const auto& [t, pos] : history.fixes) w.Put(t, pos.lon, pos.lat);
   }
   w.Bool(coords_dirty_);
 
   // --- committed timelines -------------------------------------------------
   for (const auto& map : timelines_) {
     w.U64(map.size());
-    for (const Term& key : SortedTermKeys(map)) {
-      SaveTerm(key, w);
-      SaveTimeline(map.at(key), w);
+    for (const auto* entry : snapshot::SortedEntries(map)) {
+      SaveTerm(entry->first, w);
+      SaveTimeline(entry->second, w);
     }
   }
 
@@ -309,9 +278,7 @@ MARITIME_OUTPUT_PATH void Engine::SaveTo(snapshot::Writer& w) const {
     dm.Flush();
     w.U64(dm.at.size());
     for (const auto& [key, range] : dm.at) {
-      SaveTerm(key, w);
-      w.I64(range.min);
-      w.I64(range.max);
+      w.Put(key.kind, key.id, range.min, range.max);
     }
   };
   for (const auto& dm : dirty_events_) save_dirty(dm);
@@ -331,19 +298,16 @@ MARITIME_OUTPUT_PATH void Engine::SaveTo(snapshot::Writer& w) const {
   for (const auto& bvec : boundary_.values) {
     w.U64(bvec.size());
     // Per-fluent boundary vectors are sorted by key at commit time.
-    for (const auto& [key, value] : bvec) {
-      SaveTerm(key, w);
-      w.I32(value);
-    }
+    for (const auto& [key, value] : bvec) w.Put(key.kind, key.id, value);
   }
 
   // --- per-definition caches -----------------------------------------------
   for (const auto& cache : def_caches_) {
     if (const auto* simple = std::get_if<SimpleDefCache>(&cache)) {
       w.U64(simple->evidence.size());
-      for (const Term& key : SortedTermKeys(simple->evidence)) {
-        SaveTerm(key, w);
-        SaveEvidence(simple->evidence.at(key), w);
+      for (const auto* entry : snapshot::SortedEntries(simple->evidence)) {
+        SaveTerm(entry->first, w);
+        SaveEvidence(entry->second, w);
       }
       SaveTermVector(simple->keys, w);
     } else {

@@ -193,10 +193,8 @@ uint32_t Crc32(std::string_view bytes) {
 }
 
 size_t Writer::BeginSection(uint32_t tag, uint8_t version) {
-  U32(tag);
-  U8(version);
-  const size_t handle = size_;
-  U64(0);  // Length placeholder, backpatched by EndSection.
+  const size_t handle = size_ + sizeof(tag) + sizeof(version);
+  Put(tag, version, uint64_t{0});  // Length placeholder, see EndSection.
   return handle;
 }
 
@@ -206,7 +204,10 @@ void Writer::EndSection(size_t handle) {
 }
 
 void Writer::Grow(size_t n) {
-  const size_t capacity = std::max({2 * capacity_, size_ + n, size_t{256}});
+  Reallocate(std::max({2 * capacity_, size_ + n, size_t{256}}));
+}
+
+void Writer::Reallocate(size_t capacity) {
   auto grown = std::make_unique_for_overwrite<char[]>(capacity);
   if (size_ > 0) std::memcpy(grown.get(), buf_.get(), size_);
   buf_ = std::move(grown);

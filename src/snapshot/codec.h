@@ -1,13 +1,16 @@
 #ifndef MARITIME_SNAPSHOT_CODEC_H_
 #define MARITIME_SNAPSHOT_CODEC_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "common/annotations.h"
 #include "common/status.h"
 
 namespace maritime::snapshot {
@@ -26,19 +29,48 @@ uint32_t Crc32(std::string_view bytes);
 /// bytes a component wrote (catching format skew between writer and reader).
 class Writer {
  public:
-  void U8(uint8_t v) { AppendRaw(&v, sizeof(v)); }
+  /// Appends `fields` back to back, the same bytes as one U8/U32/U64/I32/
+  /// I64/F64 call per field in order, behind one bounds check: a record's
+  /// fields are one Put. Only the fixed-width types the Reader reads back
+  /// are accepted, so a bool or an enum names its wire width at the call
+  /// (`uint8_t{flag}`), and a count is passed as `uint64_t{n}` whatever the
+  /// width of size_t.
+  template <typename... Fields>
+  void Put(Fields... fields) {
+    static_assert(sizeof...(Fields) > 0);
+    static_assert((kWireField<Fields> && ...),
+                  "Writer::Put takes uint8_t, uint32_t, uint64_t, int32_t, "
+                  "int64_t and double fields only");
+    constexpr size_t n = (sizeof(Fields) + ...);
+    // The cursor lives in a local: the stores below write through a char*,
+    // which may alias the members, so each member read is done once.
+    const size_t at = size_;
+    if (capacity_ - at < n) Grow(n);
+    char* out = buf_.get() + at;
+    ((std::memcpy(out, &fields, sizeof(fields)), out += sizeof(fields)), ...);
+    size_ = at + n;
+  }
+
+  void U8(uint8_t v) { Put(v); }
   void Bool(bool v) { U8(v ? 1 : 0); }
-  void U32(uint32_t v) { AppendRaw(&v, sizeof(v)); }
-  void U64(uint64_t v) { AppendRaw(&v, sizeof(v)); }
-  void I32(int32_t v) { AppendRaw(&v, sizeof(v)); }
-  void I64(int64_t v) { AppendRaw(&v, sizeof(v)); }
-  void F64(double v) { AppendRaw(&v, sizeof(v)); }
+  void U32(uint32_t v) { Put(v); }
+  void U64(uint64_t v) { Put(v); }
+  void I32(int32_t v) { Put(v); }
+  void I64(int64_t v) { Put(v); }
+  void F64(double v) { Put(v); }
 
   /// Length-prefixed string (u64 byte count + raw bytes).
   void Str(std::string_view s) {
     U64(s.size());
     // An empty view may carry a null data(), which memcpy must not see.
     if (!s.empty()) AppendRaw(s.data(), s.size());
+  }
+
+  /// Makes room for `n` bytes in total. Capacity never changes the bytes;
+  /// a writer reserved to the size it will reach never copies its buffer
+  /// as it grows.
+  void Reserve(size_t n) {
+    if (n > capacity_) Reallocate(n);
   }
 
   /// Opens a framed section; returns a handle for EndSection.
@@ -48,23 +80,45 @@ class Writer {
   void EndSection(size_t handle);
 
   size_t size() const { return size_; }
+  size_t capacity() const { return capacity_; }
   /// The bytes written so far; valid until the next write.
   std::string_view bytes() const { return {buf_.get(), size_}; }
 
  private:
-  // Inlined so the per-field appends of a multi-megabyte save compile to a
-  // bounds check and a fixed-size copy; growth (doubling) is out of line.
+  template <typename T>
+  static constexpr bool kWireField =
+      std::is_same_v<T, uint8_t> || std::is_same_v<T, uint32_t> ||
+      std::is_same_v<T, uint64_t> || std::is_same_v<T, int32_t> ||
+      std::is_same_v<T, int64_t> || std::is_same_v<T, double>;
+
   void AppendRaw(const void* p, size_t n) {
     if (capacity_ - size_ < n) Grow(n);
     std::memcpy(buf_.get() + size_, p, n);
     size_ += n;
   }
+  // Growth (doubling) is out of line, so the inlined appends compile to a
+  // bounds check and fixed-size copies.
   void Grow(size_t n);
+  void Reallocate(size_t capacity);
 
   std::unique_ptr<char[]> buf_;
   size_t size_ = 0;
   size_t capacity_ = 0;
 };
+
+/// The entries of a hash map sorted by key, as pointers into the map: the
+/// serializers walk a map in key order, for deterministic bytes, without
+/// looking each key up again. Valid until the map is next modified.
+template <typename Map>
+MARITIME_OUTPUT_PATH std::vector<const typename Map::value_type*>
+SortedEntries(const Map& map) {
+  std::vector<const typename Map::value_type*> entries;
+  entries.reserve(map.size());
+  for (const auto& entry : map) entries.push_back(&entry);
+  std::sort(entries.begin(), entries.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  return entries;
+}
 
 /// Bounds-checked little-endian decoder. Every read returns false (and
 /// latches the failure) when the buffer is exhausted, so decoding corrupt or

@@ -7,14 +7,11 @@
 
 namespace maritime::tracker {
 
+/// One record, one bounds check: the window, the trips, the archiver's
+/// staging and the trip builder all save critical points through this.
 inline void SaveCriticalPoint(const CriticalPoint& cp, snapshot::Writer& w) {
-  w.U32(cp.mmsi);
-  geo::SaveGeoPoint(cp.pos, w);
-  w.I64(cp.tau);
-  w.U32(cp.flags);
-  w.F64(cp.speed_knots);
-  w.F64(cp.heading_deg);
-  w.I64(cp.duration);
+  w.Put(cp.mmsi, cp.pos.lon, cp.pos.lat, cp.tau, cp.flags, cp.speed_knots,
+        cp.heading_deg, cp.duration);
 }
 
 inline bool LoadCriticalPoint(snapshot::Reader& r, CriticalPoint* cp) {

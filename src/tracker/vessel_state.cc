@@ -21,37 +21,27 @@ void VesselState::ResetMotionState() {
 // Format v2: rings are written oldest first, the stop samples as their
 // running aggregates. (v1 wrote velocities as speed/heading and both sample
 // buffers as position tuples.)
+// Each run of fixed fields between two rings is one Writer::Put; a bool is
+// the u8 0/1 that Writer::Bool writes.
 void VesselState::SaveTo(snapshot::Writer& w) const {
-  w.Bool(has_last);
-  stream::SavePositionTuple(last, w);
-  w.Bool(has_velocity);
-  geo::SaveVelocity(v_prev, w);
-  w.U64(recent_velocities.size());
+  w.Put(uint8_t{has_last}, last.mmsi, last.pos.lon, last.pos.lat, last.tau,
+        uint8_t{has_velocity}, v_prev.speed_knots, v_prev.heading_deg,
+        uint64_t{recent_velocities.size()});
   for (size_t i = 0; i < recent_velocities.size(); ++i) {
-    w.F64(recent_velocities[i].east_mps);
-    w.F64(recent_velocities[i].north_mps);
+    w.Put(recent_velocities[i].east_mps, recent_velocities[i].north_mps);
   }
   w.U64(heading_diffs.size());
   for (size_t i = 0; i < heading_diffs.size(); ++i) w.F64(heading_diffs[i]);
-  w.U64(stop_count);
-  w.I64(stop_first_tau);
-  w.F64(stop_sum_lon);
-  w.F64(stop_sum_lat);
-  w.Bool(stop_active);
-  w.I64(stop_start_tau);
-  w.U64(slow_samples.size());
+  w.Put(stop_count, stop_first_tau, stop_sum_lon, stop_sum_lat,
+        uint8_t{stop_active}, stop_start_tau,
+        uint64_t{slow_samples.size()});
   for (size_t i = 0; i < slow_samples.size(); ++i) {
-    geo::SaveGeoPoint(slow_samples[i].pos, w);
-    w.I64(slow_samples[i].tau);
+    const SlowSample& s = slow_samples[i];
+    w.Put(s.pos.lon, s.pos.lat, s.tau);
   }
-  w.Bool(slow_active);
-  w.I64(slow_start_tau);
-  geo::SaveGeoPoint(slow_anchor, w);
-  w.Bool(gap_open);
-  w.I64(gap_start_tau);
-  w.I32(consecutive_outliers);
-  w.U64(accepted_count);
-  w.F64(odometer_m);
+  w.Put(uint8_t{slow_active}, slow_start_tau, slow_anchor.lon,
+        slow_anchor.lat, uint8_t{gap_open}, gap_start_tau,
+        int32_t{consecutive_outliers}, accepted_count, odometer_m);
 }
 
 namespace {

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <initializer_list>
 #include <iterator>
 #include <memory>
+#include <random>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -152,6 +154,102 @@ TEST(SnapshotCodecTest, SectionUnderconsumptionDetected) {
   size_t end = 0;
   ASSERT_TRUE(r.BeginSection(0x31545354u, 1, &version, &end));
   EXPECT_FALSE(r.EndSection(end)) << "reader left bytes unconsumed";
+}
+
+// Capacity never changes the bytes: a record written by one Put equals the
+// same fields written one named call at a time, and both equal a byte image
+// built without the Writer, however the Writer was presized.
+
+void PutOne(snapshot::Writer& w, uint8_t v) { w.U8(v); }
+void PutOne(snapshot::Writer& w, uint32_t v) { w.U32(v); }
+void PutOne(snapshot::Writer& w, uint64_t v) { w.U64(v); }
+void PutOne(snapshot::Writer& w, int32_t v) { w.I32(v); }
+void PutOne(snapshot::Writer& w, int64_t v) { w.I64(v); }
+void PutOne(snapshot::Writer& w, double v) { w.F64(v); }
+
+template <typename T>
+void AppendImage(std::string* image, T v) {
+  char bytes[sizeof(T)];
+  std::memcpy(bytes, &v, sizeof(T));
+  image->append(bytes, sizeof(T));
+}
+
+struct RecordSinks {
+  snapshot::Writer* put;     ///< One Put per record.
+  snapshot::Writer* single;  ///< One named call per field.
+  std::string* image;        ///< Independent little-endian image.
+};
+
+template <typename... Fields>
+void WriteRecord(const RecordSinks& out, Fields... fields) {
+  out.put->Put(fields...);
+  (PutOne(*out.single, fields), ...);
+  (AppendImage(out.image, fields), ...);
+}
+
+// 300 records of seeded random shapes and values, strings included.
+void WriteRandomRecords(uint64_t seed, const RecordSinks& out) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> real(-1e9, 1e9);
+  const auto u32 = [&rng] { return static_cast<uint32_t>(rng()); };
+  const auto i32 = [&rng] { return static_cast<int32_t>(rng()); };
+  const auto i64 = [&rng] { return static_cast<int64_t>(rng()); };
+  for (int i = 0; i < 300; ++i) {
+    switch (rng() % 6) {
+      case 0:
+        WriteRecord(out, static_cast<uint8_t>(rng()));
+        break;
+      case 1:
+        WriteRecord(out, u32(), real(rng));
+        break;
+      case 2:
+        WriteRecord(out, i64(), i32(), static_cast<uint8_t>(rng() & 1),
+                    real(rng));
+        break;
+      case 3:
+        WriteRecord(out, uint64_t{rng()}, uint64_t{rng()}, i32());
+        break;
+      case 4:  // A critical point's shape.
+        WriteRecord(out, u32(), real(rng), real(rng), i64(), u32(),
+                    real(rng), real(rng), i64());
+        break;
+      default: {
+        const std::string s(rng() % 40, static_cast<char>('a' + rng() % 26));
+        out.put->Str(s);
+        out.single->Str(s);
+        AppendImage(out.image, uint64_t{s.size()});
+        out.image->append(s);
+        break;
+      }
+    }
+  }
+}
+
+TEST(SnapshotCodecTest, PutWritesTheFieldBytesAtAnyCapacity) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::string image;
+    {
+      snapshot::Writer put, single;
+      WriteRandomRecords(seed, {&put, &single, &image});
+    }
+    const size_t exact = image.size();
+    for (const size_t reserve : {size_t{0}, exact, exact / 3, 4 * exact}) {
+      SCOPED_TRACE("reserved " + std::to_string(reserve) + " of " +
+                   std::to_string(exact) + " bytes");
+      snapshot::Writer put, single;
+      put.Reserve(reserve);
+      single.Reserve(reserve);
+      std::string again;
+      WriteRandomRecords(seed, {&put, &single, &again});
+      ASSERT_EQ(again, image);
+      EXPECT_EQ(put.bytes(), image);
+      EXPECT_EQ(single.bytes(), image);
+      if (reserve >= exact) {
+        EXPECT_EQ(put.capacity(), reserve) << "a presized writer regrew";
+      }
+    }
+  }
 }
 
 // --- checksum ---------------------------------------------------------------

@@ -21,6 +21,10 @@ its committed budget:
   before the packed-bit decoder) and BM_TrackerSlide reports `allocs_per_tuple`
   for the sharded tracker (~0.03 measured, almost all of it the per-vessel
   rings of newly seen vessels; 1.07 before the flat vessel state).
+- micro_tracker's BM_PipelineCheckpoint reports `allocs_per_save` for one
+  SurveillancePipeline::SaveTo + EncodeSnapshotFile (7 measured: the
+  presized Writer, the file image, and one sorted-entry or sorted-vessel
+  view per hash map walked; 13 while the Writer grew by doubling).
 
 A regression that reintroduces per-slide, per-line or per-tuple heap churn
 trips the gate while scheduler noise does not: allocation counting is a
@@ -65,6 +69,11 @@ BUDGETS = {
     # heap-allocated status for each type 5 report reads 0.031.
     ("BM_ScanTaggedLines", "allocs_per_line"): 0.013,
     ("BM_TrackerSlide", "allocs_per_tuple"): 0.1,
+    # Checkpoint (checkpoint_tool's 20-vessel scenario at mid-stream, ~16 KB):
+    # 7 measured. Twice that would sit above the 13 of a Writer that grows
+    # by doubling, so the budget is set where losing the size hint trips it;
+    # a per-vessel or per-key allocation (20+) trips it too.
+    ("BM_PipelineCheckpoint", "allocs_per_save"): 10.0,
 }
 
 
