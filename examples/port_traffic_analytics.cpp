@@ -11,8 +11,6 @@
 #include <map>
 
 #include "maritime/pipeline.h"
-#include "mod/analytics.h"
-#include "mod/clustering.h"
 #include "sim/generator.h"
 #include "sim/world.h"
 #include "stream/replayer.h"
@@ -84,64 +82,6 @@ int main() {
   std::sort(arrivals.rbegin(), arrivals.rend());
   for (const auto& [n, name] : arrivals) {
     std::printf("  %-10s %zu arrivals\n", name.c_str(), n);
-  }
-
-  // --- further offline analytics (Section 3.3) --------------------------------
-  const auto& store = pipeline.archiver()->store();
-
-  std::printf("\n--- busiest vessels (travel history) ---\n");
-  auto vessel_stats = mod::ComputeVesselStats(store);
-  std::sort(vessel_stats.begin(), vessel_stats.end(),
-            [](const auto& a, const auto& b) {
-              return a.total_distance_m > b.total_distance_m;
-            });
-  for (size_t i = 0; i < std::min<size_t>(5, vessel_stats.size()); ++i) {
-    const auto& v = vessel_stats[i];
-    std::printf("  mmsi=%u  %llu trips, %.0f km sailed, %s underway, "
-                "%s idle, %zu ports\n",
-                v.mmsi, static_cast<unsigned long long>(v.trips),
-                v.total_distance_m / 1000.0,
-                FormatDuration(v.total_travel_time).c_str(),
-                FormatDuration(v.total_idle_time).c_str(),
-                v.visited_ports.size());
-  }
-
-  std::printf("\n--- departures per 6h period ---\n");
-  for (const auto& [bucket, count] :
-       mod::DeparturesPerPeriod(store, 6 * kHour)) {
-    std::printf("  from %-12s %llu departures\n",
-                FormatTimestamp(bucket).c_str(),
-                static_cast<unsigned long long>(count));
-  }
-
-  std::printf("\n--- frequent corridors (top cells) ---\n");
-  for (const auto& cell : mod::FrequentCorridors(store, 0.05, 5)) {
-    std::printf("  cell (%.2f,%.2f) crossed by %llu trips\n", cell.lon,
-                cell.lat, static_cast<unsigned long long>(cell.trips));
-  }
-
-  std::printf("\n--- spatiotemporal trip clusters ---\n");
-  const auto clusters = mod::ClusterTrips(store);
-  std::printf("  %zu trips form %zu clusters; largest:\n",
-              store.trip_count(), clusters.size());
-  for (size_t i = 0; i < std::min<size_t>(3, clusters.size()); ++i) {
-    const mod::Trip& seed = store.trips()[clusters[i].seed];
-    std::printf("    cluster of %zu trips, e.g. mmsi=%u departing %s\n",
-                clusters[i].trip_indices.size(), seed.mmsi,
-                FormatTimestamp(seed.start_tau % kDay).c_str());
-  }
-
-  std::printf("\n--- periodic services (regular itineraries) ---\n");
-  int shown_services = 0;
-  for (const auto& s : mod::DetectPeriodicServices(store, 3)) {
-    if (shown_services++ >= 5) break;
-    const auto* o = world.knowledge.FindArea(s.origin_port);
-    const auto* d = world.knowledge.FindArea(s.destination_port);
-    std::printf("  %-10s -> %-10s  %llu departures, headway %s (cv %.2f)\n",
-                o != nullptr ? o->name.c_str() : "?",
-                d != nullptr ? d->name.c_str() : "?",
-                static_cast<unsigned long long>(s.trips),
-                FormatDuration(s.mean_headway).c_str(), s.headway_cv);
   }
   return 0;
 }

@@ -7,12 +7,11 @@
 // illegalShipping because the gap started close to a protected area.
 //
 // The example also exports the vessel's compressed trajectory, its critical
-// points and the park polygon as KML for map display.
+// points and the park polygon as GeoJSON for map display.
 
 #include <cstdio>
 
 #include "export/geojson.h"
-#include "export/kml.h"
 #include "maritime/alerts.h"
 #include "maritime/pipeline.h"
 #include "sim/scenarios.h"
@@ -86,17 +85,8 @@ int main() {
   std::printf("alerts raised: %d\n", alerts);
 
   // Export the evidence for map display.
-  exporter::KmlWriter kml;
-  kml.AddPolygon(park->name, park->polygon.vertices());
   std::vector<geo::GeoPoint> path;
   for (const auto& cp : pipeline.critical_points()) path.push_back(cp.pos);
-  kml.AddTrajectory(tanker.name, path);
-  kml.AddCriticalPoints("critical points", pipeline.critical_points());
-  const std::string out = "protected_area_monitor.kml";
-  if (kml.WriteFile(out).ok()) {
-    std::printf("wrote %s (%zu critical points)\n", out.c_str(),
-                pipeline.critical_points().size());
-  }
   exporter::GeoJsonWriter geojson;
   geojson.AddPolygon(park->name, "protected", park->polygon.vertices());
   geojson.AddTrajectory(tanker.name, path);

@@ -16,7 +16,6 @@
 
 #include "common/check.h"
 #include "maritime/knowledge.h"
-#include "maritime/live_index.h"
 #include "maritime/me_stream.h"
 #include "maritime/pipeline.h"
 #include "mod/hermes.h"
@@ -130,18 +129,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       }
       break;
     }
-    case 2: {  // live vessel index
-      maritime::surveillance::LiveVesselIndex index(0.1);
-      const Status s = index.RestoreFrom(r);
-      CheckStatus(s);
-      if (!s.ok()) {
-        MARITIME_DCHECK(index.size() == 0);
-      } else {
-        index.Nearest(maritime::geo::GeoPoint{24.0, 37.0}, 3);
-        index.Within(maritime::geo::GeoPoint{24.0, 37.0}, 10000.0);
-      }
-      break;
-    }
     case 3: {  // sharded mobility tracker
       maritime::tracker::ShardedMobilityTracker tracker(
           maritime::tracker::TrackerParams{}, 2);
@@ -179,7 +166,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       if (s.ok()) e.engine->Recognize(180);
       break;
     }
-    default: {  // whole pipeline
+    default: {  // whole pipeline (selectors 2 and 7)
       maritime::surveillance::PipelineConfig cfg;
       cfg.window = maritime::stream::WindowSpec{maritime::kHour,
                                                 10 * maritime::kMinute};

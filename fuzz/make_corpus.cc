@@ -15,7 +15,6 @@
 
 #include "ais/messages.h"
 #include "ais/sixbit.h"
-#include "maritime/live_index.h"
 #include "maritime/me_stream.h"
 #include "maritime/pipeline.h"
 #include "mod/hermes.h"
@@ -189,16 +188,6 @@ int main(int argc, char** argv) {
     facts.SaveTo(w);
     WriteSeed(snapshot_dir, snapshot_seeds++,
               std::string(1, '\x01').append(w.bytes()));
-  }
-  {
-    maritime::surveillance::LiveVesselIndex index(0.1);
-    for (size_t i = 0; i < tuples.size() && i < 400; i += 13) {
-      index.Update(tuples[i]);
-    }
-    maritime::snapshot::Writer w;
-    index.SaveTo(w);
-    WriteSeed(snapshot_dir, snapshot_seeds++,
-              std::string(1, '\x02').append(w.bytes()));
   }
   {
     // Archival path with a little staged + reconstructed traffic.

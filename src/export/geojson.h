@@ -11,8 +11,8 @@
 
 namespace maritime::exporter {
 
-/// GeoJSON FeatureCollection builder — the web-map counterpart of the KML
-/// exporter (modern chart plotters consume GeoJSON directly).
+/// GeoJSON FeatureCollection builder for map display (modern chart plotters
+/// and web maps consume GeoJSON directly).
 class GeoJsonWriter {
  public:
   GeoJsonWriter() = default;

@@ -16,25 +16,6 @@ double HaversineMeters(const GeoPoint& a, const GeoPoint& b) {
   return HaversineRef(a).MetersTo(b);
 }
 
-void HaversineMetersMany(const GeoPoint& ref, std::span<const double> lons,
-                         std::span<const double> lats,
-                         std::span<double> out_m) {
-  assert(lons.size() == lats.size() && lons.size() == out_m.size());
-  const HaversineRef r(ref);
-  for (size_t i = 0; i < lons.size(); ++i) {
-    out_m[i] = r.MetersTo(GeoPoint{lons[i], lats[i]});
-  }
-}
-
-void HaversineMetersMany(const GeoPoint& ref, std::span<const GeoPoint> pts,
-                         std::span<double> out_m) {
-  assert(pts.size() == out_m.size());
-  const HaversineRef r(ref);
-  for (size_t i = 0; i < pts.size(); ++i) {
-    out_m[i] = r.MetersTo(pts[i]);
-  }
-}
-
 double InitialBearingDeg(const GeoPoint& a, const GeoPoint& b) {
   return InitialBearingDeg(TrackPoint(a), TrackPoint(b));
 }

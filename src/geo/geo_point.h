@@ -77,16 +77,6 @@ struct HaversineRef {
   }
 };
 
-/// Batched Haversine over a struct-of-arrays coordinate batch:
-/// out_m[i] = HaversineMeters(ref, {lons[i], lats[i]}), with the reference
-/// trig hoisted out of the loop. lons, lats and out_m must have equal sizes.
-void HaversineMetersMany(const GeoPoint& ref, std::span<const double> lons,
-                         std::span<const double> lats, std::span<double> out_m);
-
-/// Batched Haversine over a contiguous point array (array-of-structs form).
-void HaversineMetersMany(const GeoPoint& ref, std::span<const GeoPoint> pts,
-                         std::span<double> out_m);
-
 /// Initial bearing from `a` to `b` in degrees clockwise from true north,
 /// normalized to [0, 360).
 double InitialBearingDeg(const GeoPoint& a, const GeoPoint& b);

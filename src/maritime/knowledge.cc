@@ -1,7 +1,5 @@
 #include "maritime/knowledge.h"
 
-#include <algorithm>
-
 namespace maritime::surveillance {
 
 namespace {
@@ -16,7 +14,7 @@ geo::SpatialIndex::Cache& TlsSpatialCache() {
   return cache;
 }
 
-/// Scratch id buffer for tiered queries whose result is not returned to the
+/// Scratch id buffer for index queries whose result is not returned to the
 /// caller (PortContaining, AnyAreaCloseTo): reusing it avoids an allocation
 /// per call. Never held across calls into other KnowledgeBase methods.
 std::vector<int32_t>& TlsIdScratch() {
@@ -24,11 +22,13 @@ std::vector<int32_t>& TlsIdScratch() {
   return ids;
 }
 
-std::shared_ptr<geo::SpatialIndex> NewIndex(double close_threshold_m,
-                                            const SpatialOptions& spatial) {
+/// Cell size of the spatial index (~2.2 km): `micro_spatial`'s cell-size
+/// axis is flat from 0.005° to 0.02° and degrades at coarser cells.
+constexpr double kIndexCellDeg = 0.02;
+
+std::shared_ptr<geo::SpatialIndex> NewIndex(double close_threshold_m) {
   return std::make_shared<geo::SpatialIndex>(
-      close_threshold_m,
-      geo::SpatialIndex::Options{.cell_deg = spatial.tiered_cell_deg});
+      close_threshold_m, geo::SpatialIndex::Options{.cell_deg = kIndexCellDeg});
 }
 
 }  // namespace
@@ -65,33 +65,20 @@ std::string_view VesselTypeName(VesselType type) {
   return "unknown";
 }
 
-std::string_view SpatialEngineName(SpatialEngine engine) {
-  switch (engine) {
-    case SpatialEngine::kBrute:
-      return "brute";
-    case SpatialEngine::kTiered:
-      return "tiered";
-  }
-  return "unknown";
-}
-
-KnowledgeBase::KnowledgeBase(double close_threshold_m, SpatialOptions spatial)
+KnowledgeBase::KnowledgeBase(double close_threshold_m)
     : close_threshold_m_(close_threshold_m),
-      spatial_options_(spatial),
-      spatial_(NewIndex(close_threshold_m, spatial)) {}
+      spatial_(NewIndex(close_threshold_m)) {}
 
 void KnowledgeBase::AddArea(AreaInfo area) {
-  if (spatial_options_.engine == SpatialEngine::kTiered) {
-    if (IndexHoldsOtherAreas()) {
-      // A band that grows stops sharing: its own index holds its areas
-      // only, so an id from another band cannot collide.
-      spatial_ = NewIndex(close_threshold_m_, spatial_options_);
-      for (const AreaInfo& a : areas_) spatial_->Insert(a.id, a.polygon);
-    } else if (spatial_.use_count() > 1) {
-      spatial_ = std::make_shared<geo::SpatialIndex>(*spatial_);
-    }
-    spatial_->Insert(area.id, area.polygon);
+  if (IndexHoldsOtherAreas()) {
+    // A band that grows stops sharing: its own index holds its areas only,
+    // so an id from another band cannot collide.
+    spatial_ = NewIndex(close_threshold_m_);
+    for (const AreaInfo& a : areas_) spatial_->Insert(a.id, a.polygon);
+  } else if (spatial_.use_count() > 1) {
+    spatial_ = std::make_shared<geo::SpatialIndex>(*spatial_);
   }
+  spatial_->Insert(area.id, area.polygon);
   area_index_[area.id] = areas_.size();
   areas_.push_back(std::move(area));
 }
@@ -137,13 +124,8 @@ void KnowledgeBase::DropOtherAreas(std::vector<int32_t>* ids) const {
 }
 
 bool KnowledgeBase::Close(const geo::GeoPoint& p, int32_t area_id) const {
-  if (spatial_options_.engine == SpatialEngine::kTiered) {
-    if (IndexHoldsOtherAreas() && FindArea(area_id) == nullptr) return false;
-    return spatial_->Close(p, area_id, &TlsSpatialCache());
-  }
-  const AreaInfo* area = FindArea(area_id);
-  if (area == nullptr) return false;
-  return area->polygon.DistanceMeters(p) < close_threshold_m_;
+  if (IndexHoldsOtherAreas() && FindArea(area_id) == nullptr) return false;
+  return spatial_->Close(p, area_id, &TlsSpatialCache());
 }
 
 std::vector<int32_t> KnowledgeBase::AreasCloseTo(const geo::GeoPoint& p) const {
@@ -155,67 +137,35 @@ std::vector<int32_t> KnowledgeBase::AreasCloseTo(const geo::GeoPoint& p) const {
 void KnowledgeBase::AreasCloseTo(const geo::GeoPoint& p,
                                  std::vector<int32_t>* out) const {
   out->clear();
-  if (spatial_options_.engine == SpatialEngine::kTiered) {
-    spatial_->AreasCloseTo(p, out, &TlsSpatialCache());  // Sorted by id.
-    DropOtherAreas(out);
-    return;
-  }
-  for (const AreaInfo& area : areas_) {
-    if (area.polygon.DistanceMeters(p) < close_threshold_m_) {
-      out->push_back(area.id);
-    }
-  }
-  std::sort(out->begin(), out->end());
+  spatial_->AreasCloseTo(p, out, &TlsSpatialCache());  // Sorted by id.
+  DropOtherAreas(out);
 }
 
 std::vector<int32_t> KnowledgeBase::AreasCloseTo(const geo::GeoPoint& p,
                                                  AreaKind kind) const {
   std::vector<int32_t> out;
-  if (spatial_options_.engine == SpatialEngine::kTiered) {
-    spatial_->AreasCloseTo(p, &out, &TlsSpatialCache());
-    std::erase_if(out, [&](int32_t id) {
-      const AreaInfo* area = FindArea(id);
-      return area == nullptr || area->kind != kind;
-    });
-    return out;
-  }
-  for (const AreaInfo& area : areas_) {
-    if (area.kind == kind &&
-        area.polygon.DistanceMeters(p) < close_threshold_m_) {
-      out.push_back(area.id);
-    }
-  }
-  std::sort(out.begin(), out.end());
+  spatial_->AreasCloseTo(p, &out, &TlsSpatialCache());
+  std::erase_if(out, [&](int32_t id) {
+    const AreaInfo* area = FindArea(id);
+    return area == nullptr || area->kind != kind;
+  });
   return out;
 }
 
 bool KnowledgeBase::AnyAreaCloseTo(const geo::GeoPoint& p,
                                    AreaKind kind) const {
-  if (spatial_options_.engine == SpatialEngine::kTiered) {
-    std::vector<int32_t>& close = TlsIdScratch();
-    spatial_->AreasCloseTo(p, &close, &TlsSpatialCache());
-    for (const int32_t id : close) {
-      const AreaInfo* area = FindArea(id);
-      if (area != nullptr && area->kind == kind) return true;
-    }
-    return false;
-  }
-  for (const AreaInfo& area : areas_) {
-    if (area.kind == kind &&
-        area.polygon.DistanceMeters(p) < close_threshold_m_) {
-      return true;
-    }
+  std::vector<int32_t>& close = TlsIdScratch();
+  spatial_->AreasCloseTo(p, &close, &TlsSpatialCache());
+  for (const int32_t id : close) {
+    const AreaInfo* area = FindArea(id);
+    if (area != nullptr && area->kind == kind) return true;
   }
   return false;
 }
 
 bool KnowledgeBase::InsideArea(const geo::GeoPoint& p, int32_t area_id) const {
-  if (spatial_options_.engine == SpatialEngine::kTiered) {
-    if (IndexHoldsOtherAreas() && FindArea(area_id) == nullptr) return false;
-    return spatial_->Contains(p, area_id, &TlsSpatialCache());
-  }
-  const AreaInfo* area = FindArea(area_id);
-  return area != nullptr && area->polygon.Contains(p);
+  if (IndexHoldsOtherAreas() && FindArea(area_id) == nullptr) return false;
+  return spatial_->Contains(p, area_id, &TlsSpatialCache());
 }
 
 bool KnowledgeBase::IsFishing(stream::Mmsi mmsi) const {
@@ -234,30 +184,20 @@ bool KnowledgeBase::IsShallowFor(int32_t area_id, stream::Mmsi mmsi) const {
 }
 
 const AreaInfo* KnowledgeBase::PortContaining(const geo::GeoPoint& p) const {
-  // Both engines return the lowest-id containing port so trip segmentation
-  // is deterministic even when port polygons overlap.
-  if (spatial_options_.engine == SpatialEngine::kTiered) {
-    std::vector<int32_t>& inside = TlsIdScratch();
-    spatial_->AreasContaining(p, &inside, &TlsSpatialCache());
-    for (const int32_t id : inside) {  // Sorted ascending: first port wins.
-      const AreaInfo* area = FindArea(id);
-      if (area != nullptr && area->kind == AreaKind::kPort) return area;
-    }
-    return nullptr;
+  // The lowest-id containing port, so trip segmentation is deterministic
+  // even when port polygons overlap.
+  std::vector<int32_t>& inside = TlsIdScratch();
+  spatial_->AreasContaining(p, &inside, &TlsSpatialCache());
+  for (const int32_t id : inside) {  // Sorted ascending: first port wins.
+    const AreaInfo* area = FindArea(id);
+    if (area != nullptr && area->kind == AreaKind::kPort) return area;
   }
-  const AreaInfo* best = nullptr;
-  for (const AreaInfo& area : areas_) {
-    if (area.kind == AreaKind::kPort && area.polygon.Contains(p) &&
-        (best == nullptr || area.id < best->id)) {
-      best = &area;
-    }
-  }
-  return best;
+  return nullptr;
 }
 
 KnowledgeBase KnowledgeBase::Restricted(
     const std::vector<int32_t>& area_ids) const {
-  KnowledgeBase out(close_threshold_m_, spatial_options_);
+  KnowledgeBase out(close_threshold_m_);
   out.spatial_ = spatial_;
   for (const int32_t id : area_ids) {
     const AreaInfo* area = FindArea(id);

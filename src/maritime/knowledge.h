@@ -62,22 +62,6 @@ struct VesselInfo {
   bool fishing_gear = false;  ///< Registered fishing vessel.
 };
 
-/// Which structure answers the spatial predicates. Both engines return
-/// bit-identical results in a deterministic order (ids sorted ascending);
-/// they differ only in speed.
-enum class SpatialEngine : uint8_t {
-  kBrute,   ///< Full scan over every area (the differential-test oracle).
-  kTiered,  ///< Two-tier SpatialIndex: label lookups + edge buckets.
-};
-
-std::string_view SpatialEngineName(SpatialEngine engine);
-
-/// Spatial-acceleration configuration of a KnowledgeBase.
-struct SpatialOptions {
-  SpatialEngine engine = SpatialEngine::kTiered;
-  double tiered_cell_deg = 0.02;  ///< SpatialIndex cell size (~2.2 km).
-};
-
 /// The static geographical and vessel knowledge the CE recognition module
 /// correlates with the ME stream. Lookup of areas near a point goes through
 /// a spatial index (our equivalent of RTEC's "declarations" facility that
@@ -87,8 +71,7 @@ class KnowledgeBase {
   /// `close_threshold_m` is the distance bound of the `close(Lon,Lat,Area)`
   /// predicate: a point is close to an area when its Haversine distance to
   /// the polygon is below the threshold (0 inside the polygon).
-  explicit KnowledgeBase(double close_threshold_m = 1000.0,
-                         SpatialOptions spatial = {});
+  explicit KnowledgeBase(double close_threshold_m = 1000.0);
 
   void AddArea(AreaInfo area);
   void AddVessel(VesselInfo vessel);
@@ -106,13 +89,12 @@ class KnowledgeBase {
   const VesselInfo* FindVessel(stream::Mmsi mmsi) const;
   size_t vessel_count() const { return vessels_.size(); }
   double close_threshold_m() const { return close_threshold_m_; }
-  const SpatialOptions& spatial_options() const { return spatial_options_; }
 
   /// The atemporal `close` predicate of the paper's rule-sets.
   bool Close(const geo::GeoPoint& p, int32_t area_id) const;
 
   /// Ids of all areas (optionally restricted to `kind`) close to `p`,
-  /// sorted ascending regardless of engine.
+  /// sorted ascending.
   std::vector<int32_t> AreasCloseTo(const geo::GeoPoint& p) const;
   std::vector<int32_t> AreasCloseTo(const geo::GeoPoint& p,
                                     AreaKind kind) const;
@@ -140,7 +122,7 @@ class KnowledgeBase {
   bool IsShallowFor(int32_t area_id, stream::Mmsi mmsi) const;
 
   /// The lowest-id port area whose polygon contains `p` (for trip
-  /// segmentation); deterministic across engines.
+  /// segmentation); deterministic even when port polygons overlap.
   const AreaInfo* PortContaining(const geo::GeoPoint& p) const;
 
   /// Builds a copy containing only the given areas, in the given order, and
@@ -156,11 +138,10 @@ class KnowledgeBase {
 
  private:
   double close_threshold_m_;
-  SpatialOptions spatial_options_;
   std::vector<AreaInfo> areas_;
   std::unordered_map<int32_t, size_t> area_index_;
   std::unordered_map<stream::Mmsi, VesselInfo> vessels_;
-  /// Populated under SpatialEngine::kTiered. Shared with the bands cut by
+  /// Answers every spatial predicate. Shared with the bands cut by
   /// Restricted and with copies of this KB, and never mutated while shared:
   /// AddArea copies it first, or on a band builds one of the band's areas.
   std::shared_ptr<geo::SpatialIndex> spatial_;

@@ -1,22 +1,18 @@
 // Checkpoint serialization of the surveillance layer: the spatial-fact
-// table, the live vessel index, and the CE recognizers. Wire layout notes
-// live in DESIGN.md §9.
+// table and the CE recognizers. Wire layout notes live in DESIGN.md §9.
 
 #include <algorithm>
 #include <mutex>
 #include <vector>
 
-#include "maritime/live_index.h"
 #include "maritime/me_stream.h"
 #include "maritime/recognizer.h"
 #include "snapshot/codec.h"
-#include "tracker/snapshot_io.h"
 
 namespace maritime::surveillance {
 namespace {
 
 constexpr uint8_t kFactTableFormatVersion = 1;
-constexpr uint8_t kLiveIndexFormatVersion = 1;
 constexpr uint8_t kRecognizerFormatVersion = 1;
 constexpr uint8_t kPartitionedFormatVersion = 1;
 
@@ -101,79 +97,6 @@ Status SpatialFactTable::RestoreFrom(snapshot::Reader& r) {
     QueuePurge(slot);
   }
   std::sort(near_.begin(), near_.end());
-  return Status::OK();
-}
-
-void LiveVesselIndex::SaveTo(snapshot::Writer& w) const {
-  w.Put(kLiveIndexFormatVersion, cell_deg_, uint64_t{vessels_.size()});
-  for (const auto* entry : snapshot::SortedEntries(vessels_)) {
-    const LiveVessel& v = entry->second;
-    w.Put(v.mmsi, v.pos.lon, v.pos.lat, v.tau, v.speed_knots, v.heading_deg,
-          uint8_t{v.in_gap});
-  }
-  // Cells verbatim (ordered map, per-cell insertion order preserved), so
-  // query result ordering survives the round trip bit for bit.
-  w.U64(cells_.size());
-  for (const auto& [key, mmsis] : cells_) {
-    w.Put(key, uint64_t{mmsis.size()});
-    for (const stream::Mmsi mmsi : mmsis) w.U32(mmsi);
-  }
-}
-
-Status LiveVesselIndex::RestoreFrom(snapshot::Reader& r) {
-  vessels_.clear();
-  vessel_cell_.clear();
-  cells_.clear();
-  const auto fail = [this] {
-    vessels_.clear();
-    vessel_cell_.clear();
-    cells_.clear();
-    return snapshot::CorruptionIn("live vessel index");
-  };
-  uint8_t version = 0;
-  if (!r.U8(&version)) return fail();
-  if (version > kLiveIndexFormatVersion) {
-    return snapshot::VersionError("live vessel index");
-  }
-  double cell_deg = 0.0;
-  if (!r.F64(&cell_deg)) return fail();
-  if (cell_deg != cell_deg_) {
-    return Status::InvalidArgument(
-        "snapshot: live index cell resolution mismatch");
-  }
-  uint64_t n = 0;
-  if (!r.Count(&n, sizeof(uint32_t) + 2 * sizeof(double) + sizeof(int64_t))) {
-    return fail();
-  }
-  for (uint64_t i = 0; i < n; ++i) {
-    LiveVessel v;
-    if (!r.U32(&v.mmsi) || !geo::LoadGeoPoint(r, &v.pos) || !r.I64(&v.tau) ||
-        !r.F64(&v.speed_knots) || !r.F64(&v.heading_deg) ||
-        !r.Bool(&v.in_gap)) {
-      return fail();
-    }
-    vessels_[v.mmsi] = v;
-  }
-  uint64_t ncells = 0;
-  if (!r.Count(&ncells, sizeof(int64_t) + sizeof(uint64_t))) return fail();
-  for (uint64_t i = 0; i < ncells; ++i) {
-    CellKey key = 0;
-    uint64_t count = 0;
-    if (!r.I64(&key) || !r.Count(&count, sizeof(uint32_t))) return fail();
-    auto& mmsis = cells_[key];
-    mmsis.reserve(count);
-    for (uint64_t j = 0; j < count; ++j) {
-      stream::Mmsi mmsi = 0;
-      if (!r.U32(&mmsi)) return fail();
-      // Every grid entry must name a stored vessel, exactly once.
-      if (vessels_.find(mmsi) == vessels_.end() ||
-          !vessel_cell_.try_emplace(mmsi, key).second) {
-        return fail();
-      }
-      mmsis.push_back(mmsi);
-    }
-  }
-  if (vessel_cell_.size() != vessels_.size()) return fail();
   return Status::OK();
 }
 

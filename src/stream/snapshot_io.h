@@ -4,7 +4,6 @@
 #include "geo/snapshot_io.h"
 #include "snapshot/codec.h"
 #include "stream/position.h"
-#include "stream/sliding_window.h"
 
 namespace maritime::stream {
 
@@ -16,15 +15,6 @@ inline void SavePositionTuple(const PositionTuple& p, snapshot::Writer& w) {
 
 inline bool LoadPositionTuple(snapshot::Reader& r, PositionTuple* p) {
   return r.U32(&p->mmsi) && geo::LoadGeoPoint(r, &p->pos) && r.I64(&p->tau);
-}
-
-inline void SaveWindowSpec(const WindowSpec& s, snapshot::Writer& w) {
-  w.I64(s.range);
-  w.I64(s.slide);
-}
-
-inline bool LoadWindowSpec(snapshot::Reader& r, WindowSpec* s) {
-  return r.I64(&s->range) && r.I64(&s->slide);
 }
 
 }  // namespace maritime::stream

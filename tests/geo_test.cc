@@ -46,37 +46,6 @@ TEST(HaversineTest, OneDegreeLatitudeIsAbout111km) {
   EXPECT_NEAR(d, 111195.0, 200.0);
 }
 
-TEST(HaversineBatchTest, SoaBatchBitIdenticalToScalar) {
-  Rng rng(71);
-  std::vector<double> lons, lats;
-  for (int i = 0; i < 200; ++i) {
-    lons.push_back(rng.NextDouble(-180.0, 180.0));
-    lats.push_back(rng.NextDouble(-90.0, 90.0));
-  }
-  std::vector<double> batched(lons.size());
-  HaversineMetersMany(kPiraeus, lons, lats, batched);
-  for (size_t i = 0; i < lons.size(); ++i) {
-    const double scalar =
-        HaversineMeters(kPiraeus, GeoPoint{lons[i], lats[i]});
-    EXPECT_EQ(batched[i], scalar) << "index " << i;
-  }
-}
-
-TEST(HaversineBatchTest, AosBatchBitIdenticalToScalar) {
-  Rng rng(72);
-  std::vector<GeoPoint> pts;
-  for (int i = 0; i < 200; ++i) {
-    pts.push_back(
-        GeoPoint{rng.NextDouble(-180.0, 180.0), rng.NextDouble(-90.0, 90.0)});
-  }
-  std::vector<double> batched(pts.size());
-  HaversineMetersMany(kHeraklion, pts, batched);
-  for (size_t i = 0; i < pts.size(); ++i) {
-    EXPECT_EQ(batched[i], HaversineMeters(kHeraklion, pts[i])) << "index "
-                                                               << i;
-  }
-}
-
 TEST(HaversineBatchTest, RefMetersToMatchesScalar) {
   const HaversineRef ref(kPiraeus);
   EXPECT_EQ(ref.MetersTo(kHeraklion), HaversineMeters(kPiraeus, kHeraklion));

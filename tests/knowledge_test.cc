@@ -176,8 +176,8 @@ std::vector<AreaInfo> PackedAreas(Rng& rng, int count) {
   return areas;
 }
 
-KnowledgeBase KbOf(const std::vector<AreaInfo>& areas, SpatialEngine engine) {
-  KnowledgeBase kb(1000.0, SpatialOptions{.engine = engine});
+KnowledgeBase KbOf(const std::vector<AreaInfo>& areas) {
+  KnowledgeBase kb(1000.0);
   for (const AreaInfo& a : areas) kb.AddArea(a);
   return kb;
 }
@@ -231,12 +231,10 @@ void ExpectSameAnswers(const KnowledgeBase& band, const KnowledgeBase& fresh,
   }
 }
 
-class KnowledgeBandTest : public ::testing::TestWithParam<SpatialEngine> {};
-
-TEST_P(KnowledgeBandTest, BandAnswersEqualAKbBuiltFromItsAreas) {
+TEST(KnowledgeBandTest, BandAnswersEqualAKbBuiltFromItsAreas) {
   Rng rng(0xba9d);
   const std::vector<AreaInfo> areas = PackedAreas(rng, 60);
-  KnowledgeBase parent = KbOf(areas, GetParam());
+  KnowledgeBase parent = KbOf(areas);
   VesselInfo trawler;
   trawler.mmsi = 7;
   trawler.type = VesselType::kFishing;
@@ -256,7 +254,7 @@ TEST_P(KnowledgeBandTest, BandAnswersEqualAKbBuiltFromItsAreas) {
   for (const AreaInfo& a : areas) all_ids.push_back(a.id);
 
   const KnowledgeBase band = parent.Restricted(band_ids);
-  const KnowledgeBase fresh = KbOf(in_band, GetParam());
+  const KnowledgeBase fresh = KbOf(in_band);
   ASSERT_EQ(band.areas().size(), in_band.size());
   for (size_t i = 0; i < in_band.size(); ++i) {
     EXPECT_EQ(band.areas()[i].id, band_ids[i]);
@@ -271,10 +269,10 @@ TEST_P(KnowledgeBandTest, BandAnswersEqualAKbBuiltFromItsAreas) {
                     ProbePoints(rng, areas, 200));
 }
 
-TEST_P(KnowledgeBandTest, AddAreaAfterRestrictedLeavesOtherKbsUnchanged) {
+TEST(KnowledgeBandTest, AddAreaAfterRestrictedLeavesOtherKbsUnchanged) {
   Rng rng(0x5eed);
   const std::vector<AreaInfo> areas = PackedAreas(rng, 30);
-  KnowledgeBase parent = KbOf(areas, GetParam());
+  KnowledgeBase parent = KbOf(areas);
   std::vector<AreaInfo> in_band;
   std::vector<int32_t> band_ids;
   for (size_t i = 0; i < areas.size(); i += 2) {
@@ -297,11 +295,11 @@ TEST_P(KnowledgeBandTest, AddAreaAfterRestrictedLeavesOtherKbsUnchanged) {
       geo::GeoPoint{kBandRegionLon0 + 0.3, kBandRegionLat0 + 0.3}, 40000.0, 6);
   parent.AddArea(blanket);
   all_ids.push_back(blanket.id);
-  ExpectSameAnswers(band, KbOf(in_band, GetParam()), all_ids, pts);
-  ExpectSameAnswers(whole, KbOf(areas, GetParam()), all_ids, pts);
+  ExpectSameAnswers(band, KbOf(in_band), all_ids, pts);
+  ExpectSameAnswers(whole, KbOf(areas), all_ids, pts);
   std::vector<AreaInfo> grown = areas;
   grown.push_back(blanket);
-  ExpectSameAnswers(parent, KbOf(grown, GetParam()), all_ids, pts);
+  ExpectSameAnswers(parent, KbOf(grown), all_ids, pts);
 
   // A band that grows answers for its own areas only, even when the new
   // area reuses the id of an area in the other band.
@@ -310,16 +308,9 @@ TEST_P(KnowledgeBandTest, AddAreaAfterRestrictedLeavesOtherKbsUnchanged) {
   reused.kind = AreaKind::kShallow;
   band.AddArea(reused);
   in_band.push_back(reused);
-  ExpectSameAnswers(band, KbOf(in_band, GetParam()), all_ids, pts);
-  ExpectSameAnswers(parent, KbOf(grown, GetParam()), all_ids, pts);
+  ExpectSameAnswers(band, KbOf(in_band), all_ids, pts);
+  ExpectSameAnswers(parent, KbOf(grown), all_ids, pts);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Engines, KnowledgeBandTest,
-    ::testing::Values(SpatialEngine::kTiered, SpatialEngine::kBrute),
-    [](const ::testing::TestParamInfo<SpatialEngine>& info) {
-      return std::string(SpatialEngineName(info.param));
-    });
 
 using Ids = std::vector<int32_t>;
 

@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "maritime/live_index.h"
 #include "maritime/me_stream.h"
 #include "maritime/pipeline.h"
 #include "mod/hermes.h"
@@ -31,7 +30,6 @@
 namespace maritime {
 namespace {
 
-using surveillance::LiveVesselIndex;
 using surveillance::PipelineConfig;
 using surveillance::SpatialFactTable;
 using surveillance::SurveillancePipeline;
@@ -889,7 +887,7 @@ TEST(TrackerSnapshotTest, HandBuiltV1SectionRestoresIntoV2State) {
   }
 }
 
-// --- spatial facts, live index ---------------------------------------------
+// --- spatial facts ---------------------------------------------------------
 
 TEST(SpatialFactTableSnapshotTest, RoundTrip) {
   SpatialFactTable a;
@@ -986,50 +984,6 @@ TEST(SpatialFactTableSnapshotTest, UnorderedOrEmptyVesselsAreCorruption) {
     EXPECT_EQ(t.fact_count(), 0u);
     EXPECT_TRUE(t.AreasCloseAt(9, 200).empty());
   }
-}
-
-TEST(LiveIndexSnapshotTest, RoundTripPreservesQueries) {
-  LiveVesselIndex a(0.1);
-  for (stream::Mmsi m = 1; m <= 20; ++m) {
-    tracker::CriticalPoint cp;
-    cp.mmsi = m;
-    cp.pos = {24.0 + 0.01 * static_cast<double>(m), 37.0};
-    cp.tau = 100 + m;
-    cp.speed_knots = 10.0;
-    cp.heading_deg = 90.0;
-    a.Update(cp);
-  }
-  snapshot::Writer w;
-  a.SaveTo(w);
-
-  LiveVesselIndex b(0.1);
-  snapshot::Reader r(w.bytes());
-  const Status s = b.RestoreFrom(r);
-  ASSERT_TRUE(s.ok()) << s;
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(b.size(), a.size());
-  const geo::GeoPoint center{24.1, 37.0};
-  const auto na = a.Nearest(center, 5);
-  const auto nb = b.Nearest(center, 5);
-  ASSERT_EQ(na.size(), nb.size());
-  for (size_t i = 0; i < na.size(); ++i) {
-    EXPECT_EQ(na[i]->mmsi, nb[i]->mmsi);
-  }
-  const auto wa = a.Within(center, 50000.0);
-  const auto wb = b.Within(center, 50000.0);
-  ASSERT_EQ(wa.size(), wb.size());
-  for (size_t i = 0; i < wa.size(); ++i) {
-    EXPECT_EQ(wa[i]->mmsi, wb[i]->mmsi);
-  }
-}
-
-TEST(LiveIndexSnapshotTest, CellResolutionMismatchIsInvalidArgument) {
-  LiveVesselIndex a(0.1);
-  snapshot::Writer w;
-  a.SaveTo(w);
-  LiveVesselIndex b(0.2);
-  snapshot::Reader r(w.bytes());
-  EXPECT_EQ(b.RestoreFrom(r).code(), StatusCode::kInvalidArgument);
 }
 
 // --- MOD layer --------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,8 +18,6 @@ using maritime::Rng;
 using surveillance::AreaInfo;
 using surveillance::AreaKind;
 using surveillance::KnowledgeBase;
-using surveillance::SpatialEngine;
-using surveillance::SpatialOptions;
 
 // ---------------------------------------------------------------------------
 // Brute-force oracles (definitionally what the index must reproduce).
@@ -277,19 +276,52 @@ TEST(SpatialIndexTest, DegenerateShapesMatchBruteSemantics) {
 }
 
 // ---------------------------------------------------------------------------
-// KnowledgeBase engine equivalence: brute and tiered answer every spatial
-// predicate identically, in the same deterministic order.
+// KnowledgeBase against a brute oracle: a scan over every area of the KB
+// answers each spatial predicate, in the same deterministic order.
 // ---------------------------------------------------------------------------
 
-KnowledgeBase MakeKb(SpatialEngine engine, double threshold_m,
-                     const std::vector<AreaInfo>& areas,
-                     double tiered_cell_deg = 0.02) {
-  SpatialOptions opts;
-  opts.engine = engine;
-  opts.tiered_cell_deg = tiered_cell_deg;
-  KnowledgeBase kb(threshold_m, opts);
+KnowledgeBase MakeKb(double threshold_m, const std::vector<AreaInfo>& areas) {
+  KnowledgeBase kb(threshold_m);
   for (const AreaInfo& a : areas) kb.AddArea(a);
   return kb;
+}
+
+bool OracleClose(const AreaInfo& area, const GeoPoint& p,
+                 const KnowledgeBase& kb) {
+  return area.polygon.DistanceMeters(p) < kb.close_threshold_m();
+}
+
+std::vector<int32_t> OracleAreasCloseTo(const KnowledgeBase& kb,
+                                        const GeoPoint& p) {
+  std::vector<int32_t> out;
+  for (const AreaInfo& area : kb.areas()) {
+    if (OracleClose(area, p, kb)) out.push_back(area.id);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<int32_t> OracleAreasCloseTo(const KnowledgeBase& kb,
+                                        const GeoPoint& p, AreaKind kind) {
+  std::vector<int32_t> out;
+  for (const AreaInfo& area : kb.areas()) {
+    if (area.kind == kind && OracleClose(area, p, kb)) out.push_back(area.id);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// The lowest-id port whose polygon contains `p`.
+const AreaInfo* OraclePortContaining(const KnowledgeBase& kb,
+                                     const GeoPoint& p) {
+  const AreaInfo* best = nullptr;
+  for (const AreaInfo& area : kb.areas()) {
+    if (area.kind == AreaKind::kPort && area.polygon.Contains(p) &&
+        (best == nullptr || area.id < best->id)) {
+      best = &area;
+    }
+  }
+  return best;
 }
 
 std::vector<AreaInfo> RandomAreas(Rng& rng, const BoundingBox& region,
@@ -314,33 +346,52 @@ TEST(KnowledgeBaseEngineTest, EnginesAgreeAndOutputsAreSorted) {
   const BoundingBox region{22.5, 35.0, 27.5, 41.0};
   Rng rng(0x6b1);
   const std::vector<AreaInfo> areas = RandomAreas(rng, region, 60);
-  const KnowledgeBase brute = MakeKb(SpatialEngine::kBrute, threshold_m, areas);
-  const KnowledgeBase tiered =
-      MakeKb(SpatialEngine::kTiered, threshold_m, areas);
+  const KnowledgeBase kb = MakeKb(threshold_m, areas);
 
   std::vector<NamedPoly> polys;
   for (const AreaInfo& a : areas) polys.push_back({a.id, a.polygon});
   for (int i = 0; i < 500; ++i) {
     const GeoPoint p = RandomQuery(rng, polys, region, threshold_m);
-    const std::vector<int32_t> want = brute.AreasCloseTo(p);
-    EXPECT_TRUE(std::is_sorted(want.begin(), want.end()));
-    ASSERT_EQ(tiered.AreasCloseTo(p), want);
+    const std::vector<int32_t> got = kb.AreasCloseTo(p);
+    EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
+    ASSERT_EQ(got, OracleAreasCloseTo(kb, p));
     for (const AreaKind kind :
          {AreaKind::kPort, AreaKind::kProtected, AreaKind::kShallow}) {
-      const std::vector<int32_t> want_kind = brute.AreasCloseTo(p, kind);
-      ASSERT_EQ(tiered.AreasCloseTo(p, kind), want_kind);
-      ASSERT_EQ(tiered.AnyAreaCloseTo(p, kind), !want_kind.empty());
+      const std::vector<int32_t> want_kind = OracleAreasCloseTo(kb, p, kind);
+      ASSERT_EQ(kb.AreasCloseTo(p, kind), want_kind);
+      ASSERT_EQ(kb.AnyAreaCloseTo(p, kind), !want_kind.empty());
     }
-    const AreaInfo* want_port = brute.PortContaining(p);
-    const AreaInfo* tiered_port = tiered.PortContaining(p);
-    ASSERT_EQ(tiered_port == nullptr, want_port == nullptr);
+    const AreaInfo* want_port = OraclePortContaining(kb, p);
+    const AreaInfo* port = kb.PortContaining(p);
+    ASSERT_EQ(port == nullptr, want_port == nullptr);
     if (want_port != nullptr) {
-      ASSERT_EQ(tiered_port->id, want_port->id);
+      ASSERT_EQ(port->id, want_port->id);
     }
     for (const AreaInfo& a : areas) {
-      ASSERT_EQ(tiered.Close(p, a.id), brute.Close(p, a.id));
-      ASSERT_EQ(tiered.InsideArea(p, a.id), brute.InsideArea(p, a.id));
+      ASSERT_EQ(kb.Close(p, a.id), OracleClose(a, p, kb));
+      ASSERT_EQ(kb.InsideArea(p, a.id), a.polygon.Contains(p));
     }
+    if (i % 10 != 0) continue;
+    // `close` is strict: with the threshold set to exactly this point's
+    // distance to its nearest area (outside it), the area is not close; one
+    // ulp wider, it is.
+    const AreaInfo* nearest = nullptr;
+    double d_min = std::numeric_limits<double>::infinity();
+    for (const AreaInfo& a : areas) {
+      const double d = a.polygon.DistanceMeters(p);
+      if (d > 0.0 && d < d_min) {
+        d_min = d;
+        nearest = &a;
+      }
+    }
+    if (nearest == nullptr) continue;
+    const KnowledgeBase at = MakeKb(d_min, {*nearest});
+    ASSERT_EQ(at.Close(p, nearest->id), OracleClose(*nearest, p, at));
+    ASSERT_EQ(at.AreasCloseTo(p), OracleAreasCloseTo(at, p));
+    const KnowledgeBase past =
+        MakeKb(std::nextafter(d_min, d_min * 2.0), {*nearest});
+    ASSERT_EQ(past.Close(p, nearest->id), OracleClose(*nearest, p, past));
+    ASSERT_EQ(past.AreasCloseTo(p), OracleAreasCloseTo(past, p));
   }
 }
 
@@ -350,50 +401,27 @@ TEST(KnowledgeBaseEngineTest, TieredMatchesBruteAtHighLatitude) {
   // an index whose margin ignored latitude would prune genuinely-close areas
   // west/east of the polygon.
   const double threshold_m = 1000.0;
-  AreaInfo area;
-  area.id = 42;
-  area.kind = AreaKind::kProtected;
-  area.polygon = Polygon::RegularPolygon(GeoPoint{12.0, 84.5}, 500.0, 8);
-  const std::vector<AreaInfo> areas = {area};
+  const std::vector<NamedPoly> polys = {
+      {42, Polygon::RegularPolygon(GeoPoint{12.0, 84.5}, 500.0, 8)}};
 
   // Fine cells (0.01 deg) so the margin itself, not cell quantization,
   // decides which cells know about the area.
-  const KnowledgeBase tiered = MakeKb(SpatialEngine::kTiered, threshold_m,
-                                      areas, /*tiered_cell_deg=*/0.01);
-  const KnowledgeBase brute = MakeKb(SpatialEngine::kBrute, threshold_m, areas);
+  SpatialIndex index(threshold_m, SpatialIndex::Options{.cell_deg = 0.01});
+  index.Insert(polys[0].id, polys[0].poly);
 
   // Walk points due west of the polygon edge out to beyond the threshold.
+  std::vector<int32_t> got;
   for (double d = 100.0; d <= 1600.0; d += 100.0) {
     const GeoPoint p =
         DestinationPoint(GeoPoint{12.0, 84.5}, 270.0, 500.0 + d);
-    ASSERT_EQ(tiered.AreasCloseTo(p), brute.AreasCloseTo(p)) << "at d=" << d;
+    index.AreasCloseTo(p, &got);
+    ASSERT_EQ(got, BruteCloseSet(polys, p, threshold_m)) << "at d=" << d;
   }
   // Sanity: the near-threshold point is genuinely close.
   const GeoPoint near =
       DestinationPoint(GeoPoint{12.0, 84.5}, 270.0, 500.0 + 900.0);
-  EXPECT_EQ(tiered.AreasCloseTo(near), (std::vector<int32_t>{42}));
-}
-
-TEST(KnowledgeBaseEngineTest, RestrictedPropagatesEngineChoice) {
-  const BoundingBox region{22.5, 35.0, 27.5, 41.0};
-  Rng rng(0x9e57);
-  const std::vector<AreaInfo> areas = RandomAreas(rng, region, 20);
-  for (const SpatialEngine engine :
-       {SpatialEngine::kBrute, SpatialEngine::kTiered}) {
-    const KnowledgeBase kb = MakeKb(engine, 1000.0, areas);
-    const KnowledgeBase sub = kb.Restricted({1, 2, 3, 4, 5});
-    EXPECT_EQ(sub.spatial_options().engine, engine);
-    EXPECT_EQ(sub.areas().size(), 5u);
-    for (int i = 0; i < 50; ++i) {
-      const GeoPoint p{rng.NextDouble(region.min_lon, region.max_lon),
-                       rng.NextDouble(region.min_lat, region.max_lat)};
-      std::vector<int32_t> want;
-      for (int32_t id = 1; id <= 5; ++id) {
-        if (kb.Close(p, id)) want.push_back(id);
-      }
-      ASSERT_EQ(sub.AreasCloseTo(p), want);
-    }
-  }
+  index.AreasCloseTo(near, &got);
+  EXPECT_EQ(got, (std::vector<int32_t>{42}));
 }
 
 }  // namespace
