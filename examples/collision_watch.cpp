@@ -201,7 +201,7 @@ int main() {
     // dark vessels are excluded from extrapolation.
     for (const auto& fix : batch) Record(live, FixState(live, fix));
     const auto report = pipeline.RunSlide(q, batch);
-    for (const auto& cp : pipeline.TakeCriticalPoints()) {
+    for (const auto& cp : report.critical_points) {
       if (cp.Has(tracker::kGapStart)) {
         Record(live, LiveVessel{cp.mmsi, cp.pos, cp.tau, cp.speed_knots,
                                 cp.heading_deg, /*in_gap=*/true});

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <vector>
 
 #include "maritime/pipeline.h"
 #include "sim/generator.h"
@@ -33,7 +34,11 @@ int main() {
   config.window = stream::WindowSpec{kHour, 15 * kMinute};
   surveillance::SurveillancePipeline pipeline(&world.knowledge, config);
   stream::StreamReplayer replayer(tuples);
-  pipeline.Run(replayer);
+  std::vector<tracker::CriticalPoint> criticals;
+  pipeline.Run(replayer, [&](const surveillance::SlideReport& report) {
+    criticals.insert(criticals.end(), report.critical_points.begin(),
+                     report.critical_points.end());
+  });
 
   // --- compression & accuracy ------------------------------------------------
   const auto cstats = pipeline.compression_stats();
@@ -42,8 +47,7 @@ int main() {
               static_cast<unsigned long long>(cstats.raw_positions),
               static_cast<unsigned long long>(cstats.critical_points));
   const tracker::ApproximationError err = tracker::EvaluateApproximation(
-      sim::WithoutOutliers(tuples, fleet.ground_truth()),
-      pipeline.critical_points());
+      sim::WithoutOutliers(tuples, fleet.ground_truth()), criticals);
   std::printf("approximation RMSE: avg %.1f m, max %.1f m over %zu vessels\n",
               err.avg_rmse_m, err.max_rmse_m, err.vessel_count);
 

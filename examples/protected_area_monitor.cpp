@@ -10,6 +10,7 @@
 // points and the park polygon as GeoJSON for map display.
 
 #include <cstdio>
+#include <vector>
 
 #include "export/geojson.h"
 #include "maritime/alerts.h"
@@ -72,7 +73,10 @@ int main() {
   // sees each situation once, not once per window slide.
   surveillance::AlertManager alert_manager(&recognizer.engine());
   int alerts = 0;
+  std::vector<tracker::CriticalPoint> criticals;
   pipeline.Run(replayer, [&](const surveillance::SlideReport& report) {
+    criticals.insert(criticals.end(), report.critical_points.begin(),
+                     report.critical_points.end());
     for (const auto& r : report.recognition) {
       for (const auto& alert : alert_manager.Process(r)) {
         ++alerts;
@@ -86,11 +90,11 @@ int main() {
 
   // Export the evidence for map display.
   std::vector<geo::GeoPoint> path;
-  for (const auto& cp : pipeline.critical_points()) path.push_back(cp.pos);
+  for (const auto& cp : criticals) path.push_back(cp.pos);
   exporter::GeoJsonWriter geojson;
   geojson.AddPolygon(park->name, "protected", park->polygon.vertices());
   geojson.AddTrajectory(tanker.name, path);
-  geojson.AddCriticalPoints(pipeline.critical_points());
+  geojson.AddCriticalPoints(criticals);
   if (geojson.WriteFile("protected_area_monitor.geojson").ok()) {
     std::printf("wrote protected_area_monitor.geojson (%zu features)\n",
                 geojson.feature_count());

@@ -68,7 +68,7 @@ int main() {
     if (ces > 0) {
       std::printf("  Q=%s  raw=%zu  critical=%zu  CEs=%zu\n",
                   FormatTimestamp(report.query_time).c_str(),
-                  report.raw_positions, report.critical_points, ces);
+                  report.raw_positions, report.critical_points.size(), ces);
       for (const auto& r : report.recognition) {
         auto& rec = pipeline.recognizer().partition(0);
         for (const auto& e : r.events) {

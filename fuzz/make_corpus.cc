@@ -49,8 +49,9 @@ int main(int argc, char** argv) {
   const auto csv_dir = root / "csv";
   const auto spatial_dir = root / "spatial";
   const auto snapshot_dir = root / "snapshot";
-  for (const auto& dir :
-       {scanner_dir, sixbit_dir, csv_dir, spatial_dir, snapshot_dir}) {
+  const auto lattice_dir = root / "lattice";
+  for (const auto& dir : {scanner_dir, sixbit_dir, csv_dir, spatial_dir,
+                          snapshot_dir, lattice_dir}) {
     std::filesystem::create_directories(dir);
   }
 
@@ -80,6 +81,21 @@ int main(int argc, char** argv) {
          at += kChunk) {
       WriteSeed(scanner_dir, scanner_seeds++, feed->substr(at, kChunk));
     }
+  }
+
+  // Lattice seed: an eight-byte draw seed, then untagged sentences of the
+  // noisy feed for fuzz_lattice to splice back in.
+  {
+    std::string seed("\x01\0\0\0\0\0\0\0", 8);
+    for (size_t pos = 0, lines = 0; pos < noisy_feed.size() && lines < 16;
+         ++lines) {
+      const size_t tab = noisy_feed.find('\t', pos);
+      const size_t end = noisy_feed.find('\n', pos);
+      if (tab == std::string::npos || end == std::string::npos) break;
+      seed.append(noisy_feed, tab + 1, end - tab);
+      pos = end + 1;
+    }
+    WriteSeed(lattice_dir, 0, seed);
   }
 
   // Sixbit seeds: armored payloads of real encoded messages, prefixed with
@@ -244,7 +260,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("corpus: %d scanner, %d sixbit, %d csv, %d spatial, "
-              "%d snapshot seeds under %s\n",
+              "%d snapshot, 1 lattice seeds under %s\n",
               scanner_seeds, sixbit_seeds, csv_seeds, spatial_seeds,
               snapshot_seeds, root.c_str());
   return 0;

@@ -331,9 +331,12 @@ void RegisterMaritimeCes(rtec::Engine& engine, const MaritimeSchema& schema,
   // close to at some time in force >= `from`. In the spatial-facts setting
   // that is the union over its fact groups from the boundary group onward;
   // in the on-demand setting, every area close to a coord fix in force over
-  // the same span. Both are conservative supersets (they include the
-  // pre-change closeness, so a vessel *ceasing* to be close still dirties
-  // the area it left — see DESIGN.md §14). A vessel with no position at all
+  // the same span. Both walks start from the position in force just before
+  // `from`: a delayed fix or fact group inserted at exactly `from` shadows
+  // the one that was in force there, and that older position is the
+  // pre-change closeness. Both are conservative supersets (so a vessel
+  // *ceasing* to be close still dirties the area it left — see DESIGN.md
+  // §14). A vessel with no position at all
   // projects to no areas: every `close` read involving it is false/empty
   // before and after, so no output key can change.
   // Scratch vectors are captured by value and reused across calls (the
@@ -346,7 +349,7 @@ void RegisterMaritimeCes(rtec::Engine& engine, const MaritimeSchema& schema,
           std::vector<rtec::Term>* out) mutable {
         if (in_key.kind != kVesselTermKind) return false;
         if (env.options.use_spatial_facts) {
-          env.facts->AreasCoveringFrom(MmsiOf(in_key), from, &areas);
+          env.facts->AreasCoveringFrom(MmsiOf(in_key), from - 1, &areas);
         } else {
           areas.clear();
           // One-pointer capture keeps the callback in std::function's
@@ -358,7 +361,7 @@ void RegisterMaritimeCes(rtec::Engine& engine, const MaritimeSchema& schema,
           };
           Sweep sweep{env.kb, &areas, &close};
           ctx.ForEachCoordCovering(
-              in_key, from, [&sweep](Timestamp, const geo::GeoPoint& pos) {
+              in_key, from - 1, [&sweep](Timestamp, const geo::GeoPoint& pos) {
                 sweep.kb->AreasCloseTo(pos, sweep.close);
                 sweep.areas->insert(sweep.areas->end(), sweep.close->begin(),
                                     sweep.close->end());

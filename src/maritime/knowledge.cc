@@ -1,12 +1,14 @@
 #include "maritime/knowledge.h"
 
+#include <utility>
+
 namespace maritime::surveillance {
 
 namespace {
 
 /// Per-thread one-entry locality cache shared by all KnowledgeBase spatial
-/// queries on that thread. The rule closures of the recognizer run
-/// concurrently across keys, so the cache must not live in the (shared)
+/// queries on that thread. Recognition partitions run concurrently over
+/// bands that share one index, so the cache must not live in the (shared)
 /// KnowledgeBase itself; a generation stamp keeps it safe to reuse across
 /// different SpatialIndex instances on the same thread.
 geo::SpatialIndex::Cache& TlsSpatialCache() {
@@ -66,8 +68,11 @@ std::string_view VesselTypeName(VesselType type) {
 }
 
 KnowledgeBase::KnowledgeBase(double close_threshold_m)
-    : close_threshold_m_(close_threshold_m),
-      spatial_(NewIndex(close_threshold_m)) {}
+    : KnowledgeBase(close_threshold_m, NewIndex(close_threshold_m)) {}
+
+KnowledgeBase::KnowledgeBase(double close_threshold_m,
+                             std::shared_ptr<geo::SpatialIndex> spatial)
+    : close_threshold_m_(close_threshold_m), spatial_(std::move(spatial)) {}
 
 void KnowledgeBase::AddArea(AreaInfo area) {
   if (IndexHoldsOtherAreas()) {
@@ -197,8 +202,7 @@ const AreaInfo* KnowledgeBase::PortContaining(const geo::GeoPoint& p) const {
 
 KnowledgeBase KnowledgeBase::Restricted(
     const std::vector<int32_t>& area_ids) const {
-  KnowledgeBase out(close_threshold_m_);
-  out.spatial_ = spatial_;
+  KnowledgeBase out(close_threshold_m_, spatial_);
   for (const int32_t id : area_ids) {
     const AreaInfo* area = FindArea(id);
     if (area == nullptr) continue;

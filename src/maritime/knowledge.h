@@ -137,6 +137,10 @@ class KnowledgeBase {
   static constexpr double kUnderKeelClearanceM = 1.0;
 
  private:
+  /// A KB answering through `spatial` (a band cut by Restricted).
+  KnowledgeBase(double close_threshold_m,
+                std::shared_ptr<geo::SpatialIndex> spatial);
+
   double close_threshold_m_;
   std::vector<AreaInfo> areas_;
   std::unordered_map<int32_t, size_t> area_index_;

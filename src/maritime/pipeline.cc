@@ -27,7 +27,6 @@ SurveillancePipeline::SurveillancePipeline(const KnowledgeBase* kb,
   rc.window = config_.window;
   rc.ce = config_.ce;
   rc.engine = config_.recognition_engine;
-  rc.parallel_keys = config_.parallel_recognition_keys;
   recognizer_ = std::make_unique<PartitionedRecognizer>(
       *kb_, rc, config_.partitions, pool_);
   if (config_.archive) {
@@ -46,16 +45,13 @@ SlideReport SurveillancePipeline::RunSlide(
   // inboxes, then each shard tracks, gap-detects, and compresses its
   // vessels concurrently on the pool and the outputs merge in stream order.
   const double t0 = NowSeconds();
-  const std::vector<tracker::CriticalPoint> criticals =
-      tracker_.ProcessSlide(batch, q, &report.shard_stats);
+  report.critical_points = tracker_.ProcessSlide(batch, q, &report.shard_stats);
   report.tracking_seconds = NowSeconds() - t0;
-  report.critical_points = criticals.size();
+  const std::vector<tracker::CriticalPoint>& criticals = report.critical_points;
 
   recognizer_->Feed(std::span<const tracker::CriticalPoint>(criticals));
   window_criticals_.insert(window_criticals_.end(), criticals.begin(),
                            criticals.end());
-  all_criticals_.insert(all_criticals_.end(), criticals.begin(),
-                        criticals.end());
 
   const double t1 = NowSeconds();
   report.recognition = recognizer_->Recognize(q);
@@ -106,14 +102,10 @@ SlideReport SurveillancePipeline::Finish() {
   report.final_flush = true;
 
   const double t0 = NowSeconds();
-  std::vector<tracker::CriticalPoint> tail;
+  std::vector<tracker::CriticalPoint>& tail = report.critical_points;
   tracker_.Finish(&tail);
   report.tracking_seconds = NowSeconds() - t0;
-  report.critical_points = tail.size();
-  for (const auto& cp : tail) {
-    all_criticals_.push_back(cp);
-    window_criticals_.push_back(cp);
-  }
+  window_criticals_.insert(window_criticals_.end(), tail.begin(), tail.end());
 
   if (!tail.empty()) {
     // The tail events (episode closings, last anchors) arrived after the
@@ -141,12 +133,6 @@ SlideReport SurveillancePipeline::Finish() {
     if (!rest.empty()) archiver_->ArchiveBatch(rest);
   }
   return report;
-}
-
-std::vector<tracker::CriticalPoint> SurveillancePipeline::TakeCriticalPoints() {
-  std::vector<tracker::CriticalPoint> out = std::move(all_criticals_);
-  all_criticals_.clear();
-  return out;
 }
 
 }  // namespace maritime::surveillance

@@ -42,9 +42,6 @@ struct PipelineConfig {
   /// fraction); passed through to RecognizerConfig::engine. Every mode
   /// yields bit-identical CEs.
   EngineMode recognition_engine = EngineMode::kNaive;
-  /// Fan the keys of one definition layer out over the shared thread pool
-  /// (any engine mode).
-  bool parallel_recognition_keys = false;
   /// Thread pool for tracker shards and partition recognition. nullptr
   /// (default) uses the process-wide shared pool; benches inject local pools
   /// to sweep worker counts in one process. Must outlive the pipeline.
@@ -54,8 +51,10 @@ struct PipelineConfig {
 /// What happened during one window slide.
 struct SlideReport {
   Timestamp query_time = 0;
-  size_t raw_positions = 0;    ///< Fresh positions consumed this slide.
-  size_t critical_points = 0;  ///< Critical points emitted this slide.
+  size_t raw_positions = 0;  ///< Fresh positions consumed this slide.
+  /// Critical points emitted this slide, in stream order: the recognizer's
+  /// input and, lagged by ω, the archive's.
+  std::vector<tracker::CriticalPoint> critical_points;
   /// Recognition output, one entry per partition.
   std::vector<rtec::RecognitionResult> recognition;
   double tracking_seconds = 0.0;
@@ -133,14 +132,6 @@ class SurveillancePipeline {
   const mod::HermesArchiver* archiver() const { return archiver_.get(); }
   const PipelineConfig& config() const { return config_; }
 
-  /// Every critical point emitted so far (kept for RMSE / export use; cleared
-  /// with TakeCriticalPoints). Diagnostic only: not part of a snapshot, so a
-  /// restored pipeline starts this log empty.
-  const std::vector<tracker::CriticalPoint>& critical_points() const {
-    return all_criticals_;
-  }
-  std::vector<tracker::CriticalPoint> TakeCriticalPoints();
-
   // --- checkpointing -------------------------------------------------------
   /// Serializes the full pipeline state at a slide boundary (call only
   /// between RunSlide calls, never mid-slide): manifest, tracker shards, the
@@ -187,7 +178,6 @@ class SurveillancePipeline {
   Timestamp last_query_ = kInvalidTimestamp;
   /// Critical points not yet evicted from the window (awaiting archival).
   std::deque<tracker::CriticalPoint> window_criticals_;
-  std::vector<tracker::CriticalPoint> all_criticals_;
   /// Payload bytes the last SaveTo wrote; the next one presizes its Writer
   /// from it so the buffer is not regrown (and recopied) about 13 times on
   /// the way to a ~2 MB snapshot. Derived state: never serialized, so a

@@ -198,7 +198,6 @@ Status SurveillancePipeline::RestoreFrom(snapshot::Reader& r) {
   if (!r.EndSection(end)) return snapshot::CorruptionIn("archiver section");
 
   last_query_ = m.last_query;
-  all_criticals_.clear();  // diagnostic log, not part of the snapshot
   return Status::OK();
 }
 

@@ -24,7 +24,6 @@ CERecognizer::CERecognizer(const KnowledgeBase* kb, RecognizerConfig config)
       break;
   }
   opts.adaptive_full_regen = config_.engine == EngineMode::kAuto;
-  opts.pool = config_.parallel_keys ? &common::ThreadPool::Shared() : nullptr;
   engine_ = std::make_unique<rtec::Engine>(config_.window, kb_, opts);
   schema_ = MaritimeSchema::Declare(*engine_);
   RegisterMaritimeCes(*engine_, schema_, kb_,
@@ -50,11 +49,12 @@ void CERecognizer::Feed(std::span<const tracker::CriticalPoint> cps) {
 }
 
 rtec::RecognitionResult CERecognizer::Recognize(Timestamp q) {
-  if (config_.ce.use_spatial_facts) {
-    facts_.PurgeBefore(q - config_.window.range);
-  }
   rtec::RecognitionResult result = engine_->Recognize(q);
   if (config_.ce.use_spatial_facts) {
+    // After evaluation, like the engine's coord purge: a delayed fact group
+    // that shadows a vessel's boundary group leaves the shadowed areas
+    // visible to the vessel→area projector of this step.
+    facts_.PurgeBefore(q - config_.window.range);
     result.input_events_in_window += facts_.fact_count();
   }
   return result;

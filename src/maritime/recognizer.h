@@ -42,10 +42,6 @@ struct RecognizerConfig {
   /// choice is resolved deterministically at construction (it depends only
   /// on this config), so snapshot save/restore pairs agree on the mode.
   EngineMode engine = EngineMode::kNaive;
-  /// Evaluate the keys of one definition layer in parallel on the shared
-  /// thread pool, in any engine mode (merge order is deterministic; layers
-  /// below EngineOptions::min_parallel_keys stay serial).
-  bool parallel_keys = false;
 };
 
 /// The Complex Event Recognition module of Figure 1: wraps an RTEC engine

@@ -81,7 +81,7 @@ bool HasPointAtTime(std::span<const ValuedPoint> pts, Timestamp t) {
 
 /// Serial triage record of one simple-fluent key: its cache entry, its
 /// regeneration region, and whether it takes the clean fast-forward (then it
-/// never joins the evaluation fan-out). Region telemetry rides along to the
+/// never enters the evaluation phase). Region telemetry rides along to the
 /// commit loop.
 struct KeyTriage {
   CachedEvidence* entry = nullptr;
@@ -94,10 +94,10 @@ struct KeyTriage {
   bool fleet_floor = false;
 };
 
-/// Per-key result of one (possibly parallel) simple-fluent evaluation; kept
-/// aside so the commit — cache writes, result rows, dirty marks — happens in
-/// deterministic key order after the layer barrier. All containers bump the
-/// evaluating slot's arena; the commit copies survivors out to the heap.
+/// Per-key result of one simple-fluent evaluation; kept aside so the commit
+/// — cache writes, result rows, dirty marks — happens in key order after the
+/// whole layer is evaluated. All containers bump the slide arena; the commit
+/// copies survivors out to the heap.
 struct MARITIME_ARENA_SCOPED SimpleOutcome {
   FluentEvidence evidence;
   FluentTimeline timeline;
@@ -155,14 +155,6 @@ Engine::Engine(stream::WindowSpec window, const void* user_data,
                EngineOptions options)
     : window_(window), user_data_(user_data), options_(options) {
   assert(window_.Validate().ok());
-  // One slide arena per evaluation slot: the Recognize caller plus one per
-  // pool lane (ThreadPool's slot-indexed ParallelFor guarantees a slot is
-  // never bumped concurrently).
-  const size_t slots =
-      1 + (options_.pool != nullptr
-               ? static_cast<size_t>(options_.pool->worker_count())
-               : 0);
-  arenas_.resize(slots);
 }
 
 EventId Engine::DeclareEvent(std::string name) {
@@ -270,6 +262,9 @@ void Engine::PurgeBefore(Timestamp inclusive_cutoff) {
     }
     store.by_subject.erase(out, store.by_subject.end());
   }
+}
+
+void Engine::PurgeCoordsBefore(Timestamp inclusive_cutoff) {
   // Last-known-position inertia: retain the latest fix at or before the
   // cutoff as the vessel's boundary position (the coordinate analogue of the
   // fluent boundary values). For every in-window time t >= cutoff, CoordOf(t)
@@ -279,7 +274,7 @@ void Engine::PurgeBefore(Timestamp inclusive_cutoff) {
   // critical point for longer than the window keeps a position (which is how
   // the maritime surveillance rules expect `close` to behave). Memory cost:
   // one retained fix per vessel ever seen. Requires sorted histories
-  // (Recognize sorts pending input before purging). Only vessels with a fix
+  // (Recognize sorts pending input before evaluating). Only vessels with a fix
   // at or before the cutoff that was not yet past an earlier cutoff can hold
   // more than one fix there; the schedule yields exactly those.
   while (!coord_purge_.empty() &&
@@ -503,18 +498,6 @@ void Engine::RelinkSimpleCache(size_t fidx, SimpleDefCache* cache) {
   }
 }
 
-void Engine::ForEachKey(
-    size_t n, const std::function<void(size_t, common::Arena*)>& body) const {
-  common::ThreadPool* pool = options_.pool;
-  if (pool != nullptr && pool->worker_count() > 0 &&
-      n >= options_.min_parallel_keys) {
-    pool->ParallelFor(
-        n, [&](size_t i, size_t slot) { body(i, &arenas_[slot]); });
-  } else {
-    for (size_t i = 0; i < n; ++i) body(i, &arenas_[0]);
-  }
-}
-
 std::vector<Term> Engine::EvalKeys(
     const std::function<std::vector<Term>(const EvalContext&)>& domain,
     const EvalContext& ctx, const FluentId fluent, bool have_boundary) const {
@@ -556,8 +539,8 @@ std::vector<Term> Engine::EvalKeys(
 /// Builds the dependency-scoped dirty view of one cross-key definition
 /// (DESIGN.md §14): every dirty *input* key across the declared channels is
 /// projected to the output keys it can reach, each marked at that input's
-/// earliest dirty time. Runs serially on the Recognize caller before the key
-/// fan-out; the scratch it commits into is read-only during evaluation.
+/// earliest dirty time. Runs before the evaluation phase; the scratch it
+/// commits into is read-only during evaluation.
 /// Iteration is over flat key-sorted mark vectors, so the committed marks
 /// are deterministic regardless of projector hash orders.
 MARITIME_COMMIT_BOUNDARY const Engine::ScopedDirty* Engine::ComputeScopedDirty(
@@ -668,7 +651,7 @@ void Engine::EvaluateSimple(const SimpleFluentSpec& spec, SimpleDefCache& cache,
       EvalKeys(spec.domain, ctx, spec.fluent, have_boundary);
 
   // Dependency-scoped dirty view (cross-key definitions with a projector
-  // only): computed once per definition, serially, before the fan-out.
+  // only): computed once per definition, before the evaluation phase.
   const ScopedDirty* scoped =
       (!whole_window && spec.deps.has_value())
           ? ComputeScopedDirty(*spec.deps, /*cross_key=*/false, ctx)
@@ -684,13 +667,13 @@ void Engine::EvaluateSimple(const SimpleFluentSpec& spec, SimpleDefCache& cache,
   // before the query time that committed it (fresh points beyond q are
   // dropped below, reused ones are older still), so with query times
   // advancing, "no point at prev_query_" is exactly max_t < prev_query_ and
-  // the test is O(1) (DESIGN.md §7). Only the other keys fan out.
-  common::Arena* caller_arena = &arenas_[0];
+  // the test is O(1) (DESIGN.md §7). Only the other keys are evaluated.
+  common::Arena* const arena = &arena_;
   common::ArenaVector<KeyTriage> triage{
-      common::ArenaAllocator<KeyTriage>(caller_arena)};
+      common::ArenaAllocator<KeyTriage>(arena)};
   triage.resize(keys.size());
   common::ArenaVector<uint32_t> slow{
-      common::ArenaAllocator<uint32_t>(caller_arena)};
+      common::ArenaAllocator<uint32_t>(arena)};
   slow.reserve(keys.size());
   const bool can_fast = have_boundary && prev_query_ != kInvalidTimestamp &&
                         prev_query_ <= q;
@@ -749,14 +732,14 @@ void Engine::EvaluateSimple(const SimpleFluentSpec& spec, SimpleDefCache& cache,
   }
 
   // Evaluation phase: engine state is read-only, each index writes only its
-  // own outcome slot, so keys can fan out over the pool. Every temporary
-  // (evidence points, timelines, sweep scratch) bumps the evaluating slot's
-  // arena; optional slots let each outcome be constructed in place with its
-  // arena (assignment would keep the slot's default heap allocator).
+  // own outcome slot. Every temporary (evidence points, timelines, sweep
+  // scratch) bumps the slide arena; optional slots let each outcome be
+  // constructed in place with the arena (assignment would keep the slot's
+  // default heap allocator).
   common::ArenaVector<std::optional<SimpleOutcome>> outcomes{
-      common::ArenaAllocator<std::optional<SimpleOutcome>>(caller_arena)};
+      common::ArenaAllocator<std::optional<SimpleOutcome>>(arena)};
   outcomes.resize(slow.size());
-  ForEachKey(slow.size(), [&](size_t j, common::Arena* arena) {
+  for (size_t j = 0; j < slow.size(); ++j) {
     const Term key = keys[slow[j]];
     const KeyTriage& t = triage[slow[j]];
     SimpleOutcome& out = outcomes[j].emplace(arena);
@@ -816,9 +799,9 @@ void Engine::EvaluateSimple(const SimpleFluentSpec& spec, SimpleDefCache& cache,
     ComputeSimpleFluentInto(out.evidence.initiations, out.evidence.terminations,
                             out.evidence.carried_value, wstart, q, arena,
                             &out.timeline);
-  });
+  }
 
-  // Commit phase, in key order: deterministic regardless of pool width.
+  // Commit phase, in key order.
   // One rehash to the final bucket count instead of a doubling chain as the
   // maps fill on the first slide.
   timelines_[fidx].reserve(keys.size());
@@ -1198,6 +1181,8 @@ MARITIME_COMMIT_BOUNDARY RecognitionResult Engine::Recognize(Timestamp q) {
     }
   }
 
+  PurgeCoordsBefore(wstart);
+
   if (options_.incremental) {
     // Marks at or before q took effect this step; marks after q belong to
     // input asserted ahead of the query time and must survive the slide.
@@ -1240,21 +1225,15 @@ MARITIME_COMMIT_BOUNDARY RecognitionResult Engine::Recognize(Timestamp q) {
 #endif
   }
 
-  // Harvest per-slide allocation telemetry, then rewind every slot arena.
-  // Nothing arena-backed outlives this point: all commits above copied into
+  // Harvest per-slide allocation telemetry, then rewind the arena. Nothing
+  // arena-backed outlives this point: all commits above copied into
   // heap-backed slots.
-  uint64_t bytes = 0, chunks = 0, fallbacks = 0;
-  for (common::Arena& a : arenas_) {
-    const common::Arena::Stats s = a.stats();
-    bytes += s.bytes_used;
-    chunks += s.chunks;
-    fallbacks += s.fallback_allocs;
-    a.Reset();
-  }
+  const common::Arena::Stats arena_stats = arena_.stats();
+  arena_.Reset();
   ++alloc_stats_.slides;
-  alloc_stats_.arena_bytes += bytes;
-  alloc_stats_.arena_chunks = chunks;
-  alloc_stats_.fallback_allocs = fallbacks;
+  alloc_stats_.arena_bytes += arena_stats.bytes_used;
+  alloc_stats_.arena_chunks = arena_stats.chunks;
+  alloc_stats_.fallback_allocs = arena_stats.fallback_allocs;
   prev_fluent_rows_ = result.fluents.size();
   prev_event_rows_ = result.events.size();
   return result;

@@ -14,7 +14,6 @@
 
 #include "common/arena.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "geo/geo_point.h"
 #include "rtec/terms.h"
 #include "rtec/timeline.h"
@@ -314,14 +313,6 @@ struct EngineOptions {
   /// DependencySpec contract; definitions without deps are always fully
   /// re-evaluated.
   bool incremental = false;
-  /// When set, the keys of one definition layer are evaluated concurrently
-  /// on this pool, in either mode (deterministic: outcomes are committed in
-  /// key order after a per-layer barrier). Must outlive the engine.
-  /// nullptr = serial.
-  common::ThreadPool* pool = nullptr;
-  /// Definitions with fewer keys than this stay serial (fan-out overhead
-  /// exceeds the win for tiny layers).
-  size_t min_parallel_keys = 8;
   /// Escalate a step whose dirty suffix covers kFullRegenDirtyFraction of
   /// the window to one full regeneration. Incremental mode only.
   bool adaptive_full_regen = false;
@@ -351,8 +342,8 @@ struct EngineCacheStats {
 };
 
 /// Cumulative per-slide allocation telemetry: every Recognize() evaluates
-/// into slide-scoped arenas (one per evaluation slot) and resets them at the
-/// end of the step; these counters aggregate the arena traffic across steps.
+/// into the slide-scoped arena and resets it at the end of the step; these
+/// counters aggregate the arena traffic across steps.
 struct EngineAllocStats {
   uint64_t slides = 0;           ///< Recognize() calls accounted.
   uint64_t arena_bytes = 0;      ///< Sum of arena bytes bumped per slide.
@@ -375,7 +366,7 @@ struct DefRegenStats {
   uint64_t fleet_floor_hits = 0; ///< Fell back to the fleet-wide floor.
   /// Clean keys that took the O(1) fast-forward (simple fluents only):
   /// cache hits whose committed timeline was patched in place, without
-  /// joining the evaluation fan-out.
+  /// entering the evaluation phase.
   uint64_t fast_forwards = 0;
 
   /// Average width of the regenerated window suffix per key evaluation
@@ -668,7 +659,7 @@ class Engine {
   /// `unscoped` collects contributions that cannot be attributed to an
   /// output key (keyless derived-event changes, unprojectable input keys)
   /// and lower-bounds every output key. Computed serially on the caller
-  /// thread, read-only during the key fan-out.
+  /// thread, read-only during key evaluation.
   struct ScopedDirty {
     DirtyMap by_key;
     Timestamp unscoped = kTimestampNever;
@@ -681,15 +672,20 @@ class Engine {
     }
   };
 
-  /// Region telemetry filled by DirtyRegionFor; outcomes carry it back to
-  /// the serial commit loop (region computation runs on pool workers, so
-  /// counters cannot be bumped in place).
+  /// Region telemetry filled by DirtyRegionFor; the commit loop counts it.
   struct RegionStats {
     bool narrowed = false;     ///< Scoped start strictly beat the floor.
     bool fleet_floor = false;  ///< Used a dirty fleet-wide floor.
   };
 
+  /// Drops input events at or before the cutoff (before evaluation).
   void PurgeBefore(Timestamp inclusive_cutoff);
+  /// Drops coord fixes shadowed by each vessel's latest fix at or before the
+  /// cutoff. Runs after evaluation: a delayed fix that shadows a vessel's
+  /// boundary fix leaves the shadowed position visible to the dependency
+  /// projectors of the step that learns of it (the position the vessel was
+  /// at before the change, see KeyProjector).
+  void PurgeCoordsBefore(Timestamp inclusive_cutoff);
   /// Brings every input store into order: sorts the events asserted since
   /// the last call and merges them into the sorted prefix (and the subject
   /// index), and re-sorts only the vessels whose coord history went out of
@@ -733,14 +729,6 @@ class Engine {
                       RecognitionResult* result);
   void EvaluateDerived(const DerivedEventSpec& spec, DerivedDefCache& cache,
                        const EvalContext& ctx, RecognitionResult* result);
-
-  /// Runs `body(i, arena)` for i in [0, n), on the configured pool when the
-  /// layer is large enough, serially otherwise. `arena` is the slide-scoped
-  /// arena of the executing slot (one per pool lane plus the caller), so
-  /// bodies may allocate scratch without synchronization.
-  void ForEachKey(size_t n,
-                  const std::function<void(size_t, common::Arena*)>& body)
-      const;
 
   /// Rebuilds a simple-fluent cache's parallel entry/slot pointers from its
   /// maps (after RestoreFrom).
@@ -921,15 +909,14 @@ class Engine {
   size_t prev_fluent_rows_ = 0;
   size_t prev_event_rows_ = 0;
 
-  /// Slide-scoped arenas, one per evaluation slot (slot 0 = the Recognize
-  /// caller, slot k+1 = pool lane k). All per-slide scratch — rule output
-  /// points, episode buffers, flat timelines under construction, outcome
-  /// rows — bumps these; Recognize() harvests stats and resets them before
+  /// The slide-scoped arena. All per-slide scratch — rule output points,
+  /// episode buffers, flat timelines under construction, outcome rows —
+  /// bumps it; Recognize() harvests its stats and resets it before
   /// returning. Committed state never references arena memory (copy-out at
   /// commit, DESIGN.md §10).
   // Escape is sound: this member IS the arena ownership (outlives every
   // slide), not a value allocated from one.
-  MARITIME_ARENA_ESCAPE_OK mutable std::vector<common::Arena> arenas_;
+  MARITIME_ARENA_ESCAPE_OK common::Arena arena_;
 
   // Inertia across window slides: for each fluent key, the value holding at
   // the *next* window start, recorded at the end of each recognition step.

@@ -54,6 +54,8 @@ struct CriticalPoint {
                                ///< episode length in seconds.
 
   bool Has(CriticalFlag f) const { return (flags & f) != 0; }
+
+  friend bool operator==(const CriticalPoint&, const CriticalPoint&) = default;
 };
 
 inline std::ostream& operator<<(std::ostream& os, const CriticalPoint& c) {

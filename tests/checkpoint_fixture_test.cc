@@ -75,7 +75,6 @@ PipelineConfig ParallelConfig() {
   cfg.tracker_shards = 4;
   cfg.partitions = 2;
   cfg.recognition_engine = surveillance::EngineMode::kIncremental;
-  cfg.parallel_recognition_keys = true;
   return cfg;
 }
 

@@ -7,16 +7,12 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "ec_oracle.h"
 #include "geo/geo_point.h"
 #include "maritime/recognizer.h"
 #include "rtec/engine.h"
-#include "sim/generator.h"
 #include "sim/world.h"
 #include "stream/sliding_window.h"
-#include "tracker/compressor.h"
-#include "tracker/mobility_tracker.h"
 
 namespace maritime::rtec {
 namespace {
@@ -26,11 +22,10 @@ namespace {
 // (multi-valued simple fluent -> conditioned simple fluent -> derived event,
 // plus a cross-key fluent and a fluent without declared deps) fed an
 // adversarial stream of fresh, delayed, and future-dated events, recognized
-// side by side on the naive engine, the incremental engine, and both with
-// parallel per-key evaluation. The naive engine's definitions are captured
-// by the Event Calculus reference (ec_oracle.h), which recomputes every
-// timeline and output row from their evidence; every slide must agree with
-// it and be bit-identical across engines.
+// side by side on the naive and the incremental engine. The naive engine's
+// definitions are captured by the Event Calculus reference (ec_oracle.h),
+// which recomputes every timeline and output row from their evidence; every
+// slide must agree with it and be bit-identical across engines.
 // ---------------------------------------------------------------------------
 
 struct Schema {
@@ -275,24 +270,10 @@ TEST(EngineIncrementalDifferentialTest, RandomizedStreamBitIdentical) {
   EngineOptions incr_opts;
   incr_opts.incremental = true;
   Engine incr(window, nullptr, incr_opts);
-  common::ThreadPool pool(3);
-  EngineOptions par_opts;
-  par_opts.incremental = true;
-  par_opts.pool = &pool;
-  par_opts.min_parallel_keys = 1;  // force the parallel path on tiny layers
-  Engine par(window, nullptr, par_opts);
-  // The naive engine fans keys out too when given a pool.
-  EngineOptions naive_par_opts;
-  naive_par_opts.pool = &pool;
-  naive_par_opts.min_parallel_keys = 1;
-  Engine naive_par(window, nullptr, naive_par_opts);
 
   const Schema sn = Register(&naive, &oracle);
   const Schema si = Register(&incr);
-  const Schema sp = Register(&par);
-  Register(&naive_par);
   ASSERT_EQ(sn.alarm, si.alarm);
-  ASSERT_EQ(sn.alarm, sp.alarm);
 
   std::mt19937 rng(20260806);
   std::uniform_int_distribution<int> vessel_dist(1, 12);
@@ -340,7 +321,7 @@ TEST(EngineIncrementalDifferentialTest, RandomizedStreamBitIdentical) {
         a.event = sn.ping;
         a.object = Term::None();
       }
-      for (Engine* eng : {&naive, &incr, &par, &naive_par}) {
+      for (Engine* eng : {&naive, &incr}) {
         if (a.kind == Assertion::kCoord) {
           eng->AssertCoord(a.subject, a.t, a.pos);
         } else {
@@ -353,16 +334,10 @@ TEST(EngineIncrementalDifferentialTest, RandomizedStreamBitIdentical) {
     const RecognitionResult rn = naive.Recognize(q);
     ASSERT_TRUE(oracle.Check(naive, rn));
     const RecognitionResult ri = incr.Recognize(q);
-    const RecognitionResult rp = par.Recognize(q);
-    const RecognitionResult rnp = naive_par.Recognize(q);
     ASSERT_TRUE(rn == ri) << "incremental diverged at q=" << q << "\nnaive:\n"
                           << Dump(rn) << "incremental:\n" << Dump(ri)
                           << "naive state:\n" << DumpState(naive, sn)
                           << "incremental state:\n" << DumpState(incr, si);
-    ASSERT_TRUE(rn == rp) << "parallel incremental diverged at q=" << q
-                          << "\nnaive:\n" << Dump(rn) << "parallel:\n"
-                          << Dump(rp);
-    ASSERT_TRUE(rn == rnp) << "parallel naive diverged at q=" << q;
     if (incr.cache_stats().hits > before.hits) ++slides_with_hits;
   }
 
@@ -370,34 +345,26 @@ TEST(EngineIncrementalDifferentialTest, RandomizedStreamBitIdentical) {
   EXPECT_GT(incr.cache_stats().hits, incr.cache_stats().misses);
   EXPECT_GT(slides_with_hits, static_cast<size_t>(kSlides / 2));
   EXPECT_GT(incr.cache_stats().evictions, 0u);
-  // The naive engine never touches the cache, with or without a pool.
+  // The naive engine never touches the cache.
   EXPECT_EQ(naive.cache_stats().hits, 0u);
   EXPECT_EQ(naive.cache_stats().misses, 0u);
   EXPECT_EQ(naive.cache_entry_count(), 0u);
-  EXPECT_EQ(naive_par.cache_entry_count(), 0u);
 }
 
 TEST(EngineIncrementalDifferentialTest, LongWindowCleanBypassBitIdentical) {
   // omega = 60 beta with sparse input: most keys are clean at most slides,
   // so the O(1) fast-forward (cached evidence and timeline carried over,
   // only the window clamps patched) is the common path rather than the
-  // exception. Naive, incremental and parallel incremental must still agree
-  // on every slide.
+  // exception. Naive and incremental must still agree on every slide.
   const stream::WindowSpec window{600, 10};
   ec_reference::Oracle oracle(window);
   Engine naive(window);
   EngineOptions incr_opts;
   incr_opts.incremental = true;
   Engine incr(window, nullptr, incr_opts);
-  common::ThreadPool pool(3);
-  EngineOptions par_opts = incr_opts;
-  par_opts.pool = &pool;
-  par_opts.min_parallel_keys = 1;
-  Engine par(window, nullptr, par_opts);
 
   const Schema sn = Register(&naive, &oracle);
   const Schema si = Register(&incr);
-  Register(&par);
 
   std::mt19937 rng(20261017);
   std::uniform_int_distribution<int> vessel_dist(1, 16);
@@ -438,7 +405,7 @@ TEST(EngineIncrementalDifferentialTest, LongWindowCleanBypassBitIdentical) {
       } else {
         a.event = sn.ping;
       }
-      for (Engine* eng : {&naive, &incr, &par}) {
+      for (Engine* eng : {&naive, &incr}) {
         if (a.kind == Assertion::kCoord) {
           eng->AssertCoord(a.subject, a.t, a.pos);
         } else {
@@ -449,12 +416,10 @@ TEST(EngineIncrementalDifferentialTest, LongWindowCleanBypassBitIdentical) {
     const RecognitionResult rn = naive.Recognize(q);
     ASSERT_TRUE(oracle.Check(naive, rn));
     const RecognitionResult ri = incr.Recognize(q);
-    const RecognitionResult rp = par.Recognize(q);
     ASSERT_TRUE(rn == ri) << "incremental diverged at q=" << q << "\nnaive:\n"
                           << Dump(rn) << "incremental:\n" << Dump(ri)
                           << "naive state:\n" << DumpState(naive, sn)
                           << "incremental state:\n" << DumpState(incr, si);
-    ASSERT_TRUE(rn == rp) << "parallel incremental diverged at q=" << q;
   }
 
   // The per-key simple fluents (moving, alert) mostly take the bypass.
@@ -605,119 +570,6 @@ TEST(EngineIncrementalDifferentialTest, UndeclaredDepsAlwaysRecompute) {
   eng.Recognize(20);  // no new input; still a miss (no declared deps)
   EXPECT_EQ(eng.cache_stats().hits, 0u);
   EXPECT_GE(eng.cache_stats().misses, 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Maritime differential: the full CE definition set over a simulated fleet,
-// recognized slide by slide on a naive and an incremental recognizer, with a
-// fraction of the critical points held back one slide (delayed MEs dirtying
-// past window slices). Thousands of slides, bit-identical results required.
-// ---------------------------------------------------------------------------
-
-struct MaritimeWorkload {
-  sim::World world;
-  std::vector<tracker::CriticalPoint> criticals;
-  Timestamp horizon = 0;
-};
-
-MaritimeWorkload MakeWorkload(int vessels, Duration duration, uint64_t seed) {
-  MaritimeWorkload w{sim::BuildWorld(seed), {}, duration};
-  sim::FleetConfig cfg;
-  cfg.vessels = vessels;
-  cfg.duration = duration;
-  cfg.seed = seed + 1;
-  sim::FleetSimulator fleet(&w.world, cfg);
-  const std::vector<stream::PositionTuple> tuples = fleet.Generate();
-  tracker::MobilityTracker tracker;
-  tracker::Compressor compressor;
-  std::vector<tracker::CriticalPoint> raw;
-  for (const auto& t : tuples) tracker.Process(t, &raw);
-  tracker.Finish(&raw);
-  compressor.Compress(&raw, tuples.size());
-  w.criticals = std::move(raw);
-  return w;
-}
-
-/// Returns the incremental recognizer's clean fast-forwards and key
-/// evaluations, summed over its definitions.
-std::pair<uint64_t, uint64_t> RunMaritimeDifferential(
-    const MaritimeWorkload& w, stream::WindowSpec window, bool spatial_facts) {
-  surveillance::RecognizerConfig cn;
-  cn.window = window;
-  cn.ce.use_spatial_facts = spatial_facts;
-  surveillance::RecognizerConfig ci = cn;
-  ci.engine = surveillance::EngineMode::kIncremental;
-  surveillance::RecognizerConfig cp = ci;
-  cp.parallel_keys = true;
-
-  surveillance::CERecognizer naive(&w.world.knowledge, cn);
-  surveillance::CERecognizer incr(&w.world.knowledge, ci);
-  surveillance::CERecognizer par(&w.world.knowledge, cp);
-
-  size_t cursor = 0;
-  std::vector<tracker::CriticalPoint> held;
-  size_t slides = 0;
-  for (Timestamp q = window.slide; q <= w.horizon; q += window.slide) {
-    // Delayed MEs: everything held back last slide arrives now, out of
-    // stream order relative to the fresh batch.
-    std::vector<tracker::CriticalPoint> batch = std::move(held);
-    held.clear();
-    while (cursor < w.criticals.size() && w.criticals[cursor].tau <= q) {
-      if (cursor % 5 == 4) {
-        held.push_back(w.criticals[cursor]);  // arrives at the next slide
-      } else {
-        batch.push_back(w.criticals[cursor]);
-      }
-      ++cursor;
-    }
-    for (const auto& cp_ : batch) {
-      naive.Feed(cp_);
-      incr.Feed(cp_);
-      par.Feed(cp_);
-    }
-    const rtec::RecognitionResult rn = naive.Recognize(q);
-    const rtec::RecognitionResult ri = incr.Recognize(q);
-    const rtec::RecognitionResult rp = par.Recognize(q);
-    EXPECT_TRUE(rn == ri) << "incremental diverged at q=" << q
-                          << " (spatial_facts=" << spatial_facts << ")";
-    EXPECT_TRUE(rn == rp) << "parallel diverged at q=" << q;
-    if (rn != ri || rn != rp) return {0, 0};
-    ++slides;
-  }
-  EXPECT_GT(slides, 90u);
-  EXPECT_GT(incr.engine().cache_stats().hits, 0u);
-  EXPECT_EQ(naive.engine().cache_stats().misses, 0u);
-  uint64_t fast = 0;
-  uint64_t evals = 0;
-  for (const DefRegenStats& st : incr.engine().def_regen_stats()) {
-    fast += st.fast_forwards;
-    evals += st.evals;
-  }
-  return {fast, evals};
-}
-
-TEST(MaritimeIncrementalDifferentialTest, FleetStreamBitIdentical) {
-  const MaritimeWorkload w = MakeWorkload(/*vessels=*/60, 8 * kHour, 7);
-  ASSERT_GT(w.criticals.size(), 500u);
-  RunMaritimeDifferential(w, stream::WindowSpec{kHour, 2 * kMinute},
-                          /*spatial_facts=*/false);
-}
-
-TEST(MaritimeIncrementalDifferentialTest, SpatialFactsModeBitIdentical) {
-  const MaritimeWorkload w = MakeWorkload(/*vessels=*/60, 8 * kHour, 21);
-  RunMaritimeDifferential(w, stream::WindowSpec{2 * kHour, 5 * kMinute},
-                          /*spatial_facts=*/true);
-}
-
-TEST(MaritimeIncrementalDifferentialTest, LongWindowBitIdentical) {
-  // omega = 60 beta (2 h over 2 min slides), both closeness modes: the
-  // regime where the clean fast-forward carries most key evaluations.
-  const MaritimeWorkload w = MakeWorkload(/*vessels=*/60, 8 * kHour, 33);
-  for (const bool spatial_facts : {false, true}) {
-    const auto [fast, evals] = RunMaritimeDifferential(
-        w, stream::WindowSpec{2 * kHour, 2 * kMinute}, spatial_facts);
-    EXPECT_GT(fast * 2, evals) << "spatial_facts=" << spatial_facts;
-  }
 }
 
 // ---------------------------------------------------------------------------

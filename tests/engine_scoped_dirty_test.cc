@@ -1,20 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <random>
 #include <sstream>
 #include <vector>
 
 #include "ec_oracle.h"
 #include "geo/geo_point.h"
-#include "maritime/knowledge.h"
-#include "maritime/recognizer.h"
 #include "rtec/engine.h"
-#include "sim/world.h"
-#include "snapshot/codec.h"
 #include "stream/sliding_window.h"
-#include "tracker/critical_point.h"
 
 namespace maritime::rtec {
 namespace {
@@ -250,156 +244,6 @@ TEST(ScopedDirtyDifferentialTest, SkewedFleetBitIdenticalAndNarrowed) {
   // The naive engine records neither.
   EXPECT_EQ(naive.cache_stats().spans_narrowed, 0u);
   EXPECT_EQ(naive.cache_stats().fleet_floor_hits, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Maritime differential: the full CE definition set (whose four area-keyed
-// definitions carry the vessel→area projector) over a synthetic skewed
-// fleet — one vessel cycling stop/slow-motion/gap episodes inside one area,
-// hundreds parked elsewhere — recognized side by side on the naive engine,
-// the scoped incremental engine and the auto engine. Facts mode on and off;
-// delayed MEs; a mid-stream snapshot round trip with marks pending must also
-// stay bit-identical. (Every maritime cross-key definition declares the
-// projector, so the fleet-floor path is compared with naive by the rtec-level
-// differential above.)
-// ---------------------------------------------------------------------------
-
-std::vector<tracker::CriticalPoint> MakeSkewedCriticals(
-    const sim::World& world, int idle_vessels, Duration horizon) {
-  std::vector<geo::GeoPoint> centers;
-  for (const surveillance::AreaInfo& a : world.knowledge.areas()) {
-    if (a.kind != surveillance::AreaKind::kPort) {
-      centers.push_back(a.polygon.VertexCentroid());
-    }
-  }
-  std::vector<tracker::CriticalPoint> out;
-  // Idle fleet: one stop-start apiece, parked at area centroids round-robin,
-  // within the first few minutes — then silence.
-  for (int i = 0; i < idle_vessels; ++i) {
-    tracker::CriticalPoint cp;
-    cp.mmsi = static_cast<stream::Mmsi>(1000 + i);
-    cp.pos = centers[static_cast<size_t>(i) % centers.size()];
-    cp.tau = 1 + i;
-    cp.flags = tracker::kFirst | tracker::kStopStart;
-    out.push_back(cp);
-  }
-  // Active vessel: cycles inside one area — stop episodes with slow-motion
-  // and communication-gap episodes interleaved, one critical point a minute.
-  const geo::GeoPoint home = centers[0];
-  const stream::Mmsi active = 7;
-  int phase = 0;
-  for (Timestamp t = 5 * kMinute; t <= horizon; t += kMinute, ++phase) {
-    tracker::CriticalPoint cp;
-    cp.mmsi = active;
-    cp.pos = geo::GeoPoint{home.lon + (phase % 3) * 1e-4,
-                           home.lat + (phase % 5) * 1e-4};
-    cp.tau = t;
-    switch (phase % 6) {
-      case 0: cp.flags = tracker::kStopStart; break;
-      case 1: cp.flags = tracker::kStopEnd; cp.duration = kMinute; break;
-      case 2: cp.flags = tracker::kSlowMotionStart; break;
-      case 3: cp.flags = tracker::kSlowMotionEnd; cp.duration = kMinute; break;
-      case 4: cp.flags = tracker::kGapStart; break;
-      default:
-        cp.flags = tracker::kGapEnd | tracker::kTurn;
-        cp.duration = kMinute;
-        break;
-    }
-    out.push_back(cp);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const tracker::CriticalPoint& a,
-               const tracker::CriticalPoint& b) { return a.tau < b.tau; });
-  return out;
-}
-
-void RunSkewedMaritimeDifferential(bool spatial_facts, bool snapshot_midway) {
-  const sim::World world = sim::BuildWorld(11);
-  const Duration horizon = 12 * kHour;
-  const std::vector<tracker::CriticalPoint> criticals =
-      MakeSkewedCriticals(world, /*idle_vessels=*/250, horizon);
-  const stream::WindowSpec window{30 * kMinute, 5 * kMinute};
-
-  surveillance::RecognizerConfig cn;
-  cn.window = window;
-  cn.ce.use_spatial_facts = spatial_facts;
-  surveillance::RecognizerConfig cs = cn;
-  cs.engine = surveillance::EngineMode::kIncremental;
-  surveillance::RecognizerConfig ca = cn;
-  ca.engine = surveillance::EngineMode::kAuto;  // ω = 6β → incremental
-
-  surveillance::CERecognizer naive(&world.knowledge, cn);
-  surveillance::CERecognizer scoped(&world.knowledge, cs);
-  surveillance::CERecognizer aut(&world.knowledge, ca);
-  std::unique_ptr<surveillance::CERecognizer> restored;
-
-  const Timestamp snapshot_q = snapshot_midway ? 6 * kHour : -1;
-  size_t cursor = 0;
-  std::vector<tracker::CriticalPoint> held;
-  size_t slides = 0;
-  for (Timestamp q = window.slide; q <= horizon; q += window.slide) {
-    // Delayed MEs: every 7th point of the previous slide arrives only now,
-    // out of order relative to the fresh batch.
-    std::vector<tracker::CriticalPoint> batch = std::move(held);
-    held.clear();
-    while (cursor < criticals.size() && criticals[cursor].tau <= q) {
-      if (cursor % 7 == 6) {
-        held.push_back(criticals[cursor]);
-      } else {
-        batch.push_back(criticals[cursor]);
-      }
-      ++cursor;
-    }
-    for (const auto& cp : batch) {
-      naive.Feed(cp);
-      scoped.Feed(cp);
-      aut.Feed(cp);
-      if (restored != nullptr) restored->Feed(cp);
-    }
-    if (q == snapshot_q) {
-      // Snapshot with this slide's batch already fed: the engine's dirty
-      // marks (including the unsorted pending appends of the batch-mark
-      // path) are serialized and must replay bit-identically.
-      snapshot::Writer w;
-      scoped.SaveTo(w);
-      restored =
-          std::make_unique<surveillance::CERecognizer>(&world.knowledge, cs);
-      snapshot::Reader r(w.bytes());
-      ASSERT_TRUE(restored->RestoreFrom(r).ok());
-    }
-    const rtec::RecognitionResult rn = naive.Recognize(q);
-    const rtec::RecognitionResult rs = scoped.Recognize(q);
-    const rtec::RecognitionResult ra = aut.Recognize(q);
-    ASSERT_TRUE(rn == rs) << "scoped diverged at q=" << q
-                          << " (spatial_facts=" << spatial_facts << ")";
-    ASSERT_TRUE(rn == ra) << "auto diverged at q=" << q;
-    if (restored != nullptr) {
-      const rtec::RecognitionResult rr = restored->Recognize(q);
-      ASSERT_TRUE(rn == rr) << "restored scoped diverged at q=" << q;
-    }
-    ++slides;
-  }
-  EXPECT_GT(slides, 140u);
-
-  // Counter cross-check: the scoped engine narrowed cross-key regen spans
-  // below the fleet floor and never fell back to it.
-  EXPECT_GT(scoped.engine().cache_stats().spans_narrowed, 0u);
-  EXPECT_EQ(scoped.engine().cache_stats().fleet_floor_hits, 0u);
-  EXPECT_EQ(naive.engine().cache_stats().spans_narrowed, 0u);
-  if (snapshot_midway) {
-    ASSERT_NE(restored, nullptr);
-    EXPECT_GT(restored->engine().cache_stats().spans_narrowed, 0u);
-  }
-}
-
-TEST(MaritimeScopedDirtyTest, SkewedFleetOnDemandBitIdentical) {
-  RunSkewedMaritimeDifferential(/*spatial_facts=*/false,
-                                /*snapshot_midway=*/false);
-}
-
-TEST(MaritimeScopedDirtyTest, SkewedFleetSpatialFactsSnapshotBitIdentical) {
-  RunSkewedMaritimeDifferential(/*spatial_facts=*/true,
-                                /*snapshot_midway=*/true);
 }
 
 }  // namespace

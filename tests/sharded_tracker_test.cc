@@ -2,14 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <sstream>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "maritime/pipeline.h"
 #include "sim/generator.h"
 #include "sim/world.h"
 #include "stream/replayer.h"
@@ -20,13 +16,6 @@
 namespace maritime::tracker {
 namespace {
 
-bool SamePoint(const CriticalPoint& a, const CriticalPoint& b) {
-  return a.mmsi == b.mmsi && a.pos.lon == b.pos.lon &&
-         a.pos.lat == b.pos.lat && a.tau == b.tau && a.flags == b.flags &&
-         a.speed_knots == b.speed_knots && a.heading_deg == b.heading_deg &&
-         a.duration == b.duration;
-}
-
 ::testing::AssertionResult SameSequence(const std::vector<CriticalPoint>& a,
                                         const std::vector<CriticalPoint>& b) {
   if (a.size() != b.size()) {
@@ -34,7 +23,7 @@ bool SamePoint(const CriticalPoint& a, const CriticalPoint& b) {
            << "sequence sizes differ: " << a.size() << " vs " << b.size();
   }
   for (size_t i = 0; i < a.size(); ++i) {
-    if (!SamePoint(a[i], b[i])) {
+    if (a[i] != b[i]) {
       std::ostringstream os;
       os << "point " << i << " differs: " << a[i] << " vs " << b[i];
       return ::testing::AssertionFailure() << os.str();
@@ -154,42 +143,6 @@ TEST(ShardedTrackerTest, SerialSurfaceRoutesByMmsi) {
   }
   EXPECT_EQ(tracker.FindVessel(999), nullptr);
   EXPECT_EQ(tracker.stats().processed, 8u);
-}
-
-TEST(ShardedTrackerTest, PipelineRecognitionIsShardCountInvariant) {
-  sim::World world = sim::BuildWorld(33);
-  const auto tuples = FleetStream(13, 20, 6 * kHour, &world);
-
-  const auto run = [&](int shards) {
-    surveillance::PipelineConfig cfg;
-    cfg.window = stream::WindowSpec{kHour, 10 * kMinute};
-    cfg.tracker_shards = shards;
-    cfg.archive = false;
-    surveillance::SurveillancePipeline pipeline(&world.knowledge, cfg);
-    stream::StreamReplayer replayer(tuples);
-    std::vector<std::string> recognized;
-    pipeline.Run(replayer, [&](const surveillance::SlideReport& r) {
-      auto& rec = pipeline.recognizer().partition(0);
-      for (const auto& result : r.recognition) {
-        for (const auto& e : result.events) {
-          recognized.push_back(rec.Describe(e));
-        }
-        for (const auto& f : result.fluents) {
-          recognized.push_back(rec.Describe(f));
-        }
-      }
-    });
-    return std::make_pair(recognized, pipeline.critical_points().size());
-  };
-
-  const auto [ces1, cps1] = run(1);
-  const auto [ces2, cps2] = run(2);
-  const auto [ces8, cps8] = run(8);
-  EXPECT_FALSE(ces1.empty());
-  EXPECT_EQ(ces1, ces2);
-  EXPECT_EQ(ces1, ces8);
-  EXPECT_EQ(cps1, cps2);
-  EXPECT_EQ(cps1, cps8);
 }
 
 TEST(ShardedTrackerTest, PerShardSlideStatsAccountForTheWholeBatch) {

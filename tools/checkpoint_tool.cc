@@ -43,7 +43,7 @@ void PrintSlide(const SlideReport& r) {
   std::printf("  slide q=%s%s: %zu positions, %zu critical points, %zu CEs\n",
               FormatTimestamp(r.query_time).c_str(),
               r.final_flush ? " (flush)" : "", r.raw_positions,
-              r.critical_points, ces);
+              r.critical_points.size(), ces);
 }
 
 int CmdRun(const std::string& path, int slides) {
