@@ -3,12 +3,14 @@
 // tuple for instantaneous events and gaps, O(m) for long-lasting events —
 // by sweeping the history size m. BM_ScanTaggedLines and BM_TrackerSlide
 // time the two ingest layers on a simulated feed, BM_PipelineCheckpoint
-// times one whole-pipeline checkpoint, and all three count their heap
-// allocations (tools/check_alloc_budget.py gates the counts).
+// and BM_PipelineRestore time one whole-pipeline checkpoint and one restore,
+// and all four count their heap allocations (tools/check_alloc_budget.py
+// gates the counts).
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -172,6 +174,68 @@ void BM_PipelineCheckpoint(benchmark::State& state) {
       bench::kAllocCountingActive ? static_cast<double>(allocs) / saves : 0.0;
 }
 BENCHMARK(BM_PipelineCheckpoint)->Unit(benchmark::kMicrosecond);
+
+void BM_PipelineRestore(benchmark::State& state) {
+  // One restore as bench/e2e times it at the restart slide: decode the
+  // snapshot file, build a fresh pipeline over the same knowledge base, and
+  // RestoreFrom the payload. The snapshot is BM_PipelineCheckpoint's, taken
+  // halfway through checkpoint_tool's stream. The previous restored
+  // pipeline is freed outside the measured region.
+  sim::World world = checkpoint_scenario::MakeWorld();
+  const std::vector<stream::PositionTuple> tuples =
+      checkpoint_scenario::MakeStream(&world);
+  const surveillance::PipelineConfig cfg = checkpoint_scenario::MakeConfig();
+  std::string file;
+  {
+    surveillance::SurveillancePipeline pipeline(&world.knowledge, cfg);
+    stream::StreamReplayer replayer(tuples);
+    stream::QueryTimeSequence queries(cfg.window, replayer.first_timestamp());
+    const Timestamp mid =
+        tuples.front().tau + (tuples.back().tau - tuples.front().tau) / 2;
+    for (Timestamp q = queries.Fire(); q <= mid; q = queries.Fire()) {
+      pipeline.RunSlide(q, replayer.NextBatch(q));
+    }
+    snapshot::Writer w;
+    pipeline.SaveTo(w);
+    file = snapshot::EncodeSnapshotFile(w.bytes());
+  }
+  uint64_t allocs = 0;
+  double seconds = 0.0;
+  for (auto _ : state) {
+    const uint64_t before = bench::HeapAllocs();
+    const auto t0 = std::chrono::steady_clock::now();
+    const Result<std::string_view> payload =
+        snapshot::DecodeSnapshotFile(file);
+    auto restored = std::make_unique<surveillance::SurveillancePipeline>(
+        &world.knowledge, cfg);
+    bool ok = payload.ok();
+    if (ok) {
+      snapshot::Reader r(payload.value());
+      ok = restored->RestoreFrom(r).ok() && r.AtEnd();
+    }
+    seconds += std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+    allocs += bench::HeapAllocs() - before;
+    if (!ok) {
+      state.SkipWithError("restore failed");
+      break;
+    }
+    state.PauseTiming();
+    restored.reset();
+    state.ResumeTiming();
+  }
+  const auto restores = static_cast<double>(state.iterations());
+  const auto bytes = static_cast<double>(file.size());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(file.size()));
+  state.counters["bytes_per_restore"] = bytes;
+  state.counters["ns_per_byte"] = 1e9 * seconds / (restores * bytes);
+  state.counters["allocs_per_restore"] =
+      bench::kAllocCountingActive ? static_cast<double>(allocs) / restores
+                                  : 0.0;
+}
+BENCHMARK(BM_PipelineRestore)->Unit(benchmark::kMicrosecond);
 
 std::vector<stream::PositionTuple> CruiseTuples(int n) {
   return sim::TraceBuilder(1, geo::GeoPoint{24.0, 37.0}, 0)

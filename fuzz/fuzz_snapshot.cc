@@ -163,7 +163,17 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       TinyEngine e(payload.size() % 2 == 0);
       const Status s = e.engine->RestoreFrom(r);
       CheckStatus(s);
-      if (s.ok()) e.engine->Recognize(180);
+      if (s.ok()) {
+        e.engine->Recognize(180);
+      } else {
+        // Never half-restored: a rejected engine saves what a fresh one
+        // does.
+        TinyEngine fresh(payload.size() % 2 == 0);
+        maritime::snapshot::Writer rejected, expected;
+        e.engine->SaveTo(rejected);
+        fresh.engine->SaveTo(expected);
+        MARITIME_DCHECK(rejected.bytes() == expected.bytes());
+      }
       break;
     }
     default: {  // whole pipeline (selectors 2 and 7)

@@ -27,12 +27,11 @@ struct ForState {
   std::condition_variable cv;
 };
 
-void DrainIndices(ForState& state, size_t slot,
-                  const std::function<void(size_t, size_t)>& body) {
+void DrainIndices(ForState& state, const std::function<void(size_t)>& body) {
   while (true) {
     const size_t i = state.next.fetch_add(1);
     if (i >= state.n) break;
-    body(i, slot);
+    body(i);
     if (state.done.fetch_add(1) + 1 == state.n) {
       std::lock_guard<std::mutex> lock(state.mu);
       state.cv.notify_all();
@@ -175,14 +174,9 @@ void ThreadPool::Submit(std::function<void()> task) {
 
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& body) {
-  ParallelFor(n, [&body](size_t i, size_t) { body(i); });
-}
-
-void ThreadPool::ParallelFor(size_t n,
-                             const std::function<void(size_t, size_t)>& body) {
   if (n == 0) return;
   if (n == 1 || workers_.empty()) {
-    for (size_t i = 0; i < n; ++i) body(i, 0);
+    for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
   auto state = std::make_shared<ForState>(n);
@@ -190,12 +184,10 @@ void ThreadPool::ParallelFor(size_t n,
   for (size_t h = 0; h < helpers; ++h) {
     // `body` is captured by reference: every index is claimed before the
     // call returns, so any task outliving the call exits immediately from
-    // DrainIndices without dereferencing it. Slot h + 1 belongs to exactly
-    // this task closure; a closure runs on one thread, so the slot is never
-    // bumped concurrently. Slot 0 is the caller.
-    Submit([state, &body, h] { DrainIndices(*state, h + 1, body); });
+    // DrainIndices without dereferencing it.
+    Submit([state, &body] { DrainIndices(*state, body); });
   }
-  DrainIndices(*state, 0, body);
+  DrainIndices(*state, body);
   std::unique_lock<std::mutex> lock(state->mu);
   state->cv.wait(lock, [&] { return state->done.load() == n; });
 }

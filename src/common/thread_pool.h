@@ -54,14 +54,6 @@ class ThreadPool {
   /// claimed dynamically, so uneven per-index cost balances itself.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
-  /// Like ParallelFor, but `body(i, slot)` additionally receives a dense
-  /// execution-slot id in [0, worker_count() + 1): the caller drains as slot
-  /// 0 and the k-th helper task as slot k + 1. A slot is bound to its helper
-  /// closure — not to a worker thread — so it runs on at most one thread at
-  /// a time even when the closure is stolen, and callers may index per-slot
-  /// scratch (e.g. one arena per slot) without synchronization.
-  void ParallelFor(size_t n, const std::function<void(size_t, size_t)>& body);
-
   /// Enqueues one fire-and-forget task. Used for work whose completion is
   /// observed through some other channel; `ParallelFor` is the right API for
   /// join-style fan-out. After `Stop()` the task runs inline on the calling

@@ -52,8 +52,8 @@ Status SpatialFactTable::RestoreFrom(snapshot::Reader& r) {
   for (uint64_t i = 0; i < vessels; ++i) {
     Vessel v;
     uint64_t ngroups = 0;
-    if (!r.U32(&v.mmsi) ||
-        !r.Count(&ngroups, sizeof(int64_t) + sizeof(uint64_t))) {
+    if (!r.Get(&v.mmsi, &ngroups) ||
+        !r.Fits(ngroups, sizeof(int64_t) + sizeof(uint64_t))) {
       return fail();
     }
     // SaveTo writes each vessel once, in ascending MMSI order, with at least
@@ -66,7 +66,9 @@ Status SpatialFactTable::RestoreFrom(snapshot::Reader& r) {
     for (uint64_t j = 0; j < ngroups; ++j) {
       Group g{};
       uint64_t nareas = 0;
-      if (!r.I64(&g.t) || !r.Count(&nareas, sizeof(int32_t))) return fail();
+      if (!r.Get(&g.t, &nareas) || !r.Fits(nareas, sizeof(int32_t))) {
+        return fail();
+      }
       areas.resize(nareas);
       for (int32_t& area : areas) {
         if (!r.I32(&area)) return fail();

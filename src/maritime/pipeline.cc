@@ -50,8 +50,11 @@ SlideReport SurveillancePipeline::RunSlide(
   const std::vector<tracker::CriticalPoint>& criticals = report.critical_points;
 
   recognizer_->Feed(std::span<const tracker::CriticalPoint>(criticals));
-  window_criticals_.insert(window_criticals_.end(), criticals.begin(),
-                           criticals.end());
+  // Held for the archiver, the only reader of the window's points.
+  if (archiver_ != nullptr) {
+    window_criticals_.insert(window_criticals_.end(), criticals.begin(),
+                             criticals.end());
+  }
 
   const double t1 = NowSeconds();
   report.recognition = recognizer_->Recognize(q);
@@ -105,7 +108,6 @@ SlideReport SurveillancePipeline::Finish() {
   std::vector<tracker::CriticalPoint>& tail = report.critical_points;
   tracker_.Finish(&tail);
   report.tracking_seconds = NowSeconds() - t0;
-  window_criticals_.insert(window_criticals_.end(), tail.begin(), tail.end());
 
   if (!tail.empty()) {
     // The tail events (episode closings, last anchors) arrived after the
@@ -129,6 +131,7 @@ SlideReport SurveillancePipeline::Finish() {
   if (archiver_ != nullptr) {
     std::vector<tracker::CriticalPoint> rest(window_criticals_.begin(),
                                              window_criticals_.end());
+    rest.insert(rest.end(), tail.begin(), tail.end());
     window_criticals_.clear();
     if (!rest.empty()) archiver_->ArchiveBatch(rest);
   }

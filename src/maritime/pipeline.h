@@ -176,7 +176,8 @@ class SurveillancePipeline {
   std::unique_ptr<PartitionedRecognizer> recognizer_;
   std::unique_ptr<mod::HermesArchiver> archiver_;
   Timestamp last_query_ = kInvalidTimestamp;
-  /// Critical points not yet evicted from the window (awaiting archival).
+  /// Critical points not yet evicted from the window, awaiting archival
+  /// (so always empty without an archiver).
   std::deque<tracker::CriticalPoint> window_criticals_;
   /// Payload bytes the last SaveTo wrote; the next one presizes its Writer
   /// from it so the buffer is not regrown (and recopied) about 13 times on

@@ -55,15 +55,15 @@ Status LoadManifest(snapshot::Reader& r, SnapshotManifest* m) {
   if (!r.BeginSection(kManifestTag, kManifestVersion, &version, &end)) {
     return snapshot::SectionError(r, "snapshot manifest");
   }
-  if (!r.I64(&m->last_query) || !r.I64(&m->window.range) ||
-      !r.I64(&m->window.slide) || !r.I32(&m->partitions) ||
-      !r.I32(&m->tracker_shards) || !r.Bool(&m->archive) ||
-      !r.Bool(&m->incremental_recognition) ||
-      !r.U64(&m->window_critical_points) || !r.U64(&m->archived_trips)) {
+  uint8_t archive = 0, incremental = 0;
+  if (!r.Get(&m->last_query, &m->window.range, &m->window.slide,
+             &m->partitions, &m->tracker_shards, &archive, &incremental,
+             &m->window_critical_points, &m->archived_trips)) {
     return snapshot::CorruptionIn("snapshot manifest");
   }
-  if (version >= 2 &&
-      (!r.U64(&m->spans_narrowed) || !r.U64(&m->fleet_floor_hits))) {
+  m->archive = archive != 0;
+  m->incremental_recognition = incremental != 0;
+  if (version >= 2 && !r.Get(&m->spans_narrowed, &m->fleet_floor_hits)) {
     return snapshot::CorruptionIn("snapshot manifest");
   }
   if (!r.EndSection(end)) {
@@ -163,20 +163,21 @@ Status SurveillancePipeline::RestoreFrom(snapshot::Reader& r) {
   }
   window_criticals_.clear();
   uint64_t n = 0;
-  constexpr size_t kCpBytes =
-      2 * sizeof(uint32_t) + 2 * sizeof(int64_t) + 4 * sizeof(double);
-  if (!r.Count(&n, kCpBytes)) {
+  if (!r.Count(&n, tracker::kCriticalPointBytes)) {
     return snapshot::CorruptionIn("pipeline section");
   }
-  for (uint64_t i = 0; i < n; ++i) {
-    tracker::CriticalPoint cp;
-    if (!tracker::LoadCriticalPoint(r, &cp)) {
-      window_criticals_.clear();
-      return snapshot::CorruptionIn("pipeline section");
+  // Only the archiver drains the window's points, so a pipeline without
+  // one keeps none; an archive-off snapshot of an older build still lists
+  // them, and they are skipped.
+  bool ok = true;
+  if (archiver_ == nullptr) {
+    ok = r.Skip(n * tracker::kCriticalPointBytes);
+  } else {
+    for (uint64_t i = 0; ok && i < n; ++i) {
+      ok = tracker::LoadCriticalPoint(r, &window_criticals_.emplace_back());
     }
-    window_criticals_.push_back(cp);
   }
-  if (!r.EndSection(end)) {
+  if (!ok || !r.EndSection(end)) {
     window_criticals_.clear();
     return snapshot::CorruptionIn("pipeline section");
   }

@@ -19,9 +19,12 @@ constexpr uint8_t kStoreFormatVersion = 1;
 // discarded.
 constexpr uint8_t kArchiverFormatVersion = 2;
 
-// Minimum encoded size of a critical point, for hostile-count validation.
-constexpr size_t kCriticalPointBytes =
-    2 * sizeof(uint32_t) + 2 * sizeof(int64_t) + 4 * sizeof(double);
+using tracker::kCriticalPointBytes;
+// Minimum encoded size of a trip and of an open segment (no points).
+constexpr size_t kTripBytes =
+    3 * sizeof(int32_t) + 3 * sizeof(int64_t) + sizeof(double);
+constexpr size_t kSegmentBytes =
+    sizeof(uint32_t) + sizeof(int32_t) + sizeof(uint64_t) + sizeof(double);
 
 void SaveCriticalPoints(const std::vector<tracker::CriticalPoint>& pts,
                         snapshot::Writer& w) {
@@ -29,18 +32,22 @@ void SaveCriticalPoints(const std::vector<tracker::CriticalPoint>& pts,
   for (const auto& cp : pts) tracker::SaveCriticalPoint(cp, w);
 }
 
+// `n` points onto the end of `pts`, whichever sequence holds them.
+template <typename Points>
+bool AppendCriticalPoints(snapshot::Reader& r, uint64_t n, Points* pts) {
+  for (uint64_t i = 0; i < n; ++i) {
+    if (!tracker::LoadCriticalPoint(r, &pts->emplace_back())) return false;
+  }
+  return true;
+}
+
+// A counted list of points into `pts` (empty), reserved to its count.
 bool LoadCriticalPoints(snapshot::Reader& r,
                         std::vector<tracker::CriticalPoint>* pts) {
   uint64_t n = 0;
   if (!r.Count(&n, kCriticalPointBytes)) return false;
-  pts->clear();
   pts->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    tracker::CriticalPoint cp;
-    if (!tracker::LoadCriticalPoint(r, &cp)) return false;
-    pts->push_back(cp);
-  }
-  return true;
+  return AppendCriticalPoints(r, n, pts);
 }
 
 void SaveTrip(const Trip& t, snapshot::Writer& w) {
@@ -49,10 +56,24 @@ void SaveTrip(const Trip& t, snapshot::Writer& w) {
   w.Put(t.start_tau, t.end_tau, t.distance_m);
 }
 
+// Into `t`, a freshly emplaced trip.
 bool LoadTrip(snapshot::Reader& r, Trip* t) {
-  return r.U32(&t->mmsi) && r.I32(&t->origin_port) &&
-         r.I32(&t->destination_port) && LoadCriticalPoints(r, &t->points) &&
-         r.I64(&t->start_tau) && r.I64(&t->end_tau) && r.F64(&t->distance_m);
+  return r.Get(&t->mmsi, &t->origin_port, &t->destination_port) &&
+         LoadCriticalPoints(r, &t->points) &&
+         r.Get(&t->start_tau, &t->end_tau, &t->distance_m);
+}
+
+// A counted list of trips onto the end of `trips` (empty), each read in
+// place.
+template <typename Trips>
+bool LoadTrips(snapshot::Reader& r, Trips* trips) {
+  uint64_t n = 0;
+  if (!r.Count(&n, kTripBytes)) return false;
+  if constexpr (requires { trips->reserve(n); }) trips->reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    if (!LoadTrip(r, &trips->emplace_back())) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -86,18 +107,20 @@ Status TripBuilder::RestoreFrom(snapshot::Reader& r) {
         "snapshot: trip builder distance threshold mismatch");
   }
   uint64_t n = 0;
-  if (!r.Count(&n, sizeof(uint32_t) + sizeof(int32_t) + sizeof(uint64_t) +
-                       sizeof(double))) {
-    return fail();
-  }
+  if (!r.Count(&n, kSegmentBytes)) return fail();
+  segments_.reserve(n);
+  stream::Mmsi prev = 0;
   for (uint64_t i = 0; i < n; ++i) {
     stream::Mmsi mmsi = 0;
-    OpenSegment seg;
-    if (!r.U32(&mmsi) || !r.I32(&seg.origin_port) ||
-        !LoadCriticalPoints(r, &seg.points) || !r.F64(&seg.distance_m)) {
+    int32_t origin = 0;
+    // SaveTo writes each vessel once, in ascending MMSI order.
+    if (!r.Get(&mmsi, &origin) || (i > 0 && mmsi <= prev)) return fail();
+    prev = mmsi;
+    OpenSegment& seg = segments_.try_emplace(mmsi).first->second;
+    seg.origin_port = origin;
+    if (!LoadCriticalPoints(r, &seg.points) || !r.F64(&seg.distance_m)) {
       return fail();
     }
-    segments_[mmsi] = std::move(seg);
   }
   return Status::OK();
 }
@@ -110,12 +133,8 @@ void TrajectoryStore::SaveTo(snapshot::Writer& w) const {
 
 Status TrajectoryStore::RestoreFrom(snapshot::Reader& r) {
   trips_.clear();
-  by_vessel_.clear();
-  by_destination_.clear();
   const auto fail = [this] {
     trips_.clear();
-    by_vessel_.clear();
-    by_destination_.clear();
     return snapshot::CorruptionIn("trajectory store");
   };
   uint8_t version = 0;
@@ -123,16 +142,7 @@ Status TrajectoryStore::RestoreFrom(snapshot::Reader& r) {
   if (version > kStoreFormatVersion) {
     return snapshot::VersionError("trajectory store");
   }
-  uint64_t n = 0;
-  if (!r.Count(&n, 3 * sizeof(int32_t) + 3 * sizeof(int64_t) +
-                       sizeof(double))) {
-    return fail();
-  }
-  for (uint64_t i = 0; i < n; ++i) {
-    Trip t;
-    if (!LoadTrip(r, &t)) return fail();
-    AddTrip(std::move(t));  // rebuilds by_vessel_/by_destination_
-  }
+  if (!LoadTrips(r, &trips_)) return fail();
   return Status::OK();
 }
 
@@ -164,22 +174,11 @@ Status HermesArchiver::RestoreFrom(snapshot::Reader& r) {
   }
   if (const Status s = builder_.RestoreFrom(r); !s.ok()) return s;
   uint64_t n = 0;
-  if (!r.Count(&n, kCriticalPointBytes)) return fail();
-  for (uint64_t i = 0; i < n; ++i) {
-    tracker::CriticalPoint cp;
-    if (!tracker::LoadCriticalPoint(r, &cp)) return fail();
-    staging_.push_back(cp);
-  }
-  if (!r.Count(&n, 3 * sizeof(int32_t) + 3 * sizeof(int64_t) +
-                       sizeof(double))) {
+  if (!r.Count(&n, kCriticalPointBytes) ||
+      !AppendCriticalPoints(r, n, &staging_)) {
     return fail();
   }
-  reconstructed_.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    Trip t;
-    if (!LoadTrip(r, &t)) return fail();
-    reconstructed_.push_back(std::move(t));
-  }
+  if (!LoadTrips(r, &reconstructed_)) return fail();
   if (const Status s = store_.RestoreFrom(r); !s.ok()) return s;
   // Phase times are this process's own measurement, so they restart at
   // zero; only the batch count is durable state.

@@ -1,5 +1,7 @@
 #include "mod/store.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
 
 namespace maritime::mod {
@@ -23,27 +25,22 @@ std::string TripStatistics::ToString() const {
   return out;
 }
 
-void TrajectoryStore::AddTrip(Trip trip) {
-  const size_t idx = trips_.size();
-  by_vessel_[trip.mmsi].push_back(idx);
-  by_destination_[trip.destination_port].push_back(idx);
-  trips_.push_back(std::move(trip));
-}
+void TrajectoryStore::AddTrip(Trip trip) { trips_.push_back(std::move(trip)); }
 
 std::vector<const Trip*> TrajectoryStore::TripsOfVessel(
     stream::Mmsi mmsi) const {
   std::vector<const Trip*> out;
-  const auto it = by_vessel_.find(mmsi);
-  if (it == by_vessel_.end()) return out;
-  for (const size_t idx : it->second) out.push_back(&trips_[idx]);
+  for (const Trip& t : trips_) {
+    if (t.mmsi == mmsi) out.push_back(&t);
+  }
   return out;
 }
 
 std::vector<const Trip*> TrajectoryStore::TripsTo(int32_t port) const {
   std::vector<const Trip*> out;
-  const auto it = by_destination_.find(port);
-  if (it == by_destination_.end()) return out;
-  for (const size_t idx : it->second) out.push_back(&trips_[idx]);
+  for (const Trip& t : trips_) {
+    if (t.destination_port == port) out.push_back(&t);
+  }
   return out;
 }
 
@@ -86,9 +83,14 @@ TripStatistics TrajectoryStore::ComputeStatistics(
     s.avg_travel_time = total_time / static_cast<Duration>(trips_.size());
     s.avg_distance_m = total_distance / n;
   }
-  if (!by_vessel_.empty()) {
-    s.avg_trips_per_vessel = static_cast<double>(trips_.size()) /
-                             static_cast<double>(by_vessel_.size());
+  if (!trips_.empty()) {
+    std::vector<stream::Mmsi> vessels;
+    vessels.reserve(trips_.size());
+    for (const Trip& t : trips_) vessels.push_back(t.mmsi);
+    std::sort(vessels.begin(), vessels.end());
+    const auto distinct = static_cast<double>(
+        std::unique(vessels.begin(), vessels.end()) - vessels.begin());
+    s.avg_trips_per_vessel = static_cast<double>(trips_.size()) / distinct;
   }
   return s;
 }

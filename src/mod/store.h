@@ -5,7 +5,6 @@
 #include <deque>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mod/trips.h"
@@ -52,10 +51,11 @@ class TrajectoryStore {
   const std::deque<Trip>& trips() const { return trips_; }
   size_t trip_count() const { return trips_.size(); }
 
-  /// Indices into trips() for one vessel, in insertion (time) order.
+  /// The trips of one vessel, in insertion (time) order. A scan of the
+  /// archive: offline queries are rare and the archive is append-only.
   std::vector<const Trip*> TripsOfVessel(stream::Mmsi mmsi) const;
 
-  /// Trips arriving at `port`.
+  /// Trips arriving at `port`, in insertion order (a scan, as above).
   std::vector<const Trip*> TripsTo(int32_t port) const;
 
   /// Trips overlapping the time interval [from, to].
@@ -70,8 +70,7 @@ class TrajectoryStore {
   TripStatistics ComputeStatistics(uint64_t staged_points) const;
 
   // --- checkpointing -------------------------------------------------------
-  /// Serializes the trips in insertion order (format v1); the per-vessel and
-  /// per-destination indexes are rebuilt on restore.
+  /// Serializes the trips in insertion order (format v1).
   void SaveTo(snapshot::Writer& w) const;
   /// Replaces the store contents. On error the store is left empty.
   Status RestoreFrom(snapshot::Reader& r);
@@ -81,8 +80,6 @@ class TrajectoryStore {
   /// pointers into this container, which must survive later AddTrip calls
   /// (std::deque never relocates existing elements on push_back).
   std::deque<Trip> trips_;
-  std::unordered_map<stream::Mmsi, std::vector<size_t>> by_vessel_;
-  std::unordered_map<int32_t, std::vector<size_t>> by_destination_;
 };
 
 }  // namespace maritime::mod

@@ -157,7 +157,21 @@ Engine::Engine(stream::WindowSpec window, const void* user_data,
   assert(window_.Validate().ok());
 }
 
+// Room for this many events (fluents) is made at the first declaration: a
+// schema declares about a dozen, and each declaration grows six parallel
+// vectors, so growing them one doubling at a time would cost a pipeline
+// build (and with it every restore) some 50 allocations.
+constexpr size_t kInitialDeclarations = 16;
+
 EventId Engine::DeclareEvent(std::string name) {
+  if (event_names_.empty()) {
+    event_names_.reserve(kInitialDeclarations);
+    input_events_.reserve(kInitialDeclarations);
+    derived_events_.reserve(kInitialDeclarations);
+    dirty_events_.reserve(kInitialDeclarations);
+    changed_derived_.reserve(kInitialDeclarations);
+    edge_derived_.reserve(kInitialDeclarations);
+  }
   const EventId id = static_cast<EventId>(event_names_.size());
   event_names_.push_back(std::move(name));
   input_events_.emplace_back();
@@ -169,6 +183,14 @@ EventId Engine::DeclareEvent(std::string name) {
 }
 
 FluentId Engine::DeclareFluent(std::string name) {
+  if (fluent_names_.empty()) {
+    fluent_names_.reserve(kInitialDeclarations);
+    timelines_.reserve(kInitialDeclarations);
+    fluent_keys_.reserve(kInitialDeclarations);
+    fluent_timelines_.reserve(kInitialDeclarations);
+    changed_fluents_.reserve(kInitialDeclarations);
+    edge_fluents_.reserve(kInitialDeclarations);
+  }
   const FluentId id = static_cast<FluentId>(fluent_names_.size());
   fluent_names_.push_back(std::move(name));
   timelines_.emplace_back();
@@ -482,19 +504,6 @@ MARITIME_COMMIT_BOUNDARY void Engine::RebuildKeyMemo(size_t fidx) {
   for (const auto& [k, timeline] : pairs) {
     memo.push_back(k);
     tls.push_back(timeline);
-  }
-}
-
-void Engine::RelinkSimpleCache(size_t fidx, SimpleDefCache* cache) {
-  cache->entries.clear();
-  cache->timelines.clear();
-  for (const Term& key : cache->keys) {
-    const auto ev_it = cache->evidence.find(key);
-    cache->entries.push_back(
-        ev_it == cache->evidence.end() ? nullptr : &ev_it->second);
-    const auto tl_it = timelines_[fidx].find(key);
-    cache->timelines.push_back(
-        tl_it == timelines_[fidx].end() ? nullptr : &tl_it->second);
   }
 }
 

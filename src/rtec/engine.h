@@ -608,10 +608,11 @@ class Engine {
   /// Restores into an engine constructed with the same window, the same
   /// incremental flag, and the same declarations in the same order (the
   /// rules themselves are code, not data). The fingerprint guards against
-  /// mismatches (InvalidArgument); malformed bytes yield Corruption and
-  /// snapshots from a newer format Unimplemented. After a successful
-  /// restore, subsequent Recognize calls produce bit-identical results to
-  /// the engine that was saved.
+  /// mismatches (InvalidArgument); malformed bytes, and bytes SaveTo never
+  /// writes (keys out of order, a repeated value), yield Corruption and
+  /// leave the engine as freshly declared; snapshots from a newer format
+  /// yield Unimplemented. After a successful restore, subsequent Recognize
+  /// calls produce bit-identical results to the engine that was saved.
   Status RestoreFrom(snapshot::Reader& r);
 
  private:
@@ -730,9 +731,10 @@ class Engine {
   void EvaluateDerived(const DerivedEventSpec& spec, DerivedDefCache& cache,
                        const EvalContext& ctx, RecognitionResult* result);
 
-  /// Rebuilds a simple-fluent cache's parallel entry/slot pointers from its
-  /// maps (after RestoreFrom).
-  void RelinkSimpleCache(size_t fidx, SimpleDefCache* cache);
+  /// Empties every piece of cross-slide state, leaving the engine as its
+  /// declarations built it: RestoreFrom starts from here, and returns here
+  /// when it fails part-way, so a failed restore leaves no partial state.
+  void ClearState();
 
   /// Refreshes fluent_keys_[fidx] and fluent_timelines_[fidx] from the
   /// timeline map after a definition commit.

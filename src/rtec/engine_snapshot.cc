@@ -8,10 +8,12 @@
 // argument is spelled out in DESIGN.md §9).
 
 #include <algorithm>
-#include <map>
+#include <array>
+#include <string_view>
 #include <variant>
 #include <vector>
 
+#include "common/check.h"
 #include "rtec/engine.h"
 #include "rtec/interval.h"
 #include "snapshot/codec.h"
@@ -36,18 +38,39 @@ constexpr const char* kWhat = "rtec engine";
 constexpr uint8_t kKindSimple = 0;
 constexpr uint8_t kKindDerived = 2;
 
+// Encoded sizes, for validating a count before anything is sized by it.
+constexpr size_t kTermBytes = 2 * sizeof(int32_t);
+constexpr size_t kEventBytes = 2 * kTermBytes + sizeof(int64_t);
+constexpr size_t kPointBytes = sizeof(int32_t) + sizeof(int64_t);
+constexpr size_t kIntervalBytes = 2 * sizeof(int64_t);
+constexpr size_t kFixBytes = sizeof(int64_t) + 2 * sizeof(double);
+constexpr size_t kRowHeaderBytes = sizeof(int32_t) + sizeof(uint64_t);
+constexpr size_t kOptionalValueBytes = sizeof(uint8_t) + sizeof(int32_t);
+constexpr size_t kTimelineBytes = 3 * sizeof(uint64_t) + kOptionalValueBytes;
+constexpr size_t kEvidenceBytes = 2 * sizeof(uint64_t) + kOptionalValueBytes;
+
 void SaveTerm(const Term& t, snapshot::Writer& w) { w.Put(t.kind, t.id); }
 
-bool LoadTerm(snapshot::Reader& r, Term* t) {
-  return r.I32(&t->kind) && r.I32(&t->id);
-}
+bool LoadTerm(snapshot::Reader& r, Term* t) { return r.Get(&t->kind, &t->id); }
 
 void SaveEventInstance(const EventInstance& e, snapshot::Writer& w) {
   w.Put(e.subject.kind, e.subject.id, e.object.kind, e.object.id, e.t);
 }
 
 bool LoadEventInstance(snapshot::Reader& r, EventInstance* e) {
-  return LoadTerm(r, &e->subject) && LoadTerm(r, &e->object) && r.I64(&e->t);
+  return r.Get(&e->subject.kind, &e->subject.id, &e->object.kind,
+               &e->object.id, &e->t);
+}
+
+// The events of one store, into `events` reserved to their count.
+bool LoadEvents(snapshot::Reader& r, std::vector<EventInstance>* events) {
+  uint64_t n = 0;
+  if (!r.Count(&n, kEventBytes)) return false;
+  events->reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    if (!LoadEventInstance(r, &events->emplace_back())) return false;
+  }
+  return true;
 }
 
 void SavePoints(std::span<const ValuedPoint> pts, snapshot::Writer& w) {
@@ -55,32 +78,14 @@ void SavePoints(std::span<const ValuedPoint> pts, snapshot::Writer& w) {
   for (const ValuedPoint& p : pts) w.Put(p.value, p.t);
 }
 
-bool LoadPoints(snapshot::Reader& r, PointVec* pts) {
-  uint64_t n = 0;
-  if (!r.Count(&n, sizeof(int32_t) + sizeof(int64_t))) return false;
-  pts->clear();
-  pts->reserve(n);
+// `n` points onto the end of `pts`.
+bool AppendPoints(snapshot::Reader& r, uint64_t n, PointVec* pts) {
   for (uint64_t i = 0; i < n; ++i) {
     ValuedPoint p;
-    if (!r.I32(&p.value) || !r.I64(&p.t)) return false;
+    if (!r.Get(&p.value, &p.t)) return false;
     pts->push_back(p);
   }
   return true;
-}
-
-bool LoadIntervals(snapshot::Reader& r, IntervalList* list) {
-  uint64_t n = 0;
-  if (!r.Count(&n, 2 * sizeof(int64_t))) return false;
-  list->clear();
-  list->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    Interval iv;
-    if (!r.I64(&iv.since) || !r.I64(&iv.till)) return false;
-    list->push_back(iv);
-  }
-  // The engine's interval algebra assumes the normalized-list invariant;
-  // reject input that does not satisfy it instead of importing it.
-  return IsNormalized(*list);
 }
 
 void SaveTimeline(const FluentTimeline& tl, snapshot::Writer& w) {
@@ -118,79 +123,32 @@ void SaveTimeline(const FluentTimeline& tl, snapshot::Writer& w) {
   w.Put(uint8_t{tl.open_value.has_value()}, tl.open_value.value_or(0));
 }
 
-bool LoadTimeline(snapshot::Reader& r, FluentTimeline* tl) {
-  std::map<Value, IntervalList> ivals;
-  std::map<Value, std::vector<Timestamp>> starts;
-  std::map<Value, std::vector<Timestamp>> ends;
-  uint64_t n = 0;
-  if (!r.Count(&n, sizeof(int32_t) + sizeof(uint64_t))) return false;
-  for (uint64_t i = 0; i < n; ++i) {
-    Value value = 0;
-    IntervalList list;
-    if (!r.I32(&value) || !LoadIntervals(r, &list)) return false;
-    ivals[value] = std::move(list);
-  }
-  for (auto* field : {&starts, &ends}) {
-    if (!r.Count(&n, sizeof(int32_t) + sizeof(uint64_t))) return false;
-    for (uint64_t i = 0; i < n; ++i) {
-      Value value = 0;
-      uint64_t m = 0;
-      if (!r.I32(&value) || !r.Count(&m, sizeof(int64_t))) return false;
-      std::vector<Timestamp>& times = (*field)[value];
-      times.reserve(m);
-      for (uint64_t j = 0; j < m; ++j) {
-        Timestamp t = 0;
-        if (!r.I64(&t)) return false;
-        times.push_back(t);
-      }
-    }
-  }
-  bool has_open = false;
-  Value open = 0;
-  if (!r.Bool(&has_open) || !r.I32(&open)) return false;
-  // Rebuild the slice table in ascending value order (maps iterate sorted).
-  *tl = FluentTimeline{};
-  std::vector<Value> values;
-  for (const auto& [v, x] : ivals) values.push_back(v);
-  for (const auto& [v, x] : starts) values.push_back(v);
-  for (const auto& [v, x] : ends) values.push_back(v);
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-  for (const Value v : values) {
-    const auto iv = ivals.find(v);
-    const auto st = starts.find(v);
-    const auto en = ends.find(v);
-    tl->AppendValue(
-        v,
-        iv == ivals.end() ? IntervalSpan() : IntervalSpan(iv->second),
-        st == starts.end() ? std::span<const Timestamp>()
-                           : std::span<const Timestamp>(st->second),
-        en == ends.end() ? std::span<const Timestamp>()
-                         : std::span<const Timestamp>(en->second));
-  }
-  if (has_open) tl->open_value = open;
-  return true;
-}
-
 void SaveEvidence(const CachedEvidence& ev, snapshot::Writer& w) {
   SavePoints(ev.initiations(), w);
   SavePoints(ev.terminations(), w);
   w.Put(uint8_t{ev.carried_value.has_value()}, ev.carried_value.value_or(0));
 }
 
+// Reads the initiations and then the terminations straight into
+// `ev->points`, a freshly emplaced slot. The buffer is reserved once for
+// both lists: the terminations' count is read ahead, past the initiations.
 bool LoadEvidence(snapshot::Reader& r, CachedEvidence* ev) {
-  *ev = CachedEvidence{};
-  bool has_carried = false;
+  uint64_t n_init = 0, n_term = 0;
+  if (!r.Count(&n_init, kPointBytes)) return false;
+  snapshot::Reader ahead = r;
+  if (ahead.Skip(n_init * kPointBytes) && ahead.Count(&n_term, kPointBytes)) {
+    ev->points.reserve(n_init + n_term);
+  }
+  uint8_t has_carried = 0;
   Value carried = 0;
-  PointVec terminations;
-  if (!LoadPoints(r, &ev->points) || !LoadPoints(r, &terminations) ||
-      !r.Bool(&has_carried) || !r.I32(&carried)) {
+  if (!AppendPoints(r, n_init, &ev->points) ||
+      !r.Count(&n_term, kPointBytes) ||
+      !AppendPoints(r, n_term, &ev->points) ||
+      !r.Get(&has_carried, &carried)) {
     return false;
   }
-  ev->init_count = static_cast<uint32_t>(ev->points.size());
-  ev->points.insert(ev->points.end(), terminations.begin(),
-                    terminations.end());
-  if (has_carried) ev->carried_value = carried;
+  ev->init_count = static_cast<uint32_t>(n_init);
+  if (has_carried != 0) ev->carried_value = carried;
   ev->IndexPoints();
   return true;
 }
@@ -202,14 +160,153 @@ void SaveTermVector(const std::vector<Term>& terms, snapshot::Writer& w) {
 
 bool LoadTermVector(snapshot::Reader& r, std::vector<Term>* terms) {
   uint64_t n = 0;
-  if (!r.Count(&n, 2 * sizeof(int32_t))) return false;
+  if (!r.Count(&n, kTermBytes)) return false;
   terms->clear();
   terms->reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
-    Term t;
-    if (!LoadTerm(r, &t)) return false;
-    terms->push_back(t);
+    if (!LoadTerm(r, &terms->emplace_back())) return false;
   }
+  return true;
+}
+
+// One section of a timeline record (its intervals, starts or ends), read
+// row by row through a reader of its own: `head` is the current row's value
+// and `length` its element count. A section lists its values ascending, so
+// three cursors over the same bytes walk the union of the values in step
+// and a timeline is laid out without staging its rows anywhere.
+struct RowCursor {
+  explicit RowCursor(size_t bytes) : element_bytes(bytes) {}
+
+  /// Opens the section that starts at `at`: reads its row count.
+  bool Open(const snapshot::Reader& at) {
+    r = at;
+    has_head = false;
+    return r.Count(&rows, kRowHeaderBytes + element_bytes);
+  }
+  /// Reads the next row's header. Rows SaveTo never writes are rejected:
+  /// an empty row, or a value not above the previous row's.
+  bool Next() {
+    const bool had_head = has_head;
+    has_head = rows > 0;
+    if (!has_head) return true;
+    --rows;
+    Value value = 0;
+    if (!r.Get(&value, &length) || length == 0 ||
+        !r.Fits(length, element_bytes) || (had_head && value <= head)) {
+      return false;
+    }
+    head = value;
+    return true;
+  }
+  bool SkipRow() { return r.Skip(length * element_bytes); }
+
+  snapshot::Reader r{std::string_view()};
+  size_t element_bytes;
+  uint64_t rows = 0;
+  bool has_head = false;
+  Value head = 0;
+  uint64_t length = 0;
+};
+
+// Calls row(v, at) for every value named by any of the three sections,
+// ascending, where at[k] is section k's cursor when its current row names v
+// and nullptr otherwise. `row` consumes the bodies of those rows.
+template <typename Fn>
+bool ForEachValue(std::array<RowCursor, 3>& sections, Fn row) {
+  for (RowCursor& c : sections) {
+    if (!c.Next()) return false;
+  }
+  while (true) {
+    const RowCursor* lowest = nullptr;
+    for (const RowCursor& c : sections) {
+      if (c.has_head && (lowest == nullptr || c.head < lowest->head)) {
+        lowest = &c;
+      }
+    }
+    if (lowest == nullptr) return true;
+    const Value v = lowest->head;
+    std::array<RowCursor*, 3> at{};
+    for (size_t k = 0; k < 3; ++k) {
+      if (sections[k].has_head && sections[k].head == v) at[k] = &sections[k];
+    }
+    if (!row(v, at)) return false;
+    for (RowCursor* c : at) {
+      if (c != nullptr && !c->Next()) return false;
+    }
+  }
+}
+
+// Reads one timeline (the layout SaveTimeline writes) into `tl`, a freshly
+// emplaced map slot, with each store reserved to its final size. A first
+// walk over the row headers finds the three sections and sizes the stores;
+// the second reads every row straight into place, value by value, as
+// AppendValue lays a timeline out.
+bool LoadTimeline(snapshot::Reader& r, FluentTimeline* tl) {
+  std::array<RowCursor, 3> sections = {RowCursor(kIntervalBytes),
+                                       RowCursor(sizeof(int64_t)),
+                                       RowCursor(sizeof(int64_t))};
+  // Each section begins where the previous one's rows end.
+  size_t elements[3] = {};
+  snapshot::Reader at = r;
+  for (size_t k = 0; k < 3; ++k) {
+    if (!sections[k].Open(at)) return false;
+    RowCursor scan = sections[k];
+    if (!scan.Next()) return false;
+    while (scan.has_head) {
+      elements[k] += scan.length;
+      if (!scan.SkipRow() || !scan.Next()) return false;
+    }
+    at = scan.r;
+  }
+  uint8_t has_open = 0;
+  Value open = 0;
+  if (!at.Get(&has_open, &open)) return false;
+
+  size_t values = 0;
+  std::array<RowCursor, 3> count = sections;
+  if (!ForEachValue(count, [&values](Value, std::array<RowCursor*, 3>& rows) {
+        ++values;
+        for (RowCursor* c : rows) {
+          if (c != nullptr && !c->SkipRow()) return false;
+        }
+        return true;
+      })) {
+    return false;
+  }
+  tl->slices.reserve(values);
+  tl->interval_store.reserve(elements[0]);
+  tl->time_store.reserve(elements[1] + elements[2]);
+  const auto append_times = [tl](RowCursor* c) {
+    for (uint64_t j = 0; c != nullptr && j < c->length; ++j) {
+      if (!c->r.Get(&tl->time_store.emplace_back())) return false;
+    }
+    return true;
+  };
+  const bool ok = ForEachValue(
+      sections, [&](Value v, std::array<RowCursor*, 3>& rows) {
+        FluentTimeline::ValueSlice s;
+        s.value = v;
+        s.ival_begin = static_cast<uint32_t>(tl->interval_store.size());
+        for (uint64_t j = 0; rows[0] != nullptr && j < rows[0]->length; ++j) {
+          Interval& iv = tl->interval_store.emplace_back();
+          if (!rows[0]->r.Get(&iv.since, &iv.till)) return false;
+        }
+        s.ival_end = static_cast<uint32_t>(tl->interval_store.size());
+        s.start_begin = static_cast<uint32_t>(tl->time_store.size());
+        if (!append_times(rows[1])) return false;
+        s.start_end = s.end_begin =
+            static_cast<uint32_t>(tl->time_store.size());
+        if (!append_times(rows[2])) return false;
+        s.end_end = static_cast<uint32_t>(tl->time_store.size());
+        tl->slices.push_back(s);
+        // The engine's interval algebra assumes the normalized-list
+        // invariant; reject input that does not satisfy it instead of
+        // importing it.
+        return IsNormalized(tl->IntervalsAt(s));
+      });
+  if (!ok) return false;
+  if (has_open != 0) tl->open_value = open;
+  r = at;
   return true;
 }
 
@@ -261,11 +358,17 @@ MARITIME_OUTPUT_PATH void Engine::SaveTo(snapshot::Writer& w) const {
   w.Bool(coords_dirty_);
 
   // --- committed timelines -------------------------------------------------
-  for (const auto& map : timelines_) {
-    w.U64(map.size());
-    for (const auto* entry : snapshot::SortedEntries(map)) {
-      SaveTerm(entry->first, w);
-      SaveTimeline(entry->second, w);
+  // The key memo is each map's keys in ascending order with their slots.
+  for (size_t fidx = 0; fidx < timelines_.size(); ++fidx) {
+    const std::vector<Term>& keys = fluent_keys_[fidx];
+    const auto& tls = fluent_timelines_[fidx];
+    MARITIME_DCHECK_MSG(
+        keys.size() == timelines_[fidx].size() && tls.size() == keys.size(),
+        "key memo does not cover the committed timeline map");
+    w.U64(keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      SaveTerm(keys[i], w);
+      SaveTimeline(*tls[i], w);
     }
   }
 
@@ -304,11 +407,18 @@ MARITIME_OUTPUT_PATH void Engine::SaveTo(snapshot::Writer& w) const {
   // --- per-definition caches -----------------------------------------------
   for (const auto& cache : def_caches_) {
     if (const auto* simple = std::get_if<SimpleDefCache>(&cache)) {
+      // The evaluated key set is sorted and holds every cached key, with
+      // its entry alongside (naive mode caches nothing: both are empty).
       w.U64(simple->evidence.size());
-      for (const auto* entry : snapshot::SortedEntries(simple->evidence)) {
-        SaveTerm(entry->first, w);
-        SaveEvidence(entry->second, w);
+      size_t walked = 0;
+      for (size_t i = 0; i < simple->keys.size(); ++i) {
+        if (simple->entries[i] == nullptr) continue;
+        SaveTerm(simple->keys[i], w);
+        SaveEvidence(*simple->entries[i], w);
+        ++walked;
       }
+      MARITIME_DCHECK_MSG(walked == simple->evidence.size(),
+                          "evaluated key set does not cover the evidence map");
       SaveTermVector(simple->keys, w);
     } else {
       w.Bool(std::get<DerivedDefCache>(cache).valid);
@@ -400,60 +510,47 @@ Status Engine::RestoreFrom(snapshot::Reader& r) {
     }
   }
 
+  // --- cross-slide state ---------------------------------------------------
+  // Everything below is built in place, behind one bounds check per
+  // record; a failure part-way clears it all again.
+  ClearState();
+  const auto fail = [this] {
+    ClearState();
+    return snapshot::CorruptionIn(kWhat);
+  };
+
   // --- input stores --------------------------------------------------------
   // The ordering bookkeeping and the subject index are derived, not stored:
   // the sorted prefix is whatever prefix of the stored order is sorted (a
   // snapshot taken with input pending keeps its unsorted tail), and the next
   // Recognize sorts the rest and builds the index.
   for (EventStore& store : input_events_) {
-    if (!r.Count(&n, 2 * 2 * sizeof(int32_t) + sizeof(int64_t))) {
-      return snapshot::CorruptionIn(kWhat);
-    }
-    auto& events = store.by_time;
-    events.clear();
-    events.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      EventInstance e;
-      if (!LoadEventInstance(r, &e)) return snapshot::CorruptionIn(kWhat);
-      events.push_back(e);
-    }
+    if (!LoadEvents(r, &store.by_time)) return fail();
     DeriveInputOrder(&store);
   }
-  if (!r.Bool(&input_dirty_)) return snapshot::CorruptionIn(kWhat);
+  if (!r.Bool(&input_dirty_)) return fail();
   for (auto& store : derived_events_) {
-    if (!r.Count(&n, 2 * 2 * sizeof(int32_t) + sizeof(int64_t))) {
-      return snapshot::CorruptionIn(kWhat);
-    }
-    store.clear();
-    store.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      EventInstance e;
-      if (!LoadEventInstance(r, &e)) return snapshot::CorruptionIn(kWhat);
-      store.push_back(e);
-    }
+    if (!LoadEvents(r, &store)) return fail();
   }
-  coords_.clear();
-  coords_unsorted_.clear();
-  coord_purge_.clear();
-  if (!r.Count(&n, 2 * sizeof(int32_t) + sizeof(uint64_t))) {
-    return snapshot::CorruptionIn(kWhat);
-  }
+  if (!r.Count(&n, kTermBytes + sizeof(uint64_t))) return fail();
+  coords_.reserve(n);
+  Term prev_vessel;
   for (uint64_t i = 0; i < n; ++i) {
     Term vessel;
     uint64_t m = 0;
-    if (!LoadTerm(r, &vessel) ||
-        !r.Count(&m, sizeof(int64_t) + 2 * sizeof(double))) {
-      return snapshot::CorruptionIn(kWhat);
+    // SaveTo writes each vessel once, ascending.
+    if (!r.Get(&vessel.kind, &vessel.id, &m) || !r.Fits(m, kFixBytes) ||
+        (i > 0 && !(prev_vessel < vessel))) {
+      return fail();
     }
-    CoordHistory& h = coords_[vessel];
+    prev_vessel = vessel;
+    CoordHistory& h = coords_.try_emplace(vessel).first->second;
     auto& vec = h.fixes;
     vec.reserve(m);
     for (uint64_t j = 0; j < m; ++j) {
       Timestamp t = 0;
       geo::GeoPoint pos;
-      if (!r.I64(&t) || !r.F64(&pos.lon) || !r.F64(&pos.lat)) {
-        return snapshot::CorruptionIn(kWhat);
-      }
+      if (!r.Get(&t, &pos.lon, &pos.lat)) return fail();
       vec.emplace_back(t, pos);
       coord_purge_.emplace_back(t, vessel);
     }
@@ -467,38 +564,39 @@ Status Engine::RestoreFrom(snapshot::Reader& r) {
         vec.begin());
     if (h.sorted < vec.size()) coords_unsorted_.push_back(vessel);
   }
-  if (!r.Bool(&coords_dirty_)) return snapshot::CorruptionIn(kWhat);
+  if (!r.Bool(&coords_dirty_)) return fail();
   RebuildCoordPurge();
 
   // --- committed timelines -------------------------------------------------
+  // Keys arrive ascending, so the key memo is built as they are read.
   for (size_t fidx = 0; fidx < timelines_.size(); ++fidx) {
     auto& map = timelines_[fidx];
-    map.clear();
-    if (!r.Count(&n, 2 * sizeof(int32_t) + 1)) {
-      return snapshot::CorruptionIn(kWhat);
-    }
+    auto& keys = fluent_keys_[fidx];
+    auto& tls = fluent_timelines_[fidx];
+    if (!r.Count(&n, kTermBytes + kTimelineBytes)) return fail();
+    map.reserve(n);
+    keys.reserve(n);
+    tls.reserve(n);
     for (uint64_t i = 0; i < n; ++i) {
       Term key;
-      FluentTimeline tl;
-      if (!LoadTerm(r, &key) || !LoadTimeline(r, &tl)) {
-        return snapshot::CorruptionIn(kWhat);
+      if (!LoadTerm(r, &key) || (!keys.empty() && !(keys.back() < key))) {
+        return fail();
       }
-      map[key] = std::move(tl);
+      FluentTimeline& tl = map.try_emplace(key).first->second;
+      if (!LoadTimeline(r, &tl)) return fail();
+      keys.push_back(key);
+      tls.push_back(&tl);
     }
-    RebuildKeyMemo(fidx);
   }
 
   // --- incremental dirty + edge state --------------------------------------
   const auto load_dirty = [&r](DirtyMap* dm) {
-    dm->Clear();
     uint64_t count = 0;
-    if (!r.Count(&count, 2 * sizeof(int32_t) + 2 * sizeof(int64_t))) {
-      return false;
-    }
+    if (!r.Count(&count, kTermBytes + 2 * sizeof(int64_t))) return false;
     for (uint64_t i = 0; i < count; ++i) {
       Term key;
       DirtyMap::MarkRange range{};
-      if (!LoadTerm(r, &key) || !r.I64(&range.min) || !r.I64(&range.max) ||
+      if (!r.Get(&key.kind, &key.id, &range.min, &range.max) ||
           range.min > range.max) {
         return false;
       }
@@ -511,37 +609,33 @@ Status Engine::RestoreFrom(snapshot::Reader& r) {
     return true;
   };
   for (auto& dm : dirty_events_) {
-    if (!load_dirty(&dm)) return snapshot::CorruptionIn(kWhat);
+    if (!load_dirty(&dm)) return fail();
   }
-  if (!load_dirty(&dirty_coords_)) return snapshot::CorruptionIn(kWhat);
-  if (!r.Bool(&dirty_all_)) return snapshot::CorruptionIn(kWhat);
+  if (!load_dirty(&dirty_coords_)) return fail();
+  if (!r.Bool(&dirty_all_)) return fail();
   for (auto& edge : edge_fluents_) {
-    if (!LoadTermVector(r, &edge)) return snapshot::CorruptionIn(kWhat);
+    if (!LoadTermVector(r, &edge)) return fail();
   }
   for (auto& e : edge_derived_) {
     uint8_t b = 0;
-    if (!r.U8(&b)) return snapshot::CorruptionIn(kWhat);
+    if (!r.U8(&b)) return fail();
     e = static_cast<char>(b != 0);
   }
-  if (!r.I64(&prev_query_)) return snapshot::CorruptionIn(kWhat);
+  if (!r.I64(&prev_query_)) return fail();
 
   // --- boundary inertia record ---------------------------------------------
-  if (!r.I64(&boundary_.at)) return snapshot::CorruptionIn(kWhat);
-  if (!r.Count(&n, sizeof(uint64_t))) return snapshot::CorruptionIn(kWhat);
-  if (n != 0 && n != fluent_names_.size()) {
-    return snapshot::CorruptionIn(kWhat);
-  }
+  if (!r.I64(&boundary_.at)) return fail();
+  if (!r.Count(&n, sizeof(uint64_t))) return fail();
+  if (n != 0 && n != fluent_names_.size()) return fail();
   boundary_.values.assign(n, {});
   for (auto& bvec : boundary_.values) {
     uint64_t m = 0;
-    if (!r.Count(&m, 3 * sizeof(int32_t))) return snapshot::CorruptionIn(kWhat);
+    if (!r.Count(&m, kTermBytes + sizeof(int32_t))) return fail();
     bvec.reserve(m);
     for (uint64_t i = 0; i < m; ++i) {
       Term key;
       Value value = 0;
-      if (!LoadTerm(r, &key) || !r.I32(&value)) {
-        return snapshot::CorruptionIn(kWhat);
-      }
+      if (!r.Get(&key.kind, &key.id, &value)) return fail();
       bvec.emplace_back(key, value);
     }
     // Saved sorted; sort defensively so CarriedValue's binary search stays
@@ -552,58 +646,100 @@ Status Engine::RestoreFrom(snapshot::Reader& r) {
   }
 
   // --- per-definition caches -----------------------------------------------
-  for (auto& cache : def_caches_) {
-    if (auto* simple = std::get_if<SimpleDefCache>(&cache)) {
-      simple->evidence.clear();
-      if (!r.Count(&n, 2 * sizeof(int32_t) + 1)) {
-        return snapshot::CorruptionIn(kWhat);
+  // A simple fluent's evidence arrives ascending by key, and its evaluated
+  // key set is exactly those keys (every evaluated key has a cache entry;
+  // naive mode keeps neither), so the key walk's parallel entry and slot
+  // pointers are built as the entries are read.
+  for (size_t di = 0; di < definitions_.size(); ++di) {
+    auto* simple = std::get_if<SimpleDefCache>(&def_caches_[di]);
+    if (simple == nullptr) {
+      if (!r.Bool(&std::get<DerivedDefCache>(def_caches_[di]).valid)) {
+        return fail();
       }
-      for (uint64_t i = 0; i < n; ++i) {
-        Term key;
-        CachedEvidence ev;
-        if (!LoadTerm(r, &key) || !LoadEvidence(r, &ev)) {
-          return snapshot::CorruptionIn(kWhat);
-        }
-        simple->evidence[key] = std::move(ev);
+      continue;
+    }
+    FluentKeyMap& tl_map = timelines_[static_cast<size_t>(
+        std::get<SimpleFluentSpec>(definitions_[di]).fluent)];
+    std::vector<Term>& keys = simple->keys;
+    if (!r.Count(&n, kTermBytes + kEvidenceBytes)) return fail();
+    simple->evidence.reserve(n);
+    keys.reserve(n);
+    simple->entries.reserve(n);
+    simple->timelines.reserve(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      Term key;
+      if (!LoadTerm(r, &key) || (!keys.empty() && !(keys.back() < key))) {
+        return fail();
       }
-      if (!LoadTermVector(r, &simple->keys)) {
-        return snapshot::CorruptionIn(kWhat);
-      }
-    } else {
-      bool valid = false;
-      if (!r.Bool(&valid)) return snapshot::CorruptionIn(kWhat);
-      std::get<DerivedDefCache>(cache).valid = valid;
+      CachedEvidence& ev = simple->evidence.try_emplace(key).first->second;
+      if (!LoadEvidence(r, &ev)) return fail();
+      keys.push_back(key);
+      simple->entries.push_back(&ev);
+      const auto tl_it = tl_map.find(key);
+      simple->timelines.push_back(tl_it == tl_map.end() ? nullptr
+                                                        : &tl_it->second);
+    }
+    uint64_t m = 0;
+    if (!r.Count(&m, kTermBytes) || m != n) return fail();
+    for (const Term& key : keys) {
+      Term stored;
+      if (!LoadTerm(r, &stored) || !(stored == key)) return fail();
     }
   }
 
   uint64_t hits = 0, misses = 0, evictions = 0;
-  if (!r.U64(&hits) || !r.U64(&misses) || !r.U64(&evictions)) {
-    return snapshot::CorruptionIn(kWhat);
-  }
+  if (!r.Get(&hits, &misses, &evictions)) return fail();
   cache_stats_.hits = static_cast<size_t>(hits);
   cache_stats_.misses = static_cast<size_t>(misses);
   cache_stats_.evictions = static_cast<size_t>(evictions);
   uint64_t spans_narrowed = 0, fleet_floor_hits = 0;
-  if (version >= 3 &&
-      (!r.U64(&spans_narrowed) || !r.U64(&fleet_floor_hits))) {
-    return snapshot::CorruptionIn(kWhat);
+  if (version >= 3 && !r.Get(&spans_narrowed, &fleet_floor_hits)) {
+    return fail();
   }
   cache_stats_.spans_narrowed = static_cast<size_t>(spans_narrowed);
   cache_stats_.fleet_floor_hits = static_cast<size_t>(fleet_floor_hits);
+  return Status::OK();
+}
 
-  // Derived per-cache pointers into the maps just rebuilt.
-  for (size_t di = 0; di < definitions_.size(); ++di) {
-    if (const auto* spec = std::get_if<SimpleFluentSpec>(&definitions_[di])) {
-      RelinkSimpleCache(static_cast<size_t>(spec->fluent),
-                        &std::get<SimpleDefCache>(def_caches_[di]));
-    }
+void Engine::ClearState() {
+  for (EventStore& store : input_events_) {
+    store.by_time.clear();
+    store.sorted = 0;
+    store.indexed = 0;
+    store.by_subject.clear();
+    store.subjects.clear();
   }
-
-  // Per-slide scratch state is reset, exactly as a finished Recognize leaves
-  // it (changed_* are recomputed from the edge records at the next step).
+  input_dirty_ = false;
+  for (auto& store : derived_events_) store.clear();
+  coords_.clear();
+  coords_unsorted_.clear();
+  coord_purge_.clear();
+  coords_dirty_ = false;
+  for (size_t fidx = 0; fidx < timelines_.size(); ++fidx) {
+    timelines_[fidx].clear();
+    fluent_keys_[fidx].clear();
+    fluent_timelines_[fidx].clear();
+  }
+  for (auto& dm : dirty_events_) dm.Clear();
+  dirty_coords_.Clear();
+  dirty_all_ = true;
   for (auto& dm : changed_fluents_) dm.Clear();
   std::fill(changed_derived_.begin(), changed_derived_.end(), kTimestampNever);
-  return Status::OK();
+  for (auto& edge : edge_fluents_) edge.clear();
+  std::fill(edge_derived_.begin(), edge_derived_.end(), 0);
+  prev_query_ = kInvalidTimestamp;
+  boundary_ = BoundaryRecord{};
+  for (auto& cache : def_caches_) {
+    if (auto* simple = std::get_if<SimpleDefCache>(&cache)) {
+      simple->evidence.clear();
+      simple->keys.clear();
+      simple->entries.clear();
+      simple->timelines.clear();
+    } else {
+      std::get<DerivedDefCache>(cache).valid = false;
+    }
+  }
+  cache_stats_ = EngineCacheStats{};
 }
 
 }  // namespace maritime::rtec

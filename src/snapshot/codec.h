@@ -19,6 +19,15 @@ namespace maritime::snapshot {
 /// Guards every snapshot payload against torn writes and bit rot.
 uint32_t Crc32(std::string_view bytes);
 
+namespace detail {
+/// The fixed-width types a record field may have on the wire.
+template <typename T>
+inline constexpr bool kWireField =
+    std::is_same_v<T, uint8_t> || std::is_same_v<T, uint32_t> ||
+    std::is_same_v<T, uint64_t> || std::is_same_v<T, int32_t> ||
+    std::is_same_v<T, int64_t> || std::is_same_v<T, double>;
+}  // namespace detail
+
 /// Append-only little-endian encoder for snapshot payloads. All multi-byte
 /// integers are fixed-width little-endian so snapshots are portable across
 /// hosts of the same endianness class (the only class we target).
@@ -38,7 +47,7 @@ class Writer {
   template <typename... Fields>
   void Put(Fields... fields) {
     static_assert(sizeof...(Fields) > 0);
-    static_assert((kWireField<Fields> && ...),
+    static_assert((detail::kWireField<Fields> && ...),
                   "Writer::Put takes uint8_t, uint32_t, uint64_t, int32_t, "
                   "int64_t and double fields only");
     constexpr size_t n = (sizeof(Fields) + ...);
@@ -85,12 +94,6 @@ class Writer {
   std::string_view bytes() const { return {buf_.get(), size_}; }
 
  private:
-  template <typename T>
-  static constexpr bool kWireField =
-      std::is_same_v<T, uint8_t> || std::is_same_v<T, uint32_t> ||
-      std::is_same_v<T, uint64_t> || std::is_same_v<T, int32_t> ||
-      std::is_same_v<T, int64_t> || std::is_same_v<T, double>;
-
   void AppendRaw(const void* p, size_t n) {
     if (capacity_ - size_ < n) Grow(n);
     std::memcpy(buf_.get() + size_, p, n);
@@ -128,18 +131,38 @@ class Reader {
  public:
   explicit Reader(std::string_view bytes) : data_(bytes) {}
 
-  bool U8(uint8_t* v) { return ReadRaw(v, sizeof(*v)); }
+  /// Reads `fields` back to back behind one bounds check, the mirror of
+  /// Writer::Put: a record written by one Put is read by one Get of the
+  /// same field types. On a short buffer nothing is stored, the failure
+  /// latches and false is returned. The same fixed-width types only, so a
+  /// bool is read as its uint8_t and a count as uint64_t (validate it with
+  /// Fits before sizing anything by it).
+  template <typename... Fields>
+  bool Get(Fields*... fields) {
+    static_assert(sizeof...(Fields) > 0);
+    static_assert((detail::kWireField<Fields> && ...),
+                  "Reader::Get takes uint8_t, uint32_t, uint64_t, int32_t, "
+                  "int64_t and double fields only");
+    constexpr size_t n = (sizeof(Fields) + ...);
+    if (failed_ || remaining() < n) return Fail();
+    const char* in = data_.data() + pos_;
+    ((std::memcpy(fields, in, sizeof(Fields)), in += sizeof(Fields)), ...);
+    pos_ += n;
+    return true;
+  }
+
+  bool U8(uint8_t* v) { return Get(v); }
   bool Bool(bool* v) {
     uint8_t b = 0;
     if (!U8(&b)) return false;
     *v = b != 0;
     return true;
   }
-  bool U32(uint32_t* v) { return ReadRaw(v, sizeof(*v)); }
-  bool U64(uint64_t* v) { return ReadRaw(v, sizeof(*v)); }
-  bool I32(int32_t* v) { return ReadRaw(v, sizeof(*v)); }
-  bool I64(int64_t* v) { return ReadRaw(v, sizeof(*v)); }
-  bool F64(double* v) { return ReadRaw(v, sizeof(*v)); }
+  bool U32(uint32_t* v) { return Get(v); }
+  bool U64(uint64_t* v) { return Get(v); }
+  bool I32(int32_t* v) { return Get(v); }
+  bool I64(int64_t* v) { return Get(v); }
+  bool F64(double* v) { return Get(v); }
 
   bool Str(std::string* s) {
     uint64_t n = 0;
@@ -154,9 +177,22 @@ class Reader {
   /// count cannot drive a multi-gigabyte allocation before the truncation
   /// is noticed.
   bool Count(uint64_t* n, size_t min_element_size) {
-    if (!U64(n)) return false;
+    return U64(n) && Fits(*n, min_element_size);
+  }
+  /// The check of Count for a count already read as a field of a record:
+  /// `n` elements of at least `min_element_size` bytes must fit in what is
+  /// left, or the failure latches.
+  bool Fits(uint64_t n, size_t min_element_size) {
     if (min_element_size == 0) min_element_size = 1;
-    if (*n > remaining() / min_element_size) return Fail();
+    if (failed_ || n > remaining() / min_element_size) return Fail();
+    return true;
+  }
+
+  /// Advances past `n` bytes; false (latched) when fewer remain. A copy of
+  /// the reader skipped ahead is how a loader reads a later count early.
+  bool Skip(uint64_t n) {
+    if (failed_ || n > remaining()) return Fail();
+    pos_ += n;
     return true;
   }
 
@@ -186,13 +222,6 @@ class Reader {
     failed_ = true;
     return false;
   }
-  bool ReadRaw(void* v, size_t n) {
-    if (failed_ || remaining() < n) return Fail();
-    std::memcpy(v, data_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
   std::string_view data_;
   size_t pos_ = 0;
   bool failed_ = false;

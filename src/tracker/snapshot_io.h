@@ -1,7 +1,6 @@
 #ifndef MARITIME_TRACKER_SNAPSHOT_IO_H_
 #define MARITIME_TRACKER_SNAPSHOT_IO_H_
 
-#include "geo/snapshot_io.h"
 #include "snapshot/codec.h"
 #include "tracker/critical_point.h"
 
@@ -15,10 +14,13 @@ inline void SaveCriticalPoint(const CriticalPoint& cp, snapshot::Writer& w) {
 }
 
 inline bool LoadCriticalPoint(snapshot::Reader& r, CriticalPoint* cp) {
-  return r.U32(&cp->mmsi) && geo::LoadGeoPoint(r, &cp->pos) &&
-         r.I64(&cp->tau) && r.U32(&cp->flags) && r.F64(&cp->speed_knots) &&
-         r.F64(&cp->heading_deg) && r.I64(&cp->duration);
+  return r.Get(&cp->mmsi, &cp->pos.lon, &cp->pos.lat, &cp->tau, &cp->flags,
+               &cp->speed_knots, &cp->heading_deg, &cp->duration);
 }
+
+/// Encoded size of one critical point, for validating a count of them.
+inline constexpr size_t kCriticalPointBytes =
+    2 * sizeof(uint32_t) + 2 * sizeof(int64_t) + 4 * sizeof(double);
 
 }  // namespace maritime::tracker
 

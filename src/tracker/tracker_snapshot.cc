@@ -64,20 +64,23 @@ Status MobilityTracker::RestoreFrom(snapshot::Reader& r) {
   if (!r.Count(&n, sizeof(uint32_t))) {
     return snapshot::CorruptionIn("mobility tracker");
   }
+  vessels_.reserve(n);
+  slot_of_.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     stream::Mmsi mmsi = 0;
     if (!r.U32(&mmsi)) return fail(snapshot::CorruptionIn("mobility tracker"));
-    if (slot_of_.count(mmsi) != 0) {
-      return fail(snapshot::CorruptionIn("mobility tracker (duplicate MMSI)"));
+    // SaveTo writes each vessel once, in ascending MMSI order.
+    if (!vessels_.empty() && vessels_.back().mmsi >= mmsi) {
+      return fail(
+          snapshot::CorruptionIn("mobility tracker (MMSIs out of order)"));
     }
     VesselState& vs = vessels_[SlotFor(mmsi)];
     if (const Status s = vs.RestoreFrom(r, version); !s.ok()) return fail(s);
   }
-  const bool ok = r.U64(&stats_.processed) && r.U64(&stats_.accepted) &&
-                  r.U64(&stats_.stale_discarded) &&
-                  r.U64(&stats_.outliers_discarded) &&
-                  r.U64(&stats_.outlier_resets) &&
-                  r.U64(&stats_.critical_points);
+  const bool ok =
+      r.Get(&stats_.processed, &stats_.accepted, &stats_.stale_discarded,
+            &stats_.outliers_discarded, &stats_.outlier_resets,
+            &stats_.critical_points);
   if (!ok) return fail(snapshot::CorruptionIn("mobility tracker"));
   return Status::OK();
 }

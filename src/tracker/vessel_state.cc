@@ -1,9 +1,42 @@
 #include "tracker/vessel_state.h"
 
-#include "geo/snapshot_io.h"
-#include "stream/snapshot_io.h"
+#include <cstddef>
+#include <memory>
+#include <type_traits>
 
 namespace maritime::tracker {
+namespace {
+
+// Value-initializes `n` slots of T at `at` and returns them.
+template <typename T>
+T* PlaceSlots(std::byte* at, size_t n) {
+  static_assert(alignof(T) <= alignof(std::max_align_t) &&
+                std::is_trivially_destructible_v<T>);
+  T* slots = reinterpret_cast<T*>(at);
+  std::uninitialized_value_construct_n(slots, n);
+  return slots;
+}
+
+}  // namespace
+
+VesselState::VesselState(stream::Mmsi id, size_t history_size) : mmsi(id) {
+  if (history_size == 0) return;
+  // The arrays sit back to back, so each size must keep the next aligned.
+  static_assert(sizeof(geo::VelocityComponents) % alignof(double) == 0 &&
+                sizeof(double) % alignof(SlowSample) == 0);
+  const size_t velocity_bytes = history_size * sizeof(geo::VelocityComponents);
+  const size_t diff_bytes = history_size * sizeof(double);
+  ring_slots_ = std::make_unique_for_overwrite<std::byte[]>(
+      velocity_bytes + diff_bytes + history_size * sizeof(SlowSample));
+  std::byte* at = ring_slots_.get();
+  recent_velocities = Ring<geo::VelocityComponents>(
+      PlaceSlots<geo::VelocityComponents>(at, history_size), history_size);
+  heading_diffs = Ring<double>(
+      PlaceSlots<double>(at + velocity_bytes, history_size), history_size);
+  slow_samples = Ring<SlowSample>(
+      PlaceSlots<SlowSample>(at + velocity_bytes + diff_bytes, history_size),
+      history_size);
+}
 
 void VesselState::ResetMotionState() {
   has_velocity = false;
@@ -49,23 +82,19 @@ namespace {
 // v1 velocity history: speed/heading pairs. The components are derived with
 // the expressions the v1 tracker evaluated when it took the mean, so the
 // restored ring holds exactly the values it summed.
-bool LoadVelocitiesV1(snapshot::Reader& r, VesselState* vs) {
-  uint64_t n = 0;
-  if (!r.Count(&n, sizeof(double) * 2)) return false;
+bool LoadVelocitiesV1(snapshot::Reader& r, uint64_t n, VesselState* vs) {
   for (uint64_t i = 0; i < n; ++i) {
     geo::Velocity v;
-    if (!geo::LoadVelocity(r, &v)) return false;
+    if (!r.Get(&v.speed_knots, &v.heading_deg)) return false;
     vs->recent_velocities.push_back(v.components());
   }
   return true;
 }
 
-bool LoadVelocitiesV2(snapshot::Reader& r, VesselState* vs) {
-  uint64_t n = 0;
-  if (!r.Count(&n, sizeof(double) * 2)) return false;
+bool LoadVelocitiesV2(snapshot::Reader& r, uint64_t n, VesselState* vs) {
   for (uint64_t i = 0; i < n; ++i) {
     geo::VelocityComponents c;
-    if (!r.F64(&c.east_mps) || !r.F64(&c.north_mps)) return false;
+    if (!r.Get(&c.east_mps, &c.north_mps)) return false;
     vs->recent_velocities.push_back(c);
   }
   return true;
@@ -78,16 +107,23 @@ bool LoadStopV1(snapshot::Reader& r, VesselState* vs) {
   if (!r.Count(&n, sizeof(uint32_t))) return false;
   for (uint64_t i = 0; i < n; ++i) {
     stream::PositionTuple p;
-    if (!stream::LoadPositionTuple(r, &p)) return false;
+    if (!r.Get(&p.mmsi, &p.pos.lon, &p.pos.lat, &p.tau)) return false;
     vs->AddStopSample(p);
   }
-  return r.Bool(&vs->stop_active) && r.I64(&vs->stop_start_tau);
+  uint8_t active = 0;
+  if (!r.Get(&active, &vs->stop_start_tau)) return false;
+  vs->stop_active = active != 0;
+  return true;
 }
 
 bool LoadStopV2(snapshot::Reader& r, VesselState* vs) {
-  return r.U64(&vs->stop_count) && r.I64(&vs->stop_first_tau) &&
-         r.F64(&vs->stop_sum_lon) && r.F64(&vs->stop_sum_lat) &&
-         r.Bool(&vs->stop_active) && r.I64(&vs->stop_start_tau);
+  uint8_t active = 0;
+  if (!r.Get(&vs->stop_count, &vs->stop_first_tau, &vs->stop_sum_lon,
+             &vs->stop_sum_lat, &active, &vs->stop_start_tau)) {
+    return false;
+  }
+  vs->stop_active = active != 0;
+  return true;
 }
 
 bool LoadSlowSamples(snapshot::Reader& r, uint8_t version, VesselState* vs) {
@@ -96,10 +132,9 @@ bool LoadSlowSamples(snapshot::Reader& r, uint8_t version, VesselState* vs) {
   for (uint64_t i = 0; i < n; ++i) {
     SlowSample s;
     if (version == 1) {
-      stream::PositionTuple p;
-      if (!stream::LoadPositionTuple(r, &p)) return false;
-      s = SlowSample{p.pos, p.tau};
-    } else if (!geo::LoadGeoPoint(r, &s.pos) || !r.I64(&s.tau)) {
+      stream::Mmsi mmsi = 0;
+      if (!r.Get(&mmsi, &s.pos.lon, &s.pos.lat, &s.tau)) return false;
+    } else if (!r.Get(&s.pos.lon, &s.pos.lat, &s.tau)) {
       return false;
     }
     vs->slow_samples.push_back(s);
@@ -109,27 +144,49 @@ bool LoadSlowSamples(snapshot::Reader& r, uint8_t version, VesselState* vs) {
 
 }  // namespace
 
+// Fills the state in place: the rings keep the storage the tracker gave the
+// vessel's slot, so a restored vessel allocates nothing beyond that slot.
+// Every serialized field is overwritten; the rings and the stop aggregates
+// (which v1 rebuilds sample by sample) start empty.
 Status VesselState::RestoreFrom(snapshot::Reader& r, uint8_t version) {
-  *this = VesselState(mmsi, recent_velocities.capacity());
+  recent_velocities.clear();
+  heading_diffs.clear();
+  slow_samples.clear();
+  ClearStopSamples();
   const bool v1 = version == 1;
+  uint8_t has_last_u8 = 0, has_velocity_u8 = 0;
   uint64_t n = 0;
-  bool ok = r.Bool(&has_last) && stream::LoadPositionTuple(r, &last) &&
-            r.Bool(&has_velocity) && geo::LoadVelocity(r, &v_prev) &&
-            (v1 ? LoadVelocitiesV1(r, this) : LoadVelocitiesV2(r, this)) &&
+  bool ok = r.Get(&has_last_u8, &last.mmsi, &last.pos.lon, &last.pos.lat,
+                  &last.tau, &has_velocity_u8, &v_prev.speed_knots,
+                  &v_prev.heading_deg, &n) &&
+            r.Fits(n, 2 * sizeof(double)) &&
+            (v1 ? LoadVelocitiesV1(r, n, this) : LoadVelocitiesV2(r, n, this)) &&
             r.Count(&n, sizeof(double));
   if (!ok) return snapshot::CorruptionIn("vessel state");
+  has_last = has_last_u8 != 0;
+  has_velocity = has_velocity_u8 != 0;
   for (uint64_t i = 0; i < n; ++i) {
     double d = 0.0;
     if (!r.F64(&d)) return snapshot::CorruptionIn("vessel state");
     heading_diffs.push_back(d);
   }
+  uint8_t slow_active_u8 = 0, gap_open_u8 = 0;
+  int32_t outliers = 0;
   ok = (v1 ? LoadStopV1(r, this) : LoadStopV2(r, this)) &&
-       LoadSlowSamples(r, version, this) && r.Bool(&slow_active) &&
-       r.I64(&slow_start_tau) && geo::LoadGeoPoint(r, &slow_anchor) &&
-       r.Bool(&gap_open) && r.I64(&gap_start_tau) &&
-       r.I32(&consecutive_outliers) && r.U64(&accepted_count) &&
-       r.F64(&odometer_m);
+       LoadSlowSamples(r, version, this) &&
+       r.Get(&slow_active_u8, &slow_start_tau, &slow_anchor.lon,
+             &slow_anchor.lat, &gap_open_u8, &gap_start_tau, &outliers,
+             &accepted_count, &odometer_m);
   if (!ok) return snapshot::CorruptionIn("vessel state");
+  slow_active = slow_active_u8 != 0;
+  gap_open = gap_open_u8 != 0;
+  consecutive_outliers = outliers;
+  // An open stop or slow-motion episode always holds samples: closing one
+  // without any would have no position to report.
+  if ((stop_active && stop_count == 0) ||
+      (slow_active && slow_samples.empty())) {
+    return snapshot::CorruptionIn("vessel state (episode without samples)");
+  }
   const geo::TrackPoint trig(last.pos);
   last_sin_lat = trig.sin_phi;
   last_cos_lat = trig.cos_phi;

@@ -12,16 +12,17 @@
 
 namespace maritime::tracker {
 
-/// Fixed-capacity FIFO ring: pushing onto a full ring overwrites its oldest
-/// element. The storage is allocated once, at construction, so a vessel's
-/// history never allocates after the vessel is first seen.
+/// Fixed-capacity FIFO ring over slots its owner allocates once: pushing
+/// onto a full ring overwrites its oldest element, so a vessel's history
+/// never allocates after the vessel is first seen. The ring does not own
+/// its slots (VesselState keeps its three rings' slots in one block).
 template <typename T>
 class Ring {
  public:
   Ring() = default;
-  explicit Ring(size_t capacity)
-      : slots_(capacity > 0 ? std::make_unique<T[]>(capacity) : nullptr),
-        capacity_(static_cast<uint32_t>(capacity)) {}
+  /// A ring over the `capacity` slots at `slots`, which must outlive it.
+  Ring(T* slots, size_t capacity)
+      : slots_(slots), capacity_(static_cast<uint32_t>(capacity)) {}
 
   size_t capacity() const { return capacity_; }
   size_t size() const { return size_; }
@@ -52,7 +53,7 @@ class Ring {
     return j >= capacity_ ? j - capacity_ : j;
   }
 
-  std::unique_ptr<T[]> slots_;
+  T* slots_ = nullptr;
   uint32_t capacity_ = 0;
   uint32_t head_ = 0;
   uint32_t size_ = 0;
@@ -70,12 +71,9 @@ struct SlowSample {
 /// recent positions, held in three rings of capacity m (DESIGN.md §15).
 struct VesselState {
   VesselState() = default;
-  /// A vessel whose rings hold the last `history_size` (m) samples.
-  VesselState(stream::Mmsi id, size_t history_size)
-      : mmsi(id),
-        recent_velocities(history_size),
-        heading_diffs(history_size),
-        slow_samples(history_size) {}
+  /// A vessel whose rings hold the last `history_size` (m) samples. The
+  /// three rings share one allocation.
+  VesselState(stream::Mmsi id, size_t history_size);
 
   stream::Mmsi mmsi = 0;
 
@@ -180,6 +178,12 @@ struct VesselState {
   /// on malformed input; the state is unspecified after an error (the owning
   /// tracker discards it).
   Status RestoreFrom(snapshot::Reader& r, uint8_t version);
+
+ private:
+  /// The slots of recent_velocities, heading_diffs and slow_samples, back
+  /// to back. Moving a VesselState moves the block, not the slots, so the
+  /// rings stay valid.
+  std::unique_ptr<std::byte[]> ring_slots_;
 };
 
 }  // namespace maritime::tracker

@@ -10,6 +10,7 @@
 #include <random>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "stream/replayer.h"
 #include "stream/snapshot_io.h"
 #include "tracker/sharded_tracker.h"
+#include "tracker/snapshot_io.h"
 
 namespace maritime {
 namespace {
@@ -638,6 +640,103 @@ TEST(EngineSnapshotTest, TruncatedStateIsCorruption) {
   }
 }
 
+// Bytes SaveTo never writes are rejected, not canonicalized: each patch of a
+// real engine snapshot below restores to Corruption, and the engine is left
+// as freshly declared (it saves what a fresh engine saves).
+
+// The bytes of `fields`, as one Writer::Put writes them.
+template <typename... Fields>
+std::string RecordBytes(Fields... fields) {
+  snapshot::Writer w;
+  w.Put(fields...);
+  return std::string(w.bytes());
+}
+
+// The saved state of a fixture engine that saw kV1 on at 30 and kV2 on at
+// 40, recognized at 60: one open `active` interval per key.
+std::string TwoKeySnapshot(bool incremental) {
+  SnapshotEngineFixture a(stream::WindowSpec{120, 60}, incremental);
+  a.engine->AssertEvent(a.on, kV1, 30);
+  a.engine->AssertEvent(a.on, kV2, 40);
+  a.engine->Recognize(60);
+  snapshot::Writer w;
+  a.engine->SaveTo(w);
+  return std::string(w.bytes());
+}
+
+void ExpectRejectedWithoutPartialState(const std::string& bytes,
+                                       bool incremental) {
+  const stream::WindowSpec window{120, 60};
+  {
+    // The unpatched snapshot restores; the patch is what is rejected.
+    SnapshotEngineFixture ok(window, incremental);
+    const std::string unpatched = TwoKeySnapshot(incremental);
+    snapshot::Reader r(unpatched);
+    ASSERT_TRUE(ok.engine->RestoreFrom(r).ok());
+  }
+  SnapshotEngineFixture b(window, incremental);
+  snapshot::Reader r(bytes);
+  EXPECT_EQ(b.engine->RestoreFrom(r).code(), StatusCode::kCorruption);
+  SnapshotEngineFixture fresh(window, incremental);
+  snapshot::Writer after, expected;
+  b.engine->SaveTo(after);
+  fresh.engine->SaveTo(expected);
+  EXPECT_EQ(after.bytes(), expected.bytes())
+      << "a rejected restore left partial state";
+}
+
+TEST(EngineSnapshotTest, RepeatedTimelineValueIsCorruption) {
+  std::string bytes = TwoKeySnapshot(false);
+  // kV1's timeline opens with its intervals section: one row, value kTrue,
+  // holding (30, 60]. Repeat that row.
+  const std::string row = RecordBytes(rtec::kTrue, uint64_t{1}, Timestamp{30},
+                                      Timestamp{60});
+  const std::string section =
+      RecordBytes(kV1.kind, kV1.id, uint64_t{1}) + row;
+  const size_t at = bytes.find(section);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(section, at + 1), std::string::npos);
+  const size_t count_at = at + 2 * sizeof(int32_t);
+  bytes.replace(count_at, sizeof(uint64_t), RecordBytes(uint64_t{2}));
+  bytes.insert(at + section.size(), row);
+  ExpectRejectedWithoutPartialState(bytes, false);
+}
+
+TEST(EngineSnapshotTest, DescendingTimelineKeysAreCorruption) {
+  std::string bytes = TwoKeySnapshot(false);
+  // The two timeline records have the same shape; swap them.
+  const auto record_at = [&bytes](rtec::Term key, Timestamp since) {
+    return bytes.find(RecordBytes(key.kind, key.id, uint64_t{1}, rtec::kTrue,
+                                  uint64_t{1}, since, Timestamp{60}));
+  };
+  const size_t first = record_at(kV1, 30);
+  const size_t second = record_at(kV2, 40);
+  ASSERT_NE(first, std::string::npos);
+  ASSERT_NE(second, std::string::npos);
+  const size_t len = second - first;
+  ASSERT_GE(bytes.size(), second + len);
+  const std::string a = bytes.substr(first, len);
+  const std::string b = bytes.substr(second, len);
+  bytes.replace(first, len, b);
+  bytes.replace(second, len, a);
+  ExpectRejectedWithoutPartialState(bytes, false);
+}
+
+TEST(EngineSnapshotTest, OutOfOrderEvidenceKeysAreCorruption) {
+  std::string bytes = TwoKeySnapshot(true);
+  // Each key's cached evidence: one initiation, no termination, no carried
+  // value. Swap the two (same-length) entries.
+  const auto entry = [](rtec::Term key, Timestamp t) {
+    return RecordBytes(key.kind, key.id, uint64_t{1}, rtec::kTrue, t,
+                       uint64_t{0}, uint8_t{0}, rtec::Value{0});
+  };
+  const std::string e1 = entry(kV1, 30), e2 = entry(kV2, 40);
+  const size_t at = bytes.find(e1 + e2);
+  ASSERT_NE(at, std::string::npos);
+  bytes.replace(at, e1.size() + e2.size(), e2 + e1);
+  ExpectRejectedWithoutPartialState(bytes, true);
+}
+
 // --- tracker ----------------------------------------------------------------
 
 std::vector<stream::PositionTuple> SyntheticTuples(Timestamp from,
@@ -690,6 +789,36 @@ TEST(TrackerSnapshotTest, RestoredTrackerContinuesBitIdentically) {
   a.Finish(&ta);
   b.Finish(&tb);
   EXPECT_EQ(ta.size(), tb.size());
+}
+
+// A vessel whose stop or slow-motion episode is open but holds no samples:
+// SaveTo never writes one, and closing the episode (at the next report or
+// at Finish) would take the centroid or median of nothing.
+TEST(TrackerSnapshotTest, OpenEpisodeWithoutSamplesIsCorruption) {
+  const auto section = [](bool stop_active, bool slow_active) {
+    snapshot::Writer w;
+    w.Put(uint8_t{2}, uint64_t{1}, uint32_t{100});  // format, one vessel
+    w.Put(uint8_t{1}, uint32_t{100}, 24.0, 37.0, Timestamp{0},  // last
+          uint8_t{0}, 0.0, 0.0, uint64_t{0});  // v_prev, no velocities
+    w.U64(0);                                  // no heading changes
+    w.Put(uint64_t{0}, Timestamp{0}, 0.0, 0.0, uint8_t{stop_active},
+          Timestamp{0}, uint64_t{0});  // stop aggregates, no slow samples
+    w.Put(uint8_t{slow_active}, Timestamp{0}, 0.0, 0.0, uint8_t{0},
+          Timestamp{0}, int32_t{0}, uint64_t{1}, 0.0);
+    for (int i = 0; i < 6; ++i) w.U64(0);  // counters
+    return std::string(w.bytes());
+  };
+  for (const auto& [stop, slow, code] :
+       {std::tuple{false, false, StatusCode::kOk},
+        std::tuple{true, false, StatusCode::kCorruption},
+        std::tuple{false, true, StatusCode::kCorruption}}) {
+    const std::string bytes = section(stop, slow);
+    tracker::MobilityTracker t{tracker::TrackerParams()};
+    snapshot::Reader r(bytes);
+    EXPECT_EQ(t.RestoreFrom(r).code(), code) << stop << slow;
+    std::vector<tracker::CriticalPoint> out;
+    t.Finish(&out);
+  }
 }
 
 TEST(TrackerSnapshotTest, ShardCountMismatchIsInvalidArgument) {
@@ -1090,6 +1219,88 @@ TEST(PipelineSnapshotTest, ManifestDescribesTheRun) {
   EXPECT_EQ(m.value().partitions, cfg.partitions);
   EXPECT_EQ(m.value().tracker_shards, cfg.tracker_shards);
   EXPECT_TRUE(m.value().archive);
+}
+
+// Only the archiver drains the window's critical points, so a pipeline
+// without one must not keep them: the manifest counts none however long the
+// run.
+TEST(PipelineSnapshotTest, ArchiveOffPipelineHoldsNoWindowPoints) {
+  sim::World world = sim::BuildWorld(5);
+  sim::FleetConfig fleet_cfg;
+  fleet_cfg.vessels = 40;
+  fleet_cfg.duration = 12 * kHour;
+  fleet_cfg.seed = 5;
+  sim::FleetSimulator fleet(&world, fleet_cfg);
+  const std::vector<stream::PositionTuple> tuples = fleet.Generate();
+  for (const bool archive : {false, true}) {
+    SCOPED_TRACE(archive ? "archive on" : "archive off");
+    PipelineConfig cfg = SmallPipelineConfig();
+    cfg.archive = archive;
+    SurveillancePipeline pipeline(&world.knowledge, cfg);
+    stream::StreamReplayer replayer(tuples);
+    stream::QueryTimeSequence q(cfg.window, replayer.first_timestamp());
+    for (int i = 0; i < 60; ++i) {
+      const Timestamp qt = q.Fire();
+      pipeline.RunSlide(qt, replayer.NextBatch(qt));
+    }
+    snapshot::Writer w;
+    pipeline.SaveTo(w);
+    const Result<surveillance::SnapshotManifest> m =
+        surveillance::ReadSnapshotManifest(w.bytes());
+    ASSERT_TRUE(m.ok()) << m.status();
+    if (archive) {
+      EXPECT_GT(m.value().window_critical_points, 0u);
+    } else {
+      EXPECT_EQ(m.value().window_critical_points, 0u);
+    }
+  }
+}
+
+// An archive-off snapshot written before that fix lists window points; they
+// are read and dropped, and the restored pipeline saves without them.
+TEST(PipelineSnapshotTest, ArchiveOffWindowPointsOfOlderSnapshotsAreSkipped) {
+  sim::World world = sim::BuildWorld(36, SmallWorldParams());
+  sim::FleetConfig fleet_cfg;
+  fleet_cfg.vessels = 5;
+  fleet_cfg.duration = 90 * kMinute;
+  fleet_cfg.seed = 6;
+  sim::FleetSimulator fleet(&world, fleet_cfg);
+  stream::StreamReplayer replayer(fleet.Generate());
+  PipelineConfig cfg = SmallPipelineConfig();
+  cfg.archive = false;
+  SurveillancePipeline a(&world.knowledge, cfg);
+  stream::QueryTimeSequence q(cfg.window, replayer.first_timestamp());
+  for (int i = 0; i < 3; ++i) {
+    const Timestamp qt = q.Fire();
+    a.RunSlide(qt, replayer.NextBatch(qt));
+  }
+  snapshot::Writer w;
+  a.SaveTo(w);
+  const std::string saved(w.bytes());
+  // The empty pipeline section: tag, version, length 8, zero points.
+  const std::string empty = RecordBytes(uint32_t{0x45504950},  // "PIPE"
+                                        uint8_t{1}, uint64_t{8}, uint64_t{0});
+  const size_t at = saved.find(empty);
+  ASSERT_NE(at, std::string::npos);
+  snapshot::Writer points;
+  tracker::CriticalPoint cp;
+  cp.mmsi = 7;
+  cp.tau = 1234;
+  points.Put(uint32_t{0x45504950}, uint8_t{1},
+             uint64_t{8 + 2 * tracker::kCriticalPointBytes}, uint64_t{2});
+  tracker::SaveCriticalPoint(cp, points);
+  tracker::SaveCriticalPoint(cp, points);
+  std::string older = saved;
+  older.replace(at, empty.size(), std::string(points.bytes()));
+
+  SurveillancePipeline b(&world.knowledge, cfg);
+  snapshot::Reader r(older);
+  const Status s = b.RestoreFrom(r);
+  ASSERT_TRUE(s.ok()) << s;
+  EXPECT_TRUE(r.AtEnd());
+  snapshot::Writer resaved;
+  b.SaveTo(resaved);
+  EXPECT_EQ(resaved.bytes(), saved);
 }
 
 TEST(PipelineSnapshotTest, ConfigMismatchIsInvalidArgument) {

@@ -148,22 +148,6 @@ TEST(ThreadPoolTest, UnevenWorkBalances) {
   EXPECT_EQ(count.load(), 32);
 }
 
-TEST(ThreadPoolTest, SlotContractHolds) {
-  // Slots stay dense and exclusive even when closures are stolen: every
-  // observed slot is < workers + 1 and never runs concurrently with itself.
-  ThreadPool pool(3);
-  const size_t slots = static_cast<size_t>(pool.worker_count()) + 1;
-  std::vector<std::atomic<int>> active(slots);
-  std::atomic<bool> overlap{false};
-  pool.ParallelFor(256, [&](size_t, size_t slot) {
-    ASSERT_LT(slot, slots);
-    if (active[slot].fetch_add(1) != 0) overlap.store(true);
-    std::this_thread::yield();
-    active[slot].fetch_sub(1);
-  });
-  EXPECT_FALSE(overlap.load());
-}
-
 TEST(ThreadPoolTest, IdleWorkersSteal) {
   // Two workers, tasks pushed round-robin: the first and third task share a
   // deque. The first blocks until `release` is set, which only the third

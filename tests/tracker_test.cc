@@ -461,7 +461,8 @@ TEST(OffCourseTest, MatchesFullComputationNearThreshold) {
                                         : 30.0 * unit(rng);
       v.heading_deg = common_heading ? heading0 : 360.0 * unit(rng);
     }
-    Ring<geo::VelocityComponents> recent(m);
+    std::vector<geo::VelocityComponents> slots(m);
+    Ring<geo::VelocityComponents> recent(slots.data(), m);
     for (const geo::Velocity& v : history) recent.push_back(v.components());
 
     // v_m and the threshold, for placing v_now around it.

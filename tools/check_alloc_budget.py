@@ -19,12 +19,20 @@ its committed budget:
   buffer and the regrowth of the drained static-report vector; 0.23 while
   held fragments and type 5 lines returned heap-allocated statuses, 7.3
   before the packed-bit decoder) and BM_TrackerSlide reports `allocs_per_tuple`
-  for the sharded tracker (~0.03 measured, almost all of it the per-vessel
-  rings of newly seen vessels; 1.07 before the flat vessel state).
+  for the sharded tracker (~0.018 measured, almost all of it the ring block
+  of each newly seen vessel; ~0.03 with one allocation per ring, 1.07 before
+  the flat vessel state).
 - micro_tracker's BM_PipelineCheckpoint reports `allocs_per_save` for one
-  SurveillancePipeline::SaveTo + EncodeSnapshotFile (7 measured: the
-  presized Writer, the file image, and one sorted-entry or sorted-vessel
-  view per hash map walked; 13 while the Writer grew by doubling).
+  SurveillancePipeline::SaveTo + EncodeSnapshotFile (5 measured: the
+  presized Writer, the file image, and one sorted view each of the coords,
+  the open trip segments and the tracker's vessels; 7 while the timelines
+  and evidence were sorted at every save too, 13 while the Writer grew by
+  doubling), and
+  BM_PipelineRestore reports `allocs_per_restore` for DecodeSnapshotFile +
+  a fresh pipeline + RestoreFrom of that snapshot (358 measured: ~155 to
+  build the pipeline, then about six per vessel and four per committed
+  timeline; 564 while the loaders staged timelines in maps and rebuilt each
+  vessel twice).
 
 A regression that reintroduces per-slide, per-line or per-tuple heap churn
 trips the gate while scheduler noise does not: allocation counting is a
@@ -70,10 +78,16 @@ BUDGETS = {
     ("BM_ScanTaggedLines", "allocs_per_line"): 0.013,
     ("BM_TrackerSlide", "allocs_per_tuple"): 0.1,
     # Checkpoint (checkpoint_tool's 20-vessel scenario at mid-stream, ~16 KB):
-    # 7 measured. Twice that would sit above the 13 of a Writer that grows
-    # by doubling, so the budget is set where losing the size hint trips it;
-    # a per-vessel or per-key allocation (20+) trips it too.
+    # 5 measured. The budget sits below the 13 of a Writer that grows by
+    # doubling, so losing the size hint trips it; a per-vessel or per-key
+    # allocation (20+) trips it too.
     ("BM_PipelineCheckpoint", "allocs_per_save"): 10.0,
+    # Restore of the same snapshot (20 vessels): 358 measured. Every
+    # per-vessel allocation costs 20 and every per-key one about 13, so
+    # rebuilding each vessel's rings a second time (418) or staging the
+    # timelines through maps again trips it, while the budget stays below
+    # the 564 of the loaders before restores were built in place.
+    ("BM_PipelineRestore", "allocs_per_restore"): 400.0,
 }
 
 
