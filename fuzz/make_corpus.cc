@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ais/messages.h"
@@ -27,6 +28,7 @@
 #include "stream/csv.h"
 #include "stream/replayer.h"
 #include "tracker/sharded_tracker.h"
+#include "snapshot_corpus.h"
 
 namespace {
 
@@ -55,7 +57,8 @@ int main(int argc, char** argv) {
     std::filesystem::create_directories(dir);
   }
 
-  maritime::sim::World world = maritime::sim::BuildWorld(7);
+  maritime::sim::World world =
+      maritime::sim::BuildWorld(maritime::fuzz::kCorpusWorldSeed);
   maritime::sim::FleetConfig cfg;
   cfg.vessels = 12;
   cfg.duration = 2 * maritime::kHour;
@@ -163,9 +166,29 @@ int main(int argc, char** argv) {
   // Snapshot seeds: valid checkpoints of each component, prefixed with the
   // fuzz_snapshot target selector byte, so mutation starts from bytes that
   // pass the outer framing and reach the deep per-field validation paths.
+  // Each restores in its target and fits maritime::fuzz::
+  // kMaxSnapshotSeedBytes, so the traffic is the first few vessels' only.
+  std::vector<maritime::stream::PositionTuple> few;
+  for (const auto& t : tuples) {
+    for (size_t v = 0; v < 3; ++v) {
+      if (t.mmsi == sim.fleet()[v].info.mmsi) few.push_back(t);
+    }
+  }
   int snapshot_seeds = 0;
+  bool oversized = false;
+  const auto snapshot_seed = [&](char target, std::string_view bytes) {
+    std::string seed(1, target);
+    seed.append(bytes);
+    if (seed.size() > maritime::fuzz::kMaxSnapshotSeedBytes) {
+      std::fprintf(stderr, "snapshot seed %d (target %d) is %zu bytes\n",
+                   snapshot_seeds, target, seed.size());
+      oversized = true;
+    }
+    WriteSeed(snapshot_dir, snapshot_seeds++, seed);
+  };
   {
-    // A pipeline checkpoint a few slides into the simulated stream.
+    // A pipeline checkpoint a few slides into the simulated stream, over
+    // the world fuzz_snapshot restores it in.
     maritime::surveillance::PipelineConfig pcfg;
     pcfg.window =
         maritime::stream::WindowSpec{maritime::kHour, 10 * maritime::kMinute};
@@ -173,7 +196,7 @@ int main(int argc, char** argv) {
     pcfg.archive = true;
     maritime::surveillance::SurveillancePipeline pipeline(&world.knowledge,
                                                           pcfg);
-    maritime::stream::StreamReplayer replayer(tuples);
+    maritime::stream::StreamReplayer replayer(few);
     maritime::stream::QueryTimeSequence q(pcfg.window,
                                           replayer.first_timestamp());
     for (int i = 0; i < 4; ++i) {
@@ -182,19 +205,15 @@ int main(int argc, char** argv) {
     }
     maritime::snapshot::Writer w;
     pipeline.SaveTo(w);
-    WriteSeed(snapshot_dir, snapshot_seeds++,
-              std::string(1, '\x00') +
-                  maritime::snapshot::EncodeSnapshotFile(w.bytes()));
-    WriteSeed(snapshot_dir, snapshot_seeds++,
-              std::string(1, '\x07').append(w.bytes()));
+    snapshot_seed('\x00', maritime::snapshot::EncodeSnapshotFile(w.bytes()));
+    snapshot_seed('\x07', w.bytes());
 
     maritime::tracker::ShardedMobilityTracker tracker(
         maritime::tracker::TrackerParams{}, 2);
-    tracker.ProcessSlide(tuples, tuples.back().tau);
+    tracker.ProcessSlide(few, few.back().tau);
     maritime::snapshot::Writer tw;
     tracker.SaveTo(tw);
-    WriteSeed(snapshot_dir, snapshot_seeds++,
-              std::string(1, '\x03').append(tw.bytes()));
+    snapshot_seed('\x03', tw.bytes());
   }
   {
     maritime::surveillance::SpatialFactTable facts;
@@ -202,62 +221,52 @@ int main(int argc, char** argv) {
     facts.AddFactGroup(9, 150, std::vector<int32_t>{2});
     maritime::snapshot::Writer w;
     facts.SaveTo(w);
-    WriteSeed(snapshot_dir, snapshot_seeds++,
-              std::string(1, '\x01').append(w.bytes()));
+    snapshot_seed('\x01', w.bytes());
   }
   {
-    // Archival path with a little staged + reconstructed traffic.
+    // Archival path with archived, reconstructed and staged traffic: two
+    // vessels over a day, long enough to complete trips between ports.
+    maritime::sim::FleetConfig day;
+    day.vessels = 2;
+    day.duration = 24 * maritime::kHour;
+    maritime::sim::FleetSimulator day_sim(&world, day);
+    const auto day_tuples = day_sim.Generate();
     maritime::mod::HermesArchiver archiver(&world.knowledge);
     maritime::tracker::ShardedMobilityTracker tracker(
         maritime::tracker::TrackerParams{}, 1);
-    const auto criticals = tracker.ProcessSlide(tuples, tuples.back().tau);
-    archiver.StageBatch(criticals);
+    const auto criticals =
+        tracker.ProcessSlide(day_tuples, day_tuples.back().tau);
+    const size_t half = criticals.size() / 2;
+    archiver.StageBatch({criticals.begin(), criticals.begin() + half});
+    archiver.Reconstruct();
+    archiver.Load();
+    archiver.StageBatch({criticals.begin() + half, criticals.end()});
     archiver.Reconstruct();
     maritime::snapshot::Writer w;
     archiver.SaveTo(w);
-    WriteSeed(snapshot_dir, snapshot_seeds++,
-              std::string(1, '\x05').append(w.bytes()));
+    snapshot_seed('\x05', w.bytes());
 
     maritime::snapshot::Writer sw;
     archiver.store().SaveTo(sw);
-    WriteSeed(snapshot_dir, snapshot_seeds++,
-              std::string(1, '\x04').append(sw.bytes()));
+    snapshot_seed('\x04', sw.bytes());
   }
-  {
-    // The tiny on/off/active schema fuzz_snapshot restores against.
-    maritime::rtec::Engine engine(maritime::stream::WindowSpec{120, 60});
-    const maritime::rtec::EventId on = engine.DeclareEvent("on");
-    const maritime::rtec::EventId off = engine.DeclareEvent("off");
-    const maritime::rtec::FluentId active = engine.DeclareFluent("active");
-    maritime::rtec::SimpleFluentSpec spec;
-    spec.fluent = active;
-    spec.output = true;
-    spec.domain = [on, off](const maritime::rtec::EvalContext& ctx) {
-      std::vector<maritime::rtec::Term> keys;
-      for (const auto& e : ctx.Events(on)) keys.push_back(e.subject);
-      for (const auto& e : ctx.Events(off)) keys.push_back(e.subject);
-      return keys;
-    };
-    spec.rules = [on, off](const maritime::rtec::EvalContext& ctx,
-                           maritime::rtec::Term key,
-                           maritime::rtec::PointVec* init,
-                           maritime::rtec::PointVec* term) {
-      for (const auto& e : ctx.Events(on)) {
-        if (e.subject == key) init->push_back({maritime::rtec::kTrue, e.t});
-      }
-      for (const auto& e : ctx.Events(off)) {
-        if (e.subject == key) term->push_back({maritime::rtec::kTrue, e.t});
-      }
-    };
-    engine.AddSimpleFluent(std::move(spec));
-    engine.AssertEvent(on, maritime::rtec::Term{0, 1}, 30);
-    engine.AssertEvent(off, maritime::rtec::Term{0, 1}, 70);
-    engine.Recognize(60);
+  // The tiny schema fuzz_snapshot restores against, in both evaluation
+  // modes, with inputs, an open episode and (incremental) cached evidence.
+  for (const bool incremental : {false, true}) {
+    const auto engine = maritime::fuzz::MakeTinyEngine(incremental);
+    const maritime::rtec::EventId on = maritime::fuzz::kTinyOn;
+    const maritime::rtec::EventId off = maritime::fuzz::kTinyOff;
+    engine->AssertEvent(on, maritime::rtec::Term{0, 1}, 30);
+    engine->AssertEvent(on, maritime::rtec::Term{0, 2}, 40);
+    engine->AssertEvent(off, maritime::rtec::Term{0, 1}, 70);
+    engine->Recognize(60);
+    engine->AssertEvent(on, maritime::rtec::Term{0, 3}, 90);
+    engine->Recognize(120);
     maritime::snapshot::Writer w;
-    engine.SaveTo(w);
-    WriteSeed(snapshot_dir, snapshot_seeds++,
-              std::string(1, '\x06').append(w.bytes()));
+    engine->SaveTo(w);
+    snapshot_seed('\x06', w.bytes());
   }
+  if (oversized) return 1;
 
   std::printf("corpus: %d scanner, %d sixbit, %d csv, %d spatial, "
               "%d snapshot, 1 lattice seeds under %s\n",

@@ -40,10 +40,10 @@ Status SpatialFactTable::RestoreFrom(snapshot::Reader& r) {
     Clear();
     return snapshot::CorruptionIn("spatial fact table");
   };
-  uint8_t version = 0;
-  if (!r.U8(&version)) return fail();
-  if (version > kFactTableFormatVersion) {
-    return snapshot::VersionError("spatial fact table");
+  if (const Status s = snapshot::ReadVersion(r, kFactTableFormatVersion,
+                                             "spatial fact table");
+      !s.ok()) {
+    return s;
   }
   uint64_t vessels = 0;
   if (!r.Count(&vessels, sizeof(uint32_t) + sizeof(uint64_t))) return fail();
@@ -112,10 +112,10 @@ void CERecognizer::SaveTo(snapshot::Writer& w) const {
 }
 
 Status CERecognizer::RestoreFrom(snapshot::Reader& r) {
-  uint8_t version = 0;
-  if (!r.U8(&version)) return snapshot::CorruptionIn("recognizer");
-  if (version > kRecognizerFormatVersion) {
-    return snapshot::VersionError("recognizer");
+  if (const Status s =
+          snapshot::ReadVersion(r, kRecognizerFormatVersion, "recognizer");
+      !s.ok()) {
+    return s;
   }
   if (const Status s = facts_.RestoreFrom(r); !s.ok()) return s;
   if (const Status s = engine_->RestoreFrom(r); !s.ok()) return s;
@@ -148,10 +148,10 @@ void PartitionedRecognizer::SaveTo(snapshot::Writer& w) const {
 }
 
 Status PartitionedRecognizer::RestoreFrom(snapshot::Reader& r) {
-  uint8_t version = 0;
-  if (!r.U8(&version)) return snapshot::CorruptionIn("partitioned recognizer");
-  if (version > kPartitionedFormatVersion) {
-    return snapshot::VersionError("partitioned recognizer");
+  if (const Status s = snapshot::ReadVersion(r, kPartitionedFormatVersion,
+                                             "partitioned recognizer");
+      !s.ok()) {
+    return s;
   }
   uint32_t count = 0;
   if (!r.U32(&count)) return snapshot::CorruptionIn("partitioned recognizer");

@@ -84,9 +84,11 @@ struct SnapshotManifest {
   uint64_t window_critical_points = 0;  ///< Awaiting archival.
   uint64_t archived_trips = 0;          ///< In the trajectory store.
   /// Dependency-scoped dirty-propagation telemetry summed over the
-  /// recognizer partitions (manifest v2; zero when reading a v1 snapshot).
+  /// recognizer partitions (added in manifest v2, the only version read).
   uint64_t spans_narrowed = 0;
   uint64_t fleet_floor_hits = 0;
+
+  bool operator==(const SnapshotManifest&) const = default;
 };
 
 /// Decodes only the manifest section of a snapshot payload (the bytes after
@@ -143,8 +145,9 @@ class SurveillancePipeline {
   /// Restores into a pipeline built with the same KnowledgeBase and an
   /// equivalent PipelineConfig (window, partitions, tracker shards, archive
   /// flag and each engine's resolved mode are verified — InvalidArgument on
-  /// mismatch; malformed input yields Corruption and newer formats
-  /// Unimplemented).
+  /// mismatch; malformed input, including a manifest that does not describe
+  /// the state after it, yields Corruption, and a format version this build
+  /// does not read Unimplemented).
   Status RestoreFrom(snapshot::Reader& r);
 
   /// Writes the state to `path` as a checksummed snapshot file.
@@ -163,6 +166,9 @@ class SurveillancePipeline {
 
  private:
   void ArchiveEvicted(Timestamp q);
+  /// The manifest SaveTo writes: the config fingerprint and the state's
+  /// descriptors.
+  SnapshotManifest Manifest() const;
   /// Runs RunSlide for every query time up to `last`, then the end-of-stream
   /// flush: the shared replay loop of Run and Resume.
   void DriveLoop(stream::StreamReplayer& replayer,

@@ -1,9 +1,11 @@
 // Checkpoint/restore of the whole surveillance pipeline, plus the replay
 // driver that resumes a restored run. The snapshot is a sequence of framed
 // sections (manifest, tracker, recognizer, pipeline window, archiver) inside
-// the checksummed container of snapshot/snapshot.h; DESIGN.md §9 documents
-// the layout and the bit-identical-recovery argument.
+// the checksummed container of snapshot/snapshot.h. Each frame reads the
+// one version SaveTo writes; DESIGN.md §9 documents the layout, the versions
+// each component record reads and the bit-identical-recovery argument.
 
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -28,8 +30,7 @@ constexpr uint32_t kRecognizerTag = FourCc('R', 'C', 'G', 'P');
 constexpr uint32_t kPipelineTag = FourCc('P', 'I', 'P', 'E');
 constexpr uint32_t kArchiverTag = FourCc('A', 'R', 'C', 'H');
 
-// v2 appends the dependency-scoped dirty-propagation counters; v1 snapshots
-// still load (the counters read as zero).
+// v2 appended the dependency-scoped dirty-propagation counters.
 constexpr uint8_t kManifestVersion = 2;
 constexpr uint8_t kSectionVersion = 1;
 
@@ -50,26 +51,36 @@ void SaveManifest(const SnapshotManifest& m, snapshot::Writer& w) {
 }
 
 Status LoadManifest(snapshot::Reader& r, SnapshotManifest* m) {
-  uint8_t version = 0;
+  constexpr std::string_view kWhat = "snapshot manifest";
   size_t end = 0;
-  if (!r.BeginSection(kManifestTag, kManifestVersion, &version, &end)) {
-    return snapshot::SectionError(r, "snapshot manifest");
+  if (const Status s = r.BeginSection(kManifestTag, kManifestVersion, kWhat,
+                                      &end);
+      !s.ok()) {
+    return s;
   }
   uint8_t archive = 0, incremental = 0;
   if (!r.Get(&m->last_query, &m->window.range, &m->window.slide,
              &m->partitions, &m->tracker_shards, &archive, &incremental,
-             &m->window_critical_points, &m->archived_trips)) {
-    return snapshot::CorruptionIn("snapshot manifest");
-  }
-  m->archive = archive != 0;
-  m->incremental_recognition = incremental != 0;
-  if (version >= 2 && !r.Get(&m->spans_narrowed, &m->fleet_floor_hits)) {
-    return snapshot::CorruptionIn("snapshot manifest");
-  }
-  if (!r.EndSection(end)) {
-    return snapshot::CorruptionIn("snapshot manifest");
+             &m->window_critical_points, &m->archived_trips,
+             &m->spans_narrowed, &m->fleet_floor_hits) ||
+      !r.Flag(archive, &m->archive) ||
+      !r.Flag(incremental, &m->incremental_recognition) ||
+      !r.EndSection(end)) {
+    return snapshot::CorruptionIn(kWhat);
   }
   return Status::OK();
+}
+
+// Opens the frame `tag`, restores its body with `body`, and checks that
+// the body consumed the frame exactly.
+template <typename Body>
+Status RestoreSection(snapshot::Reader& r, uint32_t tag, std::string_view what,
+                      Body body) {
+  size_t end = 0;
+  Status s = r.BeginSection(tag, kSectionVersion, what, &end);
+  if (s.ok()) s = body();
+  if (s.ok() && !r.EndSection(end)) s = snapshot::CorruptionIn(what);
+  return s;
 }
 
 }  // namespace
@@ -81,13 +92,7 @@ Result<SnapshotManifest> ReadSnapshotManifest(std::string_view payload) {
   return m;
 }
 
-void SurveillancePipeline::SaveTo(snapshot::Writer& w) const {
-  // A snapshot is about as large as the previous one; 1/8 slack covers the
-  // growth of a slide or two. Capacity never changes the bytes.
-  const size_t begin = w.size();
-  const size_t hint = last_save_bytes_.load(std::memory_order_relaxed);
-  w.Reserve(begin + hint + hint / 8);
-
+SnapshotManifest SurveillancePipeline::Manifest() const {
   SnapshotManifest m;
   m.last_query = last_query_;
   m.window = config_.window;
@@ -103,7 +108,17 @@ void SurveillancePipeline::SaveTo(snapshot::Writer& w) const {
   const PartitionedRecognizer::RecognizeTotals totals = recognizer_->totals();
   m.spans_narrowed = totals.spans_narrowed;
   m.fleet_floor_hits = totals.fleet_floor_hits;
-  SaveManifest(m, w);
+  return m;
+}
+
+void SurveillancePipeline::SaveTo(snapshot::Writer& w) const {
+  // A snapshot is about as large as the previous one; 1/8 slack covers the
+  // growth of a slide or two. Capacity never changes the bytes.
+  const size_t begin = w.size();
+  const size_t hint = last_save_bytes_.load(std::memory_order_relaxed);
+  w.Reserve(begin + hint + hint / 8);
+
+  SaveManifest(Manifest(), w);
 
   size_t section = w.BeginSection(kTrackerTag, kSectionVersion);
   tracker_.SaveTo(w);
@@ -144,62 +159,49 @@ Status SurveillancePipeline::RestoreFrom(snapshot::Reader& r) {
     return Status::InvalidArgument("snapshot: pipeline archive flag mismatch");
   }
 
-  uint8_t version = 0;
-  size_t end = 0;
-  if (!r.BeginSection(kTrackerTag, kSectionVersion, &version, &end)) {
-    return snapshot::SectionError(r, "tracker section");
+  Status s = RestoreSection(r, kTrackerTag, "tracker section",
+                            [&] { return tracker_.RestoreFrom(r); });
+  if (s.ok()) {
+    s = RestoreSection(r, kRecognizerTag, "recognizer section",
+                       [&] { return recognizer_->RestoreFrom(r); });
   }
-  if (const Status s = tracker_.RestoreFrom(r); !s.ok()) return s;
-  if (!r.EndSection(end)) return snapshot::CorruptionIn("tracker section");
-
-  if (!r.BeginSection(kRecognizerTag, kSectionVersion, &version, &end)) {
-    return snapshot::SectionError(r, "recognizer section");
+  if (s.ok()) {
+    s = RestoreSection(r, kPipelineTag, "pipeline section", [&] {
+      window_criticals_.clear();
+      // Only the archiver drains the window's points, so a pipeline
+      // without one keeps none, and its snapshot lists none.
+      uint64_t n = 0;
+      bool ok = r.Count(&n, tracker::kCriticalPointBytes) &&
+                (archiver_ != nullptr || n == 0);
+      for (uint64_t i = 0; ok && i < n; ++i) {
+        ok = tracker::LoadCriticalPoint(r, &window_criticals_.emplace_back());
+      }
+      return ok ? Status::OK() : snapshot::CorruptionIn("pipeline section");
+    });
   }
-  if (const Status s = recognizer_->RestoreFrom(r); !s.ok()) return s;
-  if (!r.EndSection(end)) return snapshot::CorruptionIn("recognizer section");
-
-  if (!r.BeginSection(kPipelineTag, kSectionVersion, &version, &end)) {
-    return snapshot::SectionError(r, "pipeline section");
+  if (s.ok()) {
+    s = RestoreSection(r, kArchiverTag, "archiver section", [&] {
+      bool has_archiver = false;
+      if (!r.Bool(&has_archiver)) {
+        return snapshot::CorruptionIn("archiver section");
+      }
+      if (has_archiver != (archiver_ != nullptr)) {
+        // Unreachable when the manifest's archive flag matched.
+        return Status::InvalidArgument("snapshot: pipeline archiver mismatch");
+      }
+      return archiver_ ? archiver_->RestoreFrom(r) : Status::OK();
+    });
   }
-  window_criticals_.clear();
-  uint64_t n = 0;
-  if (!r.Count(&n, tracker::kCriticalPointBytes)) {
-    return snapshot::CorruptionIn("pipeline section");
-  }
-  // Only the archiver drains the window's points, so a pipeline without
-  // one keeps none; an archive-off snapshot of an older build still lists
-  // them, and they are skipped.
-  bool ok = true;
-  if (archiver_ == nullptr) {
-    ok = r.Skip(n * tracker::kCriticalPointBytes);
-  } else {
-    for (uint64_t i = 0; ok && i < n; ++i) {
-      ok = tracker::LoadCriticalPoint(r, &window_criticals_.emplace_back());
-    }
-  }
-  if (!ok || !r.EndSection(end)) {
+  if (!s.ok()) {
     window_criticals_.clear();
-    return snapshot::CorruptionIn("pipeline section");
+    return s;
   }
-
-  if (!r.BeginSection(kArchiverTag, kSectionVersion, &version, &end)) {
-    return snapshot::SectionError(r, "archiver section");
-  }
-  bool has_archiver = false;
-  if (!r.Bool(&has_archiver)) {
-    return snapshot::CorruptionIn("archiver section");
-  }
-  if (has_archiver != (archiver_ != nullptr)) {
-    // Unreachable when the manifest's archive flag matched; defend anyway.
-    return Status::InvalidArgument("snapshot: pipeline archiver mismatch");
-  }
-  if (archiver_ != nullptr) {
-    if (const Status s = archiver_->RestoreFrom(r); !s.ok()) return s;
-  }
-  if (!r.EndSection(end)) return snapshot::CorruptionIn("archiver section");
 
   last_query_ = m.last_query;
-  return Status::OK();
+  // SaveTo derives the manifest from the state, so it must describe it.
+  if (Manifest() == m) return Status::OK();
+  last_query_ = kInvalidTimestamp;
+  return snapshot::CorruptionIn("snapshot manifest (not the state's)");
 }
 
 Status SurveillancePipeline::SaveSnapshot(const std::string& path) const {

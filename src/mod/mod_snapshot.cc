@@ -1,5 +1,7 @@
 // Checkpoint serialization of the offline MOD layer: trip builder segments,
-// the trajectory store, and the Hermes archival path.
+// the trajectory store, and the Hermes archival path. Each record reads the
+// format its SaveTo writes; the archiver also reads the fixture's v1
+// (DESIGN.md §9).
 
 #include <vector>
 
@@ -15,9 +17,10 @@ namespace {
 constexpr uint8_t kTripBuilderFormatVersion = 1;
 constexpr uint8_t kStoreFormatVersion = 1;
 // v2 dropped the three phase timers: wall-clock readings made the same run
-// write different bytes. v1 snapshots still restore; their readings are
-// discarded.
+// write different bytes. v1 still restores, its readings discarded, because
+// the committed fixture tests/data/checkpoint_6_slides.msnp holds it.
 constexpr uint8_t kArchiverFormatVersion = 2;
+constexpr uint8_t kArchiverOldestVersion = 1;
 
 using tracker::kCriticalPointBytes;
 // Minimum encoded size of a trip and of an open segment (no points).
@@ -56,11 +59,20 @@ void SaveTrip(const Trip& t, snapshot::Writer& w) {
   w.Put(t.start_tau, t.end_tau, t.distance_m);
 }
 
-// Into `t`, a freshly emplaced trip.
+// Into `t`, a freshly emplaced trip, one TripBuilder::Add can make: two
+// points or more, from the first point's τ to no later than the last's (the
+// stop end that closed it), with a travel time a Duration holds. The points
+// are in arrival order, which is not τ order (Trip::points).
 bool LoadTrip(snapshot::Reader& r, Trip* t) {
-  return r.Get(&t->mmsi, &t->origin_port, &t->destination_port) &&
-         LoadCriticalPoints(r, &t->points) &&
-         r.Get(&t->start_tau, &t->end_tau, &t->distance_m);
+  if (!r.Get(&t->mmsi, &t->origin_port, &t->destination_port) ||
+      !LoadCriticalPoints(r, &t->points) ||
+      !r.Get(&t->start_tau, &t->end_tau, &t->distance_m)) {
+    return false;
+  }
+  Duration travel = 0;
+  return t->points.size() >= 2 && t->start_tau == t->points.front().tau &&
+         t->start_tau <= t->end_tau && t->end_tau <= t->points.back().tau &&
+         !__builtin_sub_overflow(t->end_tau, t->start_tau, &travel);
 }
 
 // A counted list of trips onto the end of `trips` (empty), each read in
@@ -95,10 +107,10 @@ Status TripBuilder::RestoreFrom(snapshot::Reader& r) {
     segments_.clear();
     return snapshot::CorruptionIn("trip builder");
   };
-  uint8_t version = 0;
-  if (!r.U8(&version)) return fail();
-  if (version > kTripBuilderFormatVersion) {
-    return snapshot::VersionError("trip builder");
+  if (const Status s = snapshot::ReadVersion(r, kTripBuilderFormatVersion,
+                                             "trip builder");
+      !s.ok()) {
+    return s;
   }
   double threshold = 0.0;
   if (!r.F64(&threshold)) return fail();
@@ -137,10 +149,10 @@ Status TrajectoryStore::RestoreFrom(snapshot::Reader& r) {
     trips_.clear();
     return snapshot::CorruptionIn("trajectory store");
   };
-  uint8_t version = 0;
-  if (!r.U8(&version)) return fail();
-  if (version > kStoreFormatVersion) {
-    return snapshot::VersionError("trajectory store");
+  if (const Status s =
+          snapshot::ReadVersion(r, kStoreFormatVersion, "trajectory store");
+      !s.ok()) {
+    return s;
   }
   if (!LoadTrips(r, &trips_)) return fail();
   return Status::OK();
@@ -168,9 +180,11 @@ Status HermesArchiver::RestoreFrom(snapshot::Reader& r) {
     return snapshot::CorruptionIn("archiver");
   };
   uint8_t version = 0;
-  if (!r.U8(&version)) return fail();
-  if (version > kArchiverFormatVersion) {
-    return snapshot::VersionError("archiver");
+  if (const Status s =
+          snapshot::ReadVersion(r, kArchiverOldestVersion,
+                                kArchiverFormatVersion, "archiver", &version);
+      !s.ok()) {
+    return s;
   }
   if (const Status s = builder_.RestoreFrom(r); !s.ok()) return s;
   uint64_t n = 0;

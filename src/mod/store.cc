@@ -1,10 +1,22 @@
 #include "mod/store.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/strings.h"
 
 namespace maritime::mod {
+namespace {
+
+// a + b held at the Duration limits: a travel-time sum never overflows.
+Duration SaturatingAdd(Duration a, Duration b) {
+  Duration sum = 0;
+  if (!__builtin_add_overflow(a, b, &sum)) return sum;
+  using Limits = std::numeric_limits<Duration>;
+  return b > 0 ? Limits::max() : Limits::min();
+}
+
+}  // namespace
 
 std::string TripStatistics::ToString() const {
   std::string out;
@@ -59,7 +71,8 @@ TrajectoryStore::OriginDestinationMatrix() const {
   for (const Trip& t : trips_) {
     OdCell& cell = out[{t.origin_port, t.destination_port}];
     ++cell.trips;
-    cell.total_travel_time += t.TravelTime();
+    cell.total_travel_time =
+        SaturatingAdd(cell.total_travel_time, t.TravelTime());
     cell.total_distance_m += t.distance_m;
   }
   return out;
@@ -74,7 +87,7 @@ TripStatistics TrajectoryStore::ComputeStatistics(
   double total_distance = 0.0;
   for (const Trip& t : trips_) {
     s.points_in_trips += t.points.size();
-    total_time += t.TravelTime();
+    total_time = SaturatingAdd(total_time, t.TravelTime());
     total_distance += t.distance_m;
   }
   if (!trips_.empty()) {

@@ -29,7 +29,7 @@ struct TripStatistics {
 /// itinerary statistics between a pair of ports.
 struct OdCell {
   uint64_t trips = 0;
-  Duration total_travel_time = 0;
+  Duration total_travel_time = 0;  ///< Held at the Duration limits.
   double total_distance_m = 0.0;
 
   Duration AvgTravelTime() const {

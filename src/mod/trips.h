@@ -25,7 +25,10 @@ struct Trip {
   int32_t origin_port = -1;  ///< -1 when unknown (vessel already under way
                              ///< when its signals were first received).
   int32_t destination_port = -1;
-  std::vector<tracker::CriticalPoint> points;  ///< Sorted by tau.
+  /// In arrival order, from the first point (at start_tau) to the stop end
+  /// that closed the trip. Not sorted by tau: a retroactive stop or
+  /// slow-motion start arrives after points later than it.
+  std::vector<tracker::CriticalPoint> points;
   Timestamp start_tau = 0;
   Timestamp end_tau = 0;
   double distance_m = 0.0;  ///< Along-track length of the compressed path.

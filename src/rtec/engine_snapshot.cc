@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <string_view>
 #include <variant>
 #include <vector>
@@ -21,14 +22,9 @@
 namespace maritime::rtec {
 namespace {
 
-// v2: timelines are stored from the flat slice-table representation (same
-// sectioned value->rows shape as v1, but written in slice order); evidence
-// points use the arena-aware PointVec. v1 bytes would misparse, so the
-// reader requires version >= 2.
-// v3: appends the spans_narrowed / fleet_floor_hits cache counters after the
-// hits/misses/evictions trailer. Everything before the trailer is unchanged
-// (scoped dirty propagation is per-slide scratch derived from state already
-// serialized), so the reader accepts v2 bytes and zeroes the new counters.
+// v3: timelines in slice order, evidence points as PointVecs, and the
+// spans_narrowed / fleet_floor_hits counters after the hits/misses/evictions
+// trailer. The reader reads v3 only (DESIGN.md §9).
 constexpr uint8_t kEngineFormatVersion = 3;
 constexpr const char* kWhat = "rtec engine";
 
@@ -129,6 +125,16 @@ void SaveEvidence(const CachedEvidence& ev, snapshot::Writer& w) {
   w.Put(uint8_t{ev.carried_value.has_value()}, ev.carried_value.value_or(0));
 }
 
+// An optional value as the savers write it: a 0/1 flag, then the value,
+// which is 0 when the flag is clear. Into `out`, which is empty.
+bool LoadOptionalValue(snapshot::Reader& r, uint8_t has, Value value,
+                       std::optional<Value>* out) {
+  bool present = false;
+  if (!r.Flag(has, &present) || (!present && value != 0)) return false;
+  if (present) *out = value;
+  return true;
+}
+
 // Reads the initiations and then the terminations straight into
 // `ev->points`, a freshly emplaced slot. The buffer is reserved once for
 // both lists: the terminations' count is read ahead, past the initiations.
@@ -144,11 +150,11 @@ bool LoadEvidence(snapshot::Reader& r, CachedEvidence* ev) {
   if (!AppendPoints(r, n_init, &ev->points) ||
       !r.Count(&n_term, kPointBytes) ||
       !AppendPoints(r, n_term, &ev->points) ||
-      !r.Get(&has_carried, &carried)) {
+      !r.Get(&has_carried, &carried) ||
+      !LoadOptionalValue(r, has_carried, carried, &ev->carried_value)) {
     return false;
   }
   ev->init_count = static_cast<uint32_t>(n_init);
-  if (has_carried != 0) ev->carried_value = carried;
   ev->IndexPoints();
   return true;
 }
@@ -158,13 +164,19 @@ void SaveTermVector(const std::vector<Term>& terms, snapshot::Writer& w) {
   for (const Term& t : terms) SaveTerm(t, w);
 }
 
-bool LoadTermVector(snapshot::Reader& r, std::vector<Term>* terms) {
+// A term vector SaveTo writes sorted: each term no less than the one
+// before it.
+bool LoadSortedTermVector(snapshot::Reader& r, std::vector<Term>* terms) {
   uint64_t n = 0;
   if (!r.Count(&n, kTermBytes)) return false;
   terms->clear();
   terms->reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
-    if (!LoadTerm(r, &terms->emplace_back())) return false;
+    Term t;
+    if (!LoadTerm(r, &t) || (!terms->empty() && t < terms->back())) {
+      return false;
+    }
+    terms->push_back(t);
   }
   return true;
 }
@@ -304,8 +316,9 @@ bool LoadTimeline(snapshot::Reader& r, FluentTimeline* tl) {
         // importing it.
         return IsNormalized(tl->IntervalsAt(s));
       });
-  if (!ok) return false;
-  if (has_open != 0) tl->open_value = open;
+  if (!ok || !LoadOptionalValue(at, has_open, open, &tl->open_value)) {
+    return false;
+  }
   r = at;
   return true;
 }
@@ -434,10 +447,9 @@ MARITIME_OUTPUT_PATH void Engine::SaveTo(snapshot::Writer& w) const {
 }
 
 Status Engine::RestoreFrom(snapshot::Reader& r) {
-  uint8_t version = 0;
-  if (!r.U8(&version)) return snapshot::CorruptionIn(kWhat);
-  if (version != 2 && version != kEngineFormatVersion) {
-    return snapshot::VersionError(kWhat);
+  if (const Status s = snapshot::ReadVersion(r, kEngineFormatVersion, kWhat);
+      !s.ok()) {
+    return s;
   }
 
   // --- schema fingerprint: declarations are code, so they must match -------
@@ -590,22 +602,23 @@ Status Engine::RestoreFrom(snapshot::Reader& r) {
   }
 
   // --- incremental dirty + edge state --------------------------------------
+  // SaveTo writes a flushed map: keys ascending, each once, with its
+  // coalesced range.
   const auto load_dirty = [&r](DirtyMap* dm) {
     uint64_t count = 0;
     if (!r.Count(&count, kTermBytes + 2 * sizeof(int64_t))) return false;
+    dm->at.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
       Term key;
       DirtyMap::MarkRange range{};
       if (!r.Get(&key.kind, &key.id, &range.min, &range.max) ||
-          range.min > range.max) {
+          range.min > range.max ||
+          (!dm->at.empty() && !(dm->at.back().first < key))) {
         return false;
       }
-      // Replayed as batched marks; Flush sorts and coalesces below, so even
-      // malformed (out-of-order) input cannot break the sorted invariant.
-      dm->Mark(key, range.min);
-      dm->Mark(key, range.max);
+      dm->at.push_back({key, range});
+      dm->any = std::min(dm->any, range.min);
     }
-    dm->Flush();
     return true;
   };
   for (auto& dm : dirty_events_) {
@@ -614,12 +627,12 @@ Status Engine::RestoreFrom(snapshot::Reader& r) {
   if (!load_dirty(&dirty_coords_)) return fail();
   if (!r.Bool(&dirty_all_)) return fail();
   for (auto& edge : edge_fluents_) {
-    if (!LoadTermVector(r, &edge)) return fail();
+    if (!LoadSortedTermVector(r, &edge)) return fail();
   }
   for (auto& e : edge_derived_) {
-    uint8_t b = 0;
-    if (!r.U8(&b)) return fail();
-    e = static_cast<char>(b != 0);
+    bool b = false;
+    if (!r.Bool(&b)) return fail();
+    e = static_cast<char>(b);
   }
   if (!r.I64(&prev_query_)) return fail();
 
@@ -632,17 +645,17 @@ Status Engine::RestoreFrom(snapshot::Reader& r) {
     uint64_t m = 0;
     if (!r.Count(&m, kTermBytes + sizeof(int32_t))) return fail();
     bvec.reserve(m);
+    // Sorted by key at commit, each key once: CarriedValue binary-searches
+    // it.
     for (uint64_t i = 0; i < m; ++i) {
       Term key;
       Value value = 0;
-      if (!r.Get(&key.kind, &key.id, &value)) return fail();
+      if (!r.Get(&key.kind, &key.id, &value) ||
+          (!bvec.empty() && !(bvec.back().first < key))) {
+        return fail();
+      }
       bvec.emplace_back(key, value);
     }
-    // Saved sorted; sort defensively so CarriedValue's binary search stays
-    // correct even for hand-crafted snapshot bytes (last write wins is not
-    // needed — duplicate keys cannot be produced by SaveTo).
-    std::sort(bvec.begin(), bvec.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
   }
 
   // --- per-definition caches -----------------------------------------------
@@ -688,14 +701,13 @@ Status Engine::RestoreFrom(snapshot::Reader& r) {
   }
 
   uint64_t hits = 0, misses = 0, evictions = 0;
-  if (!r.Get(&hits, &misses, &evictions)) return fail();
+  uint64_t spans_narrowed = 0, fleet_floor_hits = 0;
+  if (!r.Get(&hits, &misses, &evictions, &spans_narrowed, &fleet_floor_hits)) {
+    return fail();
+  }
   cache_stats_.hits = static_cast<size_t>(hits);
   cache_stats_.misses = static_cast<size_t>(misses);
   cache_stats_.evictions = static_cast<size_t>(evictions);
-  uint64_t spans_narrowed = 0, fleet_floor_hits = 0;
-  if (version >= 3 && !r.Get(&spans_narrowed, &fleet_floor_hits)) {
-    return fail();
-  }
   cache_stats_.spans_narrowed = static_cast<size_t>(spans_narrowed);
   cache_stats_.fleet_floor_hits = static_cast<size_t>(fleet_floor_hits);
   return Status::OK();

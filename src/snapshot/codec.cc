@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <string>
 
 #include "snapshot/crc32_kernels.h"
 
@@ -214,18 +215,39 @@ void Writer::Reallocate(size_t capacity) {
   capacity_ = capacity;
 }
 
-bool Reader::BeginSection(uint32_t expected_tag, uint8_t max_version,
-                          uint8_t* version, size_t* end_offset) {
+Status Reader::BeginSection(uint32_t expected_tag, uint8_t version,
+                            std::string_view what, size_t* end_offset) {
   uint32_t tag = 0;
+  uint8_t stored = 0;
   uint64_t length = 0;
-  if (!U32(&tag) || !U8(version) || !Count(&length, 1)) return false;
-  if (tag != expected_tag) return Fail();
-  if (*version > max_version) {
-    version_rejected_ = true;
-    return Fail();
+  if (!Get(&tag, &stored, &length) || !Fits(length, 1) ||
+      tag != expected_tag) {
+    Fail();
+    return CorruptionIn(what);
+  }
+  if (const Status s = CheckVersion(stored, version, version, what); !s.ok()) {
+    Fail();
+    return s;
   }
   *end_offset = pos_ + length;
-  return true;
+  return Status::OK();
+}
+
+Status CheckVersion(uint32_t version, uint32_t oldest, uint32_t newest,
+                    std::string_view what) {
+  if (version == 0) return CorruptionIn(what);
+  if (version < oldest || version > newest) {
+    return Status::Unimplemented("snapshot: " + std::string(what) +
+                                 " format version " + std::to_string(version) +
+                                 " is not read by this build");
+  }
+  return Status::OK();
+}
+
+Status ReadVersion(Reader& r, uint8_t oldest, uint8_t newest,
+                   std::string_view what, uint8_t* version) {
+  if (!r.U8(version)) return CorruptionIn(what);
+  return CheckVersion(*version, oldest, newest, what);
 }
 
 }  // namespace maritime::snapshot

@@ -152,9 +152,15 @@ class Reader {
   }
 
   bool U8(uint8_t* v) { return Get(v); }
+  /// A flag byte: 0 or 1, as Writer::Bool writes it. Any other byte fails
+  /// (latched), so no two inputs restore the same flag.
   bool Bool(bool* v) {
     uint8_t b = 0;
-    if (!U8(&b)) return false;
+    return U8(&b) && Flag(b, v);
+  }
+  /// The check of Bool for a flag byte already read as a field of a record.
+  bool Flag(uint8_t b, bool* v) {
+    if (b > 1) return Fail();
     *v = b != 0;
     return true;
   }
@@ -196,21 +202,16 @@ class Reader {
     return true;
   }
 
-  /// Opens a framed section written by Writer::BeginSection: checks the tag,
-  /// rejects versions newer than `max_version`, and returns the section's
-  /// end offset for EndSection. `version` receives the stored version.
-  bool BeginSection(uint32_t expected_tag, uint8_t max_version,
-                    uint8_t* version, size_t* end_offset);
+  /// Opens a framed section written by Writer::BeginSection: checks the tag
+  /// (Corruption) and that the stored version is `version` (see
+  /// ReadVersion), and returns the section's end offset for EndSection.
+  Status BeginSection(uint32_t expected_tag, uint8_t version,
+                      std::string_view what, size_t* end_offset);
   /// Verifies the section was consumed exactly to its recorded end.
   bool EndSection(size_t end_offset) {
     if (failed_ || pos_ != end_offset) return Fail();
     return true;
   }
-
-  /// True when the last BeginSection failed specifically because the stored
-  /// version was newer than this build supports (for Unimplemented vs.
-  /// Corruption error classification).
-  bool version_rejected() const { return version_rejected_; }
 
   size_t offset() const { return pos_; }
   size_t remaining() const { return data_.size() - pos_; }
@@ -225,7 +226,6 @@ class Reader {
   std::string_view data_;
   size_t pos_ = 0;
   bool failed_ = false;
-  bool version_rejected_ = false;
 };
 
 /// Standard error for a reader that failed while decoding `what`.
@@ -234,15 +234,22 @@ inline Status CorruptionIn(std::string_view what) {
                             std::string(what));
 }
 
-/// Error for a section whose stored version is newer than this build.
-inline Status VersionError(std::string_view what) {
-  return Status::Unimplemented("snapshot: " + std::string(what) +
-                               " was written by a newer format version");
-}
+/// Checks a stored format version against the range [oldest, newest] this
+/// build reads. No build ever wrote version 0, so it is Corruption; any
+/// other version outside the range is a format this build does not read,
+/// older or newer, and is Unimplemented.
+Status CheckVersion(uint32_t version, uint32_t oldest, uint32_t newest,
+                    std::string_view what);
 
-/// Dispatches between the two failure modes after a BeginSection.
-inline Status SectionError(const Reader& r, std::string_view what) {
-  return r.version_rejected() ? VersionError(what) : CorruptionIn(what);
+/// Reads the u8 format version a component's record leads with and checks
+/// it with CheckVersion; `*version` receives it. A truncated read is
+/// Corruption.
+Status ReadVersion(Reader& r, uint8_t oldest, uint8_t newest,
+                   std::string_view what, uint8_t* version);
+/// The same for a record that has one format: oldest == newest.
+inline Status ReadVersion(Reader& r, uint8_t version, std::string_view what) {
+  uint8_t stored = 0;
+  return ReadVersion(r, version, version, what, &stored);
 }
 
 }  // namespace maritime::snapshot

@@ -38,8 +38,10 @@ Status CheckFrame(std::string_view header, std::string_view payload) {
   if (magic != kFileMagic) {
     return Status::InvalidArgument("snapshot: bad magic (not a snapshot file)");
   }
-  if (version > kFileVersion) {
-    return VersionError("file container");
+  if (Status s = CheckVersion(version, kFileVersion, kFileVersion,
+                              "file container");
+      !s.ok()) {
+    return s;
   }
   if (payload_size != payload.size()) {
     return Status::Corruption(

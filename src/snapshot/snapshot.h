@@ -31,7 +31,8 @@ std::string EncodeSnapshotFile(std::string_view payload);
 ///   - shorter than the header, or shorter than the recorded payload size
 ///     -> Corruption ("truncated")
 ///   - wrong magic -> InvalidArgument (not a snapshot file)
-///   - container version newer than this build -> Unimplemented
+///   - container version 0 (never written) -> Corruption; any other
+///     version but kFileVersion -> Unimplemented
 ///   - trailing garbage after the payload, or CRC mismatch -> Corruption
 Result<std::string_view> DecodeSnapshotFile(std::string_view file);
 

@@ -19,6 +19,8 @@ struct WindowSpec {
   /// successive instantiations overlap, but β ≥ ω — a tumbling window —
   /// is also legal.)
   Status Validate() const;
+
+  bool operator==(const WindowSpec&) const = default;
 };
 
 /// Generates the successive query times Q_1, Q_2, ... of a windowed

@@ -1,6 +1,7 @@
 // Checkpoint serialization of the tracking layer: MobilityTracker,
 // Compressor, and ShardedMobilityTracker. Kept out of the hot-path
-// translation units; the wire layout notes live in DESIGN.md §9.
+// translation units; the wire layout notes and the versions each record
+// reads live in DESIGN.md §9.
 
 #include <algorithm>
 #include <mutex>
@@ -13,12 +14,14 @@
 namespace maritime::tracker {
 namespace {
 
-// v2: per-vessel rings plus stop aggregates (DESIGN.md §9); v1 still reads.
+// v2: per-vessel rings plus stop aggregates (DESIGN.md §9).
 constexpr uint8_t kTrackerFormatVersion = 2;
 constexpr uint8_t kCompressorFormatVersion = 1;
 // v2 dropped `busy_seconds`: a wall-clock reading made the same run write
-// different bytes. v1 snapshots still restore; their reading is discarded.
+// different bytes. v1 still restores, its reading discarded, because the
+// committed fixture tests/data/checkpoint_6_slides.msnp holds it.
 constexpr uint8_t kShardedFormatVersion = 2;
+constexpr uint8_t kShardedOldestVersion = 1;
 
 }  // namespace
 
@@ -55,10 +58,10 @@ Status MobilityTracker::RestoreFrom(snapshot::Reader& r) {
     return s;
   };
   clear();
-  uint8_t version = 0;
-  if (!r.U8(&version)) return snapshot::CorruptionIn("mobility tracker");
-  if (version > kTrackerFormatVersion) {
-    return snapshot::VersionError("mobility tracker");
+  if (const Status s =
+          snapshot::ReadVersion(r, kTrackerFormatVersion, "mobility tracker");
+      !s.ok()) {
+    return s;
   }
   uint64_t n = 0;
   if (!r.Count(&n, sizeof(uint32_t))) {
@@ -75,7 +78,12 @@ Status MobilityTracker::RestoreFrom(snapshot::Reader& r) {
           snapshot::CorruptionIn("mobility tracker (MMSIs out of order)"));
     }
     VesselState& vs = vessels_[SlotFor(mmsi)];
-    if (const Status s = vs.RestoreFrom(r, version); !s.ok()) return fail(s);
+    if (const Status s = vs.RestoreFrom(r); !s.ok()) return fail(s);
+    // Process resets an outlier run when it reaches outlier_reset_count.
+    if (vs.consecutive_outliers < 0 ||
+        vs.consecutive_outliers >= std::max(1, params_.outlier_reset_count)) {
+      return fail(snapshot::CorruptionIn("mobility tracker (outlier run)"));
+    }
   }
   const bool ok =
       r.Get(&stats_.processed, &stats_.accepted, &stats_.stale_discarded,
@@ -93,10 +101,10 @@ void Compressor::SaveTo(snapshot::Writer& w) const {
 
 Status Compressor::RestoreFrom(snapshot::Reader& r) {
   stats_ = CompressionStats{};
-  uint8_t version = 0;
-  if (!r.U8(&version)) return snapshot::CorruptionIn("compressor");
-  if (version > kCompressorFormatVersion) {
-    return snapshot::VersionError("compressor");
+  if (const Status s =
+          snapshot::ReadVersion(r, kCompressorFormatVersion, "compressor");
+      !s.ok()) {
+    return s;
   }
   if (!r.U64(&stats_.raw_positions) || !r.U64(&stats_.critical_points)) {
     stats_ = CompressionStats{};
@@ -124,9 +132,11 @@ void ShardedMobilityTracker::SaveTo(snapshot::Writer& w) const {
 
 Status ShardedMobilityTracker::RestoreFrom(snapshot::Reader& r) {
   uint8_t version = 0;
-  if (!r.U8(&version)) return snapshot::CorruptionIn("sharded tracker");
-  if (version > kShardedFormatVersion) {
-    return snapshot::VersionError("sharded tracker");
+  if (const Status s =
+          snapshot::ReadVersion(r, kShardedOldestVersion, kShardedFormatVersion,
+                                "sharded tracker", &version);
+      !s.ok()) {
+    return s;
   }
   uint32_t count = 0;
   if (!r.U32(&count)) return snapshot::CorruptionIn("sharded tracker");

@@ -52,10 +52,8 @@ void VesselState::ResetMotionState() {
 }
 
 // Format v2: rings are written oldest first, the stop samples as their
-// running aggregates. (v1 wrote velocities as speed/heading and both sample
-// buffers as position tuples.)
-// Each run of fixed fields between two rings is one Writer::Put; a bool is
-// the u8 0/1 that Writer::Bool writes.
+// running aggregates. Each run of fixed fields between two rings is one
+// Writer::Put; a bool is the u8 0/1 that Writer::Bool writes.
 void VesselState::SaveTo(snapshot::Writer& w) const {
   w.Put(uint8_t{has_last}, last.mmsi, last.pos.lon, last.pos.lat, last.tau,
         uint8_t{has_velocity}, v_prev.speed_knots, v_prev.heading_deg,
@@ -77,115 +75,76 @@ void VesselState::SaveTo(snapshot::Writer& w) const {
         int32_t{consecutive_outliers}, accepted_count, odometer_m);
 }
 
-namespace {
-
-// v1 velocity history: speed/heading pairs. The components are derived with
-// the expressions the v1 tracker evaluated when it took the mean, so the
-// restored ring holds exactly the values it summed.
-bool LoadVelocitiesV1(snapshot::Reader& r, uint64_t n, VesselState* vs) {
-  for (uint64_t i = 0; i < n; ++i) {
-    geo::Velocity v;
-    if (!r.Get(&v.speed_knots, &v.heading_deg)) return false;
-    vs->recent_velocities.push_back(v.components());
-  }
-  return true;
-}
-
-bool LoadVelocitiesV2(snapshot::Reader& r, uint64_t n, VesselState* vs) {
-  for (uint64_t i = 0; i < n; ++i) {
-    geo::VelocityComponents c;
-    if (!r.Get(&c.east_mps, &c.north_mps)) return false;
-    vs->recent_velocities.push_back(c);
-  }
-  return true;
-}
-
-// v1 stop buffer: the pause samples themselves, folded into the aggregates
-// in buffer order (the order the v1 centroid summed them in).
-bool LoadStopV1(snapshot::Reader& r, VesselState* vs) {
-  uint64_t n = 0;
-  if (!r.Count(&n, sizeof(uint32_t))) return false;
-  for (uint64_t i = 0; i < n; ++i) {
-    stream::PositionTuple p;
-    if (!r.Get(&p.mmsi, &p.pos.lon, &p.pos.lat, &p.tau)) return false;
-    vs->AddStopSample(p);
-  }
-  uint8_t active = 0;
-  if (!r.Get(&active, &vs->stop_start_tau)) return false;
-  vs->stop_active = active != 0;
-  return true;
-}
-
-bool LoadStopV2(snapshot::Reader& r, VesselState* vs) {
-  uint8_t active = 0;
-  if (!r.Get(&vs->stop_count, &vs->stop_first_tau, &vs->stop_sum_lon,
-             &vs->stop_sum_lat, &active, &vs->stop_start_tau)) {
-    return false;
-  }
-  vs->stop_active = active != 0;
-  return true;
-}
-
-bool LoadSlowSamples(snapshot::Reader& r, uint8_t version, VesselState* vs) {
-  uint64_t n = 0;
-  if (!r.Count(&n, sizeof(uint32_t))) return false;
-  for (uint64_t i = 0; i < n; ++i) {
-    SlowSample s;
-    if (version == 1) {
-      stream::Mmsi mmsi = 0;
-      if (!r.Get(&mmsi, &s.pos.lon, &s.pos.lat, &s.tau)) return false;
-    } else if (!r.Get(&s.pos.lon, &s.pos.lat, &s.tau)) {
-      return false;
-    }
-    vs->slow_samples.push_back(s);
-  }
-  return true;
-}
-
-}  // namespace
-
 // Fills the state in place: the rings keep the storage the tracker gave the
 // vessel's slot, so a restored vessel allocates nothing beyond that slot.
-// Every serialized field is overwritten; the rings and the stop aggregates
-// (which v1 rebuilds sample by sample) start empty.
-Status VesselState::RestoreFrom(snapshot::Reader& r, uint8_t version) {
+// Every serialized field is overwritten; the rings start empty. A ring count
+// is at most the ring's capacity, as SaveTo writes it: a longer list would
+// push its oldest entries out unseen.
+Status VesselState::RestoreFrom(snapshot::Reader& r) {
+  const auto corrupt = [] { return snapshot::CorruptionIn("vessel state"); };
   recent_velocities.clear();
   heading_diffs.clear();
   slow_samples.clear();
-  ClearStopSamples();
-  const bool v1 = version == 1;
   uint8_t has_last_u8 = 0, has_velocity_u8 = 0;
   uint64_t n = 0;
-  bool ok = r.Get(&has_last_u8, &last.mmsi, &last.pos.lon, &last.pos.lat,
-                  &last.tau, &has_velocity_u8, &v_prev.speed_knots,
-                  &v_prev.heading_deg, &n) &&
-            r.Fits(n, 2 * sizeof(double)) &&
-            (v1 ? LoadVelocitiesV1(r, n, this) : LoadVelocitiesV2(r, n, this)) &&
-            r.Count(&n, sizeof(double));
-  if (!ok) return snapshot::CorruptionIn("vessel state");
-  has_last = has_last_u8 != 0;
-  has_velocity = has_velocity_u8 != 0;
+  if (!r.Get(&has_last_u8, &last.mmsi, &last.pos.lon, &last.pos.lat,
+             &last.tau, &has_velocity_u8, &v_prev.speed_knots,
+             &v_prev.heading_deg, &n) ||
+      !r.Flag(has_last_u8, &has_last) ||
+      !r.Flag(has_velocity_u8, &has_velocity) ||
+      n > recent_velocities.capacity() || !r.Fits(n, 2 * sizeof(double))) {
+    return corrupt();
+  }
+  for (uint64_t i = 0; i < n; ++i) {
+    geo::VelocityComponents c;
+    if (!r.Get(&c.east_mps, &c.north_mps)) return corrupt();
+    recent_velocities.push_back(c);
+  }
+  if (!r.U64(&n) || n > heading_diffs.capacity() ||
+      !r.Fits(n, sizeof(double))) {
+    return corrupt();
+  }
   for (uint64_t i = 0; i < n; ++i) {
     double d = 0.0;
-    if (!r.F64(&d)) return snapshot::CorruptionIn("vessel state");
+    if (!r.F64(&d)) return corrupt();
     heading_diffs.push_back(d);
+  }
+  uint8_t stop_active_u8 = 0;
+  if (!r.Get(&stop_count, &stop_first_tau, &stop_sum_lon, &stop_sum_lat,
+             &stop_active_u8, &stop_start_tau, &n) ||
+      !r.Flag(stop_active_u8, &stop_active) ||
+      n > slow_samples.capacity() ||
+      !r.Fits(n, 2 * sizeof(double) + sizeof(int64_t))) {
+    return corrupt();
+  }
+  for (uint64_t i = 0; i < n; ++i) {
+    SlowSample s;
+    if (!r.Get(&s.pos.lon, &s.pos.lat, &s.tau)) return corrupt();
+    slow_samples.push_back(s);
   }
   uint8_t slow_active_u8 = 0, gap_open_u8 = 0;
   int32_t outliers = 0;
-  ok = (v1 ? LoadStopV1(r, this) : LoadStopV2(r, this)) &&
-       LoadSlowSamples(r, version, this) &&
-       r.Get(&slow_active_u8, &slow_start_tau, &slow_anchor.lon,
+  if (!r.Get(&slow_active_u8, &slow_start_tau, &slow_anchor.lon,
              &slow_anchor.lat, &gap_open_u8, &gap_start_tau, &outliers,
-             &accepted_count, &odometer_m);
-  if (!ok) return snapshot::CorruptionIn("vessel state");
-  slow_active = slow_active_u8 != 0;
-  gap_open = gap_open_u8 != 0;
+             &accepted_count, &odometer_m) ||
+      !r.Flag(slow_active_u8, &slow_active) ||
+      !r.Flag(gap_open_u8, &gap_open)) {
+    return corrupt();
+  }
   consecutive_outliers = outliers;
-  // An open stop or slow-motion episode always holds samples: closing one
-  // without any would have no position to report.
-  if ((stop_active && stop_count == 0) ||
-      (slow_active && slow_samples.empty())) {
-    return snapshot::CorruptionIn("vessel state (episode without samples)");
+  // An open stop or slow-motion episode holds samples, the first no later
+  // than the last report, so closing it there has a position and a
+  // duration; an open gap started at the last report.
+  const auto opened_by_last = [this](Timestamp start) {
+    Duration duration = 0;
+    return start <= last.tau &&
+           !__builtin_sub_overflow(last.tau, start, &duration);
+  };
+  if ((stop_active && (stop_count == 0 || !opened_by_last(stop_start_tau))) ||
+      (slow_active &&
+       (slow_samples.empty() || !opened_by_last(slow_start_tau))) ||
+      (gap_open && gap_start_tau != last.tau)) {
+    return snapshot::CorruptionIn("vessel state (open episode)");
   }
   const geo::TrackPoint trig(last.pos);
   last_sin_lat = trig.sin_phi;

@@ -173,11 +173,12 @@ struct VesselState {
   // --- checkpointing ------------------------------------------------------
   /// Serializes every field (format v2, framed by the owning tracker).
   void SaveTo(snapshot::Writer& w) const;
-  /// Overwrites the dynamic fields from `r`, written in tracker format
-  /// `version` (1 or 2); the mmsi and ring capacities are kept. Corruption
-  /// on malformed input; the state is unspecified after an error (the owning
-  /// tracker discards it).
-  Status RestoreFrom(snapshot::Reader& r, uint8_t version);
+  /// Overwrites the dynamic fields from `r`, written by SaveTo; the mmsi and
+  /// ring capacities are kept. Corruption on malformed input, including a
+  /// flag byte other than 0/1 and a ring count above the ring's capacity;
+  /// the state is unspecified after an error (the owning tracker discards
+  /// it).
+  Status RestoreFrom(snapshot::Reader& r);
 
  private:
   /// The slots of recent_velocities, heading_diffs and slow_samples, back

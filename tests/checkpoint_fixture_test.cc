@@ -1,11 +1,13 @@
 // Snapshot files as durable artefacts. The committed fixture
 // tests/data/checkpoint_6_slides.msnp was written by `checkpoint_tool run
 // --slides 6` from the build before the sharded-tracker and archiver
-// sections dropped their wall-clock timers (both at section version 1):
-// every later format must still restore it and resume to the CEs this
-// build's uninterrupted run recognizes. And a snapshot carries no wall-clock
-// reading, so the same run writes the same bytes every time, however the
-// Writer was presized, and those bytes are pinned by golden checksums.
+// records dropped their wall-clock timers, so both are at version 1, the
+// only older versions this build reads (DESIGN.md §9); every other record
+// in it is at the version this build writes. It must restore and resume to
+// the CEs this build's uninterrupted run recognizes. And a snapshot carries
+// no wall-clock reading, so the same run writes the same bytes every time,
+// however the Writer was presized, and those bytes are pinned by golden
+// checksums.
 #include <gtest/gtest.h>
 
 #include <cstddef>

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "mod/hermes.h"
 #include "mod/store.h"
 #include "mod/trips.h"
@@ -218,6 +220,27 @@ TEST(TrajectoryStoreTest, StatisticsTable4Shape) {
   const std::string text = s.ToString();
   EXPECT_NE(text.find("Number of trips between ports"), std::string::npos);
   EXPECT_NE(text.find("Average travel time per trip"), std::string::npos);
+}
+
+// Each trip's travel time fits a Duration, but their sum need not: it is
+// held at the limit instead of overflowing.
+TEST(TripStatisticsTest, TravelTimeSumsSaturate) {
+  constexpr Duration kLong = std::numeric_limits<Duration>::max() / 2 + 1;
+  TrajectoryStore store;
+  for (int i = 0; i < 2; ++i) {
+    Trip t;
+    t.mmsi = 7;
+    t.origin_port = 1000;
+    t.destination_port = 1001;
+    t.start_tau = 0;
+    t.end_tau = kLong;
+    store.AddTrip(std::move(t));
+  }
+  const TripStatistics s = store.ComputeStatistics(0);
+  EXPECT_EQ(s.avg_travel_time, std::numeric_limits<Duration>::max() / 2);
+  const auto od = store.OriginDestinationMatrix();
+  EXPECT_EQ(od.at({1000, 1001}).total_travel_time,
+            std::numeric_limits<Duration>::max());
 }
 
 TEST(TripStatisticsTest, EmptyStore) {

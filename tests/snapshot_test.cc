@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <initializer_list>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <random>
@@ -16,8 +16,10 @@
 
 #include "maritime/me_stream.h"
 #include "maritime/pipeline.h"
+#include "maritime/recognizer.h"
 #include "mod/hermes.h"
 #include "mod/store.h"
+#include "mod/trips.h"
 #include "rtec/engine.h"
 #include "sim/generator.h"
 #include "sim/world.h"
@@ -25,7 +27,8 @@
 #include "snapshot/crc32_kernels.h"
 #include "snapshot/snapshot.h"
 #include "stream/replayer.h"
-#include "stream/snapshot_io.h"
+#include "tracker/compressor.h"
+#include "tracker/mobility_tracker.h"
 #include "tracker/sharded_tracker.h"
 #include "tracker/snapshot_io.h"
 
@@ -110,10 +113,8 @@ TEST(SnapshotCodecTest, SectionFraming) {
   w.EndSection(s);
 
   snapshot::Reader r(w.bytes());
-  uint8_t version = 0;
   size_t end = 0;
-  ASSERT_TRUE(r.BeginSection(0x31545354u, 2, &version, &end));
-  EXPECT_EQ(version, 2);
+  ASSERT_TRUE(r.BeginSection(0x31545354u, 2, "test", &end).ok());
   uint32_t v = 0;
   EXPECT_TRUE(r.U32(&v));
   EXPECT_EQ(v, 99u);
@@ -126,10 +127,10 @@ TEST(SnapshotCodecTest, SectionWrongTagFails) {
   const size_t s = w.BeginSection(0x31545354u, 1);
   w.EndSection(s);
   snapshot::Reader r(w.bytes());
-  uint8_t version = 0;
   size_t end = 0;
-  EXPECT_FALSE(r.BeginSection(0x32545354u, 1, &version, &end));
-  EXPECT_FALSE(r.version_rejected());
+  EXPECT_EQ(r.BeginSection(0x32545354u, 1, "test", &end).code(),
+            StatusCode::kCorruption);
+  EXPECT_TRUE(r.failed());
 }
 
 TEST(SnapshotCodecTest, SectionFutureVersionRejected) {
@@ -137,11 +138,10 @@ TEST(SnapshotCodecTest, SectionFutureVersionRejected) {
   const size_t s = w.BeginSection(0x31545354u, 3);
   w.EndSection(s);
   snapshot::Reader r(w.bytes());
-  uint8_t version = 0;
   size_t end = 0;
-  EXPECT_FALSE(r.BeginSection(0x31545354u, 2, &version, &end));
-  EXPECT_TRUE(r.version_rejected());
-  EXPECT_EQ(SectionError(r, "x").code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(r.BeginSection(0x31545354u, 2, "test", &end).code(),
+            StatusCode::kUnimplemented);
+  EXPECT_TRUE(r.failed());
 }
 
 TEST(SnapshotCodecTest, SectionUnderconsumptionDetected) {
@@ -150,10 +150,24 @@ TEST(SnapshotCodecTest, SectionUnderconsumptionDetected) {
   w.U32(1);
   w.EndSection(s);
   snapshot::Reader r(w.bytes());
-  uint8_t version = 0;
   size_t end = 0;
-  ASSERT_TRUE(r.BeginSection(0x31545354u, 1, &version, &end));
+  ASSERT_TRUE(r.BeginSection(0x31545354u, 1, "test", &end).ok());
   EXPECT_FALSE(r.EndSection(end)) << "reader left bytes unconsumed";
+}
+
+// A flag byte is the 0 or 1 Writer::Bool writes; any other byte restores
+// nothing, so no two inputs restore the same flag.
+TEST(SnapshotCodecTest, FlagBytesOtherThanZeroOrOneFail) {
+  for (const uint8_t byte : {uint8_t{2}, uint8_t{0x80}, uint8_t{0xFF}}) {
+    const std::string bytes(1, static_cast<char>(byte));
+    snapshot::Reader r(bytes);
+    bool flag = false;
+    EXPECT_FALSE(r.Bool(&flag)) << int{byte};
+    EXPECT_TRUE(r.failed());
+    snapshot::Reader field(bytes);
+    EXPECT_FALSE(field.Flag(byte, &flag)) << int{byte};
+    EXPECT_TRUE(field.failed());
+  }
 }
 
 // Capacity never changes the bytes: a record written by one Put equals the
@@ -737,6 +751,63 @@ TEST(EngineSnapshotTest, OutOfOrderEvidenceKeysAreCorruption) {
   ExpectRejectedWithoutPartialState(bytes, true);
 }
 
+// The rest of the engine record is written canonically too: each dirty map
+// flushed (keys ascending, each once), each boundary vector sorted by key,
+// and each optional value as a 0/1 flag followed by 0 when the flag is
+// clear. Both keys hold `active` at the next window's start (60), and the
+// off events lie beyond the last query time, so both keys are still dirty
+// at the save.
+TEST(EngineSnapshotTest, NonCanonicalKeyOrderAndOptionalsAreCorruption) {
+  SnapshotEngineFixture a(stream::WindowSpec{120, 60}, true);
+  a.engine->AssertEvent(a.on, kV1, 30);
+  a.engine->AssertEvent(a.on, kV2, 40);
+  a.engine->Recognize(60);
+  a.engine->AssertEvent(a.off, kV1, 130);
+  a.engine->AssertEvent(a.off, kV2, 140);
+  a.engine->Recognize(120);
+  snapshot::Writer w;
+  a.engine->SaveTo(w);
+  const std::string saved(w.bytes());
+  const auto restore = [](const std::string& bytes) {
+    SnapshotEngineFixture b(stream::WindowSpec{120, 60}, true);
+    snapshot::Reader r(bytes);
+    return b.engine->RestoreFrom(r).code();
+  };
+  ASSERT_EQ(restore(saved), StatusCode::kOk);
+  const auto replaced = [&saved](const std::string& from,
+                                 const std::string& to) {
+    std::string bytes = saved;
+    const size_t at = bytes.find(from);
+    EXPECT_NE(at, std::string::npos);
+    if (at != std::string::npos) bytes.replace(at, from.size(), to);
+    return bytes;
+  };
+  // The off events' dirty marks, one per key, swapped.
+  const std::string mark1 =
+      RecordBytes(kV1.kind, kV1.id, Timestamp{130}, Timestamp{130});
+  const std::string mark2 =
+      RecordBytes(kV2.kind, kV2.id, Timestamp{140}, Timestamp{140});
+  EXPECT_EQ(restore(replaced(mark1 + mark2, mark2 + mark1)),
+            StatusCode::kCorruption);
+  // Both keys hold `active` at the boundary of the recognition, swapped.
+  const std::string held1 = RecordBytes(kV1.kind, kV1.id, rtec::kTrue);
+  const std::string held2 = RecordBytes(kV2.kind, kV2.id, rtec::kTrue);
+  EXPECT_EQ(restore(replaced(held1 + held2, held2 + held1)),
+            StatusCode::kCorruption);
+  // kV1's cached evidence carries no value: flag 0, value 0.
+  const std::string evidence = RecordBytes(
+      kV1.kind, kV1.id, uint64_t{1}, rtec::kTrue, Timestamp{30}, uint64_t{0});
+  for (const auto& [flag, value] :
+       {std::pair{uint8_t{0}, rtec::Value{5}},
+        std::pair{uint8_t{2}, rtec::Value{0}}}) {
+    EXPECT_EQ(restore(replaced(
+                  evidence + RecordBytes(uint8_t{0}, rtec::Value{0}),
+                  evidence + RecordBytes(flag, value))),
+              StatusCode::kCorruption)
+        << int{flag} << " " << value;
+  }
+}
+
 // --- tracker ----------------------------------------------------------------
 
 std::vector<stream::PositionTuple> SyntheticTuples(Timestamp from,
@@ -821,6 +892,75 @@ TEST(TrackerSnapshotTest, OpenEpisodeWithoutSamplesIsCorruption) {
   }
 }
 
+// A tracker section of one vessel, hand-built in format v2: its five flag
+// bytes, its three ring counts (each ring holding that many entries) and an
+// open stop candidate of one sample.
+struct VesselBytes {
+  uint8_t has_last = 1, has_velocity = 1, stop_active = 0, slow_active = 0,
+          gap_open = 0;
+  uint64_t velocities = 0, heading_diffs = 0, slow_samples = 0;
+};
+
+std::string OneVesselSection(const VesselBytes& v) {
+  snapshot::Writer w;
+  w.Put(uint8_t{2}, uint64_t{1}, uint32_t{100});  // format, one vessel
+  w.Put(v.has_last, uint32_t{100}, 24.0, 37.0, Timestamp{0}, v.has_velocity,
+        5.0, 90.0, v.velocities);
+  for (uint64_t i = 0; i < v.velocities; ++i) w.Put(1.0, 2.0);
+  w.U64(v.heading_diffs);
+  for (uint64_t i = 0; i < v.heading_diffs; ++i) w.F64(3.0);
+  w.Put(uint64_t{1}, Timestamp{0}, 24.0, 37.0, v.stop_active, Timestamp{0},
+        v.slow_samples);
+  for (uint64_t i = 0; i < v.slow_samples; ++i) w.Put(24.0, 37.0, Timestamp{0});
+  w.Put(v.slow_active, Timestamp{0}, 24.0, 37.0, v.gap_open, Timestamp{0},
+        int32_t{0}, uint64_t{1}, 0.0);
+  for (int i = 0; i < 6; ++i) w.U64(0);  // counters
+  return std::string(w.bytes());
+}
+
+StatusCode RestoreCode(const std::string& bytes) {
+  tracker::MobilityTracker t{tracker::TrackerParams()};
+  snapshot::Reader r(bytes);
+  const Status s = t.RestoreFrom(r);
+  return s.ok() && !r.AtEnd() ? StatusCode::kInternal : s.code();
+}
+
+// A flag is the byte 0 or 1 that SaveTo writes; any other byte is
+// Corruption, not a second spelling of true.
+TEST(TrackerSnapshotTest, FlagByteOtherThanZeroOrOneIsCorruption) {
+  VesselBytes v;
+  v.slow_samples = 1;  // so an open slow-motion episode holds a sample
+  ASSERT_EQ(RestoreCode(OneVesselSection(v)), StatusCode::kOk);
+  for (uint8_t VesselBytes::*flag :
+       {&VesselBytes::has_last, &VesselBytes::has_velocity,
+        &VesselBytes::stop_active, &VesselBytes::slow_active,
+        &VesselBytes::gap_open}) {
+    for (const uint8_t byte : {uint8_t{0}, uint8_t{1}, uint8_t{2},
+                               uint8_t{0xFF}}) {
+      VesselBytes patched = v;
+      patched.*flag = byte;
+      EXPECT_EQ(RestoreCode(OneVesselSection(patched)),
+                byte <= 1 ? StatusCode::kOk : StatusCode::kCorruption)
+          << int{byte};
+    }
+  }
+}
+
+// A ring holds at most history_size (m) entries, and SaveTo writes no more;
+// a longer list must not restore with its oldest entries pushed out unseen.
+TEST(TrackerSnapshotTest, RingCountAboveHistorySizeIsCorruption) {
+  const auto m = static_cast<uint64_t>(tracker::TrackerParams().history_size);
+  for (uint64_t VesselBytes::*ring :
+       {&VesselBytes::velocities, &VesselBytes::heading_diffs,
+        &VesselBytes::slow_samples}) {
+    VesselBytes v;
+    v.*ring = m;
+    EXPECT_EQ(RestoreCode(OneVesselSection(v)), StatusCode::kOk);
+    v.*ring = m + 1;
+    EXPECT_EQ(RestoreCode(OneVesselSection(v)), StatusCode::kCorruption);
+  }
+}
+
 TEST(TrackerSnapshotTest, ShardCountMismatchIsInvalidArgument) {
   const tracker::TrackerParams params;
   tracker::ShardedMobilityTracker a(params, 2);
@@ -829,191 +969,6 @@ TEST(TrackerSnapshotTest, ShardCountMismatchIsInvalidArgument) {
   tracker::ShardedMobilityTracker b(params, 3);
   snapshot::Reader r(w.bytes());
   EXPECT_EQ(b.RestoreFrom(r).code(), StatusCode::kInvalidArgument);
-}
-
-// A 30 s report track of legs (bearing, speed, reports); a zero-speed leg
-// jitters within 3 m of where it starts, so its reports are pause samples.
-struct Leg {
-  double bearing_deg;
-  double knots;
-  int reports;
-};
-
-std::vector<stream::PositionTuple> Voyage(stream::Mmsi mmsi,
-                                          geo::GeoPoint start,
-                                          std::initializer_list<Leg> legs) {
-  std::vector<stream::PositionTuple> out;
-  geo::GeoPoint pos = start;
-  Timestamp tau = 0;
-  for (const Leg& leg : legs) {
-    const geo::GeoPoint anchor = pos;
-    for (int i = 0; i < leg.reports; ++i) {
-      out.push_back({mmsi, pos, tau});
-      tau += 30;
-      pos = leg.knots > 0.0
-                ? geo::DestinationPoint(pos, leg.bearing_deg,
-                                        leg.knots * geo::kKnotsToMps * 30.0)
-                : geo::DestinationPoint(anchor, 37.0 * (i + 1), 3.0);
-    }
-  }
-  return out;
-}
-
-// Writes one vessel of a tracker section in format v1, where the velocity
-// history was speed/heading pairs and the stop and slow-motion samples were
-// whole position tuples. The v1 tracker's buffers are derived from the
-// reports by the tracker's rules for these simple tracks (every report
-// accepted, one motion class per vessel); the scalar fields are taken from
-// `ref`, a tracker that processed the same reports.
-void WriteV1Vessel(const std::vector<stream::PositionTuple>& reports,
-                   const tracker::VesselState& ref, size_t m,
-                   snapshot::Writer& w) {
-  std::vector<geo::Velocity> v;
-  for (size_t i = 1; i < reports.size(); ++i) {
-    v.push_back(geo::VelocityBetween(reports[i - 1].pos, reports[i - 1].tau,
-                                     reports[i].pos, reports[i].tau));
-  }
-  const auto all = [&v](auto pred) {
-    return std::all_of(v.begin(), v.end(), pred);
-  };
-  const bool pause = all([](const geo::Velocity& x) {
-    return x.speed_knots < 1.0;
-  });
-  const bool moving = all([](const geo::Velocity& x) {
-    return x.speed_knots >= 1.0;
-  });
-  const bool slow = moving && all([](const geo::Velocity& x) {
-    return x.speed_knots <= 4.0;
-  });
-  const auto last_m = [m](auto items) {
-    if (items.size() > m) items.erase(items.begin(), items.end() - m);
-    return items;
-  };
-  std::vector<double> diffs;
-  for (size_t i = 1; moving && i < v.size(); ++i) {
-    diffs.push_back(
-        geo::BearingDifferenceDeg(v[i - 1].heading_deg, v[i].heading_deg));
-  }
-  const std::vector<stream::PositionTuple> samples(reports.begin() + 1,
-                                                   reports.end());
-  const std::vector<stream::PositionTuple> none;
-
-  w.U32(ref.mmsi);
-  w.Bool(ref.has_last);
-  stream::SavePositionTuple(ref.last, w);
-  w.Bool(ref.has_velocity);
-  geo::SaveVelocity(ref.v_prev, w);
-  const std::vector<geo::Velocity> velocities = last_m(v);
-  w.U64(velocities.size());
-  for (const geo::Velocity& x : velocities) geo::SaveVelocity(x, w);
-  diffs = last_m(diffs);
-  w.U64(diffs.size());
-  for (const double d : diffs) w.F64(d);
-  const std::vector<stream::PositionTuple>& stop = pause ? samples : none;
-  w.U64(stop.size());
-  for (const auto& p : stop) stream::SavePositionTuple(p, w);
-  w.Bool(ref.stop_active);
-  w.I64(ref.stop_start_tau);
-  const std::vector<stream::PositionTuple> slow_samples =
-      last_m(slow ? samples : none);
-  w.U64(slow_samples.size());
-  for (const auto& p : slow_samples) stream::SavePositionTuple(p, w);
-  w.Bool(ref.slow_active);
-  w.I64(ref.slow_start_tau);
-  geo::SaveGeoPoint(ref.slow_anchor, w);
-  w.Bool(ref.gap_open);
-  w.I64(ref.gap_start_tau);
-  w.I32(ref.consecutive_outliers);
-  w.U64(ref.accepted_count);
-  w.F64(ref.odometer_m);
-}
-
-TEST(TrackerSnapshotTest, HandBuiltV1SectionRestoresIntoV2State) {
-  const tracker::TrackerParams params;
-  const auto m = static_cast<size_t>(params.history_size);
-  // Anchored (an active stop of more than m samples at the cut), cruising,
-  // and slow (fewer than m slow samples: the episode starts after the cut),
-  // each with its reports before the cut.
-  const std::vector<std::vector<stream::PositionTuple>> voyages = {
-      Voyage(100, {24.0, 37.0}, {{0.0, 0.0, 40}, {120.0, 9.0, 20}}),
-      Voyage(200, {24.2, 37.1}, {{45.0, 12.0, 30}, {90.0, 12.0, 30}}),
-      Voyage(300, {24.4, 37.2}, {{200.0, 2.5, 60}})};
-  const int cut[] = {15, 15, 8};
-  std::vector<stream::PositionTuple> prefix, suffix;
-  for (size_t i = 0; i < voyages.size(); ++i) {
-    const auto& v = voyages[i];
-    prefix.insert(prefix.end(), v.begin(), v.begin() + cut[i]);
-    suffix.insert(suffix.end(), v.begin() + cut[i], v.end());
-  }
-  std::sort(prefix.begin(), prefix.end(), stream::StreamOrder);
-  std::sort(suffix.begin(), suffix.end(), stream::StreamOrder);
-
-  tracker::MobilityTracker ref(params);
-  std::vector<tracker::CriticalPoint> ignored;
-  for (const auto& t : prefix) ref.Process(t, &ignored);
-
-  snapshot::Writer v1;
-  v1.U8(1);
-  v1.U64(voyages.size());
-  for (size_t i = 0; i < voyages.size(); ++i) {
-    const auto& v = voyages[i];
-    const std::vector<stream::PositionTuple> reports(v.begin(),
-                                                     v.begin() + cut[i]);
-    const tracker::VesselState* state = ref.FindVessel(v.front().mmsi);
-    ASSERT_NE(state, nullptr);
-    WriteV1Vessel(reports, *state, m, v1);
-  }
-  const tracker::TrackerStats& stats = ref.stats();
-  for (const uint64_t c :
-       {stats.processed, stats.accepted, stats.stale_discarded,
-        stats.outliers_discarded, stats.outlier_resets, stats.critical_points}) {
-    v1.U64(c);
-  }
-  ASSERT_TRUE(ref.FindVessel(100)->stop_active);
-  ASSERT_GT(ref.FindVessel(100)->stop_count, m);
-  ASSERT_FALSE(ref.FindVessel(300)->slow_active);
-  ASSERT_GT(ref.FindVessel(300)->slow_samples.size(), 0u);
-
-  tracker::MobilityTracker restored(params);
-  snapshot::Reader r(v1.bytes());
-  const Status s = restored.RestoreFrom(r);
-  ASSERT_TRUE(s.ok()) << s;
-  EXPECT_TRUE(r.AtEnd());
-  // The v1 buffers became exactly the reference's rings and aggregates.
-  snapshot::Writer a, b;
-  ref.SaveTo(a);
-  restored.SaveTo(b);
-  EXPECT_EQ(a.bytes(), b.bytes());
-
-  // And both emit identical critical points from there on: the restored
-  // stop closes at the centroid of all its samples, the slow-motion episode
-  // starts from restored and new samples alike.
-  std::vector<tracker::CriticalPoint> ca, cb;
-  for (const auto& t : suffix) {
-    ref.Process(t, &ca);
-    restored.Process(t, &cb);
-  }
-  ref.Finish(&ca);
-  restored.Finish(&cb);
-  const auto has = [&ca](uint32_t flag) {
-    return std::any_of(ca.begin(), ca.end(), [flag](const auto& cp) {
-      return (cp.flags & flag) != 0;
-    });
-  };
-  EXPECT_TRUE(has(tracker::kStopEnd));
-  EXPECT_TRUE(has(tracker::kSlowMotionStart));
-  EXPECT_TRUE(has(tracker::kTurn));
-  ASSERT_EQ(ca.size(), cb.size());
-  for (size_t i = 0; i < ca.size(); ++i) {
-    EXPECT_EQ(ca[i].mmsi, cb[i].mmsi) << i;
-    EXPECT_EQ(ca[i].tau, cb[i].tau) << i;
-    EXPECT_EQ(ca[i].flags, cb[i].flags) << i;
-    EXPECT_EQ(ca[i].pos.lon, cb[i].pos.lon) << i;
-    EXPECT_EQ(ca[i].pos.lat, cb[i].pos.lat) << i;
-    EXPECT_EQ(ca[i].speed_knots, cb[i].speed_knots) << i;
-    EXPECT_EQ(ca[i].heading_deg, cb[i].heading_deg) << i;
-    EXPECT_EQ(ca[i].duration, cb[i].duration) << i;
-  }
 }
 
 // --- spatial facts ---------------------------------------------------------
@@ -1127,10 +1082,13 @@ TEST(StoreSnapshotTest, RoundTripPreservesQueriesAndIndexes) {
     t.start_tau = 1000 * i;
     t.end_tau = 1000 * i + 500;
     t.distance_m = 1500.0 * (i + 1);
-    tracker::CriticalPoint cp;
-    cp.mmsi = t.mmsi;
-    cp.tau = t.start_tau;
-    t.points = {cp};
+    // A trip as TripBuilder::Add makes it: two points or more, from
+    // start_tau to no earlier than end_tau.
+    tracker::CriticalPoint from, to;
+    from.mmsi = to.mmsi = t.mmsi;
+    from.tau = t.start_tau;
+    to.tau = t.end_tau;
+    t.points = {from, to};
     a.AddTrip(std::move(t));
   }
   snapshot::Writer w;
@@ -1169,6 +1127,95 @@ TEST(StoreSnapshotTest, TruncationIsCorruptionWithoutPartialState) {
     EXPECT_FALSE(b.RestoreFrom(r).ok());
     EXPECT_EQ(b.trip_count(), 0u) << "partial state after truncation " << len;
   }
+}
+
+// A trip of two critical points at `from` and `to` (a TripBuilder trip).
+mod::Trip TwoPointTrip(Timestamp from, Timestamp to) {
+  mod::Trip t;
+  t.mmsi = 7;
+  t.origin_port = 1;
+  t.destination_port = 2;
+  tracker::CriticalPoint a, b;
+  a.mmsi = b.mmsi = t.mmsi;
+  a.tau = from;
+  b.tau = to;
+  t.points = {a, b};
+  t.start_tau = from;
+  t.end_tau = to;
+  t.distance_m = 5000.0;
+  return t;
+}
+
+StatusCode RestoreStoreCode(const mod::Trip& trip) {
+  mod::TrajectoryStore a;
+  a.AddTrip(trip);
+  snapshot::Writer w;
+  a.SaveTo(w);
+  mod::TrajectoryStore b;
+  snapshot::Reader r(w.bytes());
+  const Status s = b.RestoreFrom(r);
+  EXPECT_EQ(b.trip_count(), s.ok() ? 1u : 0u);
+  return s.code();
+}
+
+// A restored trip is one TripBuilder::Add can make; otherwise a travel time
+// or an overlap query reads timestamps no run wrote.
+TEST(StoreSnapshotTest, TripOutsideTheBuilderDomainIsCorruption) {
+  const mod::Trip valid = TwoPointTrip(1000, 5000);
+  EXPECT_EQ(RestoreStoreCode(valid), StatusCode::kOk);
+  mod::Trip ends_before_its_last_point = valid;
+  ends_before_its_last_point.end_tau = 4000;  // a stop's duration before
+  EXPECT_EQ(RestoreStoreCode(ends_before_its_last_point), StatusCode::kOk);
+  // Points between the first and the last are in arrival order: a
+  // retroactive slow-motion start can follow a later turn.
+  mod::Trip retroactive = valid;
+  tracker::CriticalPoint turn = valid.points[0], slow_start = turn;
+  turn.tau = 3000;
+  slow_start.tau = 2000;
+  retroactive.points.insert(retroactive.points.begin() + 1,
+                            {turn, slow_start});
+  EXPECT_EQ(RestoreStoreCode(retroactive), StatusCode::kOk);
+
+  std::vector<std::pair<const char*, mod::Trip>> broken;
+  mod::Trip t = valid;
+  t.points.pop_back();
+  broken.emplace_back("one point", t);
+  t.points.clear();
+  broken.emplace_back("no points", t);
+  t = valid;
+  t.start_tau = 999;
+  broken.emplace_back("start is not the first point's", t);
+  t = valid;
+  t.end_tau = 999;
+  broken.emplace_back("ends before it starts", t);
+  t = valid;
+  t.end_tau = 5001;
+  broken.emplace_back("ends after its last point", t);
+  for (const auto& [what, trip] : broken) {
+    EXPECT_EQ(RestoreStoreCode(trip), StatusCode::kCorruption) << what;
+  }
+}
+
+// `fuzz_snapshot -seed=13` under UBSan: an archiver section whose archived
+// trip runs from -4352876601844973053 to 8751533046827181074, so
+// Statistics() overflowed subtracting one from the other. Points that agree
+// with both timestamps are rejected by the travel time alone.
+TEST(StoreSnapshotTest, OverflowingTravelTimeIsCorruption) {
+  const mod::Trip trip =
+      TwoPointTrip(-4352876601844973053, 8751533046827181074);
+  snapshot::Writer w;
+  w.U8(2);                                   // archiver format
+  w.Put(uint8_t{1}, 1000.0, uint64_t{0});    // trip builder, no segments
+  w.Put(uint64_t{0}, uint64_t{0});           // nothing staged or rebuilt
+  mod::TrajectoryStore store;
+  store.AddTrip(trip);
+  store.SaveTo(w);
+  w.U64(1);                                  // batches
+  const surveillance::KnowledgeBase kb(1000.0);
+  mod::HermesArchiver archiver(&kb);
+  snapshot::Reader r(w.bytes());
+  EXPECT_EQ(archiver.RestoreFrom(r).code(), StatusCode::kCorruption);
+  EXPECT_EQ(archiver.Statistics().trip_count, 0u);
 }
 
 // --- pipeline ---------------------------------------------------------------
@@ -1256,9 +1303,9 @@ TEST(PipelineSnapshotTest, ArchiveOffPipelineHoldsNoWindowPoints) {
   }
 }
 
-// An archive-off snapshot written before that fix lists window points; they
-// are read and dropped, and the restored pipeline saves without them.
-TEST(PipelineSnapshotTest, ArchiveOffWindowPointsOfOlderSnapshotsAreSkipped) {
+// So an archive-off snapshot that lists window points is not one SaveTo
+// writes: it is Corruption, not points read and dropped.
+TEST(PipelineSnapshotTest, ArchiveOffWindowPointsAreCorruption) {
   sim::World world = sim::BuildWorld(36, SmallWorldParams());
   sim::FleetConfig fleet_cfg;
   fleet_cfg.vessels = 5;
@@ -1290,17 +1337,14 @@ TEST(PipelineSnapshotTest, ArchiveOffWindowPointsOfOlderSnapshotsAreSkipped) {
              uint64_t{8 + 2 * tracker::kCriticalPointBytes}, uint64_t{2});
   tracker::SaveCriticalPoint(cp, points);
   tracker::SaveCriticalPoint(cp, points);
-  std::string older = saved;
-  older.replace(at, empty.size(), std::string(points.bytes()));
+  std::string listing = saved;
+  listing.replace(at, empty.size(), std::string(points.bytes()));
 
   SurveillancePipeline b(&world.knowledge, cfg);
-  snapshot::Reader r(older);
-  const Status s = b.RestoreFrom(r);
-  ASSERT_TRUE(s.ok()) << s;
-  EXPECT_TRUE(r.AtEnd());
-  snapshot::Writer resaved;
-  b.SaveTo(resaved);
-  EXPECT_EQ(resaved.bytes(), saved);
+  snapshot::Reader r(listing);
+  EXPECT_EQ(b.RestoreFrom(r).code(), StatusCode::kCorruption);
+  snapshot::Reader unchanged(saved);
+  EXPECT_TRUE(b.RestoreFrom(unchanged).ok());
 }
 
 TEST(PipelineSnapshotTest, ConfigMismatchIsInvalidArgument) {
@@ -1412,6 +1456,201 @@ TEST(PipelineSnapshotTest, TruncatedPayloadNeverCrashes) {
     SurveillancePipeline b(&world.knowledge, cfg);
     snapshot::Reader r(std::string_view(bytes).substr(0, len));
     EXPECT_FALSE(b.RestoreFrom(r).ok()) << "truncated to " << len;
+  }
+}
+
+// A pipeline snapshot of `world`'s small run: three slides, archive on.
+std::string ThreeSlideSnapshot(sim::World& world) {
+  sim::FleetConfig fleet_cfg;
+  fleet_cfg.vessels = 5;
+  fleet_cfg.duration = 90 * kMinute;
+  fleet_cfg.seed = 4;
+  sim::FleetSimulator fleet(&world, fleet_cfg);
+  stream::StreamReplayer replayer(fleet.Generate());
+  const PipelineConfig cfg = SmallPipelineConfig();
+  SurveillancePipeline a(&world.knowledge, cfg);
+  stream::QueryTimeSequence q(cfg.window, replayer.first_timestamp());
+  for (int i = 0; i < 3; ++i) {
+    const Timestamp qt = q.Fire();
+    a.RunSlide(qt, replayer.NextBatch(qt));
+  }
+  snapshot::Writer w;
+  a.SaveTo(w);
+  return std::string(w.bytes());
+}
+
+// SaveTo writes the manifest from the state, so a manifest that describes
+// other state, or holds a flag byte other than 0/1, is not SaveTo's bytes.
+TEST(PipelineSnapshotTest, ManifestThatDoesNotDescribeTheStateIsCorruption) {
+  sim::World world = sim::BuildWorld(37, SmallWorldParams());
+  const std::string saved = ThreeSlideSnapshot(world);
+  // The manifest body follows its 13-byte frame header: i64 last query,
+  // i64 range, i64 slide, i32 partitions, i32 shards, u8 archive, u8
+  // incremental, then u64 window points, archived trips, spans narrowed
+  // and fleet-floor hits.
+  constexpr size_t kArchiveFlag = 13 + 3 * 8 + 2 * 4;
+  constexpr size_t kIncrementalFlag = kArchiveFlag + 1;
+  constexpr size_t kWindowPoints = kIncrementalFlag + 1;
+  const auto restore = [&](const std::string& bytes) {
+    SurveillancePipeline b(&world.knowledge, SmallPipelineConfig());
+    snapshot::Reader r(bytes);
+    return b.RestoreFrom(r).code();
+  };
+  ASSERT_EQ(restore(saved), StatusCode::kOk);
+  for (const size_t at : {kArchiveFlag, kIncrementalFlag}) {
+    std::string bytes = saved;
+    bytes[at] = 2;
+    EXPECT_EQ(restore(bytes), StatusCode::kCorruption) << at;
+    EXPECT_EQ(surveillance::ReadSnapshotManifest(bytes).status().code(),
+              StatusCode::kCorruption)
+        << at;
+  }
+  for (const size_t at : {kIncrementalFlag, kWindowPoints,
+                          kWindowPoints + 8, kWindowPoints + 16,
+                          kWindowPoints + 24}) {
+    std::string bytes = saved;
+    bytes[at] ^= 1;
+    EXPECT_EQ(restore(bytes), StatusCode::kCorruption) << at;
+  }
+}
+
+// --- format versions --------------------------------------------------------
+
+// One versioned reader: how to save a fresh instance, where the version
+// sits in those bytes (a u8, or the container's u32), the range of versions
+// it reads, and how to restore bytes into a fresh instance.
+struct VersionedReader {
+  std::string name;
+  uint32_t oldest;
+  uint32_t newest;
+  std::function<std::string()> save;
+  size_t version_at = 0;
+  size_t version_bytes = 1;
+  std::function<Status(std::string_view)> restore;
+};
+
+// A component record leads with its version; `make` builds a fresh one.
+template <typename Make>
+VersionedReader Component(std::string name, uint32_t oldest, uint32_t newest,
+                          Make make) {
+  return {std::move(name), oldest, newest,
+          [make] {
+            snapshot::Writer w;
+            make()->SaveTo(w);
+            return std::string(w.bytes());
+          },
+          0, 1,
+          [make](std::string_view bytes) {
+            snapshot::Reader r(bytes);
+            return make()->RestoreFrom(r);
+          }};
+}
+
+// Offset of the frame tagged `tag` in a pipeline payload, walking the
+// frames (u32 tag, u8 version, u64 length, body).
+size_t FrameAt(std::string_view payload, uint32_t tag) {
+  size_t at = 0;
+  while (at + 13 <= payload.size()) {
+    uint32_t t = 0;
+    uint64_t length = 0;
+    std::memcpy(&t, payload.data() + at, sizeof(t));
+    std::memcpy(&length, payload.data() + at + 5, sizeof(length));
+    if (t == tag) return at;
+    at += 13 + length;
+  }
+  return std::string::npos;
+}
+
+// Every versioned reader accepts exactly the versions in [oldest, newest]:
+// the newest is what SaveTo writes, and only the sharded tracker and the
+// archiver still read a v1 (the committed fixture holds both). Version 0,
+// which no build wrote, is Corruption; any other version outside the range
+// is Unimplemented.
+TEST(SnapshotVersionTest, EveryReaderRejectsVersionsOutsideItsRange) {
+  sim::World world = sim::BuildWorld(38, SmallWorldParams());
+  const surveillance::KnowledgeBase& kb = world.knowledge;
+  const std::string pipeline = ThreeSlideSnapshot(world);
+  const tracker::TrackerParams params;
+  std::vector<VersionedReader> readers = {
+      Component("spatial fact table", 1, 1,
+                [] { return std::make_unique<SpatialFactTable>(); }),
+      Component("recognizer", 1, 1,
+                [&kb] {
+                  return std::make_unique<surveillance::CERecognizer>(
+                      &kb, surveillance::RecognizerConfig{});
+                }),
+      Component("partitioned recognizer", 1, 1,
+                [&kb] {
+                  return std::make_unique<surveillance::PartitionedRecognizer>(
+                      kb, surveillance::RecognizerConfig{}, 1);
+                }),
+      Component("rtec engine", 3, 3,
+                [] {
+                  return std::move(
+                      SnapshotEngineFixture(stream::WindowSpec{120, 60})
+                          .engine);
+                }),
+      Component("mobility tracker", 2, 2,
+                [params] {
+                  return std::make_unique<tracker::MobilityTracker>(params);
+                }),
+      Component("compressor", 1, 1,
+                [] { return std::make_unique<tracker::Compressor>(); }),
+      Component("sharded tracker", 1, 2,
+                [params] {
+                  return std::make_unique<tracker::ShardedMobilityTracker>(
+                      params, 2);
+                }),
+      Component("trip builder", 1, 1,
+                [&kb] { return std::make_unique<mod::TripBuilder>(&kb); }),
+      Component("trajectory store", 1, 1,
+                [] { return std::make_unique<mod::TrajectoryStore>(); }),
+      Component("archiver", 1, 2,
+                [&kb] { return std::make_unique<mod::HermesArchiver>(&kb); }),
+  };
+  const auto restore_pipeline = [&kb](std::string_view bytes) {
+    SurveillancePipeline p(&kb, SmallPipelineConfig());
+    snapshot::Reader r(bytes);
+    return p.RestoreFrom(r);
+  };
+  for (const auto& [tag, version] :
+       {std::pair{"MANI", 2u}, std::pair{"TRKS", 1u}, std::pair{"RCGP", 1u},
+        std::pair{"PIPE", 1u}, std::pair{"ARCH", 1u}}) {
+    uint32_t code = 0;
+    std::memcpy(&code, tag, sizeof(code));
+    const size_t at = FrameAt(pipeline, code);
+    ASSERT_NE(at, std::string::npos) << tag;
+    readers.push_back({std::string(tag) + " section", version, version,
+                       [&pipeline] { return pipeline; }, at + 4, 1,
+                       restore_pipeline});
+  }
+  readers.push_back(
+      {"file container", snapshot::kFileVersion, snapshot::kFileVersion,
+       [&pipeline] { return snapshot::EncodeSnapshotFile(pipeline); }, 4, 4,
+       [](std::string_view file) {
+         return snapshot::DecodeSnapshotFile(file).status();
+       }});
+
+  for (const VersionedReader& reader : readers) {
+    SCOPED_TRACE(reader.name);
+    const std::string saved = reader.save();
+    uint32_t written = 0;
+    std::memcpy(&written, saved.data() + reader.version_at,
+                reader.version_bytes);
+    EXPECT_EQ(written, reader.newest);
+    ASSERT_TRUE(reader.restore(saved).ok());
+    std::vector<std::pair<uint32_t, StatusCode>> rejected = {
+        {0, StatusCode::kCorruption},
+        {reader.newest + 1, StatusCode::kUnimplemented}};
+    if (reader.oldest > 1) {
+      rejected.emplace_back(reader.oldest - 1, StatusCode::kUnimplemented);
+    }
+    for (const auto& [version, code] : rejected) {
+      std::string bytes = saved;
+      std::memcpy(bytes.data() + reader.version_at, &version,
+                  reader.version_bytes);
+      EXPECT_EQ(reader.restore(bytes).code(), code) << "version " << version;
+    }
   }
 }
 
