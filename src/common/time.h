@@ -2,6 +2,7 @@
 #define MARITIME_COMMON_TIME_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 namespace maritime {
@@ -22,6 +23,24 @@ inline constexpr Duration kSecond = 1;
 inline constexpr Duration kMinute = 60;
 inline constexpr Duration kHour = 3600;
 inline constexpr Duration kDay = 86400;
+
+/// a + b held at the Duration limits: a sum of durations never overflows.
+inline Duration SaturatingAdd(Duration a, Duration b) {
+  Duration sum = 0;
+  if (!__builtin_add_overflow(a, b, &sum)) return sum;
+  using Limits = std::numeric_limits<Duration>;
+  return b > 0 ? Limits::max() : Limits::min();
+}
+
+/// to − from held at the Duration limits. Feed timestamps may be any int64,
+/// so the span between two of them need not fit; a forward jump too large to
+/// represent reads as the longest duration, a backward one as the shortest.
+inline Duration SaturatingSub(Timestamp to, Timestamp from) {
+  Duration diff = 0;
+  if (!__builtin_sub_overflow(to, from, &diff)) return diff;
+  using Limits = std::numeric_limits<Duration>;
+  return from < 0 ? Limits::max() : Limits::min();
+}
 
 /// Formats a duration as "Nd HH:MM:SS" (days omitted when zero), matching the
 /// style of Table 4 in the paper ("1 day 07:20:58").

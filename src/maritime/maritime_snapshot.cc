@@ -2,7 +2,6 @@
 // table and the CE recognizers. Wire layout notes live in DESIGN.md §9.
 
 #include <algorithm>
-#include <mutex>
 #include <vector>
 
 #include "maritime/me_stream.h"
@@ -134,17 +133,12 @@ void PartitionedRecognizer::SaveTo(snapshot::Writer& w) const {
     w.F64(p.min_lon);
     p.rec->SaveTo(w);
   }
-  RecognizeTotals totals;
-  {
-    std::lock_guard<std::mutex> lock(totals_mu_);
-    totals = totals_;
-  }
-  w.U64(totals.recognize_calls);
-  w.U64(totals.recognized_items);
-  w.U64(totals.input_events);
-  w.U64(totals.cache_hits);
-  w.U64(totals.cache_misses);
-  w.U64(totals.cache_evictions);
+  w.U64(recognize_calls_);
+  w.U64(recognized_items_);
+  w.U64(input_events_);
+  // Retired cache counters: the engines' own records carry them, so these
+  // three are always 0.
+  w.Put(uint64_t{0}, uint64_t{0}, uint64_t{0});
 }
 
 Status PartitionedRecognizer::RestoreFrom(snapshot::Reader& r) {
@@ -172,19 +166,18 @@ Status PartitionedRecognizer::RestoreFrom(snapshot::Reader& r) {
   }
   uint64_t calls = 0, items = 0, inputs = 0;
   uint64_t hits = 0, misses = 0, evictions = 0;
-  if (!r.U64(&calls) || !r.U64(&items) || !r.U64(&inputs) || !r.U64(&hits) ||
-      !r.U64(&misses) || !r.U64(&evictions)) {
+  if (!r.Get(&calls, &items, &inputs, &hits, &misses, &evictions)) {
     return snapshot::CorruptionIn("partitioned recognizer");
   }
-  {
-    std::lock_guard<std::mutex> lock(totals_mu_);
-    totals_.recognize_calls = static_cast<size_t>(calls);
-    totals_.recognized_items = static_cast<size_t>(items);
-    totals_.input_events = static_cast<size_t>(inputs);
-    totals_.cache_hits = static_cast<size_t>(hits);
-    totals_.cache_misses = static_cast<size_t>(misses);
-    totals_.cache_evictions = static_cast<size_t>(evictions);
+  // SaveTo writes 0 for the retired cache counters; a nonzero value would
+  // be counted again on top of the engines' restored cache statistics.
+  if (hits != 0 || misses != 0 || evictions != 0) {
+    return snapshot::CorruptionIn(
+        "partitioned recognizer (retired cache counters not 0)");
   }
+  recognize_calls_ = calls;
+  recognized_items_ = items;
+  input_events_ = inputs;
   return Status::OK();
 }
 

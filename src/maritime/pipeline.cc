@@ -41,9 +41,9 @@ SlideReport SurveillancePipeline::RunSlide(
   report.raw_positions = batch.size();
 
   // --- online tracking: fresh positions -> trajectory events ---------------
-  // Sharded by MMSI; tuples are routed into per-shard lock-free ring
-  // inboxes, then each shard tracks, gap-detects, and compresses its
-  // vessels concurrently on the pool and the outputs merge in stream order.
+  // Sharded by MMSI: the batch is scattered into per-shard inboxes on this
+  // thread, then each shard tracks, gap-detects, and compresses its vessels
+  // concurrently on the pool and the outputs merge in stream order.
   const double t0 = NowSeconds();
   report.critical_points = tracker_.ProcessSlide(batch, q, &report.shard_stats);
   report.tracking_seconds = NowSeconds() - t0;

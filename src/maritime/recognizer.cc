@@ -131,26 +131,21 @@ std::vector<rtec::RecognitionResult> PartitionedRecognizer::Recognize(
   // std::threads every slide used to dominate recognition at small slides.
   pool_->ParallelFor(parts_.size(), [this, q, &results](size_t i) {
     results[i] = parts_[i].rec->Recognize(q);
-    std::lock_guard<std::mutex> lock(totals_mu_);
-    totals_.recognized_items += results[i].RecognizedCount();
-    totals_.input_events += results[i].input_events_in_window;
   });
-  {
-    std::lock_guard<std::mutex> lock(totals_mu_);
-    ++totals_.recognize_calls;
+  ++recognize_calls_;
+  for (const rtec::RecognitionResult& r : results) {
+    recognized_items_ += r.RecognizedCount();
+    input_events_ += r.input_events_in_window;
   }
   return results;
 }
 
 PartitionedRecognizer::RecognizeTotals PartitionedRecognizer::totals() const {
   RecognizeTotals out;
-  {
-    std::lock_guard<std::mutex> lock(totals_mu_);
-    out = totals_;
-  }
-  // Cache and allocation counters live in the per-partition engines; they
-  // only move during Recognize, so summing at read time needs no extra
-  // locking.
+  out.recognize_calls = recognize_calls_;
+  out.recognized_items = recognized_items_;
+  out.input_events = input_events_;
+  // Cache and allocation counters live in the per-partition engines.
   for (const Partition& p : parts_) {
     const rtec::EngineCacheStats& cs = p.rec->engine().cache_stats();
     out.cache_hits += cs.hits;

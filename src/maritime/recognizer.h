@@ -2,12 +2,10 @@
 #define MARITIME_MARITIME_RECOGNIZER_H_
 
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "maritime/ce_definitions.h"
 #include "maritime/knowledge.h"
@@ -121,8 +119,7 @@ class PartitionedRecognizer {
 
   /// Recognizes on all partitions in parallel; returns one result per
   /// partition.
-  std::vector<rtec::RecognitionResult> Recognize(Timestamp q)
-      MARITIME_EXCLUDES(totals_mu_);
+  std::vector<rtec::RecognitionResult> Recognize(Timestamp q);
 
   /// Lifetime recognition totals, summed over partitions and query times.
   struct RecognizeTotals {
@@ -143,7 +140,7 @@ class PartitionedRecognizer {
     uint64_t arena_chunks = 0;     ///< Arena chunks currently reserved.
     uint64_t fallback_allocs = 0;  ///< Large-object heap fallbacks, ever.
   };
-  RecognizeTotals totals() const MARITIME_EXCLUDES(totals_mu_);
+  RecognizeTotals totals() const;
 
   int partition_count() const { return static_cast<int>(parts_.size()); }
   CERecognizer& partition(int i) { return *parts_[static_cast<size_t>(i)].rec; }
@@ -151,11 +148,11 @@ class PartitionedRecognizer {
   // --- checkpointing -------------------------------------------------------
   /// Serializes every partition (band bound + recognizer state) and the
   /// cumulative totals. Call between slides, never during Recognize.
-  void SaveTo(snapshot::Writer& w) const MARITIME_EXCLUDES(totals_mu_);
+  void SaveTo(snapshot::Writer& w) const;
   /// Restores into a recognizer partitioned the same way over the same
   /// knowledge base (partition count and band bounds are verified;
   /// InvalidArgument on mismatch).
-  Status RestoreFrom(snapshot::Reader& r) MARITIME_EXCLUDES(totals_mu_);
+  Status RestoreFrom(snapshot::Reader& r);
 
  private:
   struct Partition {
@@ -166,10 +163,11 @@ class PartitionedRecognizer {
   size_t PartitionFor(const geo::GeoPoint& p) const;
   common::ThreadPool* pool_;
   std::vector<Partition> parts_;  // sorted by min_lon ascending
-  /// Guards the cumulative counters: each partition's recognition task adds
-  /// its contribution from a pool worker thread.
-  mutable std::mutex totals_mu_;
-  RecognizeTotals totals_ MARITIME_GUARDED_BY(totals_mu_);
+  // Cumulative counters, added on the calling thread once every
+  // partition's task has returned.
+  uint64_t recognize_calls_ = 0;
+  uint64_t recognized_items_ = 0;
+  uint64_t input_events_ = 0;
 };
 
 }  // namespace maritime::surveillance

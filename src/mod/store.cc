@@ -1,22 +1,10 @@
 #include "mod/store.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/strings.h"
 
 namespace maritime::mod {
-namespace {
-
-// a + b held at the Duration limits: a travel-time sum never overflows.
-Duration SaturatingAdd(Duration a, Duration b) {
-  Duration sum = 0;
-  if (!__builtin_add_overflow(a, b, &sum)) return sum;
-  using Limits = std::numeric_limits<Duration>;
-  return b > 0 ? Limits::max() : Limits::min();
-}
-
-}  // namespace
 
 std::string TripStatistics::ToString() const {
   std::string out;

@@ -87,7 +87,7 @@ void MobilityTracker::CloseStop(VesselState& vs, stream::Mmsi mmsi,
   cp.pos = vs.StopCentroid();
   cp.tau = end_tau;
   cp.flags = kStopEnd;
-  cp.duration = end_tau - vs.stop_start_tau;
+  cp.duration = SaturatingSub(end_tau, vs.stop_start_tau);
   Emit(cp, out);
   vs.stop_active = false;
   vs.stop_start_tau = kInvalidTimestamp;
@@ -103,7 +103,7 @@ void MobilityTracker::CloseSlowMotion(VesselState& vs, stream::Mmsi mmsi,
   cp.pos = SlowMedian(vs);
   cp.tau = end_tau;
   cp.flags = kSlowMotionEnd;
-  cp.duration = end_tau - vs.slow_start_tau;
+  cp.duration = SaturatingSub(end_tau, vs.slow_start_tau);
   Emit(cp, out);
   vs.slow_active = false;
   vs.slow_start_tau = kInvalidTimestamp;
@@ -215,7 +215,9 @@ void MobilityTracker::Process(const stream::PositionTuple& tuple,
     return;
   }
 
-  const Duration dt = tuple.tau - vs.last.tau;
+  // A forward jump too large for a Duration saturates, so it reads as a
+  // retrospective gap below.
+  const Duration dt = SaturatingSub(tuple.tau, vs.last.tau);
   if (dt <= 0) {
     ++stats_.stale_discarded;
     return;
@@ -230,7 +232,7 @@ void MobilityTracker::Process(const stream::PositionTuple& tuple,
     cp.pos = tuple.pos;
     cp.tau = tuple.tau;
     cp.flags = kGapEnd;
-    cp.duration = tuple.tau - vs.gap_start_tau;
+    cp.duration = SaturatingSub(tuple.tau, vs.gap_start_tau);
     Emit(cp, out);
     vs.gap_open = false;
     vs.gap_start_tau = kInvalidTimestamp;
@@ -399,7 +401,7 @@ void MobilityTracker::AdvanceTo(Timestamp now,
                                 std::vector<CriticalPoint>* out) {
   for (VesselState& vs : vessels_) {
     if (!vs.has_last || vs.gap_open) continue;
-    if (now - vs.last.tau <= params_.gap_period) continue;
+    if (SaturatingSub(now, vs.last.tau) <= params_.gap_period) continue;
     // The vessel fell silent: finalize open episodes, report the gap start
     // at the last known position (paper Section 3.1, Figure 3(a)).
     if (vs.stop_active) CloseStop(vs, vs.mmsi, vs.last.tau, out);

@@ -48,38 +48,29 @@ ShardedMobilityTracker::ShardedMobilityTracker(TrackerParams params,
 std::vector<CriticalPoint> ShardedMobilityTracker::ProcessSlide(
     std::span<const stream::PositionTuple> batch, Timestamp query_time,
     std::vector<ShardSlideStats>* per_shard) {
-  for (const auto& tuple : batch) Ingest(tuple);
-  return ProcessSlide(query_time, per_shard);
-}
-
-std::vector<CriticalPoint> ShardedMobilityTracker::ProcessSlide(
-    Timestamp query_time, std::vector<ShardSlideStats>* per_shard) {
   const size_t n = shards_.size();
   if (per_shard != nullptr) {
     per_shard->assign(n, ShardSlideStats{});
   }
+  if (n > 1) {
+    for (const stream::PositionTuple& tuple : batch) {
+      shards_[ShardOf(tuple.mmsi)].inbox.push_back(tuple);
+    }
+  }
   const auto run_shard = [&](size_t i) {
     Shard& s = shards_[i];
+    const std::span<const stream::PositionTuple> tuples =
+        n == 1 ? batch : std::span<const stream::PositionTuple>(s.inbox);
     const double t0 = NowSeconds();
-    // Drain this shard's ring inbox on the shard's own task: the scatter
-    // happens ring-by-ring in parallel instead of serially on the caller.
-    s.ring->DrainInto(&s.inbox);
     s.slide_out.clear();
-    s.tracker.ProcessBatch(s.inbox, &s.slide_out);
+    s.tracker.ProcessBatch(tuples, &s.slide_out);
     s.tracker.AdvanceTo(query_time, &s.slide_out);
-    s.compressor.Compress(&s.slide_out, s.inbox.size());
-    const double seconds = NowSeconds() - t0;
+    s.compressor.Compress(&s.slide_out, tuples.size());
     if (per_shard != nullptr) {
       ShardSlideStats& st = (*per_shard)[i];
-      st.seconds = seconds;
-      st.tuples = s.inbox.size();
+      st.seconds = NowSeconds() - t0;
+      st.tuples = tuples.size();
       st.critical_points = s.slide_out.size();
-    }
-    {
-      std::lock_guard<std::mutex> lock(totals_mu_);
-      totals_.busy_seconds += seconds;
-      totals_.tuples += s.inbox.size();
-      totals_.critical_points += s.slide_out.size();
     }
     s.inbox.clear();
   };
@@ -88,10 +79,7 @@ std::vector<CriticalPoint> ShardedMobilityTracker::ProcessSlide(
   } else {
     for (size_t i = 0; i < n; ++i) run_shard(i);
   }
-  {
-    std::lock_guard<std::mutex> lock(totals_mu_);
-    ++totals_.slides;
-  }
+  ++slides_;
 
   // Merge barrier: per-shard outputs are already in stream order; a single
   // sort over the concatenation yields the canonical sequence. The result
@@ -112,33 +100,9 @@ std::vector<CriticalPoint> ShardedMobilityTracker::ProcessSlide(
   return merged;
 }
 
-SlideTotals ShardedMobilityTracker::slide_totals() const {
-  std::lock_guard<std::mutex> lock(totals_mu_);
-  return totals_;
-}
-
-void ShardedMobilityTracker::Process(const stream::PositionTuple& tuple,
-                                     std::vector<CriticalPoint>* out) {
-  shards_[ShardOf(tuple.mmsi)].tracker.Process(tuple, out);
-}
-
-void ShardedMobilityTracker::AdvanceTo(Timestamp now,
-                                       std::vector<CriticalPoint>* out) {
-  for (Shard& s : shards_) s.tracker.AdvanceTo(now, out);
-}
-
 void ShardedMobilityTracker::Finish(std::vector<CriticalPoint>* out) {
   std::vector<CriticalPoint> tail;
-  for (Shard& s : shards_) {
-    // Tuples ingested after the last slide still count: process them before
-    // flushing so end-of-stream never silently drops ring contents.
-    s.inbox.clear();
-    if (s.ring->DrainInto(&s.inbox) > 0) {
-      s.tracker.ProcessBatch(s.inbox, &tail);
-      s.inbox.clear();
-    }
-    s.tracker.Finish(&tail);
-  }
+  for (Shard& s : shards_) s.tracker.Finish(&tail);
   // A vessel's closing points (stop end, last anchor) share its final tau;
   // stable_sort keeps their per-vessel emission order while making the
   // cross-vessel order independent of shard count and map iteration.

@@ -1,14 +1,11 @@
 #ifndef MARITIME_TRACKER_SHARDED_TRACKER_H_
 #define MARITIME_TRACKER_SHARDED_TRACKER_H_
 
-#include <memory>
-#include <mutex>
+#include <cstdint>
 #include <span>
 #include <vector>
 
-#include "common/spsc_queue.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "snapshot/codec.h"
 #include "stream/position.h"
@@ -25,18 +22,6 @@ struct ShardSlideStats {
   double seconds = 0.0;         ///< Wall time the shard's task took.
   size_t tuples = 0;            ///< Fresh positions routed to the shard.
   size_t critical_points = 0;   ///< Critical points the shard emitted.
-};
-
-/// Lifetime totals over every ProcessSlide call, summed across shards.
-/// Accumulated concurrently by the shard tasks, so reads go through
-/// `slide_totals()` under the tracker's stats mutex.
-struct SlideTotals {
-  size_t slides = 0;            ///< ProcessSlide calls completed.
-  /// Sum of per-shard task wall time in this process: a snapshot does not
-  /// carry it, so a restored tracker counts from zero.
-  double busy_seconds = 0.0;
-  size_t tuples = 0;            ///< Positions processed by all shards.
-  size_t critical_points = 0;   ///< Critical points emitted by all shards.
 };
 
 /// Parallel mobility tracking by MMSI sharding. Per-vessel tracker state is
@@ -66,41 +51,21 @@ class ShardedMobilityTracker {
     return static_cast<size_t>(mmsi) % shards_.size();
   }
 
-  /// Routes one fresh position into its shard's lock-free ring inbox as it
-  /// arrives (single producer: one stream thread at a time). The tuple is
-  /// processed by the next ProcessSlide / Finish call.
-  void Ingest(const stream::PositionTuple& tuple) {
-    shards_[ShardOf(tuple.mmsi)].ring->Push(tuple);
-  }
-
-  /// Processes one slide over everything Ingested since the previous slide:
-  /// every shard's task drains its own ring inbox (no serial MMSI scatter on
-  /// the caller thread), runs Process + AdvanceTo(query_time) + Compress
-  /// concurrently, and returns the merged critical points in stream order.
-  /// `per_shard` (optional) receives one timing entry per shard.
-  std::vector<CriticalPoint> ProcessSlide(
-      Timestamp query_time, std::vector<ShardSlideStats>* per_shard = nullptr);
-
-  /// Convenience overload: Ingests `batch`, then runs the slide. Produces
-  /// the identical critical-point sequence (ring order preserves the batch
-  /// order within each shard).
+  /// Processes one slide: tracks `batch` (fresh positions in stream order),
+  /// runs AdvanceTo(query_time) and compresses, with one task per shard on
+  /// the pool, and returns the merged critical points in stream order. With
+  /// one shard the batch is tracked in place; with more, the caller thread
+  /// scatters it by MMSI into the shards' reused inboxes first, keeping each
+  /// shard's tuples in batch order. `per_shard` (optional) receives one
+  /// timing entry per shard.
   std::vector<CriticalPoint> ProcessSlide(
       std::span<const stream::PositionTuple> batch, Timestamp query_time,
       std::vector<ShardSlideStats>* per_shard = nullptr);
-
-  /// Serial drop-in surface matching MobilityTracker, for callers that do
-  /// their own batching. These bypass the pool and the compressors.
-  void Process(const stream::PositionTuple& tuple,
-               std::vector<CriticalPoint>* out);
-  void AdvanceTo(Timestamp now, std::vector<CriticalPoint>* out);
 
   /// Flushes open episodes of every shard at end of stream; the emitted tail
   /// is sorted in stream order so the sequence does not depend on the shard
   /// count (or on unordered_map iteration order).
   void Finish(std::vector<CriticalPoint>* out);
-
-  /// Lifetime totals across all ProcessSlide calls (thread-safe snapshot).
-  SlideTotals slide_totals() const MARITIME_EXCLUDES(totals_mu_);
 
   /// Tracker counters summed over all shards.
   TrackerStats stats() const;
@@ -117,39 +82,31 @@ class ShardedMobilityTracker {
   }
 
   // --- checkpointing ------------------------------------------------------
-  /// Serializes every shard's tracker + compressor plus the slide totals
-  /// (format v1). Precondition: called at a slide boundary — after
-  /// ProcessSlide and before the next Ingest — so the ring inboxes are
-  /// empty; positions ingested past the boundary belong to the next slide
-  /// and are re-ingested by the replay driver.
-  void SaveTo(snapshot::Writer& w) const MARITIME_EXCLUDES(totals_mu_);
+  /// Serializes every shard's tracker + compressor, the slide count and the
+  /// compressors' summed totals (format v2). The tracker holds no inbound
+  /// positions between calls, so any point between two ProcessSlide calls
+  /// is a slide boundary.
+  void SaveTo(snapshot::Writer& w) const;
   /// Restores into a tracker constructed with the same params and shard
   /// count (shard-count mismatch is InvalidArgument: MMSI routing would
-  /// scatter restored vessels to the wrong shards).
-  Status RestoreFrom(snapshot::Reader& r) MARITIME_EXCLUDES(totals_mu_);
+  /// scatter restored vessels to the wrong shards). Trailing totals other
+  /// than the restored compressors' sums are Corruption.
+  Status RestoreFrom(snapshot::Reader& r);
 
  private:
   struct Shard {
-    explicit Shard(const TrackerParams& params)
-        : tracker(params),
-          ring(std::make_unique<common::SpscQueue<stream::PositionTuple>>()) {}
+    explicit Shard(const TrackerParams& params) : tracker(params) {}
     MobilityTracker tracker;
     Compressor compressor;
-    /// Lock-free inbox filled by Ingest, drained by the shard's slide task
-    /// (the pool barrier orders the hand-off between slides).
-    std::unique_ptr<common::SpscQueue<stream::PositionTuple>> ring;
     // Per-slide buffers, cleared but never shrunk, so a steady slide does
     // not allocate for them.
-    std::vector<stream::PositionTuple> inbox;  ///< Drained slide batch.
+    std::vector<stream::PositionTuple> inbox;  ///< This shard's batch share.
     std::vector<CriticalPoint> slide_out;  ///< Raw, then compressed, output.
   };
 
   common::ThreadPool* pool_;
   std::vector<Shard> shards_;
-  /// Guards the cumulative counters: every shard task of a slide adds its
-  /// own contribution, so the accumulation itself is cross-thread.
-  mutable std::mutex totals_mu_;
-  SlideTotals totals_ MARITIME_GUARDED_BY(totals_mu_);
+  uint64_t slides_ = 0;  ///< ProcessSlide calls completed.
 };
 
 }  // namespace maritime::tracker

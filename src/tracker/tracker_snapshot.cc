@@ -4,7 +4,6 @@
 // reads live in DESIGN.md §9.
 
 #include <algorithm>
-#include <mutex>
 #include <vector>
 
 #include "tracker/compressor.h"
@@ -120,13 +119,11 @@ void ShardedMobilityTracker::SaveTo(snapshot::Writer& w) const {
     s.tracker.SaveTo(w);
     s.compressor.SaveTo(w);
   }
-  SlideTotals totals;
-  {
-    std::lock_guard<std::mutex> lock(totals_mu_);
-    totals = totals_;
-  }
-  w.U64(totals.slides);
-  w.U64(totals.tuples);
+  // The trailing totals are the compressors' sums: each slide adds the same
+  // per-shard tuple and point counts to both.
+  const CompressionStats totals = compression_stats();
+  w.U64(slides_);
+  w.U64(totals.raw_positions);
   w.U64(totals.critical_points);
 }
 
@@ -147,21 +144,22 @@ Status ShardedMobilityTracker::RestoreFrom(snapshot::Reader& r) {
   for (Shard& s : shards_) {
     if (const Status st = s.tracker.RestoreFrom(r); !st.ok()) return st;
     if (const Status st = s.compressor.RestoreFrom(r); !st.ok()) return st;
-    s.inbox.clear();
-    s.slide_out.clear();
   }
-  // Busy time is this process's own measurement, so it restarts at zero.
-  SlideTotals totals;
+  // v1's busy time is discarded: this process counts its own.
+  uint64_t slides = 0, tuples = 0, critical_points = 0;
   double v1_busy_seconds = 0.0;
-  if (!r.U64(&totals.slides) ||
-      (version < 2 && !r.F64(&v1_busy_seconds)) ||
-      !r.U64(&totals.tuples) || !r.U64(&totals.critical_points)) {
+  if (!r.U64(&slides) || (version < 2 && !r.F64(&v1_busy_seconds)) ||
+      !r.U64(&tuples) || !r.U64(&critical_points)) {
     return snapshot::CorruptionIn("sharded tracker");
   }
-  {
-    std::lock_guard<std::mutex> lock(totals_mu_);
-    totals_ = totals;
+  // SaveTo writes the compressors' sums here, so other totals are not its
+  // bytes.
+  const CompressionStats sums = compression_stats();
+  if (tuples != sums.raw_positions || critical_points != sums.critical_points) {
+    return snapshot::CorruptionIn(
+        "sharded tracker (totals differ from the compressors')");
   }
+  slides_ = slides;
   return Status::OK();
 }
 

@@ -129,13 +129,14 @@ TEST(ShardedTrackerTest, ShardCountsProduceIdenticalCriticalPoints) {
   EXPECT_EQ(s1.outliers_discarded, s8.outliers_discarded);
 }
 
-TEST(ShardedTrackerTest, SerialSurfaceRoutesByMmsi) {
+TEST(ShardedTrackerTest, ProcessSlideRoutesByMmsi) {
   common::ThreadPool pool(0);
   ShardedMobilityTracker tracker(TrackerParams(), 4, &pool);
-  std::vector<CriticalPoint> out;
+  std::vector<stream::PositionTuple> batch;
   for (stream::Mmsi m = 1; m <= 8; ++m) {
-    tracker.Process({m, geo::GeoPoint{24.0, 37.0}, 100}, &out);
+    batch.push_back({m, geo::GeoPoint{24.0, 37.0}, 100});
   }
+  const auto out = tracker.ProcessSlide(batch, 100);
   EXPECT_EQ(tracker.vessel_count(), 8u);
   EXPECT_EQ(out.size(), 8u);  // one kFirst each
   for (stream::Mmsi m = 1; m <= 8; ++m) {

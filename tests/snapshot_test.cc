@@ -971,6 +971,52 @@ TEST(TrackerSnapshotTest, ShardCountMismatchIsInvalidArgument) {
   EXPECT_EQ(b.RestoreFrom(r).code(), StatusCode::kInvalidArgument);
 }
 
+// The record's trailing tuple and critical-point totals are the sums of its
+// compressors' counters (both count the same positions and points each
+// slide), in format v2 and in the fixture's v1, which adds busy seconds
+// after the slide count. Totals that differ from those sums are not bytes
+// SaveTo writes.
+TEST(TrackerSnapshotTest, TotalsOtherThanTheCompressorSumsAreCorruption) {
+  const tracker::TrackerParams params;
+  tracker::ShardedMobilityTracker a(params, 2);
+  a.ProcessSlide(SyntheticTuples(0, 600), 600);
+  a.ProcessSlide(SyntheticTuples(600, 1200), 1200);
+  snapshot::Writer w;
+  a.SaveTo(w);
+  const std::string v2(w.bytes());
+  ASSERT_EQ(v2[0], 2);
+  const tracker::CompressionStats sums = a.compression_stats();
+  ASSERT_GT(sums.raw_positions, 0u);
+  ASSERT_GT(sums.critical_points, 0u);
+  // slides | tuples | critical points close the record.
+  const size_t tail = v2.size() - 3 * sizeof(uint64_t);
+  ASSERT_EQ(v2.substr(tail), RecordBytes(uint64_t{2}, sums.raw_positions,
+                                         sums.critical_points));
+  std::string v1 = v2;
+  v1[0] = 1;
+  v1.insert(tail + sizeof(uint64_t), RecordBytes(0.25));  // busy seconds
+
+  const auto restore = [&params](const std::string& bytes) {
+    tracker::ShardedMobilityTracker b(params, 2);
+    snapshot::Reader r(bytes);
+    const Status s = b.RestoreFrom(r);
+    return s.ok() && !r.AtEnd() ? StatusCode::kInternal : s.code();
+  };
+  for (const std::string& saved : {v2, v1}) {
+    SCOPED_TRACE(int{saved[0]});
+    EXPECT_EQ(restore(saved), StatusCode::kOk);
+    for (const size_t from_end : {2 * sizeof(uint64_t), sizeof(uint64_t)}) {
+      std::string bytes = saved;
+      bytes[bytes.size() - from_end] ^= 1;
+      EXPECT_EQ(restore(bytes), StatusCode::kCorruption) << from_end;
+    }
+  }
+  // The slide count is not derived: any value restores.
+  std::string slides = v2;
+  slides.replace(tail, sizeof(uint64_t), RecordBytes(uint64_t{7}));
+  EXPECT_EQ(restore(slides), StatusCode::kOk);
+}
+
 // --- spatial facts ---------------------------------------------------------
 
 TEST(SpatialFactTableSnapshotTest, RoundTrip) {
@@ -1511,6 +1557,42 @@ TEST(PipelineSnapshotTest, ManifestThatDoesNotDescribeTheStateIsCorruption) {
     std::string bytes = saved;
     bytes[at] ^= 1;
     EXPECT_EQ(restore(bytes), StatusCode::kCorruption) << at;
+  }
+}
+
+// The partitioned recognizer's record closes with three retired cache
+// counters. The engines' records carry the cache statistics, so SaveTo
+// writes 0 for each; a nonzero value would be counted twice by totals().
+TEST(PartitionedRecognizerSnapshotTest, NonzeroRetiredCacheCountersAreCorruption) {
+  sim::World world = sim::BuildWorld(39, SmallWorldParams());
+  surveillance::RecognizerConfig config;
+  config.window = stream::WindowSpec{kHour, 10 * kMinute};
+  const auto make = [&world, &config] {
+    return std::make_unique<surveillance::PartitionedRecognizer>(
+        world.knowledge, config, 2);
+  };
+  const auto a = make();
+  tracker::ShardedMobilityTracker tracker(tracker::TrackerParams(), 1);
+  for (Timestamp q = 600; q <= 1800; q += 600) {
+    a->Feed(tracker.ProcessSlide(SyntheticTuples(q - 600, q), q));
+    a->Recognize(q);
+  }
+  snapshot::Writer w;
+  a->SaveTo(w);
+  const std::string saved(w.bytes());
+  const size_t counters = saved.size() - 3 * sizeof(uint64_t);
+  ASSERT_EQ(saved.substr(counters),
+            RecordBytes(uint64_t{0}, uint64_t{0}, uint64_t{0}));
+  const auto restore = [&make](const std::string& bytes) {
+    snapshot::Reader r(bytes);
+    return make()->RestoreFrom(r).code();
+  };
+  ASSERT_EQ(restore(saved), StatusCode::kOk);
+  for (size_t i = 0; i < 3; ++i) {
+    std::string bytes = saved;
+    bytes.replace(counters + i * sizeof(uint64_t), sizeof(uint64_t),
+                  RecordBytes(uint64_t{5}));
+    EXPECT_EQ(restore(bytes), StatusCode::kCorruption) << i;
   }
 }
 

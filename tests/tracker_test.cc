@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include "sim/scenarios.h"
@@ -253,6 +254,44 @@ TEST(TrackerTest, GapDetectedOnlineByAdvanceTo) {
   tracker.Process({kShip, kOrigin, last_report + 2 * kHour}, &out);
   ASSERT_EQ(CountFlag(out, kGapEnd), 1u);
   EXPECT_EQ(out[0].duration, 2 * kHour);
+}
+
+// Feed timestamps are arbitrary int64 values, so the span between two of
+// them may not fit a Duration. A forward jump that does not fit saturates:
+// it reads as a gap, never as a negative or wrapped span.
+TEST(TrackerTest, JumpBeyondTheDurationRangeIsAGap) {
+  constexpr Timestamp kEarly = -9'000'000'000'000'000'000;
+  constexpr Timestamp kLate = 9'000'000'000'000'000'000;
+  constexpr Duration kLongest = std::numeric_limits<Duration>::max();
+  {
+    MobilityTracker tracker;
+    std::vector<CriticalPoint> out;
+    tracker.Process({kShip, kOrigin, kEarly}, &out);
+    tracker.Process({kShip, kOrigin, kLate}, &out);
+    ASSERT_EQ(CountFlag(out, kGapStart), 1u);
+    ASSERT_EQ(CountFlag(out, kGapEnd), 1u);
+    EXPECT_EQ(out.back().tau, kLate);
+    EXPECT_EQ(out.back().duration, kLongest);
+    // Back to the early time: a stale report, not a gap.
+    out.clear();
+    tracker.Process({kShip, kOrigin, kEarly}, &out);
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(tracker.stats().stale_discarded, 1u);
+  }
+  {
+    // The same jump seen by a query time far past the last report.
+    MobilityTracker tracker;
+    std::vector<CriticalPoint> out;
+    tracker.Process({kShip, kOrigin, kEarly}, &out);
+    out.clear();
+    tracker.AdvanceTo(kLate, &out);
+    ASSERT_EQ(CountFlag(out, kGapStart), 1u);
+    EXPECT_EQ(out[0].tau, kEarly);
+    out.clear();
+    tracker.Process({kShip, kOrigin, kLate}, &out);
+    ASSERT_EQ(CountFlag(out, kGapEnd), 1u);
+    EXPECT_EQ(out[0].duration, kLongest);
+  }
 }
 
 TEST(TrackerTest, StopInterruptedByGapIsClosed) {

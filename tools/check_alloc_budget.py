@@ -19,9 +19,10 @@ its committed budget:
   buffer and the regrowth of the drained static-report vector; 0.23 while
   held fragments and type 5 lines returned heap-allocated statuses, 7.3
   before the packed-bit decoder) and BM_TrackerSlide reports `allocs_per_tuple`
-  for the sharded tracker (~0.018 measured, almost all of it the ring block
-  of each newly seen vessel; ~0.03 with one allocation per ring, 1.07 before
-  the flat vessel state).
+  for the sharded tracker (~0.015 measured, almost all of it the ring block
+  of each newly seen vessel; ~0.018 while tuples went through a segmented
+  queue inbox, ~0.03 with one allocation per ring, 1.07 before the flat
+  vessel state).
 - micro_tracker's BM_PipelineCheckpoint reports `allocs_per_save` for one
   SurveillancePipeline::SaveTo + EncodeSnapshotFile (5 measured: the
   presized Writer, the file image, and one sorted view each of the coords,
@@ -76,7 +77,10 @@ BUDGETS = {
     # 0.0063, so one more allocation per ~150 lines trips it too: a
     # heap-allocated status for each type 5 report reads 0.031.
     ("BM_ScanTaggedLines", "allocs_per_line"): 0.013,
-    ("BM_TrackerSlide", "allocs_per_tuple"): 0.1,
+    # The tracker's budget is about twice its measured 0.0153 (each newly
+    # seen vessel's ring block): one allocation per ~65 tuples trips it, and
+    # so does a per-vessel allocation on every slide.
+    ("BM_TrackerSlide", "allocs_per_tuple"): 0.03,
     # Checkpoint (checkpoint_tool's 20-vessel scenario at mid-stream, ~16 KB):
     # 5 measured. The budget sits below the 13 of a Writer that grows by
     # doubling, so losing the size hint trips it; a per-vessel or per-key
