@@ -379,7 +379,9 @@ BENCHMARK(BM_SkewedFleetRecognition)
 /// beyond that is the input merge and the dirty keys (DESIGN.md §7). Manual
 /// time: only steady-state slides (window full, q > ω) are timed, as in
 /// BM_SkewedFleetRecognition. Reports µs and heap allocations per steady
-/// slide, the share of key evaluations that were fast-forwarded, and the
+/// slide, the key evaluations per slide (every key of every simple fluent,
+/// visited or not, plus one per derived event: the work a slide would do if
+/// it walked every key), the share of them that were fast-forwarded, and the
 /// heap allocations per fed critical point over every slide (the e2e
 /// `maritime.feed_allocs_per_cp`: ME assertion plus the spatial-fact group).
 void BM_LongWindowRecognition(benchmark::State& state) {
@@ -392,6 +394,7 @@ void BM_LongWindowRecognition(benchmark::State& state) {
   uint64_t fed = 0;
   uint64_t fast_forwards = 0;
   uint64_t evals = 0;
+  uint64_t slides = 0;
   for (auto _ : state) {
     surveillance::RecognizerConfig cfg;
     cfg.window = window;
@@ -426,6 +429,7 @@ void BM_LongWindowRecognition(benchmark::State& state) {
         ++queries;
       }
       recognized += r.events.size() + r.fluents.size();
+      ++slides;
     }
     state.SetIterationTime(steady_seconds);
     steady_total += steady_seconds;
@@ -442,6 +446,9 @@ void BM_LongWindowRecognition(benchmark::State& state) {
       bench::kAllocCountingActive && queries > 0
           ? static_cast<double>(recognize_allocs) / static_cast<double>(queries)
           : 0.0;
+  state.counters["keys_per_slide"] =
+      slides > 0 ? static_cast<double>(evals) / static_cast<double>(slides)
+                 : 0.0;
   state.counters["fast_forward_share"] =
       evals > 0 ? static_cast<double>(fast_forwards) /
                       static_cast<double>(evals)

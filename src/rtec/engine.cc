@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "common/check.h"
 
@@ -31,21 +32,29 @@ bool SubjectOrder(const EventInstance& a, const EventInstance& b) {
 /// Merges the sorted run `run` (which must not alias `v`) into `v`, whose
 /// first `prefix` elements are sorted, leaving v == sorted(v[0, prefix) +
 /// run). Backward merge: only the prefix elements later than the run's
-/// first one move, so a run that lands at the end costs O(run). Stable:
-/// prefix elements precede equal run elements.
+/// first one move, so a run that lands at the end costs O(run). Each run
+/// element finds its place by binary search and the prefix elements after
+/// it move up in one block, so a short run spread over a long prefix costs
+/// block moves, not a comparison per prefix element. Stable: prefix
+/// elements precede equal run elements.
 template <typename T, typename Less>
 void MergeSortedRun(std::vector<T>* v, size_t prefix, std::span<const T> run,
                     Less less) {
   v->resize(prefix + run.size());
+  const auto first = v->begin();
   size_t i = prefix;
-  size_t j = run.size();
   size_t out = v->size();
-  while (j > 0) {
-    if (i > 0 && less(run[j - 1], (*v)[i - 1])) {
-      (*v)[--out] = (*v)[--i];
-    } else {
-      (*v)[--out] = run[--j];
-    }
+  for (size_t j = run.size(); j > 0; --j) {
+    const T& x = run[j - 1];
+    const size_t at = static_cast<size_t>(
+        std::upper_bound(first, first + static_cast<ptrdiff_t>(i), x, less) -
+        first);
+    std::move_backward(first + static_cast<ptrdiff_t>(at),
+                       first + static_cast<ptrdiff_t>(i),
+                       first + static_cast<ptrdiff_t>(out));
+    out -= i - at;
+    i = at;
+    (*v)[--out] = x;
   }
 }
 
@@ -79,11 +88,12 @@ bool HasPointAtTime(std::span<const ValuedPoint> pts, Timestamp t) {
   return false;
 }
 
-/// Serial triage record of one simple-fluent key: its cache entry, its
-/// regeneration region, and whether it takes the clean fast-forward (then it
-/// never enters the evaluation phase). Region telemetry rides along to the
-/// commit loop.
+/// Serial triage record of one visited simple-fluent key: its cache entry,
+/// its regeneration region, and whether it takes the clean fast-forward
+/// (then it never enters the evaluation phase). Region telemetry rides
+/// along to the commit loop.
 struct KeyTriage {
+  uint32_t index = 0;  ///< Position in the evaluated key set.
   CachedEvidence* entry = nullptr;
   // Escape is sound: points into the heap-backed committed timeline map.
   MARITIME_ARENA_ESCAPE_OK FluentTimeline* timeline = nullptr;
@@ -158,9 +168,9 @@ Engine::Engine(stream::WindowSpec window, const void* user_data,
 }
 
 // Room for this many events (fluents) is made at the first declaration: a
-// schema declares about a dozen, and each declaration grows six parallel
-// vectors, so growing them one doubling at a time would cost a pipeline
-// build (and with it every restore) some 50 allocations.
+// schema declares about a dozen, and each declaration grows six or seven
+// parallel vectors, so growing them one doubling at a time would cost a
+// pipeline build (and with it every restore) some 50 allocations.
 constexpr size_t kInitialDeclarations = 16;
 
 EventId Engine::DeclareEvent(std::string name) {
@@ -190,6 +200,7 @@ FluentId Engine::DeclareFluent(std::string name) {
     fluent_timelines_.reserve(kInitialDeclarations);
     changed_fluents_.reserve(kInitialDeclarations);
     edge_fluents_.reserve(kInitialDeclarations);
+    prev_edge_fluents_.reserve(kInitialDeclarations);
   }
   const FluentId id = static_cast<FluentId>(fluent_names_.size());
   fluent_names_.push_back(std::move(name));
@@ -198,6 +209,7 @@ FluentId Engine::DeclareFluent(std::string name) {
   fluent_timelines_.emplace_back();
   changed_fluents_.emplace_back();
   edge_fluents_.emplace_back();
+  prev_edge_fluents_.emplace_back();
   return id;
 }
 
@@ -268,21 +280,50 @@ void Engine::PurgeBefore(Timestamp inclusive_cutoff) {
     const size_t purged =
         static_cast<size_t>(keep_from - store.by_time.begin());
     if (purged == 0) continue;
+    // In the index, the purged occurrences of a subject lead its run. Drop
+    // those run prefixes, moving what lies between them in blocks, and the
+    // subjects left without an occurrence.
+    subject_scratch_.clear();
+    for (auto it = store.by_time.begin(); it != keep_from; ++it) {
+      subject_scratch_.push_back(it->subject);
+    }
+    std::sort(subject_scratch_.begin(), subject_scratch_.end());
+    subject_scratch_.erase(
+        std::unique(subject_scratch_.begin(), subject_scratch_.end()),
+        subject_scratch_.end());
+    auto& index = store.by_subject;
+    auto read = index.begin();
+    auto out = index.begin();
+    size_t emptied = 0;
+    for (const Term& subject : subject_scratch_) {
+      const auto run = std::partition_point(
+          read, index.end(),
+          [&](const EventInstance& i) { return i.subject < subject; });
+      const auto kept = std::partition_point(
+          run, index.end(), [&](const EventInstance& i) {
+            return i.subject == subject && i.t <= inclusive_cutoff;
+          });
+      out = std::move(read, run, out);
+      read = kept;
+      if (kept == index.end() || kept->subject != subject) {
+        subject_scratch_[emptied++] = subject;
+      }
+    }
+    index.erase(std::move(read, index.end(), out), index.end());
+    if (emptied > 0) {
+      auto gone = subject_scratch_.begin();
+      const auto gone_end = gone + static_cast<ptrdiff_t>(emptied);
+      store.subjects.erase(
+          std::remove_if(store.subjects.begin(), store.subjects.end(),
+                         [&](const Term& t) {
+                           while (gone != gone_end && *gone < t) ++gone;
+                           return gone != gone_end && *gone == t;
+                         }),
+          store.subjects.end());
+    }
     store.by_time.erase(store.by_time.begin(), keep_from);
     store.sorted -= purged;
     store.indexed -= purged;
-    // One compaction pass over the index, collecting the subjects that
-    // keep an occurrence on the way.
-    store.subjects.clear();
-    auto out = store.by_subject.begin();
-    for (const EventInstance& i : store.by_subject) {
-      if (i.t <= inclusive_cutoff) continue;
-      if (store.subjects.empty() || store.subjects.back() != i.subject) {
-        store.subjects.push_back(i.subject);
-      }
-      *out++ = i;
-    }
-    store.by_subject.erase(out, store.by_subject.end());
   }
 }
 
@@ -470,13 +511,19 @@ FluentTimeline& Engine::TimelineSlot(size_t fidx, Term key) {
   FluentKeyMap& map = timelines_[fidx];
   const auto it = map.find(key);
   if (it != map.end()) return it->second;
+  FluentTimeline* slot = nullptr;
   if (!timeline_pool_.empty()) {
     FluentKeyMap::node_type nh = std::move(timeline_pool_.back());
     timeline_pool_.pop_back();
     nh.key() = key;
-    return map.insert(std::move(nh)).position->second;
+    slot = &map.insert(std::move(nh)).position->second;
+  } else {
+    slot = &map[key];
   }
-  return map[key];
+  // Committed incremental timelines keep their window bounds symbolic; a
+  // naive engine rewrites every timeline each step and reads them as stored.
+  slot->window = options_.incremental ? &read_window_ : nullptr;
+  return *slot;
 }
 
 Engine::FluentKeyMap::iterator Engine::RecycleTimeline(
@@ -486,62 +533,120 @@ Engine::FluentKeyMap::iterator Engine::RecycleTimeline(
   return next;
 }
 
-MARITIME_COMMIT_BOUNDARY void Engine::RebuildKeyMemo(size_t fidx) {
-  auto& pairs = memo_scratch_;
-  pairs.clear();
-  pairs.reserve(timelines_[fidx].size());
-  for (const auto& [k, timeline] : timelines_[fidx]) {
-    pairs.emplace_back(k, &timeline);
-  }
-  std::sort(pairs.begin(), pairs.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+MARITIME_COMMIT_BOUNDARY void Engine::SpliceKeyMemo(
+    size_t fidx, std::span<const std::pair<Term, const FluentTimeline*>> added,
+    std::span<const Term> removed) {
+  if (added.empty() && removed.empty()) return;
   auto& memo = fluent_keys_[fidx];
   auto& tls = fluent_timelines_[fidx];
-  memo.clear();
-  tls.clear();
-  memo.reserve(pairs.size());
-  tls.reserve(pairs.size());
-  for (const auto& [k, timeline] : pairs) {
-    memo.push_back(k);
-    tls.push_back(timeline);
+  // One merge pass into the scratch pair, then a copy back, so each vector
+  // keeps its own capacity.
+  key_scratch_.clear();
+  memo_scratch_.clear();
+  key_scratch_.reserve(memo.size() + added.size());
+  memo_scratch_.reserve(memo.size() + added.size());
+  size_t a = 0;
+  size_t r = 0;
+  for (size_t i = 0; i < memo.size(); ++i) {
+    while (a < added.size() && added[a].first < memo[i]) {
+      key_scratch_.push_back(added[a].first);
+      memo_scratch_.push_back(added[a++].second);
+    }
+    while (r < removed.size() && removed[r] < memo[i]) ++r;
+    if (r < removed.size() && removed[r] == memo[i]) continue;
+    key_scratch_.push_back(memo[i]);
+    memo_scratch_.push_back(tls[i]);
+  }
+  for (; a < added.size(); ++a) {
+    key_scratch_.push_back(added[a].first);
+    memo_scratch_.push_back(added[a].second);
+  }
+  memo.assign(key_scratch_.begin(), key_scratch_.end());
+  tls.assign(memo_scratch_.begin(), memo_scratch_.end());
+}
+
+std::optional<Value> Engine::BoundaryValue(const FluentTimeline* tl,
+                                           Timestamp next_wstart,
+                                           Timestamp q) {
+  if (tl == nullptr) return std::nullopt;
+  return next_wstart >= q ? tl->open_value : tl->ValueRightOf(next_wstart);
+}
+
+bool Engine::DueLater(const std::pair<Timestamp, Term>& a,
+                      const std::pair<Timestamp, Term>& b) {
+  return a.first > b.first;
+}
+
+void Engine::PopDue(SimpleDefCache& cache, Timestamp until) {
+  auto& heap = cache.due_queue;
+  while (!heap.empty() && heap.front().first <= until) {
+    const auto [t, key] = heap.front();
+    std::pop_heap(heap.begin(), heap.end(), DueLater);
+    heap.pop_back();
+    const auto it = cache.evidence.find(key);
+    if (it == cache.evidence.end() || it->second.queued != t) continue;
+    it->second.queued = kTimestampNever;
+    cache.due.push_back(key);
+  }
+  std::sort(cache.due.begin(), cache.due.end());
+}
+
+void Engine::MarkWindowBounds(FluentTimeline* tl) const {
+  for (const FluentTimeline::ValueSlice& s : tl->slices) {
+    if (s.ival_begin == s.ival_end) continue;
+    if (tl->carried_at == FluentTimeline::kNoInterval &&
+        tl->interval_store[s.ival_begin].since == read_window_.start) {
+      tl->carried_at = s.ival_begin;
+    }
+    if (tl->open_value == s.value &&
+        tl->interval_store[s.ival_end - 1].till == read_window_.query) {
+      tl->open_at = s.ival_end - 1;
+    }
   }
 }
 
-std::vector<Term> Engine::EvalKeys(
-    const std::function<std::vector<Term>(const EvalContext&)>& domain,
-    const EvalContext& ctx, const FluentId fluent, bool have_boundary) const {
-  std::vector<Term> keys = domain(ctx);
-  // Domains built from sorted sources (the subject index, the area table
-  // in id order) arrive sorted and unique; only the others pay the sort.
+std::vector<Term> Engine::EvalKeys(const SimpleFluentSpec& spec,
+                                   const EvalContext& ctx, bool have_boundary,
+                                   SimpleDefCache& cache) {
+  std::vector<Term> keys = spec.domain(ctx);
+  // Domains built from sorted sources (the subject index) arrive sorted and
+  // unique; only the others pay the sort, and only when their output
+  // differs from the previous step's.
   const bool sorted_unique =
       std::adjacent_find(keys.begin(), keys.end(),
                          [](const Term& a, const Term& b) {
                            return !(a < b);
                          }) == keys.end();
-  if (!sorted_unique) {
+  if (!sorted_unique && keys == cache.unsorted_domain) {
+    keys.assign(cache.sorted_domain.begin(), cache.sorted_domain.end());
+  } else if (!sorted_unique) {
+    cache.unsorted_domain = keys;
     std::sort(keys.begin(), keys.end());
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    cache.sorted_domain = keys;
   }
+  const FluentId fluent = spec.fluent;
   if (!have_boundary || fluent < 0) return keys;
   // Inertia: keys whose value persists from before this window must be
   // evaluated even without fresh evidence. The carried record is sorted by
   // key, so merge it in (a set union) instead of appending and re-sorting.
   const auto& carried = boundary_.values[static_cast<size_t>(fluent)];
   if (carried.empty()) return keys;
+  // Both sides are sorted and unique: a key in both is taken once.
   std::vector<Term> merged;
   merged.reserve(keys.size() + carried.size());
   auto k = keys.begin();
   auto c = carried.begin();
-  while (k != keys.end() || c != carried.end()) {
-    Term next;
-    if (c == carried.end() || (k != keys.end() && *k < c->first)) {
-      next = *k++;
+  while (k != keys.end() && c != carried.end()) {
+    if (*k < c->first) {
+      merged.push_back(*k++);
     } else {
-      if (k != keys.end() && *k == c->first) ++k;
-      next = (c++)->first;
+      if (*k == c->first) ++k;
+      merged.push_back((c++)->first);
     }
-    if (merged.empty() || merged.back() != next) merged.push_back(next);
   }
+  merged.insert(merged.end(), k, keys.end());
+  for (; c != carried.end(); ++c) merged.push_back(c->first);
   return merged;
 }
 
@@ -656,8 +761,7 @@ void Engine::EvaluateSimple(const SimpleFluentSpec& spec, SimpleDefCache& cache,
   // entry, change mark or edge mark.
   const bool incremental = options_.incremental;
   const bool whole_window = !incremental || dirty_all_;
-  const std::vector<Term> keys =
-      EvalKeys(spec.domain, ctx, spec.fluent, have_boundary);
+  const std::vector<Term> keys = EvalKeys(spec, ctx, have_boundary, cache);
 
   // Dependency-scoped dirty view (cross-key definitions with a projector
   // only): computed once per definition, before the evaluation phase.
@@ -666,68 +770,169 @@ void Engine::EvaluateSimple(const SimpleFluentSpec& spec, SimpleDefCache& cache,
           ? ComputeScopedDirty(*spec.deps, /*cross_key=*/false, ctx)
           : nullptr;
 
-  // Triage phase, serial: each key's cache entry and regeneration region.
-  // A clean key takes the fast-forward when its carried value is unchanged,
-  // no cached point fell out at the left window edge, and no cached point
-  // sits exactly on the previous query time (the one case where sliding the
-  // right edge materializes a new interval): a rebuild would then reproduce
-  // the committed evidence and timeline verbatim up to two window clamps,
-  // which the commit loop patches in place. Every cached point lies at or
-  // before the query time that committed it (fresh points beyond q are
-  // dropped below, reused ones are older still), so with query times
-  // advancing, "no point at prev_query_" is exactly max_t < prev_query_ and
-  // the test is O(1) (DESIGN.md §7). Only the other keys are evaluated.
+  // Key-set change. The previous key set is the cache's (incremental) or
+  // the key memo (naive mode keeps no key set of its own); both are sorted,
+  // as is `keys`, so one merge walk finds the keys that enter and leave.
+  // Incremental mode re-aligns the cache's per-key entry and slot arrays
+  // with the new key set on the way (an entering key has no cache entry,
+  // and a timeline slot only if a restored snapshot holds one).
   common::Arena* const arena = &arena_;
-  common::ArenaVector<KeyTriage> triage{
-      common::ArenaAllocator<KeyTriage>(arena)};
-  triage.resize(keys.size());
-  common::ArenaVector<uint32_t> slow{
+  const std::vector<Term>& old_keys =
+      incremental ? cache.keys : fluent_keys_[fidx];
+  const bool same_keys = keys == old_keys;
+  common::ArenaVector<uint32_t> entering{
       common::ArenaAllocator<uint32_t>(arena)};
-  slow.reserve(keys.size());
+  common::ArenaVector<Term> leaving{common::ArenaAllocator<Term>(arena)};
+  if (!same_keys) {
+    entry_scratch_.clear();
+    slot_scratch_.clear();
+    size_t j = 0;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      while (j < old_keys.size() && old_keys[j] < keys[i]) {
+        leaving.push_back(old_keys[j++]);
+      }
+      const bool kept = j < old_keys.size() && old_keys[j] == keys[i];
+      if (!kept) entering.push_back(static_cast<uint32_t>(i));
+      if (incremental && kept) {
+        entry_scratch_.push_back(cache.entries[j]);
+        slot_scratch_.push_back(cache.timelines[j]);
+      } else if (incremental) {
+        const auto tl_it = timelines_[fidx].find(keys[i]);
+        entry_scratch_.push_back(nullptr);
+        slot_scratch_.push_back(
+            tl_it == timelines_[fidx].end() ? nullptr : &tl_it->second);
+      }
+      if (kept) ++j;
+    }
+    leaving.insert(leaving.end(), old_keys.begin() + static_cast<ptrdiff_t>(j),
+                   old_keys.end());
+    if (incremental) {
+      cache.entries.assign(entry_scratch_.begin(), entry_scratch_.end());
+      cache.timelines.assign(slot_scratch_.begin(), slot_scratch_.end());
+      cache.keys = keys;
+    }
+  }
+
+  // Which keys this step visits. A step is sparse when no dirty time
+  // applies to every key alike (a keyless derived-event change, the
+  // fleet-wide floor of a cross-key definition without a projector, an
+  // unattributed projection) and the clean fast-forward is possible at all.
+  // It then visits only (DESIGN.md §7 "Clean-key bypass"):
+  //  - keys marked on a declared channel, found by walking the key-sorted
+  //    mark vectors;
+  //  - keys due: their earliest cached point reached the window start (the
+  //    due queue popped them at the end of the previous step);
+  //  - keys with a cached point at the previous query time (last step's
+  //    edge marks of this fluent);
+  //  - keys entering the key set.
+  // Every other key passes the fast-forward test unseen: no mark, no point
+  // at or before the window start or at the previous query time, and a
+  // carried value that cannot have changed (its boundary value moves only
+  // when the window start passes one of its points). Its cached evidence
+  // and committed timeline stand; the symbolic window bounds slide it.
   const bool can_fast = have_boundary && prev_query_ != kInvalidTimestamp &&
                         prev_query_ <= q;
-  // Keys, the previous key set and the carried record are all sorted, so
-  // one merge walk finds each key's entry, slot and carried value.
-  const bool same_keys = incremental && keys == cache.keys;
-  const std::vector<std::pair<Term, Value>>* carried =
-      have_boundary ? &boundary_.values[fidx] : nullptr;
-  size_t old_i = 0;
-  size_t carried_i = 0;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    KeyTriage& t = triage[i];
-    if (same_keys) {
-      t.entry = cache.entries[i];
-      t.timeline = cache.timelines[i];
-    } else {
-      while (old_i < cache.keys.size() && cache.keys[old_i] < keys[i]) ++old_i;
-      if (old_i < cache.keys.size() && cache.keys[old_i] == keys[i]) {
-        t.entry = cache.entries[old_i];
-        t.timeline = cache.timelines[old_i];
-      } else {
-        if (incremental) {
-          const auto entry_it = cache.evidence.find(keys[i]);
-          t.entry =
-              entry_it == cache.evidence.end() ? nullptr : &entry_it->second;
-        }
-        const auto tl_it = timelines_[fidx].find(keys[i]);
-        t.timeline =
-            tl_it == timelines_[fidx].end() ? nullptr : &tl_it->second;
-      }
+  Timestamp uniform = kTimestampNever;
+  Timestamp fleet_floor = kTimestampNever;
+  if (spec.deps.has_value()) {
+    const DependencySpec& deps = *spec.deps;
+    for (const EventId e : deps.events) {
+      const Timestamp derived = changed_derived_[static_cast<size_t>(e)];
+      uniform = std::min(uniform, derived);
+      fleet_floor = std::min(
+          {fleet_floor, dirty_events_[static_cast<size_t>(e)].any, derived});
     }
-    if (carried != nullptr) {
-      while (carried_i < carried->size() &&
-             (*carried)[carried_i].first < keys[i]) {
-        ++carried_i;
+    for (const FluentId f : deps.fluents) {
+      fleet_floor =
+          std::min(fleet_floor, changed_fluents_[static_cast<size_t>(f)].any);
+    }
+    if (deps.coords) fleet_floor = std::min(fleet_floor, dirty_coords_.any);
+    if (deps.cross_key) {
+      uniform = scoped != nullptr ? scoped->unscoped : fleet_floor;
+    }
+  }
+  const bool sparse = incremental && !whole_window && spec.deps.has_value() &&
+                      can_fast && uniform == kTimestampNever;
+  common::ArenaVector<uint32_t> visit{common::ArenaAllocator<uint32_t>(arena)};
+  if (sparse) {
+    const DependencySpec& deps = *spec.deps;
+    // Each source is sorted by key, so its lookups resume where the
+    // previous one stopped.
+    const auto visit_sorted = [&](const auto& sorted, const auto& key_of) {
+      auto from = keys.begin();
+      for (const auto& item : sorted) {
+        from = std::lower_bound(from, keys.end(), key_of(item));
+        if (from == keys.end()) return;
+        if (*from == key_of(item)) {
+          visit.push_back(static_cast<uint32_t>(from - keys.begin()));
+        }
       }
-      if (carried_i < carried->size() &&
-          (*carried)[carried_i].first == keys[i]) {
-        t.carried = (*carried)[carried_i].second;
+    };
+    const auto mark_key = [](const auto& mark) { return mark.first; };
+    const auto same_key = [](const Term& k) { return k; };
+    if (deps.cross_key) {
+      if (scoped != nullptr) visit_sorted(scoped->by_key.at, mark_key);
+    } else {
+      for (const EventId e : deps.events) {
+        visit_sorted(dirty_events_[static_cast<size_t>(e)].at, mark_key);
       }
+      for (const FluentId f : deps.fluents) {
+        visit_sorted(changed_fluents_[static_cast<size_t>(f)].at, mark_key);
+      }
+      if (deps.coords) visit_sorted(dirty_coords_.at, mark_key);
+    }
+    visit_sorted(cache.due, same_key);
+    visit_sorted(prev_edge_fluents_[fidx], same_key);
+    visit.insert(visit.end(), entering.begin(), entering.end());
+    std::sort(visit.begin(), visit.end());
+    visit.erase(std::unique(visit.begin(), visit.end()), visit.end());
+  } else {
+    visit.resize(keys.size());
+    std::iota(visit.begin(), visit.end(), uint32_t{0});
+  }
+  cache.due.clear();
+
+  // Triage phase, serial: each visited key's cache entry and regeneration
+  // region. A clean key takes the fast-forward when its carried value is
+  // unchanged, no cached point fell out at the left window edge, and no
+  // cached point sits exactly on the previous query time (the one case
+  // where sliding the right edge materializes a new interval): a rebuild
+  // would then reproduce the committed evidence and timeline verbatim up to
+  // the two window bounds the timeline keeps symbolic. Every cached point
+  // lies at or before the query time that committed it (fresh points beyond
+  // q are dropped below, reused ones are older still), so with query times
+  // advancing, "no point at prev_query_" is exactly max_t < prev_query_ and
+  // the test is O(1) (DESIGN.md §7). Only the other keys are evaluated.
+  common::ArenaVector<KeyTriage> triage{
+      common::ArenaAllocator<KeyTriage>(arena)};
+  triage.resize(visit.size());
+  common::ArenaVector<uint32_t> slow{
+      common::ArenaAllocator<uint32_t>(arena)};
+  slow.reserve(visit.size());
+  const std::vector<std::pair<Term, Value>> no_carried;
+  const auto& carried = have_boundary ? boundary_.values[fidx] : no_carried;
+  auto carried_from = carried.begin();
+  for (size_t j = 0; j < visit.size(); ++j) {
+    KeyTriage& t = triage[j];
+    t.index = visit[j];
+    const Term key = keys[t.index];
+    if (incremental) {
+      t.entry = cache.entries[t.index];
+      t.timeline = cache.timelines[t.index];
+    } else {
+      const auto tl_it = timelines_[fidx].find(key);
+      t.timeline = tl_it == timelines_[fidx].end() ? nullptr : &tl_it->second;
+    }
+    carried_from = std::lower_bound(
+        carried_from, carried.end(), key,
+        [](const auto& e, const Term& k) { return e.first < k; });
+    if (carried_from != carried.end() && carried_from->first == key) {
+      t.carried = carried_from->second;
     }
     t.region_from = wstart;
     if (t.entry != nullptr && !whole_window && spec.deps.has_value()) {
       RegionStats rstats;
-      t.region_from = DirtyRegionFor(*spec.deps, keys[i], /*cross_key=*/false,
+      t.region_from = DirtyRegionFor(*spec.deps, key, /*cross_key=*/false,
                                      wstart, scoped, &rstats)
                           .from;
       t.narrowed = rstats.narrowed;
@@ -737,8 +942,29 @@ void Engine::EvaluateSimple(const SimpleFluentSpec& spec, SimpleDefCache& cache,
              t.region_from == kTimestampNever && t.entry->min_t > wstart &&
              t.entry->max_t < prev_query_ &&
              t.entry->carried_value == t.carried;
-    if (!t.fast) slow.push_back(static_cast<uint32_t>(i));
+    if (!t.fast) slow.push_back(static_cast<uint32_t>(j));
   }
+#if MARITIME_DCHECKS_ENABLED
+  // The keys a sparse step skips pass the full triage's fast-forward test.
+  if (sparse) {
+    size_t j = 0;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (j < visit.size() && visit[j] == i) {
+        ++j;
+        continue;
+      }
+      const CachedEvidence* entry = cache.entries[i];
+      MARITIME_DCHECK_MSG(
+          entry != nullptr &&
+              DirtyRegionFor(*spec.deps, keys[i], /*cross_key=*/false, wstart,
+                             scoped)
+                  .clean() &&
+              entry->min_t > wstart && entry->max_t < prev_query_ &&
+              entry->carried_value == boundary_.CarriedValue(fidx, keys[i]),
+          "a key the sparse step skips fails the fast-forward test");
+    }
+  }
+#endif
 
   // Evaluation phase: engine state is read-only, each index writes only its
   // own outcome slot. Every temporary (evidence points, timelines, sweep
@@ -749,8 +975,8 @@ void Engine::EvaluateSimple(const SimpleFluentSpec& spec, SimpleDefCache& cache,
       common::ArenaAllocator<std::optional<SimpleOutcome>>(arena)};
   outcomes.resize(slow.size());
   for (size_t j = 0; j < slow.size(); ++j) {
-    const Term key = keys[slow[j]];
     const KeyTriage& t = triage[slow[j]];
+    const Term key = keys[t.index];
     SimpleOutcome& out = outcomes[j].emplace(arena);
     const CachedEvidence* entry = t.entry;
     if (!incremental) {
@@ -814,24 +1040,44 @@ void Engine::EvaluateSimple(const SimpleFluentSpec& spec, SimpleDefCache& cache,
   // One rehash to the final bucket count instead of a doubling chain as the
   // maps fill on the first slide.
   timelines_[fidx].reserve(keys.size());
+  if (incremental) cache.evidence.reserve(keys.size());
   // Cache/timeline writes are non-propagating copy-assigns: the heap-backed
   // destination keeps its allocator and reuses capacity, which is the
   // arena/heap boundary (DESIGN.md §10) — nothing arena-backed survives the
   // slide.
   DefRegenStats& dstats = def_regen_stats_[cur_def_];
-  // Steady-state fast path: with the evaluated key set unchanged since the
-  // last slide, no key can have left (the eviction scan is vacuous) and the
-  // key memo only goes stale if a previously-empty key gained its first
-  // timeline slot (visible as map growth).
-  const size_t timelines_before = timelines_[fidx].size();
-  if (incremental) {
-    cache.evidence.reserve(keys.size());
-    cache.entries.resize(keys.size());
-    cache.timelines.resize(keys.size());
-  }
+  const auto emit_rows = [&](Term key, const FluentTimeline& tl) {
+    for (const auto& slice : tl.slices) {
+      const IntervalView view = tl.IntervalsAt(slice);
+      if (!view.empty()) {
+        result->fluents.push_back(
+            RecognizedFluent{spec.fluent, key, slice.value, ToList(view)});
+      }
+    }
+  };
+  // Output rows of the keys a sparse step skips come from their committed
+  // slots, interleaved in key order with the visited keys' rows.
+  size_t rows_from = 0;
+  const auto emit_skipped_rows = [&](size_t until) {
+    if (!spec.output) return;
+    for (; rows_from < until; ++rows_from) {
+      if (cache.timelines[rows_from] != nullptr) {
+        emit_rows(keys[rows_from], *cache.timelines[rows_from]);
+      }
+    }
+  };
+  common::ArenaVector<std::pair<Term, const FluentTimeline*>> added{
+      common::ArenaAllocator<std::pair<Term, const FluentTimeline*>>(arena)};
   size_t next_slow = 0;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const KeyTriage& t = triage[i];
+  cache.visited.clear();
+  for (const KeyTriage& t : triage) {
+    const size_t i = t.index;
+    const Term key = keys[i];
+    if (sparse) {
+      emit_skipped_rows(i);
+      rows_from = i + 1;
+    }
+    if (sparse) cache.visited.push_back(key);
     if (incremental) {
       ++dstats.evals;
       if (t.region_from != kTimestampNever) {
@@ -849,40 +1095,16 @@ void Engine::EvaluateSimple(const SimpleFluentSpec& spec, SimpleDefCache& cache,
     if (t.fast) {
       // Clean fast-forward: the cached evidence is byte-identical to what a
       // rebuild would produce, and the committed timeline differs only in
-      // the two window clamps — patch them in place, emit output rows from
-      // the patched slot, and leave the cache entry untouched. No change
-      // mark, no edge mark (the gates exclude evidence on the query edge).
+      // the two window bounds it keeps symbolic — emit output rows from the
+      // slot and leave the cache entry untouched. No change mark, no edge
+      // mark (the gates exclude evidence on the query edge).
       ++cache_stats_.hits;
       ++dstats.fast_forwards;
-      cache.entries[i] = t.entry;
-      cache.timelines[i] = t.timeline;
-      if (t.timeline != nullptr) {
-        FluentTimeline& tl = *t.timeline;
-        tl.FastForwardWindow(t.entry->carried_value, wstart, q);
-        if (spec.output) {
-          for (const auto& slice : tl.slices) {
-            const IntervalSpan span = tl.IntervalsAt(slice);
-            if (!span.empty()) {
-              result->fluents.push_back(RecognizedFluent{
-                  spec.fluent, keys[i], slice.value,
-                  IntervalList(span.begin(), span.end())});
-            }
-          }
-        }
-      }
+      if (t.timeline != nullptr && spec.output) emit_rows(key, *t.timeline);
       continue;
     }
     SimpleOutcome& out = *outcomes[next_slow++];
-    if (spec.output) {
-      for (const auto& slice : out.timeline.slices) {
-        const IntervalSpan span = out.timeline.IntervalsAt(slice);
-        if (!span.empty()) {
-          result->fluents.push_back(RecognizedFluent{
-              spec.fluent, keys[i], slice.value,
-              IntervalList(span.begin(), span.end())});
-        }
-      }
-    }
+    if (spec.output) emit_rows(key, out.timeline);
     // A key with no content this window gets no slot: most keys of a sparse
     // fluent (e.g. vessels that never stop) would otherwise pay a map node
     // for an empty timeline. An existing slot is still overwritten so a key
@@ -890,7 +1112,10 @@ void Engine::EvaluateSimple(const SimpleFluentSpec& spec, SimpleDefCache& cache,
     FluentTimeline* tl = t.timeline;
     const bool has_content =
         !out.timeline.slices.empty() || out.timeline.open_value.has_value();
-    if (tl == nullptr && has_content) tl = &TimelineSlot(fidx, keys[i]);
+    if (tl == nullptr && has_content) {
+      tl = &TimelineSlot(fidx, key);
+      added.emplace_back(key, tl);
+    }
     if (tl != nullptr) tl->CopyFrom(out.timeline);
     if (!incremental) continue;
 
@@ -901,11 +1126,11 @@ void Engine::EvaluateSimple(const SimpleFluentSpec& spec, SimpleDefCache& cache,
       ++cache_stats_.misses;
     }
     if (out.change_at.has_value()) {
-      changed_fluents_[fidx].Mark(keys[i], *out.change_at);
+      changed_fluents_[fidx].Mark(key, *out.change_at);
     }
     if (HasPointAtTime(out.evidence.initiations, q) ||
         HasPointAtTime(out.evidence.terminations, q)) {
-      edge_fluents_[fidx].push_back(keys[i]);
+      edge_fluents_[fidx].push_back(key);
     }
     if (t.entry == nullptr) {
       SimpleDefCache::EvidenceMap::iterator ev_it;
@@ -914,14 +1139,13 @@ void Engine::EvaluateSimple(const SimpleFluentSpec& spec, SimpleDefCache& cache,
         SimpleDefCache::EvidenceMap::node_type nh =
             std::move(evidence_pool_.back());
         evidence_pool_.pop_back();
-        nh.key() = keys[i];
+        nh.key() = key;
         ev_it = cache.evidence.insert(std::move(nh)).position;
       } else {
-        ev_it = cache.evidence.try_emplace(keys[i]).first;
+        ev_it = cache.evidence.try_emplace(key).first;
       }
+      ev_it->second.queued = kTimestampNever;
       cache.entries[i] = &ev_it->second;
-    } else {
-      cache.entries[i] = t.entry;
     }
     CachedEvidence& slot = *cache.entries[i];
     slot.points.clear();
@@ -939,38 +1163,51 @@ void Engine::EvaluateSimple(const SimpleFluentSpec& spec, SimpleDefCache& cache,
     slot.init_count = static_cast<uint32_t>(out.evidence.initiations.size());
     slot.carried_value = out.evidence.carried_value;
     slot.IndexPoints();
+    if (slot.min_t != kTimestampNever && slot.min_t != slot.queued) {
+      cache.due_queue.emplace_back(slot.min_t, key);
+      std::push_heap(cache.due_queue.begin(), cache.due_queue.end(), DueLater);
+      slot.queued = slot.min_t;
+    }
   }
   MARITIME_DCHECK(next_slow == outcomes.size());
+  if (sparse) {
+    emit_skipped_rows(keys.size());
+    // The skipped keys took the fast-forward: count them as it does.
+    const uint64_t skipped = keys.size() - visit.size();
+    dstats.evals += skipped;
+    dstats.fast_forwards += skipped;
+    cache_stats_.hits += skipped;
+    // Each is a region computation whose scoped start (clean) beat a dirty
+    // fleet-wide floor.
+    if (scoped != nullptr && fleet_floor != kTimestampNever) {
+      dstats.spans_narrowed += skipped;
+      cache_stats_.spans_narrowed += skipped;
+    }
+  }
+  cache.swept = !sparse;
 
   // Keys that left the evaluated set: under the dependency contract their
   // timelines were already empty, so dropping them cannot affect downstream
   // definitions — no dirty mark needed. Nodes go to the recycling pools.
-  // Naive mode keeps no key set of its own; the key memo is the previous
-  // slide's timeline key set.
-  if (!same_keys) {
-    const std::vector<Term>& old_keys =
-        incremental ? cache.keys : fluent_keys_[fidx];
-    for (const Term& old_key : old_keys) {
-      if (!std::binary_search(keys.begin(), keys.end(), old_key)) {
-        const auto evict_it = cache.evidence.find(old_key);
-        if (evict_it != cache.evidence.end()) {
-          evidence_pool_.push_back(cache.evidence.extract(evict_it));
-        }
-        auto& tl_map = timelines_[fidx];
-        const auto tl_it = tl_map.find(old_key);
-        if (tl_it != tl_map.end()) RecycleTimeline(tl_map, tl_it);
-        if (incremental) ++cache_stats_.evictions;
-      }
+  common::ArenaVector<Term> removed{common::ArenaAllocator<Term>(arena)};
+  for (const Term& old_key : leaving) {
+    const auto evict_it = cache.evidence.find(old_key);
+    if (evict_it != cache.evidence.end()) {
+      evidence_pool_.push_back(cache.evidence.extract(evict_it));
     }
-    if (incremental) cache.keys = keys;
+    auto& tl_map = timelines_[fidx];
+    const auto tl_it = tl_map.find(old_key);
+    if (tl_it != tl_map.end()) {
+      RecycleTimeline(tl_map, tl_it);
+      removed.push_back(old_key);
+    }
+    if (incremental) ++cache_stats_.evictions;
   }
   MARITIME_DCHECK_MSG(!incremental || cache.evidence.size() == keys.size(),
                       "simple-fluent cache out of sync with evaluated keys");
   // Later definitions read this fluent's change marks by key.
   changed_fluents_[fidx].Flush();
-  if (!same_keys || timelines_[fidx].size() != timelines_before) {
-    RebuildKeyMemo(fidx);
-  }
+  SpliceKeyMemo(fidx, added, removed);
 }
 
 // --- derived events ----------------------------------------------------------
@@ -1127,7 +1364,11 @@ MARITIME_COMMIT_BOUNDARY RecognitionResult Engine::Recognize(Timestamp q) {
         }
       }
     }
-    for (auto& v : edge_fluents_) v.clear();
+    // The fluent's own definition visits its edge keys (see EvaluateSimple).
+    for (size_t f = 0; f < edge_fluents_.size(); ++f) {
+      std::swap(prev_edge_fluents_[f], edge_fluents_[f]);
+      edge_fluents_[f].clear();
+    }
     std::fill(edge_derived_.begin(), edge_derived_.end(), 0);
     // Edge marks batched above become readable before any definition runs.
     for (auto& m : changed_fluents_) m.Flush();
@@ -1148,6 +1389,8 @@ MARITIME_COMMIT_BOUNDARY RecognitionResult Engine::Recognize(Timestamp q) {
   result.events.reserve(prev_event_rows_);
 
   const EvalContext ctx(this, wstart, q, user_data_);
+  // Committed timelines are read in this step's window from here on.
+  read_window_ = TimelineWindow{wstart, q};
 
   const bool have_boundary = boundary_.at == wstart &&
                              boundary_.values.size() == fluent_names_.size();
@@ -1169,25 +1412,54 @@ MARITIME_COMMIT_BOUNDARY RecognitionResult Engine::Recognize(Timestamp q) {
   // survives the slide even after the supporting events are discarded.
   const Timestamp next_wstart = q - window_.range + window_.slide;
   boundary_.at = next_wstart;
-  // Rebuild in place: resize keeps the inner vectors (and their capacity)
+  // Updated in place: resize keeps the inner vectors (and their capacity)
   // alive across slides, so refilling is allocation-free in steady state.
   boundary_.values.resize(fluent_names_.size());
-  for (auto& vec : boundary_.values) vec.clear();
-  for (const auto& def : definitions_) {
-    const auto* simple = std::get_if<SimpleFluentSpec>(&def);
+  for (size_t di = 0; di < definitions_.size(); ++di) {
+    const auto* simple = std::get_if<SimpleFluentSpec>(&definitions_[di]);
     if (simple == nullptr) continue;
     const size_t fidx = static_cast<size_t>(simple->fluent);
     auto& vec = boundary_.values[fidx];
-    // The key memo is current after the definition's commit and sorted by
-    // key, the order CarriedValue and the snapshot writer need.
-    const auto& keys = fluent_keys_[fidx];
-    const auto& tls = fluent_timelines_[fidx];
-    for (size_t i = 0; i < keys.size(); ++i) {
-      const std::optional<Value> v = next_wstart >= q
-                                         ? tls[i]->open_value
-                                         : tls[i]->ValueRightOf(next_wstart);
-      if (v.has_value()) vec.emplace_back(keys[i], *v);
+    auto& cache = std::get<SimpleDefCache>(def_caches_[di]);
+    // The keys the next step must visit because their earliest point
+    // reaches its window start: their boundary value may change now.
+    if (options_.incremental) PopDue(cache, next_wstart);
+    if (cache.swept) {
+      // The key memo is current after the definition's commit and sorted
+      // by key, the order CarriedValue and the snapshot writer need.
+      vec.clear();
+      const auto& keys = fluent_keys_[fidx];
+      const auto& tls = fluent_timelines_[fidx];
+      for (size_t i = 0; i < keys.size(); ++i) {
+        const std::optional<Value> v = BoundaryValue(tls[i], next_wstart, q);
+        if (v.has_value()) vec.emplace_back(keys[i], *v);
+      }
+      continue;
     }
+    // A sparse step: a key it did not visit and that is not due next keeps
+    // its carried value, since no point of it lies at or before the next
+    // window start. The visited and the due keys are updated in place (a
+    // key in both gets the same value twice).
+    const auto update = [&](Term key) {
+      const auto at = std::lower_bound(cache.keys.begin(), cache.keys.end(),
+                                       key);
+      const std::optional<Value> v = BoundaryValue(
+          cache.timelines[static_cast<size_t>(at - cache.keys.begin())],
+          next_wstart, q);
+      const auto it = std::lower_bound(
+          vec.begin(), vec.end(), key,
+          [](const auto& e, const Term& k) { return e.first < k; });
+      const bool present = it != vec.end() && it->first == key;
+      if (v.has_value() && present) {
+        it->second = *v;
+      } else if (v.has_value()) {
+        vec.insert(it, {key, *v});
+      } else if (present) {
+        vec.erase(it);
+      }
+    };
+    for (const Term& key : cache.visited) update(key);
+    for (const Term& key : cache.due) update(key);
   }
 
   PurgeCoordsBefore(wstart);
@@ -1233,6 +1505,22 @@ MARITIME_COMMIT_BOUNDARY RecognitionResult Engine::Recognize(Timestamp q) {
     }
 #endif
   }
+
+#if MARITIME_DCHECKS_ENABLED
+  // The spliced key memo is the timeline map's key set in order.
+  for (size_t fidx = 0; fidx < timelines_.size(); ++fidx) {
+    const auto& keys = fluent_keys_[fidx];
+    MARITIME_DCHECK(keys.size() == timelines_[fidx].size() &&
+                    fluent_timelines_[fidx].size() == keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const auto it = timelines_[fidx].find(keys[i]);
+      MARITIME_DCHECK_MSG((i == 0 || keys[i - 1] < keys[i]) &&
+                              it != timelines_[fidx].end() &&
+                              fluent_timelines_[fidx][i] == &it->second,
+                          "key memo out of sync with the timeline map");
+    }
+  }
+#endif
 
   // Harvest per-slide allocation telemetry, then rewind the arena. Nothing
   // arena-backed outlives this point: all commits above copied into

@@ -364,9 +364,9 @@ struct DefRegenStats {
   uint64_t regen_span_sum = 0;   ///< Sum of regenerated span widths (q-from).
   uint64_t spans_narrowed = 0;   ///< Scoped start beat the fleet floor.
   uint64_t fleet_floor_hits = 0; ///< Fell back to the fleet-wide floor.
-  /// Clean keys that took the O(1) fast-forward (simple fluents only):
-  /// cache hits whose committed timeline was patched in place, without
-  /// entering the evaluation phase.
+  /// Clean keys that took the fast-forward (simple fluents only): cache hits
+  /// whose committed timeline stands as it is, without entering the
+  /// evaluation phase. Keys a sparse step never visits count here in bulk.
   uint64_t fast_forwards = 0;
 
   /// Average width of the regenerated window suffix per key evaluation
@@ -392,6 +392,9 @@ struct CachedEvidence {
   /// fast-forward test O(1) instead of a scan over the points.
   Timestamp min_t = kTimestampNever;
   Timestamp max_t = kInvalidTimestamp;
+  /// The time this entry is queued under in its definition's due queue
+  /// (kTimestampNever: not queued). Derived, like min_t.
+  Timestamp queued = kTimestampNever;
 
   void IndexPoints() {
     min_t = kTimestampNever;
@@ -645,6 +648,26 @@ class Engine {
     std::vector<CachedEvidence*> entries;
     // Escape is sound: points into the heap-backed committed timeline map.
     MARITIME_ARENA_ESCAPE_OK std::vector<FluentTimeline*> timelines;
+    /// Due queue: a min-heap of (earliest cached point time, key), one live
+    /// record per entry (CachedEvidence::queued names it; records whose
+    /// time no longer matches are stale and dropped when popped). A key is
+    /// due once the window start reaches its earliest point. Derived,
+    /// rebuilt on restore, never serialized.
+    std::vector<std::pair<Timestamp, Term>> due_queue;
+    /// Keys popped from the due queue at the end of the previous step (their
+    /// earliest point is at or before this step's window start), plus, after
+    /// a restore, every key whose clean fast-forward the restored state does
+    /// not guarantee. Sorted; the next step visits them.
+    std::vector<Term> due;
+    /// Keys the latest step visited (sorted) and whether it visited every
+    /// key: the boundary record is updated for these only.
+    std::vector<Term> visited;
+    bool swept = true;
+    /// The domain's last output when it came unsorted, and that output
+    /// sorted and unique: a domain repeating itself (a fixed area list)
+    /// skips the sort. Derived, never serialized.
+    std::vector<Term> unsorted_domain;
+    std::vector<Term> sorted_domain;
   };
   struct DerivedDefCache {
     /// The derived store itself persists across slides under the incremental
@@ -717,9 +740,12 @@ class Engine {
       Term vessel, Timestamp from,
       const std::function<void(Timestamp, const geo::GeoPoint&)>& fn) const;
 
-  std::vector<Term> EvalKeys(
-      const std::function<std::vector<Term>(const EvalContext&)>& domain,
-      const EvalContext& ctx, const FluentId fluent, bool have_boundary) const;
+  /// The sorted key set of a simple fluent at this step: its domain plus
+  /// the keys carrying a boundary value. `cache` remembers an unsorted
+  /// domain's last output and its sorted form.
+  std::vector<Term> EvalKeys(const SimpleFluentSpec& spec,
+                             const EvalContext& ctx, bool have_boundary,
+                             SimpleDefCache& cache);
 
   /// One evaluator per definition kind. The regeneration region decides
   /// the work: naive mode (and the incremental engine's first and escalated
@@ -736,9 +762,31 @@ class Engine {
   /// when it fails part-way, so a failed restore leaves no partial state.
   void ClearState();
 
-  /// Refreshes fluent_keys_[fidx] and fluent_timelines_[fidx] from the
-  /// timeline map after a definition commit.
-  void RebuildKeyMemo(size_t fidx);
+  /// Splices a definition commit's new timeline slots (`added`) and
+  /// recycled ones (`removed`), both sorted by key, into fluent_keys_[fidx]
+  /// and fluent_timelines_[fidx].
+  void SpliceKeyMemo(
+      size_t fidx,
+      std::span<const std::pair<Term, const FluentTimeline*>> added,
+      std::span<const Term> removed);
+
+  /// The boundary value of a committed timeline at `next_wstart`, the next
+  /// window start, recognized at query time `q`.
+  static std::optional<Value> BoundaryValue(const FluentTimeline* tl,
+                                            Timestamp next_wstart,
+                                            Timestamp q);
+
+  /// Min-heap order of a due queue (earliest time on top).
+  static bool DueLater(const std::pair<Timestamp, Term>& a,
+                       const std::pair<Timestamp, Term>& b);
+  /// Pops the keys of `cache` whose earliest cached point is at or before
+  /// `until` into cache.due.
+  static void PopDue(SimpleDefCache& cache, Timestamp until);
+
+  /// Marks the two symbolic bounds of a restored timeline, saved as read in
+  /// read_window_: the interval opening at its start and the open value's
+  /// interval closing at its query time.
+  void MarkWindowBounds(FluentTimeline* tl) const;
 
   /// Committed-timeline slot for (fidx, key), recycling a pooled node (with
   /// its container capacity) when the key is new to the map. Paired with
@@ -826,9 +874,15 @@ class Engine {
   // Escape is sound: points into the heap-backed committed timeline map.
   MARITIME_ARENA_ESCAPE_OK
   std::vector<std::vector<const FluentTimeline*>> fluent_timelines_;
-  // Sort scratch of RebuildKeyMemo; member lifetime keeps its capacity.
-  MARITIME_ARENA_ESCAPE_OK
-  std::vector<std::pair<Term, const FluentTimeline*>> memo_scratch_;
+  // Splice scratch of SpliceKeyMemo and of the per-key cache arrays;
+  // member lifetime keeps the capacities.
+  std::vector<Term> key_scratch_;
+  MARITIME_ARENA_ESCAPE_OK std::vector<const FluentTimeline*> memo_scratch_;
+  std::vector<CachedEvidence*> entry_scratch_;
+  MARITIME_ARENA_ESCAPE_OK std::vector<FluentTimeline*> slot_scratch_;
+  // The window every committed timeline of the incremental engine is read
+  // in (FluentTimeline::window): this step's window start and query time.
+  TimelineWindow read_window_;
 
   // --- incremental-engine dirty state --------------------------------------
   // Accumulated between Recognize calls by AssertEvent/AssertCoord; cleared
@@ -851,6 +905,9 @@ class Engine {
   // incremental Recognize, then cleared.
   std::vector<std::vector<Term>> edge_fluents_;  ///< Per fluent id.
   std::vector<char> edge_derived_;               ///< Per event id.
+  // edge_fluents_ of the previous step, per fluent id: the keys with a
+  // cached point at prev_query_, which their own definition must visit.
+  std::vector<std::vector<Term>> prev_edge_fluents_;
   // Query time of the previous Recognize call (kInvalidTimestamp before the
   // first): the window's leading edge (prev_query_, q] is new territory
   // that the clean fast-forward must treat specially.
@@ -922,9 +979,10 @@ class Engine {
 
   // Inertia across window slides: for each fluent key, the value holding at
   // the *next* window start, recorded at the end of each recognition step.
-  // Per-fluent flat vectors sorted by key, rebuilt in place each slide
-  // (clear + refill reuses capacity; a map-of-nodes here cost one heap
-  // allocation per carried value per slide).
+  // Per-fluent flat vectors sorted by key. A step that visits every key of
+  // a fluent rebuilds its vector in place (clear + refill reuses capacity);
+  // a sparse step updates only the keys it visited and the keys due next
+  // (DESIGN.md §7 "Clean-key bypass").
   struct BoundaryRecord {
     Timestamp at = kInvalidTimestamp;
     std::vector<std::vector<std::pair<Term, Value>>> values;

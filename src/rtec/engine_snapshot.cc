@@ -97,10 +97,10 @@ void SaveTimeline(const FluentTimeline& tl, snapshot::Writer& w) {
   }
   w.U64(with_ivals);
   for (const auto& s : tl.slices) {
-    const IntervalSpan span = tl.IntervalsAt(s);
-    if (span.empty()) continue;
-    w.Put(s.value, uint64_t{span.size()});
-    for (const Interval& i : span) w.Put(i.since, i.till);
+    const IntervalView ivals = tl.IntervalsAt(s);
+    if (ivals.empty()) continue;
+    w.Put(s.value, uint64_t{ivals.size()});
+    for (const Interval& i : ivals) w.Put(i.since, i.till);
   }
   w.U64(with_starts);
   for (const auto& s : tl.slices) {
@@ -314,7 +314,9 @@ bool LoadTimeline(snapshot::Reader& r, FluentTimeline* tl) {
         // The engine's interval algebra assumes the normalized-list
         // invariant; reject input that does not satisfy it instead of
         // importing it.
-        return IsNormalized(tl->IntervalsAt(s));
+        return IsNormalized(IntervalSpan(tl->interval_store)
+                                .subspan(s.ival_begin,
+                                         s.ival_end - s.ival_begin));
       });
   if (!ok || !LoadOptionalValue(at, has_open, open, &tl->open_value)) {
     return false;
@@ -596,6 +598,7 @@ Status Engine::RestoreFrom(snapshot::Reader& r) {
       }
       FluentTimeline& tl = map.try_emplace(key).first->second;
       if (!LoadTimeline(r, &tl)) return fail();
+      if (options_.incremental) tl.window = &read_window_;
       keys.push_back(key);
       tls.push_back(&tl);
     }
@@ -635,6 +638,13 @@ Status Engine::RestoreFrom(snapshot::Reader& r) {
     e = static_cast<char>(b);
   }
   if (!r.I64(&prev_query_)) return fail();
+  // SaveTo wrote each timeline as read in the saved engine's last window.
+  // Its symbolic bounds are marked again below, as the cache entries link
+  // their slots; without a previous step (or with a window start that would
+  // underflow) none are, and every timeline reads as stored.
+  const bool windowed = options_.incremental &&
+                        prev_query_ >= kInvalidTimestamp + window_.range;
+  if (windowed) read_window_ = {prev_query_ - window_.range, prev_query_};
 
   // --- boundary inertia record ---------------------------------------------
   if (!r.I64(&boundary_.at)) return fail();
@@ -662,7 +672,17 @@ Status Engine::RestoreFrom(snapshot::Reader& r) {
   // A simple fluent's evidence arrives ascending by key, and its evaluated
   // key set is exactly those keys (every evaluated key has a cache entry;
   // naive mode keeps neither), so the key walk's parallel entry and slot
-  // pointers are built as the entries are read.
+  // pointers are built as the entries are read. So is the clean-key
+  // bypass's derived state (DESIGN.md §7): each entry is queued under its
+  // earliest point, or listed as due when that point is at or before the
+  // restored boundary (as the end of a step pops it), and also listed when
+  // the restored bytes do not vouch for its clean fast-forward (a cached
+  // point at or after the last query time, or a cached carried value other
+  // than the boundary record's). The uninterrupted engine visits the same
+  // keys or fewer, and a visited key fast-forwards exactly when the full
+  // triage says so, so the output does not change.
+  const bool have_boundary = boundary_.values.size() == fluent_names_.size();
+  const std::vector<std::pair<Term, Value>> no_carried;
   for (size_t di = 0; di < definitions_.size(); ++di) {
     auto* simple = std::get_if<SimpleDefCache>(&def_caches_[di]);
     if (simple == nullptr) {
@@ -671,14 +691,18 @@ Status Engine::RestoreFrom(snapshot::Reader& r) {
       }
       continue;
     }
-    FluentKeyMap& tl_map = timelines_[static_cast<size_t>(
-        std::get<SimpleFluentSpec>(definitions_[di]).fluent)];
+    const size_t fidx = static_cast<size_t>(
+        std::get<SimpleFluentSpec>(definitions_[di]).fluent);
+    FluentKeyMap& tl_map = timelines_[fidx];
+    const auto& carried = have_boundary ? boundary_.values[fidx] : no_carried;
+    auto c = carried.begin();
     std::vector<Term>& keys = simple->keys;
     if (!r.Count(&n, kTermBytes + kEvidenceBytes)) return fail();
     simple->evidence.reserve(n);
     keys.reserve(n);
     simple->entries.reserve(n);
     simple->timelines.reserve(n);
+    simple->due_queue.reserve(n);
     for (uint64_t i = 0; i < n; ++i) {
       Term key;
       if (!LoadTerm(r, &key) || (!keys.empty() && !(keys.back() < key))) {
@@ -689,9 +713,25 @@ Status Engine::RestoreFrom(snapshot::Reader& r) {
       keys.push_back(key);
       simple->entries.push_back(&ev);
       const auto tl_it = tl_map.find(key);
-      simple->timelines.push_back(tl_it == tl_map.end() ? nullptr
-                                                        : &tl_it->second);
+      FluentTimeline* tl = tl_it == tl_map.end() ? nullptr : &tl_it->second;
+      simple->timelines.push_back(tl);
+      if (tl != nullptr && windowed) MarkWindowBounds(tl);
+      while (c != carried.end() && c->first < key) ++c;
+      const bool carried_matches = c != carried.end() && c->first == key
+                                       ? ev.carried_value == c->second
+                                       : !ev.carried_value.has_value();
+      const bool due = ev.min_t <= boundary_.at;
+      ev.queued = due ? kTimestampNever : ev.min_t;
+      if (!due && ev.min_t != kTimestampNever) {
+        simple->due_queue.emplace_back(ev.min_t, key);
+      }
+      if (due || ev.max_t >= prev_query_ ||
+          (have_boundary && !carried_matches)) {
+        simple->due.push_back(key);
+      }
     }
+    std::make_heap(simple->due_queue.begin(), simple->due_queue.end(),
+                   DueLater);
     uint64_t m = 0;
     if (!r.Count(&m, kTermBytes) || m != n) return fail();
     for (const Term& key : keys) {
@@ -738,8 +778,10 @@ void Engine::ClearState() {
   for (auto& dm : changed_fluents_) dm.Clear();
   std::fill(changed_derived_.begin(), changed_derived_.end(), kTimestampNever);
   for (auto& edge : edge_fluents_) edge.clear();
+  for (auto& edge : prev_edge_fluents_) edge.clear();
   std::fill(edge_derived_.begin(), edge_derived_.end(), 0);
   prev_query_ = kInvalidTimestamp;
+  read_window_ = TimelineWindow{};
   boundary_ = BoundaryRecord{};
   for (auto& cache : def_caches_) {
     if (auto* simple = std::get_if<SimpleDefCache>(&cache)) {
@@ -747,6 +789,10 @@ void Engine::ClearState() {
       simple->keys.clear();
       simple->entries.clear();
       simple->timelines.clear();
+      simple->due_queue.clear();
+      simple->due.clear();
+      simple->visited.clear();
+      simple->swept = true;
     } else {
       std::get<DerivedDefCache>(cache).valid = false;
     }

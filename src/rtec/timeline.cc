@@ -60,37 +60,29 @@ void FluentTimeline::CopyFrom(const FluentTimeline& src) {
   assign(interval_store, src.interval_store);
   assign(time_store, src.time_store);
   open_value = src.open_value;
+  carried_at = src.carried_at;
+  open_at = src.open_at;
 }
 
-MARITIME_COMMIT_BOUNDARY void FluentTimeline::FastForwardWindow(
-    std::optional<Value> carried_value, Timestamp window_start,
-    Timestamp query_time) {
-  if (carried_value.has_value()) {
-    for (ValueSlice& s : slices) {
-      if (s.value != *carried_value) continue;
-      if (s.ival_begin < s.ival_end) {
-        // The carried episode is the chronologically first interval of its
-        // value (it opens at the previous window start; every other interval
-        // opens at an in-window initiation point).
-        Interval& iv = interval_store[s.ival_begin];
-        if (iv.since < window_start) iv.since = window_start;
-      }
-      break;
-    }
-  }
-  if (open_value.has_value()) {
-    for (ValueSlice& s : slices) {
-      if (s.value != *open_value) continue;
-      if (s.ival_begin < s.ival_end) {
-        // The open episode is the chronologically last interval of its value
-        // (it was clipped at the previous query time; with no evidence point
-        // on that edge, nothing can end later).
-        Interval& iv = interval_store[s.ival_end - 1];
-        if (iv.till < query_time) iv.till = query_time;
-      }
-      break;
-    }
-  }
+bool HoldsAt(const IntervalView& list, Timestamp t) {
+  // Last interval with since < t, as HoldsAt(IntervalSpan) finds it.
+  const auto it = std::partition_point(
+      list.begin(), list.end(),
+      [t](const Interval& i) { return i.since < t; });
+  if (it == list.begin()) return false;
+  return (*(it - 1)).till >= t;
+}
+
+bool HoldsRightOf(const IntervalView& list, Timestamp t) {
+  const auto it = std::partition_point(
+      list.begin(), list.end(),
+      [t](const Interval& i) { return i.since <= t; });
+  if (it == list.begin()) return false;
+  return (*(it - 1)).till > t;
+}
+
+IntervalList ToList(const IntervalView& view) {
+  return IntervalList(view.begin(), view.end());
 }
 
 const FluentTimeline::ValueSlice* FluentTimeline::FindSlice(Value v) const {
@@ -103,9 +95,9 @@ const FluentTimeline::ValueSlice* FluentTimeline::FindSlice(Value v) const {
   return nullptr;
 }
 
-IntervalSpan FluentTimeline::IntervalsFor(Value v) const {
+IntervalView FluentTimeline::IntervalsFor(Value v) const {
   const ValueSlice* s = FindSlice(v);
-  return s == nullptr ? IntervalSpan() : IntervalsAt(*s);
+  return s == nullptr ? IntervalView() : IntervalsAt(*s);
 }
 
 std::span<const Timestamp> FluentTimeline::StartsFor(Value v) const {
@@ -147,7 +139,7 @@ bool operator==(const FluentTimeline& a, const FluentTimeline& b) {
     const auto& sa = a.slices[i];
     const auto& sb = b.slices[i];
     if (sa.value != sb.value) return false;
-    if (!std::ranges::equal(a.IntervalsAt(sa), b.IntervalsAt(sb))) return false;
+    if (!(a.IntervalsAt(sa) == b.IntervalsAt(sb))) return false;
     if (!std::ranges::equal(a.StartsAt(sa), b.StartsAt(sb))) return false;
     if (!std::ranges::equal(a.EndsAt(sa), b.EndsAt(sb))) return false;
   }
@@ -252,6 +244,8 @@ void ComputeSimpleFluentInto(std::span<const ValuedPoint> initiations,
   out->interval_store.clear();
   out->time_store.clear();
   out->open_value.reset();
+  out->carried_at = FluentTimeline::kNoInterval;
+  out->open_at = FluentTimeline::kNoInterval;
   // Distinct values, ascending — the slice table's order. The per-key value
   // set is tiny, so the value×episode regrouping below is effectively linear.
   common::ArenaVector<Value> values{common::ArenaAllocator<Value>(scratch)};
@@ -281,6 +275,9 @@ void ComputeSimpleFluentInto(std::span<const ValuedPoint> initiations,
     // so starts and ends are filled in two passes over this value's episodes.
     for (const RawEpisode& e : merged) {
       if (e.value != v || e.since >= e.till) continue;
+      const auto at = static_cast<uint32_t>(out->interval_store.size());
+      if (e.carried) out->carried_at = at;
+      if (e.ongoing) out->open_at = at;
       out->interval_store.push_back(Interval{e.since, e.till});
       if (!e.carried) out->time_store.push_back(e.since);
     }
@@ -299,7 +296,9 @@ void ComputeSimpleFluentInto(std::span<const ValuedPoint> initiations,
   // start/end point lists sorted — the properties every downstream interval
   // operation (union/intersect/complement) assumes.
   for (const auto& s : out->slices) {
-    MARITIME_DCHECK_MSG(IsNormalized(out->IntervalsAt(s)),
+    MARITIME_DCHECK_MSG(IsNormalized(IntervalSpan(out->interval_store)
+                                         .subspan(s.ival_begin,
+                                                  s.ival_end - s.ival_begin)),
                         "fluent interval list not sorted/disjoint/maximal");
     MARITIME_DCHECK(std::ranges::is_sorted(out->StartsAt(s)));
     MARITIME_DCHECK(std::ranges::is_sorted(out->EndsAt(s)));

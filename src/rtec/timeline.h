@@ -1,7 +1,9 @@
 #ifndef MARITIME_RTEC_TIMELINE_H_
 #define MARITIME_RTEC_TIMELINE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <vector>
@@ -20,6 +22,142 @@ namespace maritime::rtec {
 using PointVec = common::ArenaVector<ValuedPoint>;
 using TimeVec = common::ArenaVector<Timestamp>;
 
+/// One value's maximal intervals as readers see them. A committed timeline
+/// of the incremental engine keeps two bounds symbolic (DESIGN.md §10): the
+/// interval carried in by inertia opens at the window start, and the
+/// interval still open at the query time closes there, both read from the
+/// engine's current window. A clean key's timeline then needs no edit when
+/// the window slides; the view applies both clamps on access. For any other
+/// timeline it reads the stored intervals as they are.
+class IntervalView {
+ public:
+  static constexpr size_t kNone = static_cast<size_t>(-1);
+
+  /// Random-access iterator yielding clamped intervals by value.
+  class Iterator;
+  using iterator = Iterator;
+  using const_iterator = Iterator;
+  using value_type = Interval;
+
+  IntervalView() = default;
+  /// The stored intervals, unclamped.
+  explicit IntervalView(IntervalSpan stored) : stored_(stored) {}
+  /// `stored` with element `carried` opening at `window_start` and element
+  /// `open` closing at `query_time` (kNone: no such element).
+  IntervalView(IntervalSpan stored, size_t carried, Timestamp window_start,
+               size_t open, Timestamp query_time)
+      : stored_(stored),
+        carried_(carried),
+        open_(open),
+        window_start_(window_start),
+        query_time_(query_time) {}
+
+  size_t size() const { return stored_.size(); }
+  bool empty() const { return stored_.empty(); }
+  Interval operator[](size_t i) const {
+    Interval iv = stored_[i];
+    if (i == carried_) iv.since = window_start_;
+    if (i == open_) iv.till = query_time_;
+    return iv;
+  }
+  Interval back() const { return (*this)[size() - 1]; }
+  Iterator begin() const;
+  Iterator end() const;
+
+  friend bool operator==(const IntervalView& a, IntervalSpan b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < b.size(); ++i) {
+      if (!(a[i] == b[i])) return false;
+    }
+    return true;
+  }
+  friend bool operator==(const IntervalView& a, const IntervalView& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (!(a[i] == b[i])) return false;
+    }
+    return true;
+  }
+
+ private:
+  IntervalSpan stored_;
+  size_t carried_ = kNone;
+  size_t open_ = kNone;
+  Timestamp window_start_ = 0;
+  Timestamp query_time_ = 0;
+};
+
+class IntervalView::Iterator {
+ public:
+  using iterator_category = std::random_access_iterator_tag;
+  using value_type = Interval;
+  using difference_type = std::ptrdiff_t;
+  using pointer = void;
+  using reference = Interval;
+
+  Iterator() = default;
+  Iterator(const IntervalView& view, size_t i) : view_(view), i_(i) {}
+  Interval operator*() const { return view_[i_]; }
+  Interval operator[](difference_type n) const {
+    return view_[static_cast<size_t>(static_cast<difference_type>(i_) + n)];
+  }
+  Iterator& operator++() { ++i_; return *this; }
+  Iterator operator++(int) { Iterator old = *this; ++i_; return old; }
+  Iterator& operator--() { --i_; return *this; }
+  Iterator operator--(int) { Iterator old = *this; --i_; return old; }
+  Iterator& operator+=(difference_type n) {
+    i_ = static_cast<size_t>(static_cast<difference_type>(i_) + n);
+    return *this;
+  }
+  Iterator& operator-=(difference_type n) { return *this += -n; }
+  friend Iterator operator+(Iterator it, difference_type n) { return it += n; }
+  friend Iterator operator+(difference_type n, Iterator it) { return it += n; }
+  friend Iterator operator-(Iterator it, difference_type n) { return it -= n; }
+  friend difference_type operator-(const Iterator& a, const Iterator& b) {
+    return static_cast<difference_type>(a.i_) -
+           static_cast<difference_type>(b.i_);
+  }
+  friend bool operator==(const Iterator& a, const Iterator& b) {
+    return a.i_ == b.i_;
+  }
+  friend bool operator<(const Iterator& a, const Iterator& b) {
+    return a.i_ < b.i_;
+  }
+  friend bool operator>(const Iterator& a, const Iterator& b) { return b < a; }
+  friend bool operator<=(const Iterator& a, const Iterator& b) {
+    return !(b < a);
+  }
+  friend bool operator>=(const Iterator& a, const Iterator& b) {
+    return !(a < b);
+  }
+
+ private:
+  IntervalView view_;
+  size_t i_ = 0;
+};
+
+inline IntervalView::Iterator IntervalView::begin() const {
+  return Iterator(*this, 0);
+}
+inline IntervalView::Iterator IntervalView::end() const {
+  return Iterator(*this, size());
+}
+
+/// HoldsAt / HoldsRightOf (interval.h) over a view's clamped intervals.
+bool HoldsAt(const IntervalView& list, Timestamp t);
+bool HoldsRightOf(const IntervalView& list, Timestamp t);
+
+/// Materializes a view as an owning IntervalList (result rows, tests).
+IntervalList ToList(const IntervalView& view);
+
+/// The window a committed timeline is read in: the window start and query
+/// time of its engine's latest recognition step. One per engine, shared by
+/// all of its committed timelines, so advancing it slides them all.
+struct TimelineWindow {
+  Timestamp start = 0;
+  Timestamp query = 0;
+};
+
 /// Computed history of one fluent key (F applied to one ground term) within
 /// the current window: per value, the maximal intervals plus the derived
 /// built-in start/end event time-points.
@@ -36,6 +174,11 @@ using TimeVec = common::ArenaVector<Timestamp>;
 /// of a map of per-value heap vectors. Interval algebra and amalgamation then
 /// sweep contiguous spans, and a whole timeline is three bump allocations when
 /// arena-backed.
+///
+/// Interval readers go through IntervalView, which applies the two symbolic
+/// window bounds of a committed timeline (`window`, `carried_at`,
+/// `open_at`). Start and end points need no clamp: a carried start and an
+/// open end are never materialized as events.
 struct MARITIME_ARENA_SCOPED FluentTimeline {
   struct ValueSlice {
     Value value = 0;
@@ -43,6 +186,8 @@ struct MARITIME_ARENA_SCOPED FluentTimeline {
     uint32_t start_begin = 0, start_end = 0;  ///< Range in time_store.
     uint32_t end_begin = 0, end_end = 0;      ///< Range in time_store.
   };
+
+  static constexpr uint32_t kNoInterval = static_cast<uint32_t>(-1);
 
   common::ArenaVector<ValueSlice> slices;  ///< Sorted by value ascending.
   IntervalVec interval_store;
@@ -52,6 +197,18 @@ struct MARITIME_ARENA_SCOPED FluentTimeline {
   /// is reported clipped at the query time. Used by the engine to carry
   /// inertia across window slides.
   std::optional<Value> open_value;
+
+  /// Index in interval_store of the interval carried in by inertia (it opens
+  /// at the window start) and of the interval still open at the query time
+  /// (it closes there); kNoInterval when there is none. Set by
+  /// ComputeSimpleFluentInto, copied by CopyFrom.
+  uint32_t carried_at = kNoInterval;
+  uint32_t open_at = kNoInterval;
+  /// Null unless the timeline is committed in an incremental engine. Then
+  /// the carried interval's `since` reads as window->start and the open
+  /// interval's `till` as window->query, whatever is stored: a timeline
+  /// whose evidence did not change stays exact as the window slides.
+  const TimelineWindow* window = nullptr;
 
   FluentTimeline() = default;
   /// Arena-backed construction: all three stores bump `arena`.
@@ -69,29 +226,27 @@ struct MARITIME_ARENA_SCOPED FluentTimeline {
                    std::span<const Timestamp> ends);
 
   /// Content copy that keeps the destination's backing (capacity-reusing
-  /// copy-out at commit: arena-built source, heap-backed destination).
+  /// copy-out at commit: arena-built source, heap-backed destination) and
+  /// its `window`.
   void CopyFrom(const FluentTimeline& src);
 
-  /// In-place window advance for a timeline whose evidence is unchanged
-  /// between two consecutive windows: no point fell out at the left edge, no
-  /// point sits exactly on the previous query time, and the carried value is
-  /// identical (the incremental engine's clean fast-forward gates). Under
-  /// those conditions a full rebuild differs from the committed content in at
-  /// most two clamps — the inertia-carried interval starts at the window
-  /// start and the still-open interval is clipped at the query time — and
-  /// the start/end event points are unaffected (a carried start and an open
-  /// end are never materialized as events).
-  void FastForwardWindow(std::optional<Value> carried_value,
-                         Timestamp window_start, Timestamp query_time);
-
-  IntervalSpan IntervalsFor(Value v) const;
+  IntervalView IntervalsFor(Value v) const;
   std::span<const Timestamp> StartsFor(Value v) const;
   std::span<const Timestamp> EndsFor(Value v) const;
 
-  /// Span of one slice, for callers iterating `slices` directly.
-  IntervalSpan IntervalsAt(const ValueSlice& s) const {
-    return IntervalSpan(interval_store).subspan(s.ival_begin,
-                                                s.ival_end - s.ival_begin);
+  /// View of one slice, for callers iterating `slices` directly.
+  IntervalView IntervalsAt(const ValueSlice& s) const {
+    const IntervalSpan stored = IntervalSpan(interval_store)
+                                    .subspan(s.ival_begin,
+                                             s.ival_end - s.ival_begin);
+    if (window == nullptr) return IntervalView(stored);
+    const auto in_slice = [&s](uint32_t at) {
+      return at >= s.ival_begin && at < s.ival_end
+                 ? static_cast<size_t>(at - s.ival_begin)
+                 : IntervalView::kNone;
+    };
+    return IntervalView(stored, in_slice(carried_at), window->start,
+                        in_slice(open_at), window->query);
   }
   std::span<const Timestamp> StartsAt(const ValueSlice& s) const {
     return std::span<const Timestamp>(time_store)
@@ -115,8 +270,8 @@ struct MARITIME_ARENA_SCOPED FluentTimeline {
   /// The value holding immediately after `t`, if any.
   std::optional<Value> ValueRightOf(Timestamp t) const;
 
-  /// Logical content equality (canonical representation: ascending values,
-  /// stores in slice order).
+  /// Logical content equality as readers see it (canonical representation:
+  /// ascending values, stores in slice order, clamped intervals).
   friend bool operator==(const FluentTimeline& a, const FluentTimeline& b);
 
  private:

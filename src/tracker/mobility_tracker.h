@@ -85,6 +85,9 @@ class MobilityTracker {
   const TrackerStats& stats() const { return stats_; }
   size_t vessel_count() const { return vessels_.size(); }
 
+  /// Drops every vessel and counter: the tracker as constructed.
+  void Clear();
+
   /// Read-only view of a vessel's state; nullptr when unknown. Exposed for
   /// tests and diagnostics.
   const VesselState* FindVessel(stream::Mmsi mmsi) const;

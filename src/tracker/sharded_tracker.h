@@ -90,7 +90,8 @@ class ShardedMobilityTracker {
   /// Restores into a tracker constructed with the same params and shard
   /// count (shard-count mismatch is InvalidArgument: MMSI routing would
   /// scatter restored vessels to the wrong shards). Trailing totals other
-  /// than the restored compressors' sums are Corruption.
+  /// than the restored compressors' sums are Corruption. On any error the
+  /// tracker is left empty, as constructed, never partly restored.
   Status RestoreFrom(snapshot::Reader& r);
 
  private:

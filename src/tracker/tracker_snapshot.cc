@@ -46,17 +46,18 @@ void MobilityTracker::SaveTo(snapshot::Writer& w) const {
   w.U64(stats_.critical_points);
 }
 
+void MobilityTracker::Clear() {
+  vessels_.clear();
+  slot_of_.clear();
+  stats_ = TrackerStats{};
+}
+
 Status MobilityTracker::RestoreFrom(snapshot::Reader& r) {
-  const auto clear = [this] {
-    vessels_.clear();
-    slot_of_.clear();
-    stats_ = TrackerStats{};
-  };
-  const auto fail = [&clear](Status s) {
-    clear();
+  const auto fail = [this](Status s) {
+    Clear();
     return s;
   };
-  clear();
+  Clear();
   if (const Status s =
           snapshot::ReadVersion(r, kTrackerFormatVersion, "mobility tracker");
       !s.ok()) {
@@ -128,36 +129,48 @@ void ShardedMobilityTracker::SaveTo(snapshot::Writer& w) const {
 }
 
 Status ShardedMobilityTracker::RestoreFrom(snapshot::Reader& r) {
+  // A failed restore leaves no shard restored: every shard, read or not,
+  // goes back to empty, and so does the slide count (DESIGN.md §9).
+  const auto fail = [this](Status s) {
+    for (Shard& shard : shards_) {
+      shard.tracker.Clear();
+      shard.compressor.ResetStats();
+    }
+    slides_ = 0;
+    return s;
+  };
   uint8_t version = 0;
   if (const Status s =
           snapshot::ReadVersion(r, kShardedOldestVersion, kShardedFormatVersion,
                                 "sharded tracker", &version);
       !s.ok()) {
-    return s;
+    return fail(s);
   }
   uint32_t count = 0;
-  if (!r.U32(&count)) return snapshot::CorruptionIn("sharded tracker");
+  if (!r.U32(&count)) return fail(snapshot::CorruptionIn("sharded tracker"));
   if (count != shards_.size()) {
-    return Status::InvalidArgument(
-        "snapshot: shard count mismatch (MMSI routing would change)");
+    return fail(Status::InvalidArgument(
+        "snapshot: shard count mismatch (MMSI routing would change)"));
   }
   for (Shard& s : shards_) {
-    if (const Status st = s.tracker.RestoreFrom(r); !st.ok()) return st;
-    if (const Status st = s.compressor.RestoreFrom(r); !st.ok()) return st;
+    if (const Status st = s.tracker.RestoreFrom(r); !st.ok()) return fail(st);
+    if (const Status st = s.compressor.RestoreFrom(r); !st.ok()) {
+      return fail(st);
+    }
   }
   // v1's busy time is discarded: this process counts its own.
   uint64_t slides = 0, tuples = 0, critical_points = 0;
   double v1_busy_seconds = 0.0;
   if (!r.U64(&slides) || (version < 2 && !r.F64(&v1_busy_seconds)) ||
       !r.U64(&tuples) || !r.U64(&critical_points)) {
-    return snapshot::CorruptionIn("sharded tracker");
+    return fail(snapshot::CorruptionIn("sharded tracker"));
   }
   // SaveTo writes the compressors' sums here, so other totals are not its
   // bytes.
   const CompressionStats sums = compression_stats();
   if (tuples != sums.raw_positions || critical_points != sums.critical_points) {
-    return snapshot::CorruptionIn(
-        "sharded tracker (totals differ from the compressors')");
+    return fail(snapshot::CorruptionIn(
+        "sharded tracker (totals differ from the compressors')"));
   }
   slides_ = slides;
   return Status::OK();

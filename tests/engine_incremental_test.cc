@@ -12,6 +12,7 @@
 #include "maritime/recognizer.h"
 #include "rtec/engine.h"
 #include "sim/world.h"
+#include "snapshot/codec.h"
 #include "stream/sliding_window.h"
 
 namespace maritime::rtec {
@@ -428,6 +429,110 @@ TEST(EngineIncrementalDifferentialTest, LongWindowCleanBypassBitIdentical) {
     EXPECT_GT(st.fast_forwards * 2, st.evals) << "definition " << def;
   }
   EXPECT_EQ(naive.def_regen_stats()[0].fast_forwards, 0u);
+}
+
+TEST(EngineIncrementalDifferentialTest,
+     VeryLongWindowSparseSlidesBitIdentical) {
+  // omega = 540 beta, past the lattice's omega/beta axis: almost every key
+  // is clean at almost every slide, so the sparse step visits only marked,
+  // due, edge and entering keys and slides the rest through their symbolic
+  // window bounds. The stream makes each of those matter:
+  //  - the fleet drifts (vessels 1..6 first, 14..19 by the end), so keys
+  //    enter the domain and, once their events fall off the window, leave;
+  //  - gears and alerts initiated once and rarely stopped stay open for
+  //    hundreds of slides, and are carried across the window start when
+  //    their initiating events fall off it;
+  //  - each vessel goes quiet for long stretches, so its earliest point
+  //    reaches the window start without a fresh mark to revisit it.
+  // Midway the incremental engine is saved and the run goes on in a freshly
+  // restored one, whose derived bypass state comes from the snapshot.
+  const stream::WindowSpec window{5400, 10};
+  ec_reference::Oracle oracle(window);
+  Engine naive(window);
+  EngineOptions incr_opts;
+  incr_opts.incremental = true;
+  auto incr = std::make_unique<Engine>(window, nullptr, incr_opts);
+
+  const Schema sn = Register(&naive, &oracle);
+  Register(incr.get());
+
+  std::mt19937 rng(20261019);
+  std::uniform_int_distribution<int> kind_dist(0, 99);
+  std::uniform_real_distribution<double> lat_dist(-1.0, 1.0);
+
+  constexpr int kSlides = 1500;
+  constexpr int kCutSlide = 750;
+  bool restored = false;
+  for (int slide = 1; slide <= kSlides; ++slide) {
+    const Timestamp q = static_cast<Timestamp>(slide) * window.slide;
+    const int first_vessel = 1 + slide / 110;
+    const int n = std::uniform_int_distribution<int>(0, 99)(rng) < 40 ? 1 : 0;
+    for (int i = 0; i < n; ++i) {
+      Assertion a;
+      a.subject = Term{0, first_vessel + std::uniform_int_distribution<int>(
+                                             0, 5)(rng)};
+      // 92% fresh, 6% delayed anywhere in the window, 2% future-dated.
+      const int when = kind_dist(rng);
+      const Timestamp wstart = q > window.range ? q - window.range : 0;
+      if (when < 92) {
+        a.t = q - window.slide + 1 +
+              std::uniform_int_distribution<Timestamp>(0, window.slide - 1)(rng);
+      } else if (when < 98) {
+        a.t = wstart + 1 +
+              std::uniform_int_distribution<Timestamp>(
+                  0, std::max<Timestamp>(0, q - wstart - 1))(rng);
+      } else {
+        a.t = q + 1 +
+              std::uniform_int_distribution<Timestamp>(0, window.slide)(rng);
+      }
+      const int what = kind_dist(rng);
+      if (what < 20) {
+        a.kind = Assertion::kCoord;
+        a.pos = geo::GeoPoint{0.0, lat_dist(rng)};
+      } else if (what < 50) {
+        a.event = sn.move;
+        a.object = Term{2, std::uniform_int_distribution<int>(0, 8)(rng)};
+      } else if (what < 56) {
+        a.event = sn.stop;
+      } else {
+        a.event = sn.ping;
+      }
+      for (Engine* eng : {&naive, incr.get()}) {
+        if (a.kind == Assertion::kCoord) {
+          eng->AssertCoord(a.subject, a.t, a.pos);
+        } else {
+          eng->AssertEvent(a.event, a.subject, a.t, a.object);
+        }
+      }
+    }
+    if (slide == kCutSlide) {
+      // Cut with this slide's input pending, as a checkpoint between the
+      // feed and the recognition would.
+      snapshot::Writer w;
+      incr->SaveTo(w);
+      incr = std::make_unique<Engine>(window, nullptr, incr_opts);
+      Register(incr.get());
+      snapshot::Reader r(w.bytes());
+      ASSERT_TRUE(incr->RestoreFrom(r).ok());
+      restored = true;
+    }
+    const RecognitionResult rn = naive.Recognize(q);
+    ASSERT_TRUE(oracle.Check(naive, rn));
+    const RecognitionResult ri = incr->Recognize(q);
+    ASSERT_TRUE(rn == ri) << "incremental diverged at q=" << q << "\nnaive:\n"
+                          << Dump(rn) << "incremental:\n" << Dump(ri)
+                          << "naive state:\n" << DumpState(naive, sn)
+                          << "incremental state:\n"
+                          << DumpState(*incr, sn);
+  }
+  ASSERT_TRUE(restored);
+
+  // The per-key fluents skip almost every key, and keys came and went.
+  for (const size_t def : {size_t{0}, size_t{1}}) {
+    const DefRegenStats& st = incr->def_regen_stats()[def];
+    EXPECT_GT(st.fast_forwards * 10, st.evals * 9) << "definition " << def;
+  }
+  EXPECT_GT(incr->cache_stats().evictions, 0u);
 }
 
 TEST(EngineIncrementalDifferentialTest, AdaptiveFullRegenBitIdentical) {

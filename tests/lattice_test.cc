@@ -149,6 +149,18 @@ TEST(MaritimeIncrementalDifferentialTest, LongWindowBitIdentical) {
   d.ratio = 30;
   ExpectAgrees(d);
 }
+// omega = 540 beta (a 3 h window of 20 s slides over a 6 h feed), cut
+// midway: the window start passes the first three hours of points while
+// almost every key is clean, so most slides skip most keys and slide their
+// timelines through the symbolic window bounds, before and after a restore.
+TEST(LatticeTest, VeryLongWindowIncrementalCutMidStream) {
+  Draw d = Point(Shape::kTracked, kIncremental, false, Cut::kMemory, 230);
+  d.slide = 20;
+  d.ratio = 540;
+  d.horizon = 6 * kHour;
+  d.cut_slide = static_cast<int>(d.horizon / d.slide / 2);
+  ExpectAgrees(d);
+}
 TEST(MaritimeScopedDirtyTest, SkewedFleetOnDemandBitIdentical) {
   ExpectAgrees(Point(Shape::kSkewed, kIncremental, false, Cut::kNone, 300));
 }

@@ -1017,6 +1017,50 @@ TEST(TrackerSnapshotTest, TotalsOtherThanTheCompressorSumsAreCorruption) {
   EXPECT_EQ(restore(slides), StatusCode::kOk);
 }
 
+// A restore that fails after reading a shard keeps none of it: a flipped
+// trailing total (every shard read) and a cut inside the second shard (the
+// first one read) both leave the tracker as a fresh one, down to its bytes.
+TEST(TrackerSnapshotTest, FailedRestoreLeavesNoShardRestored) {
+  const tracker::TrackerParams params;
+  tracker::ShardedMobilityTracker a(params, 2);
+  a.ProcessSlide(SyntheticTuples(0, 600), 600);
+  a.ProcessSlide(SyntheticTuples(600, 1200), 1200);
+  ASSERT_GT(a.shard(0).vessel_count(), 0u);
+  ASSERT_GT(a.shard(1).vessel_count(), 0u);
+  snapshot::Writer w;
+  a.SaveTo(w);
+  const std::string saved(w.bytes());
+
+  // The record: format u8, shard count u32, then per shard its tracker
+  // section and its compressor section (format u8, two u64 counters).
+  snapshot::Writer first;
+  a.shard(0).SaveTo(first);
+  const size_t second_shard =
+      1 + sizeof(uint32_t) + first.bytes().size() + 1 + 2 * sizeof(uint64_t);
+  const std::string cut = saved.substr(0, second_shard + 8);
+  std::string flipped = saved;
+  flipped[flipped.size() - sizeof(uint64_t)] ^= 1;
+
+  const std::string fresh = [&params] {
+    tracker::ShardedMobilityTracker t(params, 2);
+    snapshot::Writer fw;
+    t.SaveTo(fw);
+    return std::string(fw.bytes());
+  }();
+  for (const std::string& bytes : {cut, flipped}) {
+    tracker::ShardedMobilityTracker b(params, 2);
+    b.ProcessSlide(SyntheticTuples(0, 600), 600);
+    snapshot::Reader r(bytes);
+    EXPECT_EQ(b.RestoreFrom(r).code(), StatusCode::kCorruption);
+    EXPECT_EQ(b.vessel_count(), 0u);
+    EXPECT_EQ(b.compression_stats().raw_positions, 0u);
+    EXPECT_EQ(b.compression_stats().critical_points, 0u);
+    snapshot::Writer again;
+    b.SaveTo(again);
+    EXPECT_EQ(std::string(again.bytes()), fresh);
+  }
+}
+
 // --- spatial facts ---------------------------------------------------------
 
 TEST(SpatialFactTableSnapshotTest, RoundTrip) {

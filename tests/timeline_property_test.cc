@@ -72,7 +72,7 @@ TEST(TimelinePropertyTest, RandomEvidenceYieldsNormalizedDisjointIntervals) {
         ComputeSimpleFluent(ev, window_start, query_time);
 
     for (const auto& slice : tl.slices) {
-      const IntervalSpan list = tl.IntervalsAt(slice);
+      const IntervalList list = ToList(tl.IntervalsAt(slice));
       // Sorted, disjoint, maximal (non-adjacent), all non-empty.
       EXPECT_TRUE(IsNormalized(list)) << "round " << round;
       EXPECT_FALSE(list.empty()) << "round " << round;
@@ -183,7 +183,8 @@ TEST(TimelinePropertyTest, AdversarialSameTimePointBursts) {
     }
     const FluentTimeline tl = ComputeSimpleFluent(ev, 5, 20);
     for (const auto& slice : tl.slices) {
-      EXPECT_TRUE(IsNormalized(tl.IntervalsAt(slice))) << "round " << round;
+      EXPECT_TRUE(IsNormalized(ToList(tl.IntervalsAt(slice))))
+          << "round " << round;
     }
     const auto flat = FlattenedIntervals(tl);
     for (size_t i = 1; i < flat.size(); ++i) {
