@@ -1,10 +1,9 @@
-// Microbenchmarks (ablation): the RTEC substrate — interval algebra and the
+// Microbenchmarks (ablation): the RTEC substrate — holdsAt lookups and the
 // maximal-interval sweep — whose cost underlies every recognition query —
 // plus end-to-end windowed CE recognition under the naive vs incremental
-// engine (the `engine` axis: arg 0 = naive, 1 = incremental, 2 = auto).
-// Supports the
-// design choices of flat sorted interval lists and dirty-key caching
-// (DESIGN.md).
+// engine (the `engine` axis: arg 0 = naive, 1 = incremental, 2 = auto) and
+// across window shapes ω/β. Supports the design choices of flat sorted
+// interval lists and dirty-key caching (DESIGN.md).
 
 #include <benchmark/benchmark.h>
 
@@ -21,70 +20,18 @@
 namespace maritime::rtec {
 namespace {
 
+/// A normalized list of n intervals, built in time order: each starts 1-300
+/// points past the previous one's end and lasts 1-100 points.
 IntervalList MakeList(Rng& rng, int n) {
-  // Spread the domain with n so the normalized list really contains O(n)
-  // disjoint intervals (a fixed domain would coalesce everything).
-  const Timestamp domain = static_cast<Timestamp>(n) * 400;
   IntervalList out;
+  Timestamp cursor = 0;
   for (int i = 0; i < n; ++i) {
-    const Timestamp a = rng.NextInt(0, domain - 2);
-    const Timestamp b = a + rng.NextInt(1, 100);
-    out.push_back(Interval{a, b});
+    const Timestamp since = cursor + rng.NextInt(1, 300);
+    out.push_back(Interval{since, since + rng.NextInt(1, 100)});
+    cursor = out.back().till;
   }
-  NormalizeIntervals(&out);
   return out;
 }
-
-void BM_Normalize(benchmark::State& state) {
-  Rng rng(1);
-  const int n = static_cast<int>(state.range(0));
-  IntervalList raw;
-  for (int i = 0; i < n; ++i) {
-    const Timestamp a = rng.NextInt(0, 100000);
-    raw.push_back(Interval{a, a + rng.NextInt(1, 500)});
-  }
-  for (auto _ : state) {
-    IntervalList copy = raw;
-    NormalizeIntervals(&copy);
-    benchmark::DoNotOptimize(copy);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_Normalize)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_UnionAll(benchmark::State& state) {
-  Rng rng(2);
-  std::vector<IntervalList> lists;
-  for (int i = 0; i < 8; ++i) {
-    lists.push_back(MakeList(rng, static_cast<int>(state.range(0))));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(UnionAll(lists));
-  }
-}
-BENCHMARK(BM_UnionAll)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_IntersectAll(benchmark::State& state) {
-  Rng rng(3);
-  std::vector<IntervalList> lists = {
-      MakeList(rng, static_cast<int>(state.range(0))),
-      MakeList(rng, static_cast<int>(state.range(0)))};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(IntersectAll(lists));
-  }
-}
-BENCHMARK(BM_IntersectAll)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_RelativeComplement(benchmark::State& state) {
-  Rng rng(4);
-  const IntervalList base = MakeList(rng, static_cast<int>(state.range(0)));
-  const std::vector<IntervalList> cut = {
-      MakeList(rng, static_cast<int>(state.range(0)))};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RelativeComplementAll(base, cut));
-  }
-}
-BENCHMARK(BM_RelativeComplement)->Arg(16)->Arg(256)->Arg(4096);
 
 void BM_HoldsAt(benchmark::State& state) {
   Rng rng(5);
@@ -191,15 +138,6 @@ BENCHMARK(BM_DirtyMapMark)
     ->Args({1, 256})
     ->Args({1, 4096});
 
-/// End-to-end windowed recognition over the fig-11a ME stream: ω=6h, β=1h
-/// (overlap 5/6, the paper's steady-fleet regime). One iteration replays the
-/// whole stream through a fresh recognizer — Recognize() per slide, feeding
-/// excluded from nothing (the feed cost is negligible next to recognition).
-/// Arg: 0 = naive engine, 1 = incremental (dirty-key caching across slides),
-/// 2 = auto (window-shape resolution — incremental at ω=6β — plus adaptive
-/// full-regeneration escalation on dirty-heavy slides). The
-/// incremental/naive items_per_second ratio is the recognition-throughput
-/// speedup; the `hit_rate` counter reports incremental cache reuse.
 /// The fig-11a ME stream shared by the windowed-recognition benches: 100
 /// base vessels over 12 h.
 const bench::Fig11Workload& Fig11Stream() {
@@ -210,13 +148,20 @@ const bench::Fig11Workload& Fig11Stream() {
   return *workload;
 }
 
-void BM_CERecognitionWindow(benchmark::State& state) {
-  const bench::Fig11Workload* workload = &Fig11Stream();
-  const surveillance::EngineMode engine_axis[] = {
-      surveillance::EngineMode::kNaive, surveillance::EngineMode::kIncremental,
-      surveillance::EngineMode::kAuto};
-  const surveillance::EngineMode mode = engine_axis[state.range(0)];
-  const bench::Fig11Workload& w = *workload;
+/// The `engine` axis of the windowed-recognition benches.
+constexpr surveillance::EngineMode kEngineAxis[] = {
+    surveillance::EngineMode::kNaive, surveillance::EngineMode::kIncremental,
+    surveillance::EngineMode::kAuto};
+
+/// End-to-end windowed recognition over the fig-11a ME stream at window
+/// range `range` and slide β = 1 h. One iteration replays the whole stream
+/// through a fresh recognizer — Recognize() per slide, feeding excluded from
+/// nothing (the feed cost is negligible next to recognition). The
+/// incremental/naive items_per_second ratio is the recognition-throughput
+/// speedup; the `hit_rate` counter reports incremental cache reuse.
+void ReplayFig11(benchmark::State& state, surveillance::EngineMode mode,
+                 Timestamp range) {
+  const bench::Fig11Workload& w = Fig11Stream();
   double hits = 0.0;
   double lookups = 0.0;
   size_t queries = 0;
@@ -225,12 +170,11 @@ void BM_CERecognitionWindow(benchmark::State& state) {
   uint64_t arena_slides = 0;
   uint64_t arena_chunks = 0;
   uint64_t fallback_allocs = 0;
-  uint64_t adaptive_full_regens = 0;
   uint64_t spans_narrowed = 0;
   uint64_t fleet_floor_hits = 0;
   for (auto _ : state) {
     surveillance::RecognizerConfig cfg;
-    cfg.window = stream::WindowSpec{6 * kHour, kHour};
+    cfg.window = stream::WindowSpec{range, kHour};
     cfg.ce.enable_adrift = false;
     cfg.engine = mode;
     surveillance::CERecognizer rec(&w.data.world.knowledge, cfg);
@@ -258,7 +202,6 @@ void BM_CERecognitionWindow(benchmark::State& state) {
     arena_slides += alloc.slides;
     arena_chunks = std::max(arena_chunks, alloc.arena_chunks);
     fallback_allocs += alloc.fallback_allocs;
-    adaptive_full_regens += rec.engine().adaptive_full_regens();
     spans_narrowed += stats.spans_narrowed;
     fleet_floor_hits += stats.fleet_floor_hits;
   }
@@ -280,17 +223,31 @@ void BM_CERecognitionWindow(benchmark::State& state) {
       bench::kAllocCountingActive && queries > 0
           ? static_cast<double>(recognize_allocs) / static_cast<double>(queries)
           : 0.0;
-  state.counters["adaptive_full_regens"] =
-      static_cast<double>(adaptive_full_regens);
   // Dependency-scoped dirty propagation (DESIGN.md §14): cross-key regen
   // spans narrowed below the fleet floor, and fleet-floor fallbacks.
   state.counters["spans_narrowed"] = static_cast<double>(spans_narrowed);
   state.counters["fleet_floor_hits"] = static_cast<double>(fleet_floor_hits);
 }
+/// ω = 6 h (overlap 5/6, the paper's steady-fleet regime). Arg: the engine
+/// (0 = naive, 1 = incremental, 2 = auto, which resolves to incremental at
+/// ω = 6β).
+void BM_CERecognitionWindow(benchmark::State& state) {
+  ReplayFig11(state, kEngineAxis[state.range(0)], 6 * kHour);
+}
 BENCHMARK(BM_CERecognitionWindow)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
+
+/// The window shapes around EngineMode::kAuto's threshold (incremental iff
+/// ω >= 3β). Args: the engine (0 = naive, 1 = incremental) and ω/β;
+/// BM_CERecognitionWindow/0 and /1 are the ω/β = 6 points.
+void BM_WindowShape(benchmark::State& state) {
+  ReplayFig11(state, kEngineAxis[state.range(0)], state.range(1) * kHour);
+}
+BENCHMARK(BM_WindowShape)
+    ->ArgsProduct({{0, 1}, {1, 2, 3}})
     ->Unit(benchmark::kMillisecond);
 
 /// The skewed-fleet regime (first-class bench axis of the dependency-scoped

@@ -34,7 +34,7 @@ inline std::unique_ptr<rtec::Engine> MakeTinyEngine(bool incremental) {
   rtec::EngineOptions opts;
   opts.incremental = incremental;
   auto engine = std::make_unique<rtec::Engine>(stream::WindowSpec{120, 60},
-                                               nullptr, opts);
+                                               opts);
   const rtec::EventId on = engine->DeclareEvent("on");
   const rtec::EventId off = engine->DeclareEvent("off");
   MARITIME_DCHECK(on == kTinyOn && off == kTinyOff);

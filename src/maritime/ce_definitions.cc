@@ -9,6 +9,11 @@
 namespace maritime::surveillance {
 namespace {
 
+/// suspicious(Area) needs at least this many vessels stopped close to the
+/// area (paper rule-set (3): "at least four vessels", set by domain
+/// experts).
+constexpr int kSuspiciousMinVessels = 4;
+
 stream::Mmsi MmsiOf(rtec::Term vessel) {
   return static_cast<stream::Mmsi>(vessel.id);
 }
@@ -274,13 +279,18 @@ std::vector<rtec::Term> SubjectsOf(const rtec::EvalContext& ctx,
   return out;
 }
 
-/// Domain helper: every area of the given kind as a term list.
-std::vector<rtec::Term> AreasOfKind(const KnowledgeBase* kb, AreaKind kind) {
+/// Domain helper: the terms of every area `keep` accepts, sorted and
+/// unique. Built once, at registration (the area registry is complete by
+/// then, see CERecognizer), so a slide copies the list and the engine skips
+/// its domain sort.
+template <typename Keep>
+std::vector<rtec::Term> SortedAreaTerms(const KnowledgeBase* kb, Keep keep) {
   std::vector<rtec::Term> out;
-  out.reserve(kb->areas().size());
   for (const AreaInfo& a : kb->areas()) {
-    if (a.kind == kind) out.push_back(AreaTerm(a.id));
+    if (keep(a)) out.push_back(AreaTerm(a.id));
   }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
@@ -384,15 +394,10 @@ void RegisterMaritimeCes(rtec::Engine& engine, const MaritimeSchema& schema,
   {
     rtec::SimpleFluentSpec spec;
     spec.fluent = schema.suspicious;
-    spec.domain = [kb](const rtec::EvalContext&) {
-      // Officials monitor every non-port area for loitering.
-      std::vector<rtec::Term> out;
-      out.reserve(kb->areas().size());
-      for (const AreaInfo& a : kb->areas()) {
-        if (a.kind != AreaKind::kPort) out.push_back(AreaTerm(a.id));
-      }
-      return out;
-    };
+    // Officials monitor every non-port area for loitering.
+    spec.domain = [areas = SortedAreaTerms(kb, [](const AreaInfo& a) {
+                     return a.kind != AreaKind::kPort;
+                   })](const rtec::EvalContext&) { return areas; };
     spec.rules = [env](const rtec::EvalContext& ctx, rtec::Term key,
                        rtec::PointVec* initiated,
                        rtec::PointVec* terminated) {
@@ -406,15 +411,13 @@ void RegisterMaritimeCes(rtec::Engine& engine, const MaritimeSchema& schema,
         for (const Timestamp t :
              ctx.NeedsEvalSuffix(tl.StartsFor(rtec::kTrue))) {
           if (env.IsClose(ctx, v, area, t) &&
-              memo.CountStoppedClose(t) >=
-                  env.options.suspicious_min_vessels) {
+              memo.CountStoppedClose(t) >= kSuspiciousMinVessels) {
             initiated->push_back({rtec::kTrue, t});
           }
         }
         for (const Timestamp t : ctx.NeedsEvalSuffix(tl.EndsFor(rtec::kTrue))) {
           if (env.IsClose(ctx, v, area, t) &&
-              memo.CountStoppedClose(t) <
-                  env.options.suspicious_min_vessels) {
+              memo.CountStoppedClose(t) < kSuspiciousMinVessels) {
             terminated->push_back({rtec::kTrue, t});
           }
         }
@@ -434,9 +437,9 @@ void RegisterMaritimeCes(rtec::Engine& engine, const MaritimeSchema& schema,
   {
     rtec::SimpleFluentSpec spec;
     spec.fluent = schema.illegal_fishing;
-    spec.domain = [kb](const rtec::EvalContext&) {
-      return AreasOfKind(kb, AreaKind::kForbiddenFishing);
-    };
+    spec.domain = [areas = SortedAreaTerms(kb, [](const AreaInfo& a) {
+                     return a.kind == AreaKind::kForbiddenFishing;
+                   })](const rtec::EvalContext&) { return areas; };
     spec.rules = [env](const rtec::EvalContext& ctx, rtec::Term key,
                        rtec::PointVec* initiated,
                        rtec::PointVec* terminated) {

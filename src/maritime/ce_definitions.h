@@ -14,11 +14,6 @@ struct CeOptions {
   /// on demand by Haversine reasoning during recognition.
   bool use_spatial_facts = false;
 
-  /// suspicious(Area) needs at least this many vessels stopped close to the
-  /// area (paper rule-set (3): "at least four vessels", set by domain
-  /// experts).
-  int suspicious_min_vessels = 4;
-
   /// Registers the extension CE adrift(Vessel) (see MaritimeSchema::adrift).
   /// The Figure 11 benches disable this to reproduce the paper's exact CE
   /// set. Turning it off does not make partitioned recognition exact: each

@@ -38,9 +38,9 @@ struct PipelineConfig {
   /// Enable the offline archival path (staging → reconstruction → loading
   /// into the trajectory store).
   bool archive = true;
-  /// RTEC engine selection (kAuto picks per window shape and observed dirty
-  /// fraction); passed through to RecognizerConfig::engine. Every mode
-  /// yields bit-identical CEs.
+  /// RTEC engine selection (kAuto picks from the window shape); passed
+  /// through to RecognizerConfig::engine. Every mode yields bit-identical
+  /// CEs.
   EngineMode recognition_engine = EngineMode::kNaive;
   /// Thread pool for tracker shards and partition recognition. nullptr
   /// (default) uses the process-wide shared pool; benches inject local pools

@@ -23,8 +23,7 @@ CERecognizer::CERecognizer(const KnowledgeBase* kb, RecognizerConfig config)
       opts.incremental = config_.window.range >= 3 * config_.window.slide;
       break;
   }
-  opts.adaptive_full_regen = config_.engine == EngineMode::kAuto;
-  engine_ = std::make_unique<rtec::Engine>(config_.window, kb_, opts);
+  engine_ = std::make_unique<rtec::Engine>(config_.window, opts);
   schema_ = MaritimeSchema::Declare(*engine_);
   RegisterMaritimeCes(*engine_, schema_, kb_,
                       config_.ce.use_spatial_facts ? &facts_ : nullptr,

@@ -21,12 +21,9 @@ namespace maritime::surveillance {
 enum class EngineMode {
   kNaive,
   kIncremental,
-  /// Decide from the window shape at construction — incremental pays only
-  /// when the window outlives the slide (chosen when ω >= 3β;
-  /// BENCH_rtec.json shows incremental at 0.647x naive at ω = β but 4.2x
-  /// at ω = 6β) — and from the observed dirty fraction at each query: a
-  /// step whose dirty suffix covers most of the window escalates to one
-  /// full regeneration (EngineOptions::adaptive_full_regen).
+  /// Decide from the window shape at construction: incremental pays only
+  /// when the window outlives the slide, so it is chosen when ω >= 3β
+  /// (BENCH_rtec.json `window_shape_rows`).
   kAuto,
 };
 
@@ -48,7 +45,9 @@ struct RecognizerConfig {
 /// Figure 11(b) mode), and recognizes CEs at each query time.
 class CERecognizer {
  public:
-  /// `kb` must outlive the recognizer.
+  /// `kb` must outlive the recognizer, and its area registry must be
+  /// complete: the area-keyed CE domains are built from it here, so an area
+  /// added afterwards is never monitored.
   CERecognizer(const KnowledgeBase* kb, RecognizerConfig config);
 
   CERecognizer(const CERecognizer&) = delete;

@@ -161,9 +161,8 @@ void EvalContext::ForEachCoordCovering(
 
 // --- Engine ------------------------------------------------------------------
 
-Engine::Engine(stream::WindowSpec window, const void* user_data,
-               EngineOptions options)
-    : window_(window), user_data_(user_data), options_(options) {
+Engine::Engine(stream::WindowSpec window, EngineOptions options)
+    : window_(window), options_(options) {
   assert(window_.Validate().ok());
 }
 
@@ -606,24 +605,20 @@ void Engine::MarkWindowBounds(FluentTimeline* tl) const {
 }
 
 std::vector<Term> Engine::EvalKeys(const SimpleFluentSpec& spec,
-                                   const EvalContext& ctx, bool have_boundary,
-                                   SimpleDefCache& cache) {
+                                   const EvalContext& ctx,
+                                   bool have_boundary) {
   std::vector<Term> keys = spec.domain(ctx);
-  // Domains built from sorted sources (the subject index) arrive sorted and
-  // unique; only the others pay the sort, and only when their output
-  // differs from the previous step's.
+  // Domains built from sorted sources (the subject index, an area list
+  // sorted at registration) arrive sorted and unique; only the others pay
+  // the sort.
   const bool sorted_unique =
       std::adjacent_find(keys.begin(), keys.end(),
                          [](const Term& a, const Term& b) {
                            return !(a < b);
                          }) == keys.end();
-  if (!sorted_unique && keys == cache.unsorted_domain) {
-    keys.assign(cache.sorted_domain.begin(), cache.sorted_domain.end());
-  } else if (!sorted_unique) {
-    cache.unsorted_domain = keys;
+  if (!sorted_unique) {
     std::sort(keys.begin(), keys.end());
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    cache.sorted_domain = keys;
   }
   const FluentId fluent = spec.fluent;
   if (!have_boundary || fluent < 0) return keys;
@@ -761,7 +756,7 @@ void Engine::EvaluateSimple(const SimpleFluentSpec& spec, SimpleDefCache& cache,
   // entry, change mark or edge mark.
   const bool incremental = options_.incremental;
   const bool whole_window = !incremental || dirty_all_;
-  const std::vector<Term> keys = EvalKeys(spec, ctx, have_boundary, cache);
+  const std::vector<Term> keys = EvalKeys(spec, ctx, have_boundary);
 
   // Dependency-scoped dirty view (cross-key definitions with a projector
   // only): computed once per definition, before the evaluation phase.
@@ -1319,31 +1314,9 @@ MARITIME_COMMIT_BOUNDARY RecognitionResult Engine::Recognize(Timestamp q) {
   if (options_.incremental) {
     // Merge the marks batched by AssertEvent/AssertCoord since the previous
     // step: one sort + linear merge per map, instead of a shifting sorted
-    // insert per mark. (`any` is maintained eagerly, so the adaptive check
-    // below would be correct either way.)
+    // insert per mark.
     for (auto& m : dirty_events_) m.Flush();
     dirty_coords_.Flush();
-    if (options_.adaptive_full_regen && !dirty_all_) {
-      // Adaptive escalation: when the earliest dirty mark reaches back over
-      // most of the window, almost every key regenerates almost its whole
-      // suffix anyway, and the diff/merge bookkeeping is pure overhead. A
-      // full regeneration (dirty_all_) produces identical output — it is
-      // exactly the first-slide path — and rebuilds every cache entry, so
-      // the next step starts from fresh evidence either way.
-      Timestamp earliest = dirty_coords_.any;
-      for (const DirtyMap& m : dirty_events_) {
-        earliest = std::min(earliest, m.any);
-      }
-      if (earliest != kTimestampNever) {
-        const double dirty_span =
-            static_cast<double>(q - std::max(earliest, wstart));
-        if (dirty_span >=
-            kFullRegenDirtyFraction * static_cast<double>(window_.range)) {
-          dirty_all_ = true;
-          ++adaptive_full_regens_;
-        }
-      }
-    }
     for (auto& m : changed_fluents_) m.Clear();
     std::fill(changed_derived_.begin(), changed_derived_.end(),
               kTimestampNever);
@@ -1388,7 +1361,7 @@ MARITIME_COMMIT_BOUNDARY RecognitionResult Engine::Recognize(Timestamp q) {
   result.fluents.reserve(prev_fluent_rows_);
   result.events.reserve(prev_event_rows_);
 
-  const EvalContext ctx(this, wstart, q, user_data_);
+  const EvalContext ctx(this, wstart, q);
   // Committed timelines are read in this step's window from here on.
   read_window_ = TimelineWindow{wstart, q};
 

@@ -66,10 +66,6 @@ class EvalContext {
   MARITIME_ARENA_ESCAPE_OK const FluentTimeline& Timeline(FluentId f,
                                                           Term key) const;
 
-  bool HoldsAt(FluentId f, Term key, Value v, Timestamp t) const {
-    return Timeline(f, key).Holds(v, t);
-  }
-
   /// holdsAt at the right limit of t (counts episodes starting exactly at t).
   bool HoldsRightOf(FluentId f, Term key, Value v, Timestamp t) const {
     return Timeline(f, key).HoldsRight(v, t);
@@ -122,17 +118,13 @@ class EvalContext {
     return times.subspan(static_cast<size_t>(from - times.begin()));
   }
 
-  /// Application knowledge (e.g. the maritime KnowledgeBase). Not owned.
-  const void* user_data() const { return user_data_; }
-
  private:
   friend class Engine;
   EvalContext(const Engine* engine, Timestamp window_start,
-              Timestamp query_time, const void* user_data)
+              Timestamp query_time)
       : engine_(engine),
         window_start_(window_start),
         query_time_(query_time),
-        user_data_(user_data),
         regen_from_(window_start) {}
 
   EvalContext WithRegenRegion(Timestamp from) const {
@@ -144,7 +136,6 @@ class EvalContext {
   const Engine* engine_;
   Timestamp window_start_;
   Timestamp query_time_;
-  const void* user_data_;
   /// Regeneration region: points at t >= regen_from_ must be (re)generated.
   /// The default (window_start) regenerates the whole window. No prefix side
   /// exists: window-front information loss is confined to falling-off points
@@ -168,7 +159,7 @@ class EvalContext {
 ///    time) — no time arithmetic. This makes the output restricted to any
 ///    subrange of the window a function of the inputs in that subrange.
 ///  - Conditions evaluated at a generated point's time `t` look only
-///    backwards in time (HoldsAt/HoldsRightOf at t, CoordAt at or before t),
+///    backwards in time (Holds/HoldsRight at t, CoordAt at or before t),
 ///    which holds automatically for Event Calculus rules.
 ///  - A rule never reads its own fluent (registration-order hierarchy).
 ///  - The domain contains every key whose rules would produce in-window
@@ -295,14 +286,6 @@ struct RecognitionResult {
   }
 };
 
-/// Adaptive per-query full regeneration (the recognizer's `auto` engine
-/// mode, EngineOptions::adaptive_full_regen): when the dirty suffix of a step
-/// covers at least this fraction of the window, suffix bookkeeping cannot pay
-/// for itself (BENCH_rtec.json: incremental runs at 0.647x naive when ω
-/// equals the slide), so the step runs as one full regeneration — caches are
-/// rebuilt whole and the output is unchanged.
-inline constexpr double kFullRegenDirtyFraction = 0.75;
-
 /// Evaluation-mode knobs of the engine. The default is the naive engine:
 /// every definition regenerates its whole window at every query time, with
 /// no evidence cache.
@@ -313,9 +296,6 @@ struct EngineOptions {
   /// DependencySpec contract; definitions without deps are always fully
   /// re-evaluated.
   bool incremental = false;
-  /// Escalate a step whose dirty suffix covers kFullRegenDirtyFraction of
-  /// the window to one full regeneration. Incremental mode only.
-  bool adaptive_full_regen = false;
 };
 
 /// Cumulative cache counters of the incremental engine (all zero under the
@@ -357,8 +337,7 @@ struct EngineAllocStats {
 };
 
 /// Per-definition regeneration telemetry of the incremental engine (session
-/// counters, like adaptive_full_regens: never serialized, never read by
-/// evaluation). One record per registered definition, in registration order.
+/// counters: never serialized, never read by evaluation). One record per registered definition, in registration order.
 struct DefRegenStats {
   uint64_t evals = 0;            ///< Region computations (key evaluations).
   uint64_t regen_span_sum = 0;   ///< Sum of regenerated span widths (q-from).
@@ -532,8 +511,7 @@ struct MarkRange {
 
 class Engine {
  public:
-  explicit Engine(stream::WindowSpec window, const void* user_data = nullptr,
-                  EngineOptions options = {});
+  explicit Engine(stream::WindowSpec window, EngineOptions options = {});
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -581,9 +559,6 @@ class Engine {
   std::optional<geo::GeoPoint> CoordOf(Term vessel, Timestamp t) const;
 
   const EngineOptions& options() const { return options_; }
-  /// Steps the adaptive mode escalated to a full regeneration (always 0
-  /// unless EngineOptions::adaptive_full_regen is set).
-  size_t adaptive_full_regens() const { return adaptive_full_regens_; }
   /// Cumulative cache counters (zeros under the naive engine).
   const EngineCacheStats& cache_stats() const { return cache_stats_; }
   /// Per-definition regeneration telemetry, in registration order (session
@@ -663,11 +638,6 @@ class Engine {
     /// key: the boundary record is updated for these only.
     std::vector<Term> visited;
     bool swept = true;
-    /// The domain's last output when it came unsorted, and that output
-    /// sorted and unique: a domain repeating itself (a fixed area list)
-    /// skips the sort. Derived, never serialized.
-    std::vector<Term> unsorted_domain;
-    std::vector<Term> sorted_domain;
   };
   struct DerivedDefCache {
     /// The derived store itself persists across slides under the incremental
@@ -741,15 +711,13 @@ class Engine {
       const std::function<void(Timestamp, const geo::GeoPoint&)>& fn) const;
 
   /// The sorted key set of a simple fluent at this step: its domain plus
-  /// the keys carrying a boundary value. `cache` remembers an unsorted
-  /// domain's last output and its sorted form.
+  /// the keys carrying a boundary value.
   std::vector<Term> EvalKeys(const SimpleFluentSpec& spec,
-                             const EvalContext& ctx, bool have_boundary,
-                             SimpleDefCache& cache);
+                             const EvalContext& ctx, bool have_boundary);
 
   /// One evaluator per definition kind. The regeneration region decides
-  /// the work: naive mode (and the incremental engine's first and escalated
-  /// slides) regenerate every key over the whole window; naive mode also
+  /// the work: naive mode (and the incremental engine's first slide)
+  /// regenerate every key over the whole window; naive mode also
   /// commits nothing to the evidence caches.
   void EvaluateSimple(const SimpleFluentSpec& spec, SimpleDefCache& cache,
                       const EvalContext& ctx, bool have_boundary,
@@ -802,7 +770,6 @@ class Engine {
       FluentKeyMap& map, FluentKeyMap::iterator it);
 
   stream::WindowSpec window_;
-  const void* user_data_;
   EngineOptions options_;
 
   std::vector<std::string> event_names_;
@@ -917,9 +884,6 @@ class Engine {
 
   EngineCacheStats cache_stats_;
   EngineAllocStats alloc_stats_;
-  /// Steps escalated to full regeneration by the adaptive mode. Telemetry
-  /// only: never serialized, never read by evaluation.
-  size_t adaptive_full_regens_ = 0;
   /// Per-definition regen telemetry, parallel to definitions_. Session
   /// counters only (never serialized).
   std::vector<DefRegenStats> def_regen_stats_;

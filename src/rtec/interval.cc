@@ -1,68 +1,8 @@
 #include "rtec/interval.h"
 
 #include <algorithm>
-#include <atomic>
-
-#include "common/check.h"
 
 namespace maritime::rtec {
-namespace {
-
-std::atomic<uint64_t> g_normalize_fast{0};
-std::atomic<uint64_t> g_normalize_slow{0};
-
-/// Shared sort+coalesce over any vector<Interval, Alloc>.
-template <typename Vec>
-void NormalizeImpl(Vec* list) {
-  auto& v = *list;
-  // Fast path: one linear scan accepts input that is already sorted, empty-
-  // free, disjoint and non-adjacent — exactly what the episode sweeps emit
-  // when regenerating a suffix in time order. This skips the O(n log n) sort
-  // and, more importantly, the branchy comparator on the hot path.
-  bool normalized = true;
-  Timestamp prev_till = kInvalidTimestamp;
-  for (const Interval& i : v) {
-    if (i.since >= i.till ||
-        (prev_till != kInvalidTimestamp && i.since <= prev_till)) {
-      normalized = false;
-      break;
-    }
-    prev_till = i.till;
-  }
-  if (normalized) {
-    g_normalize_fast.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  g_normalize_slow.fetch_add(1, std::memory_order_relaxed);
-  v.erase(std::remove_if(v.begin(), v.end(),
-                         [](const Interval& i) { return !i.NonEmpty(); }),
-          v.end());
-  std::sort(v.begin(), v.end(), [](const Interval& a, const Interval& b) {
-    if (a.since != b.since) return a.since < b.since;
-    return a.till < b.till;
-  });
-  size_t out = 0;
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (out > 0 && v[i].since <= v[out - 1].till) {
-      // Overlapping or adjacent ((a,b] followed by (b,c]): coalesce.
-      v[out - 1].till = std::max(v[out - 1].till, v[i].till);
-    } else {
-      v[out++] = v[i];
-    }
-  }
-  v.resize(out);
-  MARITIME_DCHECK(IsNormalized(v));
-}
-
-}  // namespace
-
-void NormalizeIntervals(IntervalList* list) { NormalizeImpl(list); }
-void NormalizeIntervals(IntervalVec* list) { NormalizeImpl(list); }
-
-NormalizeStats GetNormalizeStats() {
-  return NormalizeStats{g_normalize_fast.load(std::memory_order_relaxed),
-                        g_normalize_slow.load(std::memory_order_relaxed)};
-}
 
 bool IsNormalized(IntervalSpan list) {
   for (size_t i = 0; i < list.size(); ++i) {
@@ -87,162 +27,6 @@ bool HoldsRightOf(IntervalSpan list, Timestamp t) {
       [t](const Interval& i) { return i.since <= t; });
   if (it == list.begin()) return false;
   return (it - 1)->till > t;
-}
-
-IntervalList UnionAll(const std::vector<IntervalList>& lists) {
-  IntervalList out;
-  for (const auto& l : lists) out.insert(out.end(), l.begin(), l.end());
-  NormalizeIntervals(&out);
-  return out;
-}
-
-IntervalList IntersectAll(const std::vector<IntervalList>& lists) {
-  if (lists.empty()) return {};
-  IntervalList acc = lists[0];
-  NormalizeIntervals(&acc);
-  for (size_t k = 1; k < lists.size(); ++k) {
-    IntervalList rhs = lists[k];
-    NormalizeIntervals(&rhs);
-    IntervalList next;
-    size_t i = 0, j = 0;
-    while (i < acc.size() && j < rhs.size()) {
-      const Timestamp lo = std::max(acc[i].since, rhs[j].since);
-      const Timestamp hi = std::min(acc[i].till, rhs[j].till);
-      if (lo < hi) next.push_back(Interval{lo, hi});
-      if (acc[i].till < rhs[j].till) {
-        ++i;
-      } else {
-        ++j;
-      }
-    }
-    acc = std::move(next);
-    if (acc.empty()) break;
-  }
-  MARITIME_DCHECK(IsNormalized(acc));
-  return acc;
-}
-
-IntervalList RelativeComplementAll(const IntervalList& base,
-                                   const std::vector<IntervalList>& subtract) {
-  IntervalList cut = UnionAll(subtract);
-  IntervalList norm_base = base;
-  NormalizeIntervals(&norm_base);
-  IntervalList out;
-  size_t j = 0;
-  for (const Interval& b : norm_base) {
-    Timestamp cursor = b.since;
-    while (j < cut.size() && cut[j].till <= cursor) ++j;
-    size_t k = j;
-    while (k < cut.size() && cut[k].since < b.till) {
-      if (cut[k].since > cursor) {
-        out.push_back(Interval{cursor, cut[k].since});
-      }
-      cursor = std::max(cursor, cut[k].till);
-      if (cursor >= b.till) break;
-      ++k;
-    }
-    if (cursor < b.till) out.push_back(Interval{cursor, b.till});
-  }
-  NormalizeIntervals(&out);
-  return out;
-}
-
-IntervalList ClipToWindow(const IntervalList& list, Timestamp lo,
-                          Timestamp hi) {
-  IntervalList out;
-  for (const Interval& i : list) {
-    const Interval clipped{std::max(i.since, lo), std::min(i.till, hi)};
-    if (clipped.NonEmpty()) out.push_back(clipped);
-  }
-  NormalizeIntervals(&out);
-  return out;
-}
-
-// --- flat interval algebra ---------------------------------------------------
-
-void UnionInto(IntervalSpan a, IntervalSpan b, IntervalVec* out) {
-  MARITIME_DCHECK(IsNormalized(a) && IsNormalized(b));
-  out->clear();
-  size_t i = 0, j = 0;
-  while (i < a.size() || j < b.size()) {
-    // Take the sweep-wise next interval from whichever input starts first.
-    const bool from_a =
-        j >= b.size() || (i < a.size() && a[i].since <= b[j].since);
-    const Interval& next = from_a ? a[i++] : b[j++];
-    if (!out->empty() && next.since <= out->back().till) {
-      if (next.till > out->back().till) out->back().till = next.till;
-    } else {
-      out->push_back(next);
-    }
-  }
-  MARITIME_DCHECK(IsNormalized(*out));
-}
-
-void IntersectInto(IntervalSpan a, IntervalSpan b, IntervalVec* out) {
-  MARITIME_DCHECK(IsNormalized(a) && IsNormalized(b));
-  out->clear();
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    const Timestamp lo = std::max(a[i].since, b[j].since);
-    const Timestamp hi = std::min(a[i].till, b[j].till);
-    if (lo < hi) out->push_back(Interval{lo, hi});
-    if (a[i].till < b[j].till) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  MARITIME_DCHECK(IsNormalized(*out));
-}
-
-void ComplementInto(IntervalSpan base, IntervalSpan cut, IntervalVec* out) {
-  MARITIME_DCHECK(IsNormalized(base) && IsNormalized(cut));
-  out->clear();
-  size_t j = 0;
-  for (const Interval& b : base) {
-    Timestamp cursor = b.since;
-    while (j < cut.size() && cut[j].till <= cursor) ++j;
-    size_t k = j;
-    while (k < cut.size() && cut[k].since < b.till) {
-      if (cut[k].since > cursor) {
-        out->push_back(Interval{cursor, cut[k].since});
-      }
-      if (cut[k].till > cursor) cursor = cut[k].till;
-      if (cursor >= b.till) break;
-      ++k;
-    }
-    if (cursor < b.till) out->push_back(Interval{cursor, b.till});
-  }
-  MARITIME_DCHECK(IsNormalized(*out));
-}
-
-void ClipToWindowInto(IntervalSpan list, Timestamp lo, Timestamp hi,
-                      IntervalVec* out) {
-  out->clear();
-  for (const Interval& i : list) {
-    const Interval clipped{std::max(i.since, lo), std::min(i.till, hi)};
-    if (clipped.NonEmpty()) out->push_back(clipped);
-  }
-  // Clipping a normalized input can collapse a gap but never reorders, so a
-  // single coalesce pass keeps the invariant without sorting.
-  size_t w = 0;
-  for (size_t r = 0; r < out->size(); ++r) {
-    if (w > 0 && (*out)[r].since <= (*out)[w - 1].till) {
-      if ((*out)[r].till > (*out)[w - 1].till) {
-        (*out)[w - 1].till = (*out)[r].till;
-      }
-    } else {
-      (*out)[w++] = (*out)[r];
-    }
-  }
-  out->resize(w);
-  MARITIME_DCHECK(IsNormalized(*out));
-}
-
-Duration TotalLength(IntervalSpan list) {
-  Duration total = 0;
-  for (const Interval& i : list) total += i.Length();
-  return total;
 }
 
 }  // namespace maritime::rtec

@@ -47,9 +47,9 @@ inline std::ostream& operator<<(std::ostream& os, const Interval& i) {
 /// holds continuously across them).
 using IntervalList = std::vector<Interval>;
 
-/// A normalized interval sequence viewed as a contiguous span: the common
-/// currency of the flat (arena/SoA) interval algebra. IntervalList and
-/// ArenaVector<Interval> both convert implicitly.
+/// A normalized interval sequence viewed as a contiguous span: what the
+/// flat timelines hand out. IntervalList and ArenaVector<Interval> both
+/// convert implicitly.
 using IntervalSpan = std::span<const Interval>;
 
 /// Interval storage whose backing (heap or slide-scoped arena) is chosen at
@@ -67,29 +67,10 @@ inline bool operator==(IntervalSpan a, IntervalSpan b) {
   return true;
 }
 
-/// Materializes a span as an owning IntervalList (algebra-reference inputs,
-/// result rows).
+/// Materializes a span as an owning IntervalList (result rows).
 inline IntervalList ToList(IntervalSpan s) {
   return IntervalList(s.begin(), s.end());
 }
-
-/// Sorts, drops empty intervals, and coalesces overlapping/adjacent ones,
-/// establishing the IntervalList invariant in place. Input that is already
-/// sorted and disjoint — the common case under suffix regeneration, where
-/// episode sweeps emit intervals in time order — is detected in one linear
-/// scan and returned untouched, skipping the sort entirely.
-void NormalizeIntervals(IntervalList* list);
-void NormalizeIntervals(IntervalVec* list);
-
-/// Cumulative NormalizeIntervals path counters (process-wide, thread-safe):
-/// `fast` counts inputs accepted by the already-normalized linear scan,
-/// `slow` inputs that went through the full sort+coalesce. Benches and the
-/// fast-path regression test read these.
-struct NormalizeStats {
-  uint64_t fast = 0;
-  uint64_t slow = 0;
-};
-NormalizeStats GetNormalizeStats();
 
 /// True iff `list` satisfies the IntervalList invariant.
 bool IsNormalized(IntervalSpan list);
@@ -103,43 +84,6 @@ bool HoldsAt(IntervalSpan list, Timestamp t);
 /// rules that must count an episode starting exactly at `t` (e.g. the vessel
 /// whose stop initiates a suspicious-area episode).
 bool HoldsRightOf(IntervalSpan list, Timestamp t);
-
-/// union_all: points covered by any input list.
-IntervalList UnionAll(const std::vector<IntervalList>& lists);
-
-/// intersect_all: points covered by every input list.
-IntervalList IntersectAll(const std::vector<IntervalList>& lists);
-
-/// relative_complement_all: points of `base` covered by none of `subtract`.
-IntervalList RelativeComplementAll(const IntervalList& base,
-                                   const std::vector<IntervalList>& subtract);
-
-/// Clips every interval to the window (`lo`, `hi`]; empty results dropped.
-IntervalList ClipToWindow(const IntervalList& list, Timestamp lo,
-                          Timestamp hi);
-
-// --- flat interval algebra ---------------------------------------------------
-// Branch-light sweeps over contiguous normalized spans, writing into a
-// caller-provided (typically arena-backed) vector instead of allocating a
-// fresh heap list per operation. Preconditions: inputs normalized; `out` is
-// cleared by the callee; output aliasing an input is not allowed. The
-// reference implementations above stay as the property-test oracle.
-
-/// Points covered by `a` or `b` (two-way merge; no sort, no temporary).
-void UnionInto(IntervalSpan a, IntervalSpan b, IntervalVec* out);
-
-/// Points covered by both `a` and `b`.
-void IntersectInto(IntervalSpan a, IntervalSpan b, IntervalVec* out);
-
-/// Points of `base` not covered by `cut`.
-void ComplementInto(IntervalSpan base, IntervalSpan cut, IntervalVec* out);
-
-/// Clips every interval of `list` to (`lo`, `hi`], dropping empty results.
-void ClipToWindowInto(IntervalSpan list, Timestamp lo, Timestamp hi,
-                      IntervalVec* out);
-
-/// Total number of time-points covered.
-Duration TotalLength(IntervalSpan list);
 
 }  // namespace maritime::rtec
 

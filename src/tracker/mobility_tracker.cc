@@ -14,6 +14,12 @@ constexpr double kSpeedRatioFloorKnots = 0.5;
 /// samples the mean velocity is not yet a trustworthy course abstraction.
 constexpr size_t kMinHistoryForOutliers = 3;
 
+/// Displacement that triggers a shape waypoint inside a slow-motion episode.
+/// Between its start and end markers a meandering episode (e.g. a trawler
+/// working a ground for hours) would otherwise collapse to a straight
+/// segment.
+constexpr double kSlowWaypointMeters = 300.0;
+
 }  // namespace
 
 MobilityTracker::MobilityTracker(TrackerParams params)
@@ -178,7 +184,7 @@ void MobilityTracker::UpdateSlowMotion(VesselState& vs,
     vs.slow_anchor = cp.pos;
   } else if (vs.slow_active &&
              geo::HaversineMeters(t.pos, vs.slow_anchor) >
-                 params_.slow_waypoint_m) {
+                 kSlowWaypointMeters) {
     // Shape waypoint: without it a meandering episode would collapse to the
     // straight start→end segment on reconstruction.
     CriticalPoint cp;

@@ -39,12 +39,6 @@ struct TrackerParams {
   /// detection (paper default: 10).
   int history_size = 10;
 
-  /// Displacement that triggers a shape waypoint inside a slow-motion
-  /// episode. Between its start and end markers a meandering episode (e.g.
-  /// a trawler working a ground for hours) would otherwise collapse to a
-  /// straight segment.
-  double slow_waypoint_m = 300.0;
-
   /// Off-course outlier detection: a sample is an outlier when the velocity
   /// it implies deviates from the mean velocity over the last m positions by
   /// more than max(outlier_min_speed_knots,

@@ -270,7 +270,7 @@ TEST(EngineIncrementalDifferentialTest, RandomizedStreamBitIdentical) {
   Engine naive(window);
   EngineOptions incr_opts;
   incr_opts.incremental = true;
-  Engine incr(window, nullptr, incr_opts);
+  Engine incr(window, incr_opts);
 
   const Schema sn = Register(&naive, &oracle);
   const Schema si = Register(&incr);
@@ -362,7 +362,7 @@ TEST(EngineIncrementalDifferentialTest, LongWindowCleanBypassBitIdentical) {
   Engine naive(window);
   EngineOptions incr_opts;
   incr_opts.incremental = true;
-  Engine incr(window, nullptr, incr_opts);
+  Engine incr(window, incr_opts);
 
   const Schema sn = Register(&naive, &oracle);
   const Schema si = Register(&incr);
@@ -451,7 +451,7 @@ TEST(EngineIncrementalDifferentialTest,
   Engine naive(window);
   EngineOptions incr_opts;
   incr_opts.incremental = true;
-  auto incr = std::make_unique<Engine>(window, nullptr, incr_opts);
+  auto incr = std::make_unique<Engine>(window, incr_opts);
 
   const Schema sn = Register(&naive, &oracle);
   Register(incr.get());
@@ -510,7 +510,7 @@ TEST(EngineIncrementalDifferentialTest,
       // feed and the recognition would.
       snapshot::Writer w;
       incr->SaveTo(w);
-      incr = std::make_unique<Engine>(window, nullptr, incr_opts);
+      incr = std::make_unique<Engine>(window, incr_opts);
       Register(incr.get());
       snapshot::Reader r(w.bytes());
       ASSERT_TRUE(incr->RestoreFrom(r).ok());
@@ -535,24 +535,21 @@ TEST(EngineIncrementalDifferentialTest,
   EXPECT_GT(incr->cache_stats().evictions, 0u);
 }
 
-TEST(EngineIncrementalDifferentialTest, AdaptiveFullRegenBitIdentical) {
-  // The adaptive escalation path: when the dirty suffix covers at least
-  // kFullRegenDirtyFraction of the window, the incremental engine falls back
-  // to full regeneration for that slide (rebuilding its caches) instead of
-  // merging. Delayed events land in the oldest quarter of the window, so
-  // every slide receiving one escalates, while fresh-only slides stay on the
-  // incremental path — both paths must agree with naive and the reference.
+TEST(EngineIncrementalDifferentialTest, DelayIntoOldestQuarterBitIdentical) {
+  // Delayed events land in the oldest quarter of the window, so every slide
+  // receiving one dirties at least 75% of it: almost every key regenerates
+  // almost its whole suffix, and the diff against the cached evidence must
+  // still merge to what the naive engine and the reference compute.
   const stream::WindowSpec window{50, 10};
   ec_reference::Oracle oracle(window);
   Engine naive(window);
-  EngineOptions adapt_opts;
-  adapt_opts.incremental = true;
-  adapt_opts.adaptive_full_regen = true;
-  Engine adapt(window, nullptr, adapt_opts);
+  EngineOptions incr_opts;
+  incr_opts.incremental = true;
+  Engine incr(window, incr_opts);
 
   const Schema sn = Register(&naive, &oracle);
-  const Schema sa = Register(&adapt);
-  ASSERT_EQ(sn.alarm, sa.alarm);
+  const Schema si = Register(&incr);
+  ASSERT_EQ(sn.alarm, si.alarm);
 
   std::mt19937 rng(20260808);
   std::uniform_int_distribution<int> vessel_dist(1, 12);
@@ -563,7 +560,6 @@ TEST(EngineIncrementalDifferentialTest, AdaptiveFullRegenBitIdentical) {
   // A delay into (wstart, wstart + quarter] dirties at least 75% of a full
   // window.
   const Timestamp quarter = window.range / 4;
-  static_assert(kFullRegenDirtyFraction <= 0.75);
   constexpr int kSlides = 500;
   for (int slide = 1; slide <= kSlides; ++slide) {
     const Timestamp q = static_cast<Timestamp>(slide) * window.slide;
@@ -595,7 +591,7 @@ TEST(EngineIncrementalDifferentialTest, AdaptiveFullRegenBitIdentical) {
         a.event = sn.ping;
         a.object = Term::None();
       }
-      for (Engine* eng : {&naive, &adapt}) {
+      for (Engine* eng : {&naive, &incr}) {
         if (a.kind == Assertion::kCoord) {
           eng->AssertCoord(a.subject, a.t, a.pos);
         } else {
@@ -605,24 +601,20 @@ TEST(EngineIncrementalDifferentialTest, AdaptiveFullRegenBitIdentical) {
     }
     const RecognitionResult rn = naive.Recognize(q);
     ASSERT_TRUE(oracle.Check(naive, rn));
-    const RecognitionResult ra = adapt.Recognize(q);
-    ASSERT_TRUE(rn == ra) << "adaptive diverged at q=" << q << "\nnaive:\n"
-                          << Dump(rn) << "adaptive:\n" << Dump(ra);
+    const RecognitionResult ri = incr.Recognize(q);
+    ASSERT_TRUE(rn == ri) << "incremental diverged at q=" << q
+                          << "\nnaive:\n" << Dump(rn) << "incremental:\n"
+                          << Dump(ri);
   }
-
-  // Both regimes must actually have been exercised: some slides escalated
-  // to full regeneration, most stayed incremental.
-  EXPECT_GT(adapt.adaptive_full_regens(), 0u);
-  EXPECT_LT(adapt.adaptive_full_regens(), static_cast<size_t>(kSlides / 2));
-  EXPECT_GT(adapt.cache_stats().hits, 0u);
-  EXPECT_EQ(naive.adaptive_full_regens(), 0u);
+  // Fresh-only slides reuse cached evidence between the delayed ones.
+  EXPECT_GT(incr.cache_stats().hits, 0u);
 }
 
 TEST(EngineIncrementalDifferentialTest, CacheEvictionFollowsKeyChurn) {
   const stream::WindowSpec window{50, 10};
   EngineOptions opts;
   opts.incremental = true;
-  Engine eng(window, nullptr, opts);
+  Engine eng(window, opts);
   const Schema s = Register(&eng);
 
   const Term v1{0, 1};
@@ -650,7 +642,7 @@ TEST(EngineIncrementalDifferentialTest, UndeclaredDepsAlwaysRecompute) {
   const stream::WindowSpec window{50, 10};
   EngineOptions opts;
   opts.incremental = true;
-  Engine eng(window, nullptr, opts);
+  Engine eng(window, opts);
   const EventId on = eng.DeclareEvent("on");
   const FluentId f = eng.DeclareFluent("f");
   SimpleFluentSpec spec;
@@ -700,23 +692,10 @@ TEST(EngineModeResolutionTest, ResolvesFromWindowShape) {
   EXPECT_FALSE(resolved_incremental({6 * kHour, kHour}, EngineMode::kNaive));
   EXPECT_TRUE(resolved_incremental({kHour, kHour}, EngineMode::kIncremental));
   // Auto: at omega == beta every slide dirties the whole window, so suffix
-  // reuse cannot pay — naive. At omega >= 3 beta it can — incremental, with
-  // the adaptive full-regen escape hatch armed.
+  // reuse cannot pay — naive. At omega >= 3 beta it can — incremental.
   EXPECT_FALSE(resolved_incremental({kHour, kHour}, EngineMode::kAuto));
   EXPECT_FALSE(resolved_incremental({2 * kHour, kHour}, EngineMode::kAuto));
   EXPECT_TRUE(resolved_incremental({6 * kHour, kHour}, EngineMode::kAuto));
-
-  surveillance::RecognizerConfig auto_cfg;
-  auto_cfg.window = stream::WindowSpec{6 * kHour, kHour};
-  auto_cfg.engine = EngineMode::kAuto;
-  const surveillance::CERecognizer auto_rec(&world.knowledge, auto_cfg);
-  EXPECT_TRUE(auto_rec.engine().options().adaptive_full_regen);
-
-  surveillance::RecognizerConfig plain_cfg;
-  plain_cfg.window = stream::WindowSpec{6 * kHour, kHour};
-  plain_cfg.engine = EngineMode::kIncremental;
-  const surveillance::CERecognizer plain_rec(&world.knowledge, plain_cfg);
-  EXPECT_FALSE(plain_rec.engine().options().adaptive_full_regen);
 }
 
 }  // namespace

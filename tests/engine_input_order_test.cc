@@ -113,7 +113,7 @@ std::unique_ptr<Engine> MakeEngine(stream::WindowSpec window,
                                    Schema* schema = nullptr) {
   EngineOptions opts;
   opts.incremental = incremental;
-  auto eng = std::make_unique<Engine>(window, nullptr, opts);
+  auto eng = std::make_unique<Engine>(window, opts);
   const Schema s = Declare(eng.get());
   if (schema != nullptr) *schema = s;
   return eng;

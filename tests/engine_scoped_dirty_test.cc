@@ -160,8 +160,8 @@ TEST(ScopedDirtyDifferentialTest, SkewedFleetBitIdenticalAndNarrowed) {
   Engine naive(window);
   EngineOptions incr_opts;
   incr_opts.incremental = true;
-  Engine scoped(window, nullptr, incr_opts);
-  Engine floor(window, nullptr, incr_opts);
+  Engine scoped(window, incr_opts);
+  Engine floor(window, incr_opts);
 
   const Schema sn = Register(&naive, /*with_projector=*/true, &oracle);
   const Schema ss = Register(&scoped);

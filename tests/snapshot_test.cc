@@ -504,7 +504,7 @@ class SnapshotEngineFixture {
                                  bool incremental = false) {
     rtec::EngineOptions opts;
     opts.incremental = incremental;
-    engine = std::make_unique<rtec::Engine>(window, nullptr, opts);
+    engine = std::make_unique<rtec::Engine>(window, opts);
     on = engine->DeclareEvent("on");
     off = engine->DeclareEvent("off");
     active = engine->DeclareFluent("active");

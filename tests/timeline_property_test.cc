@@ -3,8 +3,7 @@
 // sorted, pairwise disjoint, non-adjacent (maximal), consistent with the
 // evidence semantics, and mutually exclusive across values. In Debug and
 // sanitizer builds these also drive the MARITIME_DCHECKs inside
-// ComputeSimpleFluent and NormalizeIntervals through thousands of random
-// amalgamations.
+// ComputeSimpleFluent through thousands of random amalgamations.
 
 #include "rtec/timeline.h"
 
@@ -125,42 +124,6 @@ TEST(TimelinePropertyTest, RandomEvidenceYieldsNormalizedDisjointIntervals) {
       if (!list.empty() && !initiated_at_query) {
         EXPECT_EQ(list.back().till, query_time) << "round " << round;
       }
-    }
-  }
-}
-
-TEST(TimelinePropertyTest, RandomIntervalAlgebraStaysNormalized) {
-  // Union / intersection / complement over random inputs must emit
-  // normalized lists (drives the MARITIME_DCHECKs in interval.cc).
-  Rng rng(42424242);
-  for (int round = 0; round < 2000; ++round) {
-    const auto random_list = [&rng]() {
-      IntervalList list;
-      const int n = static_cast<int>(rng.NextInt(0, 12));
-      for (int i = 0; i < n; ++i) {
-        const Timestamp a = rng.NextInt(0, 120);
-        // Include empty and inverted intervals: inputs need not be clean.
-        list.push_back(Interval{a, a + rng.NextInt(-2, 15)});
-      }
-      return list;
-    };
-    std::vector<IntervalList> inputs{random_list(), random_list(),
-                                     random_list()};
-    // The algebra operates on normalized operands.
-    for (auto& l : inputs) NormalizeIntervals(&l);
-    EXPECT_TRUE(IsNormalized(UnionAll(inputs)));
-    EXPECT_TRUE(IsNormalized(IntersectAll(inputs)));
-    EXPECT_TRUE(IsNormalized(RelativeComplementAll(
-        inputs[0], {inputs[1], inputs[2]})));
-    EXPECT_TRUE(IsNormalized(ClipToWindow(inputs[0], 10, 90)));
-
-    // Union covers exactly the points any input covers (spot check).
-    const IntervalList u = UnionAll(inputs);
-    for (int probe = 0; probe < 10; ++probe) {
-      const Timestamp t = rng.NextInt(0, 140);
-      bool any = false;
-      for (const auto& l : inputs) any = any || HoldsAt(l, t);
-      EXPECT_EQ(HoldsAt(u, t), any) << "round " << round << " t=" << t;
     }
   }
 }

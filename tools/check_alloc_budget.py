@@ -4,8 +4,9 @@
 Reads google-benchmark JSON reports and fails when a gated counter exceeds
 its committed budget:
 
-- micro_rtec's BM_CERecognitionWindow benchmarks (arg 0 = naive engine,
-  arg 1 = incremental, arg 2 = auto), BM_SkewedFleetRecognition and
+- micro_rtec's BM_CERecognitionWindow benchmarks (omega = 6 beta; arg 0 =
+  naive engine, arg 1 = incremental, arg 2 = auto, which resolves to
+  incremental at that shape), BM_SkewedFleetRecognition and
   BM_LongWindowRecognition report `allocs_per_slide`. The budgets hold generous headroom over the measured
   values (~61 naive / ~107 incremental — the ~20 allocs over the
   pre-scoped ~86 are the dependency projector's steady-state footprint) but
@@ -52,8 +53,8 @@ import sys
 BUDGETS = {
     ("BM_CERecognitionWindow/0", "allocs_per_slide"): 150.0,  # naive engine
     ("BM_CERecognitionWindow/1", "allocs_per_slide"): 200.0,  # incremental
-    # auto resolves to incremental at this window shape (omega = 6 beta);
-    # adaptive full-regen slides stay on the same arena, so same budget.
+    # auto resolves to incremental at this window shape (omega = 6 beta), so
+    # same budget; gated on its own so the resolution stays covered.
     ("BM_CERecognitionWindow/2", "allocs_per_slide"): 200.0,
     # Skewed fleet (601 vessels, steady-state slides only): ~56 allocs/slide
     # measured. Keeping steady slides O(changes) rather than O(fleet) is the
